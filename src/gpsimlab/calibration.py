@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import DEFAULTS, DelayModelConfig
 from .timebase import NS_PER_MS, ClockErrorChain, TimeOffset
 
-DEFAULT_SAMPLE_COUNT = 1800
+DEFAULT_SAMPLE_COUNT = DEFAULTS.delay_model.sample_count
 DEFAULT_SAMPLE_INTERVAL_S = 1.0
 
 CSV_HEADER = ("timestamp_s", "delay_ms")
@@ -37,13 +38,21 @@ class SimDelayModel:
 
     mean_delay: TimeOffset
     wander_sigma: TimeOffset
-    noise_sigma: TimeOffset = TimeOffset.from_millis(0.5)
+    noise_sigma: TimeOffset
 
     def __post_init__(self) -> None:
         if self.mean_delay.ns < 0:
             raise ValueError(f"mean_delay must be non-negative, got {self.mean_delay.ns} ns")
         if self.wander_sigma.ns < 0 or self.noise_sigma.ns < 0:
             raise ValueError("wander_sigma and noise_sigma must be non-negative")
+
+    @classmethod
+    def from_config(cls, cfg: DelayModelConfig) -> "SimDelayModel":
+        return cls(
+            mean_delay=TimeOffset.from_millis(cfg.mean_delay_ms),
+            wander_sigma=TimeOffset.from_millis(cfg.wander_sigma_ms),
+            noise_sigma=TimeOffset.from_millis(cfg.noise_sigma_ms),
+        )
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ unexpected runtime failure.
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ from .calibration import (
     import_samples_csv,
     measure_sim_delay,
 )
-from .config import Config, ConfigError, config_to_dict, default_config, load_config
+from .config import Config, ConfigError, default_config, load_config
 from .ntp import run_sync_comparison
 from .placement import (
     DeploymentGeometry,
@@ -54,7 +53,6 @@ from .placement import (
 )
 from .reports import format_table, write_csv, write_json
 from .rng import stream
-from .timebase import ErrorBudget, TimeOffset, within_budget
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -71,19 +69,6 @@ def _load(args: argparse.Namespace) -> Config:
     if path:
         return load_config(path)
     return default_config()
-
-
-def _delay_model(cfg: Config) -> SimDelayModel:
-    dm = cfg.delay_model
-    return SimDelayModel(
-        mean_delay=TimeOffset.from_millis(dm.mean_delay_ms),
-        wander_sigma=TimeOffset.from_millis(dm.wander_sigma_ms),
-        noise_sigma=TimeOffset.from_millis(dm.noise_sigma_ms),
-    )
-
-
-def _budget(cfg: Config) -> ErrorBudget:
-    return ErrorBudget(limit=TimeOffset.from_millis(cfg.budget.limit_ms))
 
 
 def _fix_rows(result: sc.ScenarioResult):
@@ -106,7 +91,7 @@ def _transition_rows(result: sc.ScenarioResult):
 
 def _write_run_artifacts(out: Path, name: str, result: sc.ScenarioResult) -> list[Path]:
     paths = [out / f"{name}.json", out / f"{name}_fixes.csv", out / f"{name}_transitions.csv"]
-    write_json(paths[0], result.to_dict())
+    write_json(paths[0], result)
     write_csv(
         paths[1],
         ("t_s", "x_m", "y_m", "z_m", "clock_bias_s", "source", "coverage"),
@@ -208,41 +193,24 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- simulate
 
 
-def _handover_params(cfg: Config) -> sc.StaticHandoverParams:
-    h = cfg.handover
-    return sc.StaticHandoverParams(
-        live_s=h.live_s,
-        blocked_s=h.blocked_s,
-        sim_s=h.sim_s,
-        pr_noise_m=h.pr_noise_m,
-        n_sats=h.n_sats,
-    )
-
-
-def _check_draws(results: list[sc.ScenarioResult], budget: ErrorBudget, strict: bool) -> int:
-    ok = all(all(r.handover_success.values()) for r in results)
+def _check_draws(result: sc.ScenarioResult, strict: bool) -> int:
+    ok = all(result.handover_success.values())
     if strict:
-        ok = ok and all(
-            within_budget(d.error, budget) for r in results for d in r.clock_draws.values()
-        )
+        ok = ok and all(d.within_budget for d in result.clock_draws.values())
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
 def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
     out = Path(args.out)
-    budget = _budget(cfg)
-    delay_model = _delay_model(cfg)
     seed = args.seed
 
     if args.scenario == "static":
         profile = rcv.PROFILES[cfg.deployment.receiver]
-        params = _handover_params(cfg)
         if args.clock == "all":
-            trials = args.trials or cfg.handover.trials
             matrix = sc.run_static_handover_matrix(
-                trials=trials, seed=seed, profile=profile, params=params, delay_model=delay_model
+                trials=args.trials, seed=seed, profile=profile, cfg=cfg
             )
-            write_json(out / "handover_matrix.json", matrix.to_dict())
+            write_json(out / "handover_matrix.json", matrix)
             write_csv(
                 out / "handover_matrix.csv",
                 ("clock", "median_p95_m", "median_avg_m", "max_m"),
@@ -258,9 +226,9 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
             )
             return EXIT_OK if matrix.ordering_ok_every_trial else EXIT_INFEASIBLE
         config = sc.CLOCK_CONFIGS_BY_LABEL[args.clock]
-        result = sc.run_static_handover(config, profile, seed, params, delay_model)
+        result = sc.run_static_handover(config, profile, seed, cfg)
         _announce(_write_run_artifacts(out, "handover", result))
-        return _check_draws([result], budget, args.strict)
+        return _check_draws(result, args.strict)
 
     if args.scenario in ("driving", "pedestrian"):
         base = (
@@ -269,10 +237,8 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
             else sc.default_pedestrian_scenario()
         )
         if args.clock == "all" and args.scenario == "driving":
-            matrix = sc.run_traversal_matrix(
-                base, trials=args.trials or 5, seed=seed, delay_model=delay_model
-            )
-            write_json(out / "traversal_matrix.json", matrix.to_dict())
+            matrix = sc.run_traversal_matrix(base, trials=args.trials, seed=seed, cfg=cfg)
+            write_json(out / "traversal_matrix.json", matrix)
             write_csv(
                 out / "traversal_matrix.csv",
                 ("clock", "median_avg_m", "handover_success_all"),
@@ -283,12 +249,12 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
             return EXIT_OK if ok else EXIT_INFEASIBLE
         if args.clock != "all":
             base = dataclasses.replace(base, clock=sc.CLOCK_CONFIGS_BY_LABEL[args.clock])
-        result = sc.run_dynamic_traversal(base, seed, delay_model)
+        result = sc.run_dynamic_traversal(base, seed, cfg)
         _announce(_write_run_artifacts(out, args.scenario, result))
-        return _check_draws([result], budget, args.strict)
+        return _check_draws(result, args.strict)
 
-    comparison = sc.run_outdoor_comparison(seed=seed, delay_model=delay_model)
-    write_json(out / "outdoor.json", comparison.to_dict())
+    comparison = sc.run_outdoor_comparison(seed=seed, cfg=cfg)
+    write_json(out / "outdoor.json", comparison)
     _announce([out / "outdoor.json"])
     print(
         f"live avg {comparison.live.avg_m:.3f} m, simulated avg "
@@ -300,24 +266,11 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ sweep
 
 
-def _sweep_offsets(cfg: Config) -> list[TimeOffset]:
-    sw = cfg.sweep
-    n = int(math.floor((sw.max_offset_ms - sw.min_offset_ms) / sw.step_ms + 1e-9)) + 1
-    return [TimeOffset.from_millis(sw.min_offset_ms + i * sw.step_ms) for i in range(n)]
-
-
 def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     profile = rcv.PROFILES[args.receiver or cfg.deployment.receiver]
-    result = sc.run_offset_sweep(
-        offsets=_sweep_offsets(cfg),
-        profile=profile,
-        trials=args.trials or cfg.sweep.trials,
-        seed=args.seed,
-        pr_noise_m=cfg.handover.pr_noise_m,
-        n_sats=cfg.handover.n_sats,
-    )
+    result = sc.run_offset_sweep(profile=profile, trials=args.trials, seed=args.seed, cfg=cfg)
     out = Path(args.out)
-    write_json(out / "sweep.json", result.to_dict())
+    write_json(out / "sweep.json", result)
     write_csv(
         out / "sweep.csv",
         ("offset_ms", "mean_reacq_s", "std_reacq_s", "mean_error_m", "std_error_m"),
@@ -343,7 +296,7 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model = _delay_model(cfg)
+    model = SimDelayModel.from_config(cfg.delay_model)
     if args.samples_csv:
         samples = import_samples_csv(args.samples_csv)
     else:
@@ -413,6 +366,13 @@ def cmd_sync_compare(cfg: Config, args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- main
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -422,12 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     common.add_argument("--out", default="out", help="artifact directory (default ./out)")
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="kept for symmetry; every command writes both formats",
-    )
     common.add_argument(
         "--strict",
         action="store_true",
@@ -451,11 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="clock pipeline (default: all applicable)",
     )
-    sim.add_argument("--trials", type=int, default=None, help="override trial count")
+    sim.add_argument("--trials", type=_positive_int, default=None, help="override trial count")
 
     sw = sub.add_parser("sweep", parents=[common], help="reacquisition vs controlled clock offset")
     sw.add_argument("--receiver", choices=tuple(rcv.PROFILES), default=None)
-    sw.add_argument("--trials", type=int, default=None, help="override trial count")
+    sw.add_argument("--trials", type=_positive_int, default=None, help="override trial count")
 
     cal = sub.add_parser("calibrate", parents=[common], help="delay calibration statistics")
     cal.add_argument("--samples-csv", default=None, help="calibrate from an existing sample CSV")

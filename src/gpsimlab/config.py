@@ -1,17 +1,21 @@
-"""Configuration schema and JSON loading.
+"""Configuration schema, the one home of every default, and JSON loading.
 
 One flat file of small sections, all keys carrying explicit units in
-their names. Loading is strict: unknown keys are rejected with their
-full dotted path, wrong scalar types likewise, so a typo in a config
-cannot silently fall back to a default.
+their names. The library takes its default parameters from ``DEFAULTS``
+below, so a default value is written only here. Loading is strict:
+unknown keys are rejected with their full dotted path, wrong scalar
+types and non-finite numbers likewise, so a typo in a config cannot
+silently fall back to a default.
+
+This module imports nothing from the package at load time, which lets
+the lowest layers (timebase, calibration) read their defaults from it.
 """
 
 import dataclasses
 import difflib
 import json
+import math
 from dataclasses import dataclass
-
-from .receiver import PROFILES
 
 
 class ConfigError(ValueError):
@@ -56,6 +60,11 @@ class SweepConfig:
     step_ms: float = 50.0
     trials: int = 3
 
+    def offsets_ms(self) -> list[float]:
+        """The sweep grid, min to max inclusive in steps of ``step_ms``."""
+        n = math.floor((self.max_offset_ms - self.min_offset_ms) / self.step_ms + 1e-9) + 1
+        return [self.min_offset_ms + i * self.step_ms for i in range(n)]
+
 
 @dataclass(frozen=True)
 class SyncConfig:
@@ -82,8 +91,11 @@ _SECTIONS = {
 }
 
 
+DEFAULTS = Config()
+
+
 def default_config() -> Config:
-    return Config()
+    return DEFAULTS
 
 
 def _unknown_key_error(key: str, known: list[str], path: str) -> ConfigError:
@@ -100,6 +112,8 @@ def _coerce_scalar(expected: type, value: object, path: str) -> object:
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -130,6 +144,9 @@ def _positive(value: float, path: str) -> None:
 
 
 def _validate(cfg: Config) -> Config:
+    from .ntp import POLL_INTERVAL_S
+    from .receiver import PROFILES
+
     _positive(cfg.deployment.radius_m, "deployment.radius_m")
     _positive(cfg.deployment.max_speed_kmh, "deployment.max_speed_kmh")
     if cfg.deployment.separation_m < 2 * cfg.deployment.radius_m:
@@ -162,7 +179,11 @@ def _validate(cfg: Config) -> Config:
         raise ConfigError("sweep.min_offset_ms: must not exceed sweep.max_offset_ms")
     if cfg.sweep.trials < 1:
         raise ConfigError("sweep.trials: must be at least 1")
-    _positive(cfg.sync.duration_s, "sync.duration_s")
+    if cfg.sync.duration_s < POLL_INTERVAL_S:
+        raise ConfigError(
+            f"sync.duration_s: must cover at least one {POLL_INTERVAL_S} s poll interval, "
+            f"got {cfg.sync.duration_s}"
+        )
     return cfg
 
 

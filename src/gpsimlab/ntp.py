@@ -26,27 +26,24 @@ stratum 1 next to the reference and do not wander.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
+from .config import DEFAULTS
 from .rng import stream
 from .timebase import TimeOffset
 
 UNSYNC_STRATUM = 16
-DEFAULT_POLL_INTERVAL_S = 16.0
-DEFAULT_GAIN = 0.5
-DEFAULT_SLEW_LIMIT_S = 0.25
-DEFAULT_ERROR_FLOOR_S = 50e-6
-HISTORY_LEN = 8
+POLL_INTERVAL_S = 16.0
+GAIN = 0.5
+SLEW_LIMIT_S = 0.25
+ERROR_FLOOR_S = 50e-6
+INITIAL_OFFSET = TimeOffset.from_millis(10.0)
+WARMUP_POLLS = 8
 
 
 class ServerUnsynchronized(ValueError):
     """Exchange attempted against a stratum >= 16 server."""
-
-
-class ChainBroken(ValueError):
-    """Chain strata must increase strictly away from the root."""
 
 
 @dataclass(frozen=True)
@@ -111,33 +108,11 @@ class NtpNode:
 
 @dataclass(frozen=True)
 class OffsetEstimate:
-    """Result of one exchange, taken at simulation time ``at_s``."""
+    """Result of one exchange."""
 
     offset: TimeOffset
     round_trip_s: float
     root_dispersion_s: float
-    at_s: float
-
-
-@dataclass(frozen=True)
-class HopSync:
-    """Per-hop record: what the hop's estimate was and what it added.
-
-    ``contribution`` is the error this hop stacked on top of the previous
-    node's offset, half the sampled asymmetry of its link.
-    """
-
-    name: str
-    stratum: int
-    estimate: OffsetEstimate
-    post_offset_truth: TimeOffset
-    contribution: TimeOffset
-
-
-@dataclass(frozen=True)
-class ChainSyncResult:
-    estimate: OffsetEstimate
-    hops: tuple[HopSync, ...]
 
 
 def ntp_exchange(
@@ -145,13 +120,11 @@ def ntp_exchange(
     server: NtpNode,
     link: LinkModel,
     rng: np.random.Generator,
-    at_s: float = 0.0,
-    server_dispersion_s: float | None = None,
 ) -> OffsetEstimate:
     """One four-timestamp exchange over ``link``.
 
-    The server responds instantly; its advertised dispersion defaults to
-    its actual absolute offset (see the module docstring).
+    The server responds instantly and advertises its actual absolute
+    offset as its dispersion (see the module docstring).
     """
     if server.stratum >= UNSYNC_STRATUM:
         raise ServerUnsynchronized(f"server {server.name} at stratum {server.stratum}")
@@ -167,68 +140,11 @@ def ntp_exchange(
     t4 = up + down + theta_c
     offset = ((t2 - t1) + (t3 - t4)).scaled(0.5)
     round_trip = ((t4 - t1) - (t3 - t2)).seconds
-    if server_dispersion_s is None:
-        server_dispersion_s = abs(theta_s.seconds)
     return OffsetEstimate(
         offset=offset,
         round_trip_s=round_trip,
-        root_dispersion_s=server_dispersion_s + round_trip / 2.0,
-        at_s=at_s,
+        root_dispersion_s=abs(theta_s.seconds) + round_trip / 2.0,
     )
-
-
-def sync_through_chain(
-    root: NtpNode,
-    chain: Sequence[tuple[NtpNode, LinkModel]],
-    client_link: LinkModel,
-    rng: np.random.Generator,
-    client: NtpNode | None = None,
-    at_s: float = 0.0,
-) -> ChainSyncResult:
-    """Synchronize down a stratum chain and measure from the client.
-
-    Each chain node syncs fully to the node above it, inheriting its
-    offset plus half of its own link's sampled asymmetry. The returned
-    estimate is the client's exchange against the last chain node (or the
-    root when the chain is empty). The client defaults to a zero-offset
-    observer, in which case the estimate's offset equals the error the
-    client would adopt.
-    """
-    if root.stratum >= UNSYNC_STRATUM:
-        raise ServerUnsynchronized(f"root {root.name} at stratum {root.stratum}")
-    upstream = root
-    upstream_dispersion = abs(root.clock_offset_truth.seconds)
-    hops = []
-    for node, link in chain:
-        if node.stratum <= upstream.stratum:
-            raise ChainBroken(
-                f"{node.name} stratum {node.stratum} does not increase over "
-                f"{upstream.name} stratum {upstream.stratum}"
-            )
-        if node.stratum >= UNSYNC_STRATUM:
-            raise ServerUnsynchronized(f"{node.name} at stratum {node.stratum}")
-        estimate = ntp_exchange(
-            node, upstream, link, rng, at_s=at_s, server_dispersion_s=upstream_dispersion
-        )
-        synced = replace(node, clock_offset_truth=node.clock_offset_truth + estimate.offset)
-        hops.append(
-            HopSync(
-                name=node.name,
-                stratum=node.stratum,
-                estimate=estimate,
-                post_offset_truth=synced.clock_offset_truth,
-                contribution=synced.clock_offset_truth - upstream.clock_offset_truth,
-            )
-        )
-        upstream = synced
-        upstream_dispersion = estimate.root_dispersion_s
-
-    if client is None:
-        client = NtpNode("client", min(upstream.stratum + 1, UNSYNC_STRATUM - 1))
-    estimate = ntp_exchange(
-        client, upstream, client_link, rng, at_s=at_s, server_dispersion_s=upstream_dispersion
-    )
-    return ChainSyncResult(estimate=estimate, hops=tuple(hops))
 
 
 @dataclass(frozen=True)
@@ -237,41 +153,35 @@ class DisciplinedClock:
 
     offset_truth: TimeOffset
     estimated_max_error_s: float
-    poll_interval_s: float = DEFAULT_POLL_INTERVAL_S
-    history: tuple[OffsetEstimate, ...] = ()
+    last_estimate_offset: TimeOffset | None = None
     dispersion_s: float = 0.0
 
     @classmethod
-    def start(
-        cls,
-        initial_offset: TimeOffset,
-        poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
-        error_floor_s: float = DEFAULT_ERROR_FLOOR_S,
-    ) -> "DisciplinedClock":
+    def start(cls, initial_offset: TimeOffset) -> "DisciplinedClock":
         return cls(
             offset_truth=initial_offset,
-            estimated_max_error_s=abs(initial_offset.seconds) + error_floor_s,
-            poll_interval_s=poll_interval_s,
+            estimated_max_error_s=abs(initial_offset.seconds) + ERROR_FLOOR_S,
         )
 
 
-def _discipline_step(
-    clock: DisciplinedClock,
-    estimate: OffsetEstimate,
-    gain: float,
-    slew_limit_s: float,
-    error_floor_s: float,
-) -> DisciplinedClock:
-    correction = estimate.offset.scaled(gain)
-    limit = TimeOffset.from_seconds(slew_limit_s)
+def discipline_step(clock: DisciplinedClock, estimate: OffsetEstimate) -> DisciplinedClock:
+    """Apply one estimate to the clock.
+
+    The clock slews toward the estimate by GAIN, clipped to the slew
+    limit. The estimated maximum error is rebuilt from the unapplied
+    remainder, the estimate's root dispersion, and the tracked spread of
+    successive estimates, so it stays above the true offset.
+    """
+    correction = estimate.offset.scaled(GAIN)
+    limit = TimeOffset.from_seconds(SLEW_LIMIT_S)
     if correction.ns > limit.ns:
         correction = limit
     elif correction.ns < -limit.ns:
         correction = -limit
     residual_s = abs((estimate.offset - correction).seconds)
 
-    if clock.history:
-        jump_s = abs((estimate.offset - clock.history[-1].offset).seconds)
+    if clock.last_estimate_offset is not None:
+        jump_s = abs((estimate.offset - clock.last_estimate_offset).seconds)
         dispersion_s = 0.5 * clock.dispersion_s + 0.5 * jump_s
     else:
         dispersion_s = 0.0
@@ -279,35 +189,10 @@ def _discipline_step(
     return replace(
         clock,
         offset_truth=clock.offset_truth + correction,
-        estimated_max_error_s=error_floor_s + residual_s + estimate.root_dispersion_s + dispersion_s,
-        history=(clock.history + (estimate,))[-HISTORY_LEN:],
+        estimated_max_error_s=ERROR_FLOOR_S + residual_s + estimate.root_dispersion_s + dispersion_s,
+        last_estimate_offset=estimate.offset,
         dispersion_s=dispersion_s,
     )
-
-
-def discipline(
-    clock: DisciplinedClock,
-    estimates: Sequence[OffsetEstimate],
-    gain: float = DEFAULT_GAIN,
-    slew_limit_s: float = DEFAULT_SLEW_LIMIT_S,
-    error_floor_s: float = DEFAULT_ERROR_FLOOR_S,
-) -> list[DisciplinedClock]:
-    """Apply a stream of estimates; returns the state after each one.
-
-    Each step slews toward the estimate by ``gain``, clipped to the slew
-    limit. The estimated maximum error is rebuilt every step from the
-    unapplied remainder, the estimate's root dispersion, and the tracked
-    spread of recent estimates, so it stays above the true offset.
-    """
-    if not 0 < gain <= 1:
-        raise ValueError(f"gain must be within (0, 1], got {gain}")
-    if slew_limit_s <= 0:
-        raise ValueError(f"slew_limit_s must be positive, got {slew_limit_s}")
-    trajectory = []
-    for estimate in estimates:
-        clock = _discipline_step(clock, estimate, gain, slew_limit_s, error_floor_s)
-        trajectory.append(clock)
-    return trajectory
 
 
 # Topologies for the connection/server comparison matrix.
@@ -347,40 +232,29 @@ class SyncRunResult:
     bound_held: bool
 
 
-DEFAULT_WARMUP_POLLS = 8
-
-
-def run_disciplined_sync(
-    topology: SyncTopology,
-    duration_s: float,
-    seed: int,
-    poll_interval_s: float = DEFAULT_POLL_INTERVAL_S,
-    initial_offset: TimeOffset = TimeOffset.from_millis(10.0),
-    gain: float = DEFAULT_GAIN,
-    slew_limit_s: float = DEFAULT_SLEW_LIMIT_S,
-    error_floor_s: float = DEFAULT_ERROR_FLOOR_S,
-    warmup_polls: int = DEFAULT_WARMUP_POLLS,
-) -> SyncRunResult:
+def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -> SyncRunResult:
     """Poll the topology for ``duration_s`` and discipline a client clock.
 
-    Pool servers take a random-walk step before every poll. The result
-    records, per poll, the true client offset and the estimated maximum
-    error, plus whether the bound held at every poll. The reported maxima
-    skip the first ``warmup_polls`` polls so they describe the settled
-    clock rather than the initial convergence transient; the bound check
-    still covers every poll.
+    Pool servers take a random-walk step before every poll. On a re-sync
+    poll each hop synchronizes fully to the node above it, inheriting its
+    offset plus half of its own link's sampled asymmetry. The client
+    starts INITIAL_OFFSET off and polls the last hop (or the root) every
+    POLL_INTERVAL_S. The result records, per poll, the true client offset
+    and the estimated maximum error, plus whether the bound held at every
+    poll. The reported maxima skip the first WARMUP_POLLS polls so they
+    describe the settled clock rather than the initial convergence
+    transient; the bound check still covers every poll.
     """
     link_rng = stream(seed, "ntp", topology.name, "links")
     wander_rng = stream(seed, "ntp", topology.name, "wander")
 
     root_offset = TimeOffset.zero()
     hop_offsets = [TimeOffset.zero() for _ in topology.hop_links]
-    clock = DisciplinedClock.start(initial_offset, poll_interval_s, error_floor_s)
+    clock = DisciplinedClock.start(INITIAL_OFFSET)
 
     samples = []
-    polls = int(duration_s // poll_interval_s)
+    polls = int(duration_s // POLL_INTERVAL_S)
     for k in range(1, polls + 1):
-        at = k * poll_interval_s
         if topology.root_wander_sigma_s > 0:
             root_offset = root_offset + TimeOffset.from_seconds(
                 wander_rng.normal(0.0, topology.root_wander_sigma_s)
@@ -396,10 +270,7 @@ def run_disciplined_sync(
             for j, link in enumerate(topology.hop_links):
                 hop = NtpNode(f"pool{j}", 2 + j, hop_offsets[j])
                 upstream = NtpNode("up", 1 + j, upstream_offset)
-                est = ntp_exchange(
-                    hop, upstream, link, link_rng, at_s=at,
-                    server_dispersion_s=abs(upstream_offset.seconds),
-                )
+                est = ntp_exchange(hop, upstream, link, link_rng)
                 hop_offsets[j] = hop_offsets[j] + est.offset
                 upstream_offset = hop_offsets[j]
 
@@ -408,11 +279,11 @@ def run_disciplined_sync(
         else:
             server = NtpNode("root", 1, root_offset)
         client = NtpNode("client", server.stratum + 1, clock.offset_truth)
-        estimate = ntp_exchange(client, server, topology.client_link, link_rng, at_s=at)
-        clock = _discipline_step(clock, estimate, gain, slew_limit_s, error_floor_s)
-        samples.append(SyncSample(at, clock.offset_truth, clock.estimated_max_error_s))
+        estimate = ntp_exchange(client, server, topology.client_link, link_rng)
+        clock = discipline_step(clock, estimate)
+        samples.append(SyncSample(k * POLL_INTERVAL_S, clock.offset_truth, clock.estimated_max_error_s))
 
-    settled = samples[warmup_polls:] if len(samples) > warmup_polls else samples
+    settled = samples[WARMUP_POLLS:] if len(samples) > WARMUP_POLLS else samples
     max_est = max(s.estimated_max_error_s for s in settled)
     max_abs = max(abs(s.offset_truth.seconds) for s in settled)
     bound_held = all(abs(s.offset_truth.seconds) <= s.estimated_max_error_s for s in samples)
@@ -487,26 +358,12 @@ POOL_HOP_WANDER_S = 0.0004
 POOL_ROOT_WANDER_S = 0.0002
 POOL_DEPTH = 2
 
-
-def private_topology(name: str, client_link: LinkModel) -> SyncTopology:
-    return SyncTopology(name=name, client_link=client_link)
-
-
-def public_topology(name: str, client_link: LinkModel, depth: int = POOL_DEPTH) -> SyncTopology:
-    return SyncTopology(
-        name=name,
-        client_link=client_link,
-        hop_links=(POOL_HOP_LINK,) * depth,
-        hop_wander_sigma_s=POOL_HOP_WANDER_S,
-        root_wander_sigma_s=POOL_ROOT_WANDER_S,
-    )
-
-
 CONNECTIONS = ("wired", "wireless")
 SERVER_TYPES = ("public", "private")
 
 
 def default_topology(connection: str, server_type: str) -> SyncTopology:
+    """A private server one hop away, or a public pool POOL_DEPTH hops deep."""
     key = (connection, server_type)
     links = {
         ("wired", "private"): WIRED_PRIVATE_LINK,
@@ -518,8 +375,14 @@ def default_topology(connection: str, server_type: str) -> SyncTopology:
         raise ValueError(f"unknown matrix cell {key}")
     name = f"{connection}_{server_type}"
     if server_type == "private":
-        return private_topology(name, links[key])
-    return public_topology(name, links[key])
+        return SyncTopology(name=name, client_link=links[key])
+    return SyncTopology(
+        name=name,
+        client_link=links[key],
+        hop_links=(POOL_HOP_LINK,) * POOL_DEPTH,
+        hop_wander_sigma_s=POOL_HOP_WANDER_S,
+        root_wander_sigma_s=POOL_ROOT_WANDER_S,
+    )
 
 
 @dataclass(frozen=True)
@@ -532,20 +395,13 @@ class SyncComparisonCell:
 
 
 def run_sync_comparison(
-    duration_s: float = 1800.0,
-    seed: int = 0,
-    topologies: dict[tuple[str, str], SyncTopology] | None = None,
+    duration_s: float = DEFAULTS.sync.duration_s, seed: int = 0
 ) -> list[SyncComparisonCell]:
     """Run all four connection/server cells and report their error bounds."""
     cells = []
     for connection in CONNECTIONS:
         for server_type in SERVER_TYPES:
-            topo = (
-                topologies[(connection, server_type)]
-                if topologies is not None
-                else default_topology(connection, server_type)
-            )
-            result = run_disciplined_sync(topo, duration_s, seed)
+            result = run_disciplined_sync(default_topology(connection, server_type), duration_s, seed)
             cells.append(
                 SyncComparisonCell(
                     connection=connection,

@@ -12,8 +12,8 @@ piecewise-linearly, clamped at the last knot.
 The reacquisition target is latched once, from the clock offset seen at
 the moment the signal returns; later offset changes during the same
 reacquisition do not move it. Stepping is pure: the next state depends
-only on the arguments. Elapsed times advance in whole dt quanta, so a
-target t completes after ceil(t / dt) steps of signal.
+only on the arguments. Elapsed times advance in whole DT_S quanta, so a
+target t completes after ceil(t / DT_S) steps of signal.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .timebase import TimeOffset
 
-DEFAULT_DT_S = 0.1
+DT_S = 0.1
 FLAT_REGION_S = 0.050
 _EPS_S = 1e-9
 
@@ -51,7 +51,6 @@ class ReceiverProfile:
     t_max_s: float
     t_acq_s: float
     reacq_knots: tuple[tuple[float, float], ...]
-    pos_rate_hz: float = 10.0
 
     def __post_init__(self) -> None:
         if self.t_max_s <= 0:
@@ -62,8 +61,6 @@ class ReceiverProfile:
             raise ValueError(
                 f"t_reacq_base_s ({self.t_reacq_base_s}) must not exceed t_acq_s ({self.t_acq_s})"
             )
-        if self.pos_rate_hz <= 0:
-            raise ValueError(f"pos_rate_hz must be positive, got {self.pos_rate_hz}")
         knots = self.reacq_knots
         if not knots or knots[0][0] != 0.0:
             raise ValueError("reacq_knots must start at offset 0")
@@ -136,7 +133,6 @@ class ReceiverState:
     blockage_elapsed_s: float = 0.0
     mode_elapsed_s: float = 0.0
     target_s: float = 0.0
-    last_fix_t: float | None = None
 
     @classmethod
     def cold(cls, profile: ReceiverProfile) -> "ReceiverState":
@@ -147,33 +143,25 @@ class ReceiverState:
         return cls(mode=Mode.TRACKING)
 
 
-def with_fix(state: ReceiverState, t_s: float) -> ReceiverState:
-    return replace(state, last_fix_t=t_s)
-
-
 def step(
     state: ReceiverState,
     profile: ReceiverProfile,
     signal_present: bool,
     clock_offset: TimeOffset,
-    dt_s: float = DEFAULT_DT_S,
 ) -> ReceiverState:
-    """Advance the channel by one quantum.
+    """Advance the channel by one DT_S quantum.
 
     ``signal_present`` and ``clock_offset`` describe the signal during
     this quantum. Blockage time resets whenever the signal returns.
     """
-    if dt_s <= 0:
-        raise ValueError(f"dt_s must be positive, got {dt_s}")
-
     if not signal_present:
-        blocked = state.blockage_elapsed_s + dt_s if state.mode is Mode.BLOCKED else dt_s
+        blocked = state.blockage_elapsed_s + DT_S if state.mode is Mode.BLOCKED else DT_S
         return replace(
             state, mode=Mode.BLOCKED, blockage_elapsed_s=blocked, mode_elapsed_s=0.0, target_s=0.0
         )
 
     if state.mode is Mode.TRACKING:
-        return replace(state, mode_elapsed_s=state.mode_elapsed_s + dt_s)
+        return replace(state, mode_elapsed_s=state.mode_elapsed_s + DT_S)
 
     if state.mode is Mode.BLOCKED:
         if state.blockage_elapsed_s <= profile.t_max_s + _EPS_S:
@@ -183,10 +171,10 @@ def step(
             mode = Mode.ACQUISITION
             target = profile.t_acq_s
         state = replace(
-            state, mode=mode, blockage_elapsed_s=0.0, mode_elapsed_s=dt_s, target_s=target
+            state, mode=mode, blockage_elapsed_s=0.0, mode_elapsed_s=DT_S, target_s=target
         )
     else:
-        state = replace(state, mode_elapsed_s=state.mode_elapsed_s + dt_s)
+        state = replace(state, mode_elapsed_s=state.mode_elapsed_s + DT_S)
 
     if state.mode_elapsed_s >= state.target_s - _EPS_S:
         return replace(state, mode=Mode.TRACKING, mode_elapsed_s=0.0, target_s=0.0)

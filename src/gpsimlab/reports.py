@@ -8,27 +8,32 @@ formatting. Floats are written with repr, which round-trips exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 
 def _canonical(value: Any) -> Any:
+    """Plain JSON data: a ``to_dict`` method wins, else a dataclass maps its fields."""
     if isinstance(value, dict):
         return {k: _canonical(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     if hasattr(value, "to_dict"):
         return _canonical(value.to_dict())
+    if dataclasses.is_dataclass(value):
+        return _canonical({f.name: getattr(value, f.name) for f in dataclasses.fields(value)})
     return value
 
 
 def write_json(path: str | Path, payload: Any) -> None:
+    """Write strict JSON; a NaN or infinity raises before the file is touched."""
+    text = json.dumps(_canonical(payload), indent=2, sort_keys=True, allow_nan=False)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_canonical(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

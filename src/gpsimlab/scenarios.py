@@ -1,28 +1,33 @@
 """Handover scenario engine.
 
-Runs a receiver through sequences of live-sky reception, blockage, and
-simulator coverage, producing position fixes and error statistics. The
-moving parts come from the other modules: the composed transmit-clock
-error decides the receiver's reacquisition time and, through satellite
-motion, the fix bias inside a coverage; the solver turns noisy
-pseudoranges into fixes; the placement layout decides where signal
-exists along a path.
+Every scenario is one timeline: a list of segments of live-sky
+reception, blockage, and simulator coverage that ``run_timeline`` steps
+the receiver through. The scenarios differ only in how long each segment
+lasts and in how the fix steps it reports are turned into position
+fixes and error statistics. The moving parts come from the other
+modules: the composed transmit-clock error decides the receiver's
+reacquisition time and, through satellite motion, the fix bias inside a
+coverage; the solver turns noisy pseudoranges into fixes; the placement
+layout decides where signal exists along a path.
 
 Comparisons between clock configurations are paired: random draws that do
 not depend on the configuration (sky plot, pseudorange noise, the delay
 process, the sync run of a given server type) come from streams keyed
 only by seed and role, so two configurations under the same seed differ
 exactly where the configuration differs. Pseudorange noise is indexed by
-step within a window, not by fix count, which keeps the pairing aligned
-even when reacquisition delays the first fix.
+step, not by fix count, which keeps the pairing aligned even when
+reacquisition delays the first fix.
 
-Everything is deterministic given (scenario, seed).
+Default parameters come from ``config.DEFAULTS``; every runner takes the
+whole ``Config`` so the CLI passes the loaded one straight through.
+Everything is deterministic given (scenario, seed, config).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +41,7 @@ from .calibration import (
     measure_sim_delay,
     true_delay_series,
 )
+from .config import DEFAULTS, Config
 from .ntp import default_topology, run_disciplined_sync
 from .placement import SpeedProfile
 from .rng import derive_seed, stream
@@ -43,15 +49,12 @@ from .solver import SatGeometry, random_sky_geometry, solve_position
 from .timebase import (
     ClockErrorChain,
     ErrorBudget,
-    DEFAULT_BUDGET,
     TimeOffset,
     compose_clock_error,
     within_budget,
 )
 
-DEFAULT_DT_S = rcv.DEFAULT_DT_S
-DEFAULT_PR_NOISE_M = 2.0
-DEFAULT_N_SATS = 8
+DT_S = rcv.DT_S
 
 # Open-sky consumer receivers average a few meters of horizontal error;
 # the live-sky noise model is calibrated so its mean error matches this.
@@ -61,11 +64,10 @@ LIVE_SKY_SIGMA_M = LIVE_SKY_MEAN_ERROR_M * math.sqrt(2.0 / math.pi)
 NTP_WARMUP_S = 640.0
 REF_ERROR_BOUND_S = 200e-9
 
-DEFAULT_DELAY_MODEL = SimDelayModel(
-    mean_delay=TimeOffset.from_millis(30.0),
-    wander_sigma=TimeOffset.from_millis(0.02),
-    noise_sigma=TimeOffset.from_millis(0.5),
-)
+# Each of the sweep's three windows: signal, blockage, signal again.
+SWEEP_WINDOW_S = 60.0
+TRAVERSAL_TRIALS = 5
+OUTDOOR_THRESHOLD_M = 8.0
 
 
 class EmptyFixSet(ValueError):
@@ -91,17 +93,6 @@ class ErrorStats:
     rms_m: float
     p95_m: float
     max_m: float
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "avg_m": self.avg_m,
-            "stddev_m": self.stddev_m,
-            "stddev_sample_m": self.stddev_sample_m,
-            "rms_m": self.rms_m,
-            "p95_m": self.p95_m,
-            "max_m": self.max_m,
-        }
 
 
 def nearest_rank_p95(errors: Sequence[float]) -> float:
@@ -163,7 +154,9 @@ PUBLIC_CALIBRATED = ClockConfig("public", True)
 PRIVATE_RAW = ClockConfig("private", False)
 PRIVATE_CALIBRATED = ClockConfig("private", True)
 
+# worst first, the order the matrices check their ordering flag along
 ALL_CLOCK_CONFIGS = (PUBLIC_RAW, PUBLIC_CALIBRATED, PRIVATE_RAW, PRIVATE_CALIBRATED)
+TRAVERSAL_CLOCK_CONFIGS = (PUBLIC_RAW, PRIVATE_RAW, PRIVATE_CALIBRATED)
 
 CLOCK_CONFIGS_BY_LABEL = {c.label: c for c in ALL_CLOCK_CONFIGS}
 
@@ -193,19 +186,19 @@ def draw_clock(
     scope: str,
     coverage: int,
     config: ClockConfig,
-    delay_model: SimDelayModel = DEFAULT_DELAY_MODEL,
-    budget: ErrorBudget = DEFAULT_BUDGET,
-    ntp_warmup_s: float = NTP_WARMUP_S,
+    cfg: Config = DEFAULTS,
 ) -> ClockDraw:
     """Realize the clock-error chain of one simulator host.
 
     The sync run depends on the server type but not on the calibration
     flag, and the delay process depends on neither, so raw and calibrated
-    variants of the same seed share their underlying randomness.
+    variants of the same seed share their underlying randomness. The
+    draw is judged against the configured budget.
     """
+    delay_model = SimDelayModel.from_config(cfg.delay_model)
     sync = run_disciplined_sync(
         default_topology("wireless", config.server_type),
-        ntp_warmup_s,
+        NTP_WARMUP_S,
         derive_seed(seed, scope, "ntp", config.server_type, coverage),
     )
     delay_rng = stream(seed, scope, "simdelay", coverage)
@@ -225,7 +218,7 @@ def draw_clock(
         chain=chain,
         error=error,
         ntp_bound_s=sync.final.estimated_max_error_s,
-        within_budget=within_budget(error, budget),
+        within_budget=within_budget(error, ErrorBudget(TimeOffset.from_millis(cfg.budget.limit_ms))),
     )
 
 
@@ -263,11 +256,11 @@ class ScenarioResult:
     def to_dict(self) -> dict:
         return {
             "fix_count": len(self.fixes),
-            "coverage_stats": {str(k): v.to_dict() for k, v in self.coverage_stats.items()},
+            "coverage_stats": {str(k): v for k, v in self.coverage_stats.items()},
             "handover_success": {str(k): v for k, v in self.handover_success.items()},
             "first_fix_latency_s": {str(k): v for k, v in self.first_fix_latency_s.items()},
-            "overall": self.overall.to_dict() if self.overall else None,
-            "clock": {str(k): v.to_dict() for k, v in self.clock_draws.items()},
+            "overall": self.overall,
+            "clock": {str(k): v for k, v in self.clock_draws.items()},
         }
 
 
@@ -289,7 +282,7 @@ def _finalize(
             coverage_stats[k] = compute_error_stats(errors)
             all_errors.extend(errors)
             first_t = min(f.t_s for f in fixes if f.coverage == k)
-            latency[k] = first_t - entry_times[k] if k in entry_times else None
+            latency[k] = first_t - entry_times[k]
         else:
             latency[k] = None
     overall = compute_error_stats(all_errors) if all_errors else None
@@ -304,42 +297,74 @@ def _finalize(
     )
 
 
-class _TransitionLog:
-    def __init__(self) -> None:
-        self.rows: list[TransitionRow] = []
-        self._last_mode: rcv.Mode | None = None
-
-    def observe(
-        self, t_s: float, state: rcv.ReceiverState, signal: bool, offset: TimeOffset, coverage: int | None
-    ) -> None:
-        if state.mode is not self._last_mode:
-            self.rows.append(TransitionRow(t_s, state.mode.value, signal, offset.millis, coverage))
-            self._last_mode = state.mode
+def _simulator_fix(
+    t_s: float, pseudoranges: np.ndarray, sky: SatGeometry, intended: np.ndarray, coverage: int
+) -> Fix:
+    solution = solve_position(pseudoranges, sky, initial_guess=intended)
+    return Fix(t_s, solution.position, solution.clock_bias.seconds, "simulator", coverage)
 
 
-def _fix_stride(profile: rcv.ReceiverProfile, dt_s: float) -> int:
-    return max(1, round(1.0 / (profile.pos_rate_hz * dt_s)))
-
-
-# ------------------------------------------------------------ static handover
+# ------------------------------------------------------------ timeline engine
 
 
 @dataclass(frozen=True)
-class StaticHandoverParams:
-    live_s: float = 30.0
-    blocked_s: float = 30.0
-    sim_s: float = 20.0
-    pr_noise_m: float = DEFAULT_PR_NOISE_M
-    n_sats: int = DEFAULT_N_SATS
-    dt_s: float = DEFAULT_DT_S
+class Segment:
+    """A stretch of constant reception: ``steps`` quanta of DT_S.
+
+    ``offset`` is the clock offset the receiver is handed during the
+    stretch and that its transition rows record; ``coverage`` is the
+    simulator it comes from, None for live sky and blockage.
+    """
+
+    steps: int
+    signal: bool
+    offset: TimeOffset = TimeOffset.zero()
+    coverage: int | None = None
+
+
+def run_timeline(
+    segments: Sequence[Segment], profile: rcv.ReceiverProfile, state: rcv.ReceiverState
+) -> tuple[list[float], list[list[tuple[int, float]]], list[TransitionRow]]:
+    """Step the receiver through ``segments`` in order.
+
+    Returns three lists: the time each segment starts at (the end of the
+    previous segment's last step); per segment, the ``(step in segment,
+    t)`` of every step that ends in TRACKING, i.e. of every fix; and the
+    transition rows, one per mode change, stamped at the end of the step
+    that made it. Time advances by repeated addition of DT_S, never by
+    whole segments, so every t is the same float however the timeline is
+    cut.
+    """
+    t = 0.0
+    last_mode = None
+    starts: list[float] = []
+    fixes: list[list[tuple[int, float]]] = []
+    transitions: list[TransitionRow] = []
+    for seg in segments:
+        starts.append(t)
+        seg_fixes = []
+        for j in range(seg.steps):
+            t += DT_S
+            state = rcv.step(state, profile, seg.signal, seg.offset)
+            if state.mode is not last_mode:
+                transitions.append(
+                    TransitionRow(t, state.mode.value, seg.signal, seg.offset.millis, seg.coverage)
+                )
+                last_mode = state.mode
+            if state.mode is rcv.Mode.TRACKING:
+                seg_fixes.append((j, t))
+        fixes.append(seg_fixes)
+    return starts, fixes, transitions
+
+
+# ------------------------------------------------------------ static handover
 
 
 def run_static_handover(
     config: ClockConfig,
     profile: rcv.ReceiverProfile = rcv.DEDICATED,
     seed: int = 0,
-    params: StaticHandoverParams = StaticHandoverParams(),
-    delay_model: SimDelayModel = DEFAULT_DELAY_MODEL,
+    cfg: Config = DEFAULTS,
 ) -> ScenarioResult:
     """Live-sky reception, full blockage, then one simulator coverage.
 
@@ -347,51 +372,32 @@ def run_static_handover(
     blockage it reacquires the simulated signal, whose clock error is
     drawn through the configured pipeline, and the fixes over the
     simulator window form the reported statistics (coverage index 0).
+    Segment lengths, noise and satellite count come from ``cfg.handover``.
     """
-    dt = params.dt_s
-    draw = draw_clock(seed, "static", 0, config, delay_model)
+    h = cfg.handover
+    draw = draw_clock(seed, "static", 0, config, cfg)
     eps = draw.error
-    sky = random_sky_geometry(stream(seed, "static", "sky"), n_sats=params.n_sats)
+    sky = random_sky_geometry(stream(seed, "static", "sky"), n_sats=h.n_sats)
     intended = np.zeros(3)
     base_pr = np.linalg.norm(sky.advanced(eps).positions - intended, axis=1)
 
-    live_steps = round(params.live_s / dt)
-    blocked_steps = round(params.blocked_s / dt)
-    sim_steps = round(params.sim_s / dt)
-    pr_noise = stream(seed, "static", "prnoise").normal(0.0, params.pr_noise_m, (sim_steps, params.n_sats))
+    live_steps = round(h.live_s / DT_S)
+    sim_steps = round(h.sim_s / DT_S)
+    pr_noise = stream(seed, "static", "prnoise").normal(0.0, h.pr_noise_m, (sim_steps, h.n_sats))
     live_noise = stream(seed, "static", "live").normal(0.0, LIVE_SKY_SIGMA_M, (live_steps, 2))
 
-    stride = _fix_stride(profile, dt)
-    state = rcv.ReceiverState.tracking()
-    log = _TransitionLog()
-    fixes: list[Fix] = []
-    t = 0.0
-
-    for i in range(live_steps):
-        t += dt
-        state = rcv.step(state, profile, True, TimeOffset.zero(), dt)
-        log.observe(t, state, True, TimeOffset.zero(), None)
-        if state.mode is rcv.Mode.TRACKING and i % stride == 0:
-            pos = np.array([live_noise[i, 0], live_noise[i, 1], 0.0])
-            fixes.append(Fix(t, pos, 0.0, "live_sky", None))
-            state = rcv.with_fix(state, t)
-
-    for _ in range(blocked_steps):
-        t += dt
-        state = rcv.step(state, profile, False, eps, dt)
-        log.observe(t, state, False, eps, None)
-
-    entry_t = t
-    for i in range(sim_steps):
-        t += dt
-        state = rcv.step(state, profile, True, eps, dt)
-        log.observe(t, state, True, eps, 0)
-        if state.mode is rcv.Mode.TRACKING and i % stride == 0:
-            solution = solve_position(base_pr + pr_noise[i], sky, initial_guess=intended)
-            fixes.append(Fix(t, solution.position, solution.clock_bias.seconds, "simulator", 0))
-            state = rcv.with_fix(state, t)
-
-    return _finalize(fixes, log.rows, {0: intended}, {0: entry_t}, {0: draw})
+    segments = (
+        Segment(live_steps, True),
+        Segment(round(h.blocked_s / DT_S), False, eps),
+        Segment(sim_steps, True, eps, 0),
+    )
+    starts, fix_steps, transitions = run_timeline(segments, profile, rcv.ReceiverState.tracking())
+    fixes = [
+        Fix(t, np.array([live_noise[i, 0], live_noise[i, 1], 0.0]), 0.0, "live_sky", None)
+        for i, t in fix_steps[0]
+    ]
+    fixes += [_simulator_fix(t, base_pr + pr_noise[i], sky, intended, 0) for i, t in fix_steps[2]]
+    return _finalize(fixes, transitions, {0: intended}, {0: starts[2]}, {0: draw})
 
 
 @dataclass(frozen=True)
@@ -419,36 +425,30 @@ class HandoverMatrixResult:
     trials: int
     ordering_ok_every_trial: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "ordering_ok_every_trial": self.ordering_ok_every_trial,
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
 
 def run_static_handover_matrix(
-    trials: int = 50,
+    trials: int | None = None,
     seed: int = 0,
     profile: rcv.ReceiverProfile = rcv.DEDICATED,
-    params: StaticHandoverParams = StaticHandoverParams(),
-    configs: Sequence[ClockConfig] = ALL_CLOCK_CONFIGS,
-    delay_model: SimDelayModel = DEFAULT_DELAY_MODEL,
+    cfg: Config = DEFAULTS,
 ) -> HandoverMatrixResult:
     """All clock configurations over paired trial seeds.
 
-    ``configs`` is expected worst-first; the ordering flag records whether
-    every trial kept strictly decreasing p95 along that order.
+    ``trials`` defaults to ``cfg.handover.trials``. The ordering flag
+    records whether every trial kept strictly decreasing p95 along
+    ALL_CLOCK_CONFIGS, which runs worst-first.
     """
-    p95s: dict[str, list[float]] = {c.label: [] for c in configs}
-    avgs: dict[str, list[float]] = {c.label: [] for c in configs}
-    maxes: dict[str, float] = {c.label: 0.0 for c in configs}
+    if trials is None:
+        trials = cfg.handover.trials
+    p95s: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
+    avgs: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
+    maxes: dict[str, float] = {c.label: 0.0 for c in ALL_CLOCK_CONFIGS}
     ordering_ok = True
     for trial in range(trials):
         trial_seed = derive_seed(seed, "handover_matrix", trial)
         trial_p95 = []
-        for config in configs:
-            result = run_static_handover(config, profile, trial_seed, params, delay_model)
+        for config in ALL_CLOCK_CONFIGS:
+            result = run_static_handover(config, profile, trial_seed, cfg)
             stats = result.coverage_stats.get(0)
             if stats is None:
                 raise EmptyFixSet(f"no fixes for {config.label} in trial {trial}")
@@ -468,7 +468,7 @@ def run_static_handover_matrix(
             median_avg_m=float(np.median(avgs[c.label])),
             max_m=maxes[c.label],
         )
-        for c in configs
+        for c in ALL_CLOCK_CONFIGS
     )
     return HandoverMatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=ordering_ok)
 
@@ -484,15 +484,6 @@ class SweepRow:
     mean_error_m: float
     std_error_m: float
 
-    def to_dict(self) -> dict:
-        return {
-            "offset_ms": self.offset_ms,
-            "mean_reacq_s": self.mean_reacq_s,
-            "std_reacq_s": self.std_reacq_s,
-            "mean_error_m": self.mean_error_m,
-            "std_error_m": self.std_error_m,
-        }
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -500,79 +491,55 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     trials: int
 
-    def to_dict(self) -> dict:
-        return {
-            "receiver": self.receiver,
-            "trials": self.trials,
-            "rows": [r.to_dict() for r in self.rows],
-        }
-
-
-def default_sweep_offsets() -> list[TimeOffset]:
-    return [TimeOffset.from_millis(ms) for ms in range(-250, 251, 50)]
-
 
 def run_offset_sweep(
     offsets: Sequence[TimeOffset] | None = None,
     profile: rcv.ReceiverProfile = rcv.DEDICATED,
-    trials: int = 3,
+    trials: int | None = None,
     seed: int = 0,
-    signal_s: float = 60.0,
-    blockage_s: float = 60.0,
-    post_s: float = 60.0,
-    pr_noise_m: float = DEFAULT_PR_NOISE_M,
-    n_sats: int = DEFAULT_N_SATS,
-    dt_s: float = DEFAULT_DT_S,
+    cfg: Config = DEFAULTS,
 ) -> SweepResult:
     """Controlled clock-offset sweep.
 
     Per trial and offset: transmit with zero offset, block, then transmit
-    with the offset under test. Reacquisition time is the gap from signal
-    restoration to the first fix; position errors cover the fixes of the
-    final window. Sky plots and noise are drawn per trial only, so every
-    offset within a trial sees identical randomness and rows are directly
-    comparable across the grid.
+    with the offset under test, SWEEP_WINDOW_S each. Reacquisition time is
+    the gap from signal restoration to the first fix; position errors
+    cover the fixes of the final window. Sky plots and noise are drawn per
+    trial only, so every offset within a trial sees identical randomness
+    and rows are directly comparable across the grid. ``offsets`` and
+    ``trials`` default to ``cfg.sweep``.
     """
     if offsets is None:
-        offsets = default_sweep_offsets()
-    dt = dt_s
-    stride = _fix_stride(profile, dt)
-    pre_steps = round(signal_s / dt)
-    blocked_steps = round(blockage_s / dt)
-    post_steps = round(post_s / dt)
+        offsets = [TimeOffset.from_millis(ms) for ms in cfg.sweep.offsets_ms()]
+    if trials is None:
+        trials = cfg.sweep.trials
+    h = cfg.handover
+    window = round(SWEEP_WINDOW_S / DT_S)
     intended = np.zeros(3)
 
     reacq: dict[int, list[float]] = {o.ns: [] for o in offsets}
     errors: dict[int, list[float]] = {o.ns: [] for o in offsets}
     for trial in range(trials):
         trial_seed = derive_seed(seed, "sweep", trial)
-        sky = random_sky_geometry(stream(trial_seed, "sweep", "sky"), n_sats=n_sats)
-        pr_noise = stream(trial_seed, "sweep", "prnoise").normal(0.0, pr_noise_m, (post_steps, n_sats))
+        sky = random_sky_geometry(stream(trial_seed, "sweep", "sky"), n_sats=h.n_sats)
+        pr_noise = stream(trial_seed, "sweep", "prnoise").normal(0.0, h.pr_noise_m, (window, h.n_sats))
 
         for offset in offsets:
             base_pr = np.linalg.norm(sky.advanced(offset).positions - intended, axis=1)
-            state = rcv.ReceiverState.cold(profile)
-            t = 0.0
-            for _ in range(pre_steps):
-                t += dt
-                state = rcv.step(state, profile, True, TimeOffset.zero(), dt)
-            for _ in range(blocked_steps):
-                t += dt
-                state = rcv.step(state, profile, False, offset, dt)
-            restore_t = t
-            first_fix_t = None
-            window_errors = []
-            for i in range(post_steps):
-                t += dt
-                state = rcv.step(state, profile, True, offset, dt)
-                if state.mode is rcv.Mode.TRACKING and i % stride == 0:
-                    solution = solve_position(base_pr + pr_noise[i], sky, initial_guess=intended)
-                    if first_fix_t is None:
-                        first_fix_t = t
-                    window_errors.append(horizontal_error(solution.position, intended))
-            if first_fix_t is None:
+            segments = (
+                Segment(window, True),
+                Segment(window, False, offset),
+                Segment(window, True, offset),
+            )
+            starts, fix_steps, _ = run_timeline(segments, profile, rcv.ReceiverState.cold(profile))
+            if not fix_steps[2]:
                 raise EmptyFixSet(f"no reacquisition at offset {offset.millis} ms")
-            reacq[offset.ns].append(first_fix_t - restore_t)
+            solutions = [
+                solve_position(base_pr + pr_noise[i], sky, initial_guess=intended)
+                for i, _ in fix_steps[2]
+            ]
+            window_errors = [horizontal_error(sol.position, intended) for sol in solutions]
+            reacq[offset.ns].append(fix_steps[2][0][1] - starts[2])
             errors[offset.ns].append(float(np.mean(window_errors)))
 
     rows = tuple(
@@ -633,9 +600,8 @@ class PathScenario:
     layout: TunnelLayout
     profile: rcv.ReceiverProfile = rcv.DEDICATED
     clock: ClockConfig = PRIVATE_CALIBRATED
-    pr_noise_m: float = DEFAULT_PR_NOISE_M
-    n_sats: int = DEFAULT_N_SATS
-    dt_s: float = DEFAULT_DT_S
+    pr_noise_m: float = DEFAULTS.handover.pr_noise_m
+    n_sats: int = DEFAULTS.handover.n_sats
 
     def __post_init__(self) -> None:
         if self.length_m <= 0:
@@ -643,9 +609,7 @@ class PathScenario:
 
 
 def run_dynamic_traversal(
-    scenario: PathScenario,
-    seed: int = 0,
-    delay_model: SimDelayModel = DEFAULT_DELAY_MODEL,
+    scenario: PathScenario, seed: int = 0, cfg: Config = DEFAULTS
 ) -> ScenarioResult:
     """Drive or walk the path once and collect per-coverage statistics.
 
@@ -653,24 +617,22 @@ def run_dynamic_traversal(
     clock draw under the scenario's configuration. Fixes inside a
     coverage are solved against that simulator's intended position, the
     coverage center; fixes are never attributed to a coverage the path
-    position is outside of.
+    position is outside of. A coverage is entered when the last step
+    outside it ends, the same instant the static handover restores
+    signal at.
     """
-    dt = scenario.dt_s
     layout = scenario.layout
-    profile = scenario.profile
-    stride = _fix_stride(profile, dt)
 
-    # pass 1: integrate the path so noise arrays can be sized up front
+    # integrate the path first so noise arrays can be sized up front
     positions = []
     s = 0.0
     while s < scenario.length_m:
-        s += scenario.speeds.speed_at(s) * dt
+        s += scenario.speeds.speed_at(s) * DT_S
         positions.append(s)
     n_steps = len(positions)
 
     draws = {
-        k: draw_clock(seed, "dynamic", k, scenario.clock, delay_model)
-        for k in range(len(layout.centers_m))
+        k: draw_clock(seed, "dynamic", k, scenario.clock, cfg) for k in range(len(layout.centers_m))
     }
     sky = random_sky_geometry(stream(seed, "dynamic", "sky"), n_sats=scenario.n_sats)
     intended = {
@@ -685,43 +647,38 @@ def run_dynamic_traversal(
     )
     live_noise = stream(seed, "dynamic", "live").normal(0.0, LIVE_SKY_SIGMA_M, (n_steps, 2))
 
-    state = rcv.ReceiverState.tracking()
-    log = _TransitionLog()
+    segments = []
+    for (source, k), run in itertools.groupby(layout.source_at(pos) for pos in positions):
+        steps = sum(1 for _ in run)
+        if source == "simulator":
+            segments.append(Segment(steps, True, draws[k].error, k))
+        else:
+            segments.append(Segment(steps, source == "live_sky"))
+    starts, fix_steps, transitions = run_timeline(
+        segments, scenario.profile, rcv.ReceiverState.tracking()
+    )
+
+    # noise rows are indexed by the global step
     fixes: list[Fix] = []
     entry_times: dict[int, float] = {}
-    prev_coverage: int | None = None
-    t = 0.0
-
-    for i, s in enumerate(positions):
-        t += dt
-        source, k = layout.source_at(s)
-        if k is not None and k != prev_coverage:
-            entry_times.setdefault(k, t)
-        prev_coverage = k
-
-        if source == "live_sky":
-            state = rcv.step(state, profile, True, TimeOffset.zero(), dt)
-            log.observe(t, state, True, TimeOffset.zero(), None)
-            if state.mode is rcv.Mode.TRACKING and i % stride == 0:
-                pos = np.array([s + live_noise[i, 0], live_noise[i, 1], 0.0])
+    first_step = 0
+    for seg, start, seg_fixes in zip(segments, starts, fix_steps):
+        k = seg.coverage
+        if k is not None:
+            entry_times.setdefault(k, start)
+        for j, t in seg_fixes:
+            i = first_step + j
+            if k is None:
+                pos = np.array([positions[i] + live_noise[i, 0], live_noise[i, 1], 0.0])
                 fixes.append(Fix(t, pos, 0.0, "live_sky", None))
-                state = rcv.with_fix(state, t)
-        elif source == "blocked":
-            state = rcv.step(state, profile, False, TimeOffset.zero(), dt)
-            log.observe(t, state, False, TimeOffset.zero(), None)
-        else:
-            eps = draws[k].error
-            state = rcv.step(state, profile, True, eps, dt)
-            log.observe(t, state, True, eps, k)
-            if state.mode is rcv.Mode.TRACKING and i % stride == 0:
-                solution = solve_position(base_pr[k] + pr_noise[i], sky, initial_guess=intended[k])
-                fixes.append(Fix(t, solution.position, solution.clock_bias.seconds, "simulator", k))
-                state = rcv.with_fix(state, t)
+            else:
+                fixes.append(_simulator_fix(t, base_pr[k] + pr_noise[i], sky, intended[k], k))
+        first_step += seg.steps
 
-    return _finalize(fixes, log.rows, intended, entry_times, draws)
+    return _finalize(fixes, transitions, intended, entry_times, draws)
 
 
-def default_driving_scenario(clock: ClockConfig = PRIVATE_CALIBRATED) -> PathScenario:
+def default_driving_scenario() -> PathScenario:
     """Three coverages 500 m apart crossed at 110 km/h with a timing receiver."""
     return PathScenario(
         length_m=1900.0,
@@ -732,13 +689,11 @@ def default_driving_scenario(clock: ClockConfig = PRIVATE_CALIBRATED) -> PathSce
             portal_in_m=200.0,
             portal_out_m=1700.0,
         ),
-        profile=rcv.DEDICATED,
-        clock=clock,
         pr_noise_m=2.5,
     )
 
 
-def default_pedestrian_scenario(clock: ClockConfig = PRIVATE_CALIBRATED) -> PathScenario:
+def default_pedestrian_scenario() -> PathScenario:
     """Walking pace through a tighter layout with a phone-grade receiver.
 
     Gaps are kept short enough that every inter-coverage blockage stays
@@ -754,7 +709,6 @@ def default_pedestrian_scenario(clock: ClockConfig = PRIVATE_CALIBRATED) -> Path
             portal_out_m=750.0,
         ),
         profile=rcv.SMARTPHONE,
-        clock=clock,
         pr_noise_m=6.0,
     )
 
@@ -766,14 +720,6 @@ class TraversalCell:
     median_avg_m: float
     handover_success_all: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "median_avg_m": self.median_avg_m,
-            "handover_success_all": self.handover_success_all,
-            "per_trial_avg_m": list(self.per_trial_avg_m),
-        }
-
 
 @dataclass(frozen=True)
 class TraversalMatrixResult:
@@ -781,30 +727,27 @@ class TraversalMatrixResult:
     trials: int
     ordering_ok_every_trial: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "ordering_ok_every_trial": self.ordering_ok_every_trial,
-            "cells": [c.to_dict() for c in self.cells],
-        }
-
 
 def run_traversal_matrix(
     scenario: PathScenario,
-    configs: Sequence[ClockConfig] = (PUBLIC_RAW, PRIVATE_RAW, PRIVATE_CALIBRATED),
-    trials: int = 5,
+    trials: int | None = None,
     seed: int = 0,
-    delay_model: SimDelayModel = DEFAULT_DELAY_MODEL,
+    cfg: Config = DEFAULTS,
 ) -> TraversalMatrixResult:
-    """The traversal under several clock configurations, paired per trial."""
-    avgs: dict[str, list[float]] = {c.label: [] for c in configs}
-    success: dict[str, bool] = {c.label: True for c in configs}
+    """The traversal under TRAVERSAL_CLOCK_CONFIGS, paired per trial.
+
+    ``trials`` defaults to TRAVERSAL_TRIALS.
+    """
+    if trials is None:
+        trials = TRAVERSAL_TRIALS
+    avgs: dict[str, list[float]] = {c.label: [] for c in TRAVERSAL_CLOCK_CONFIGS}
+    success: dict[str, bool] = {c.label: True for c in TRAVERSAL_CLOCK_CONFIGS}
     ordering_ok = True
     for trial in range(trials):
         trial_seed = derive_seed(seed, "traversal_matrix", trial)
         trial_avgs = []
-        for config in configs:
-            result = run_dynamic_traversal(replace(scenario, clock=config), trial_seed, delay_model)
+        for config in TRAVERSAL_CLOCK_CONFIGS:
+            result = run_dynamic_traversal(replace(scenario, clock=config), trial_seed, cfg)
             if result.overall is None:
                 raise EmptyFixSet(f"no in-coverage fixes for {config.label} in trial {trial}")
             avgs[config.label].append(result.overall.avg_m)
@@ -819,7 +762,7 @@ def run_traversal_matrix(
             median_avg_m=float(np.median(avgs[c.label])),
             handover_success_all=success[c.label],
         )
-        for c in configs
+        for c in TRAVERSAL_CLOCK_CONFIGS
     )
     return TraversalMatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=ordering_ok)
 
@@ -837,51 +780,33 @@ class OutdoorComparison:
     threshold_m: float
     fit_for_outdoor_use: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "live": self.live.to_dict(),
-            "simulated": self.simulated.to_dict(),
-            "window_s": self.window_s,
-            "threshold_m": self.threshold_m,
-            "fit_for_outdoor_use": self.fit_for_outdoor_use,
-        }
-
 
 def run_outdoor_comparison(
-    seed: int = 0,
-    window_s: float = 5.0,
-    config: ClockConfig = PRIVATE_CALIBRATED,
-    profile: rcv.ReceiverProfile = rcv.DEDICATED,
-    pr_noise_m: float = DEFAULT_PR_NOISE_M,
-    n_sats: int = DEFAULT_N_SATS,
-    dt_s: float = DEFAULT_DT_S,
-    threshold_m: float = 8.0,
-    delay_model: SimDelayModel = DEFAULT_DELAY_MODEL,
+    seed: int = 0, window_s: float = 5.0, cfg: Config = DEFAULTS
 ) -> OutdoorComparison:
-    """Same reception window under live sky and under a simulator.
+    """Same reception window under live sky and under a private/calibrated simulator.
 
-    The fitness flag asks whether the simulated average stays an order of
-    magnitude under the default coverage radius, i.e. whether simulator
-    reception is positionally indistinguishable from open sky at the
-    scale the deployment cares about.
+    The receiver tracks throughout, so every step is a fix and no
+    timeline is needed. The fitness flag asks whether the simulated
+    average stays an order of magnitude under the default coverage
+    radius, i.e. whether simulator reception is positionally
+    indistinguishable from open sky at the scale the deployment cares
+    about.
     """
-    steps = round(window_s / dt_s)
-    stride = _fix_stride(profile, dt_s)
+    h = cfg.handover
+    steps = round(window_s / DT_S)
     live_noise = stream(seed, "outdoor", "live").normal(0.0, LIVE_SKY_SIGMA_M, (steps, 2))
-    live_errors = [
-        float(np.linalg.norm(live_noise[i])) for i in range(steps) if i % stride == 0
-    ]
+    live_errors = [float(np.linalg.norm(row)) for row in live_noise]
 
-    draw = draw_clock(seed, "outdoor", 0, config, delay_model)
-    sky = random_sky_geometry(stream(seed, "outdoor", "sky"), n_sats=n_sats)
+    draw = draw_clock(seed, "outdoor", 0, PRIVATE_CALIBRATED, cfg)
+    sky = random_sky_geometry(stream(seed, "outdoor", "sky"), n_sats=h.n_sats)
     intended = np.zeros(3)
     base_pr = np.linalg.norm(sky.advanced(draw.error).positions - intended, axis=1)
-    pr_noise = stream(seed, "outdoor", "prnoise").normal(0.0, pr_noise_m, (steps, n_sats))
-    sim_errors = []
-    for i in range(steps):
-        if i % stride == 0:
-            solution = solve_position(base_pr + pr_noise[i], sky, initial_guess=intended)
-            sim_errors.append(horizontal_error(solution.position, intended))
+    pr_noise = stream(seed, "outdoor", "prnoise").normal(0.0, h.pr_noise_m, (steps, h.n_sats))
+    sim_errors = [
+        horizontal_error(solve_position(base_pr + noise, sky, initial_guess=intended).position, intended)
+        for noise in pr_noise
+    ]
 
     live_stats = compute_error_stats(live_errors)
     sim_stats = compute_error_stats(sim_errors)
@@ -889,6 +814,6 @@ def run_outdoor_comparison(
         live=live_stats,
         simulated=sim_stats,
         window_s=window_s,
-        threshold_m=threshold_m,
-        fit_for_outdoor_use=sim_stats.avg_m <= threshold_m,
+        threshold_m=OUTDOOR_THRESHOLD_M,
+        fit_for_outdoor_use=sim_stats.avg_m <= OUTDOOR_THRESHOLD_M,
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS
 from .timebase import TimeOffset
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -172,7 +173,7 @@ def position_error_from_clock_offset(
 
 def random_sky_geometry(
     rng: np.random.Generator,
-    n_sats: int = 8,
+    n_sats: int = DEFAULTS.handover.n_sats,
     sat_range_m: float = 2.02e7,
     sat_speed_ms: float = 3900.0,
     max_los_rate_ms: float = 350.0,

@@ -6,13 +6,15 @@ modeled as three additive parts: the simulation process delay between
 commanded and radiated state, the NTP synchronization error of the host,
 and the error of the reference receiver the NTP server is disciplined to.
 A receiver hands over seamlessly when the composed error stays inside the
-budget, 50 ms by default, counted symmetrically and inclusive of the
-boundary.
+budget (``budget.limit_ms`` of the config defaults), counted
+symmetrically and inclusive of the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .config import DEFAULTS
 
 NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
@@ -85,7 +87,7 @@ class ErrorBudget:
             raise ValueError(f"budget limit must be positive, got {self.limit.ns} ns")
 
 
-DEFAULT_BUDGET = ErrorBudget(TimeOffset.from_millis(50))
+DEFAULT_BUDGET = ErrorBudget(TimeOffset.from_millis(DEFAULTS.budget.limit_ms))
 
 
 def compose_clock_error(chain: ClockErrorChain) -> TimeOffset:

@@ -9,6 +9,7 @@ from gpsimlab.cli import (
     EXIT_OK,
     main,
 )
+from gpsimlab.reports import write_json
 
 
 def run(*argv):
@@ -138,6 +139,23 @@ class TestSimulate:
         )
         assert relaxed == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "limit_ms, clock, inside",
+        # a ~1.5 ms draw against a 1 ms budget; a ~79 ms draw against 200 ms
+        [(1.0, "private/calibrated", False), (200.0, "public/raw", True)],
+    )
+    def test_within_budget_flag_uses_configured_budget(self, tmp_path, limit_ms, clock, inside):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget": {"limit_ms": limit_ms}}))
+        out = tmp_path / "out"
+        code = run(
+            "simulate", "--scenario", "static", "--clock", clock,
+            "--config", str(cfg), "--strict", "--out", str(out),
+        )
+        payload = json.loads((out / "handover.json").read_text())
+        assert payload["clock"]["0"]["within_budget"] is inside
+        assert code == (EXIT_OK if inside else EXIT_INFEASIBLE)
+
 
 class TestSweep:
     def test_grid_from_config(self, tmp_path):
@@ -195,6 +213,22 @@ class TestSyncCompare:
         payload = json.loads((out / "sync_compare.json").read_text())
         assert all(cell["bound_held"] for cell in payload)
 
+    def test_duration_below_one_poll_exits_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sync": {"duration_s": 10.0}}))
+        assert run("sync-compare", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+
+
+class TestConfigInput:
+    def test_non_finite_number_exits_two(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"budget": {"limit_ms": NaN}}')
+        code = run(
+            "simulate", "--scenario", "static", "--clock", "public/raw",
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        )
+        assert code == EXIT_CONFIG
+
 
 class TestParser:
     def test_version_flag(self, capsys):
@@ -212,3 +246,17 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--scenario", "submarine"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [["simulate", "--scenario", "static"], ["sweep"]])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_must_be_a_positive_integer(self, tmp_path, command, trials):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--trials", trials, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"x": float("nan")})
+        assert not path.exists()

@@ -89,6 +89,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="limit_ms"):
             config_from_dict({"budget": {"limit_ms": 0.0}})
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("budget", "limit_ms", float("nan")),
+            ("deployment", "radius_m", float("inf")),
+            ("sweep", "min_offset_ms", float("-inf")),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected a finite number"):
+            config_from_dict({section: {key: value}})
+
+    def test_sync_duration_covers_one_poll(self):
+        with pytest.raises(ConfigError, match=r"sync\.duration_s"):
+            config_from_dict({"sync": {"duration_s": 10.0}})
+        assert config_from_dict({"sync": {"duration_s": 16.0}}).sync.duration_s == 16.0
+
 
 class TestFileLoading:
     def test_load_valid_file(self, tmp_path):

@@ -3,19 +3,19 @@ import pytest
 
 from gpsimlab.ntp import (
     CONNECTIONS,
-    ChainBroken,
     DisciplinedClock,
     LinkModel,
     NtpNode,
+    POLL_INTERVAL_S,
     SERVER_TYPES,
     ServerUnsynchronized,
+    SyncTopology,
     UNSYNC_STRATUM,
     default_topology,
-    discipline,
+    discipline_step,
     ntp_exchange,
     run_disciplined_sync,
     run_sync_comparison,
-    sync_through_chain,
 )
 from gpsimlab.rng import stream
 from gpsimlab.timebase import TimeOffset
@@ -89,31 +89,17 @@ class TestExchange:
 
 class TestChain:
     def test_each_hop_contributes_half_its_asymmetry(self):
-        root = NtpNode("root", 1, TimeOffset.zero())
+        # deterministic hops, up 4 ms and down 2 ms: each re-sync leaves a
+        # hop 1 ms ahead of its upstream, and the client converges through
+        # its symmetric link onto the stacked error of the last hop
         hop_link = LinkModel(base_delay_up_s=0.004, base_delay_down_s=0.002)
-        chain = [(NtpNode("h1", 2), hop_link), (NtpNode("h2", 3), hop_link)]
-        result = sync_through_chain(root, chain, SYMMETRIC, _rng())
-        for hop in result.hops:
-            assert hop.contribution == TimeOffset.from_millis(1)
-        # the client sees the stacked error through its symmetric link
-        assert result.estimate.offset == TimeOffset.from_millis(2)
-
-    def test_strata_must_increase(self):
-        root = NtpNode("root", 2)
-        chain = [(NtpNode("h", 2), SYMMETRIC)]
-        with pytest.raises(ChainBroken):
-            sync_through_chain(root, chain, SYMMETRIC, _rng())
-
-    def test_dispersion_accumulates_along_chain(self):
-        root = NtpNode("root", 1)
-        chain = [(NtpNode("h1", 2), SYMMETRIC), (NtpNode("h2", 3), SYMMETRIC)]
-        result = sync_through_chain(root, chain, SYMMETRIC, _rng())
-        dispersions = [h.estimate.root_dispersion_s for h in result.hops]
-        assert dispersions[1] > dispersions[0]
-        assert result.estimate.root_dispersion_s > dispersions[1]
+        for depth in (1, 2, 3):
+            topology = SyncTopology("chain", SYMMETRIC, hop_links=(hop_link,) * depth)
+            result = run_disciplined_sync(topology, 64 * POLL_INTERVAL_S, seed=0)
+            assert result.final.offset_truth.seconds == pytest.approx(depth * 1e-3, abs=1e-9)
 
     def test_deeper_chain_is_noisier(self):
-        # same seed, one vs three asymmetric hops: more hops, more error
+        # same seeds, one vs three asymmetric, jittery hops: more hops, more error
         hop_link = LinkModel(
             base_delay_up_s=0.004,
             base_delay_down_s=0.002,
@@ -124,15 +110,13 @@ class TestChain:
         )
         errors = {}
         for depth in (1, 3):
-            samples = []
-            for trial in range(40):
-                rng = stream(trial, "depth")
-                root = NtpNode("root", 1)
-                chain = [(NtpNode(f"h{j}", 2 + j), hop_link) for j in range(depth)]
-                samples.append(
-                    abs(sync_through_chain(root, chain, SYMMETRIC, rng).estimate.offset.seconds)
-                )
-            errors[depth] = np.mean(samples)
+            topology = SyncTopology("depth", SYMMETRIC, hop_links=(hop_link,) * depth)
+            errors[depth] = np.mean(
+                [
+                    abs(run_disciplined_sync(topology, 10 * POLL_INTERVAL_S, trial).final.offset_truth.seconds)
+                    for trial in range(40)
+                ]
+            )
         assert errors[3] > errors[1]
 
 
@@ -140,11 +124,10 @@ class TestDiscipline:
     def _poll(self, clock, polls, link=SYMMETRIC, server_offset=TimeOffset.zero()):
         states = []
         rng = _rng(3)
-        for k in range(polls):
+        for _ in range(polls):
             client = NtpNode("c", 3, clock.offset_truth)
             server = NtpNode("s", 1, server_offset)
-            est = ntp_exchange(client, server, link, rng, at_s=k * clock.poll_interval_s)
-            clock = discipline(clock, [est])[-1]
+            clock = discipline_step(clock, ntp_exchange(client, server, link, rng))
             states.append(clock)
         return states
 
@@ -172,14 +155,6 @@ class TestDiscipline:
         clock = DisciplinedClock.start(TimeOffset.from_millis(10))
         for state in self._poll(clock, 12, link, TimeOffset.from_millis(6)):
             assert state.estimated_max_error_s >= abs(state.offset_truth.seconds)
-
-    def test_gain_validated(self):
-        clock = DisciplinedClock.start(TimeOffset.zero())
-        est = ntp_exchange(NtpNode("c", 3), NtpNode("s", 1), SYMMETRIC, _rng())
-        with pytest.raises(ValueError):
-            discipline(clock, [est], gain=0.0)
-        with pytest.raises(ValueError):
-            discipline(clock, [est], slew_limit_s=0.0)
 
 
 class TestTopologyRuns:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from gpsimlab.receiver import (
     DEDICATED,
-    DEFAULT_DT_S,
+    DT_S,
     FLAT_REGION_S,
     Mode,
     PROFILES,
@@ -15,16 +15,15 @@ from gpsimlab.receiver import (
     planning_timing,
     reacquisition_time,
     step,
-    with_fix,
 )
 from gpsimlab.timebase import TimeOffset
 
-DT = DEFAULT_DT_S
+DT = DT_S
 
 
-def run_steps(state, profile, n, signal, offset=TimeOffset.zero(), dt=DT):
+def run_steps(state, profile, n, signal, offset=TimeOffset.zero()):
     for _ in range(n):
-        state = step(state, profile, signal, offset, dt)
+        state = step(state, profile, signal, offset)
     return state
 
 
@@ -95,14 +94,14 @@ class TestStateMachine:
 
     def test_warm_reacquisition_after_short_blockage(self):
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
-        state = step(state, DEDICATED, True, TimeOffset.zero(), DT)
+        state = step(state, DEDICATED, True, TimeOffset.zero())
         assert state.mode is Mode.REACQUISITION
         assert state.target_s == DEDICATED.t_reacq_base_s
 
     def test_cold_acquisition_after_long_blockage(self):
         steps_past = int(DEDICATED.t_max_s / DT) + 2
         state = run_steps(ReceiverState.tracking(), DEDICATED, steps_past, signal=False)
-        state = step(state, DEDICATED, True, TimeOffset.zero(), DT)
+        state = step(state, DEDICATED, True, TimeOffset.zero())
         assert state.mode is Mode.ACQUISITION
         assert state.target_s == DEDICATED.t_acq_s
 
@@ -111,18 +110,18 @@ class TestStateMachine:
         steps_exact = round(DEDICATED.t_max_s / DT)
         state = run_steps(ReceiverState.tracking(), DEDICATED, steps_exact, signal=False)
         assert state.blockage_elapsed_s == pytest.approx(DEDICATED.t_max_s)
-        state = step(state, DEDICATED, True, TimeOffset.zero(), DT)
+        state = step(state, DEDICATED, True, TimeOffset.zero())
         assert state.mode is Mode.REACQUISITION
 
     def test_completion_takes_ceil_target_over_dt_steps(self):
         offset = TimeOffset.from_millis(150)  # target 1.2 s -> 12 steps
         target = reacquisition_time(DEDICATED, offset)
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
-        state = step(state, DEDICATED, True, offset, DT)
+        state = step(state, DEDICATED, True, offset)
         needed = math.ceil(target / DT)
         state = run_steps(state, DEDICATED, needed - 2, signal=True, offset=offset)
         assert state.mode is Mode.REACQUISITION
-        state = step(state, DEDICATED, True, offset, DT)
+        state = step(state, DEDICATED, True, offset)
         assert state.mode is Mode.TRACKING
 
     def test_target_latched_at_signal_return(self):
@@ -130,7 +129,7 @@ class TestStateMachine:
         # mid-reacquisition must not move it
         big = TimeOffset.from_millis(250)
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
-        state = step(state, DEDICATED, True, big, DT)
+        state = step(state, DEDICATED, True, big)
         assert state.target_s == pytest.approx(2.0)
         state = run_steps(state, DEDICATED, 5, signal=True, offset=TimeOffset.zero())
         assert state.target_s == pytest.approx(2.0)
@@ -138,8 +137,8 @@ class TestStateMachine:
 
     def test_signal_loss_mid_reacquisition_restarts_blockage(self):
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
-        state = step(state, DEDICATED, True, TimeOffset.zero(), DT)
-        state = step(state, DEDICATED, False, TimeOffset.zero(), DT)
+        state = step(state, DEDICATED, True, TimeOffset.zero())
+        state = step(state, DEDICATED, False, TimeOffset.zero())
         assert state.mode is Mode.BLOCKED
         assert state.blockage_elapsed_s == pytest.approx(DT)
 
@@ -149,20 +148,16 @@ class TestStateMachine:
         steps_needed = math.ceil(DEDICATED.t_acq_s / DT)
         state = run_steps(state, DEDICATED, steps_needed - 1, signal=True)
         assert state.mode is Mode.ACQUISITION
-        state = step(state, DEDICATED, True, TimeOffset.zero(), DT)
+        state = step(state, DEDICATED, True, TimeOffset.zero())
         assert state.mode is Mode.TRACKING
 
     def test_tracking_stays_tracking_with_signal(self):
         state = run_steps(ReceiverState.tracking(), DEDICATED, 50, signal=True)
         assert state.mode is Mode.TRACKING
 
-    def test_with_fix_records_time(self):
-        state = with_fix(ReceiverState.tracking(), 12.3)
-        assert state.last_fix_t == 12.3
-
     def test_smartphone_base_reacquisition(self):
         state = run_steps(ReceiverState.tracking(), SMARTPHONE, 10, signal=False)
-        state = step(state, SMARTPHONE, True, TimeOffset.from_millis(10), DT)
+        state = step(state, SMARTPHONE, True, TimeOffset.from_millis(10))
         needed = math.ceil(SMARTPHONE.t_reacq_base_s / DT)
         state = run_steps(state, SMARTPHONE, needed - 1, signal=True, offset=TimeOffset.from_millis(10))
         assert state.mode is Mode.TRACKING
