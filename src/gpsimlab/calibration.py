@@ -19,40 +19,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULTS, DelayModelConfig
+from .config import DelayModelConfig
 from .timebase import NS_PER_MS, ClockErrorChain, TimeOffset
 
-DEFAULT_SAMPLE_COUNT = DEFAULTS.delay_model.sample_count
-DEFAULT_SAMPLE_INTERVAL_S = 1.0
+SAMPLE_INTERVAL_S = 1.0
 
 CSV_HEADER = ("timestamp_s", "delay_ms")
 
 
 class EmptySampleSet(ValueError):
     """Calibration needs at least one delay sample."""
-
-
-@dataclass(frozen=True)
-class SimDelayModel:
-    """Delay process: mean, random-walk step scale, measurement noise."""
-
-    mean_delay: TimeOffset
-    wander_sigma: TimeOffset
-    noise_sigma: TimeOffset
-
-    def __post_init__(self) -> None:
-        if self.mean_delay.ns < 0:
-            raise ValueError(f"mean_delay must be non-negative, got {self.mean_delay.ns} ns")
-        if self.wander_sigma.ns < 0 or self.noise_sigma.ns < 0:
-            raise ValueError("wander_sigma and noise_sigma must be non-negative")
-
-    @classmethod
-    def from_config(cls, cfg: DelayModelConfig) -> "SimDelayModel":
-        return cls(
-            mean_delay=TimeOffset.from_millis(cfg.mean_delay_ms),
-            wander_sigma=TimeOffset.from_millis(cfg.wander_sigma_ms),
-            noise_sigma=TimeOffset.from_millis(cfg.noise_sigma_ms),
-        )
 
 
 @dataclass(frozen=True)
@@ -65,24 +41,22 @@ class DelayCalibration:
     sample_count: int
 
 
-def true_delay_series(model: SimDelayModel, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Actual process delay over ``count`` steps, seconds, never negative."""
+def true_delay_series(model: DelayModelConfig, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Actual process delay over ``count`` steps, seconds, never negative.
+
+    Model parameters are quantized to whole nanoseconds, as every offset is.
+    """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    walk = np.cumsum(rng.normal(0.0, model.wander_sigma.seconds, count))
-    return np.maximum(model.mean_delay.seconds + walk, 0.0)
+    walk = np.cumsum(rng.normal(0.0, TimeOffset.from_millis(model.wander_sigma_ms).seconds, count))
+    return np.maximum(TimeOffset.from_millis(model.mean_delay_ms).seconds + walk, 0.0)
 
 
-def measure_sim_delay(
-    model: SimDelayModel,
-    count: int = DEFAULT_SAMPLE_COUNT,
-    rng: np.random.Generator | None = None,
-) -> list[TimeOffset]:
+def measure_sim_delay(model: DelayModelConfig, count: int, rng: np.random.Generator) -> list[TimeOffset]:
     """Measured delay samples: true process delay plus measurement noise."""
-    if rng is None:
-        rng = np.random.default_rng()
     true = true_delay_series(model, count, rng)
-    measured = np.maximum(true + rng.normal(0.0, model.noise_sigma.seconds, count), 0.0)
+    noise_s = TimeOffset.from_millis(model.noise_sigma_ms).seconds
+    measured = np.maximum(true + rng.normal(0.0, noise_s, count), 0.0)
     return [TimeOffset.from_seconds(s) for s in measured]
 
 
@@ -119,16 +93,13 @@ def apply_correction(chain: ClockErrorChain, calibration: DelayCalibration) -> C
     return replace(chain, sim_delay=chain.sim_delay - calibration.correction)
 
 
-def export_samples_csv(
-    path: str | Path,
-    samples: Sequence[TimeOffset],
-    interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
-) -> None:
+def export_samples_csv(path: str | Path, samples: Sequence[TimeOffset]) -> None:
+    """One row per sample, stamped SAMPLE_INTERVAL_S apart."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for i, sample in enumerate(samples):
-            writer.writerow([repr(i * interval_s), repr(sample.ns / NS_PER_MS)])
+            writer.writerow([repr(i * SAMPLE_INTERVAL_S), repr(sample.ns / NS_PER_MS)])
 
 
 def import_samples_csv(path: str | Path) -> list[TimeOffset]:

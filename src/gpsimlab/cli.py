@@ -28,17 +28,10 @@ from pathlib import Path
 from . import __version__
 from . import receiver as rcv
 from . import scenarios as sc
-from .calibration import (
-    SimDelayModel,
-    calibrate,
-    export_samples_csv,
-    import_samples_csv,
-    measure_sim_delay,
-)
+from .calibration import calibrate, export_samples_csv, import_samples_csv, measure_sim_delay
 from .config import Config, ConfigError, default_config, load_config
 from .ntp import run_sync_comparison
 from .placement import (
-    DeploymentGeometry,
     SpeedProfile,
     blockage_time,
     can_update,
@@ -118,7 +111,6 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     profile = rcv.PROFILES[dep.receiver]
     timing = rcv.planning_timing(profile)
     v = kmh_to_ms(dep.max_speed_kmh)
-    geometry = DeploymentGeometry(dep.radius_m, dep.separation_m, v)
 
     # the separation term of the radius floor, shown separately from the
     # speed term so a planner can see which constraint binds
@@ -134,7 +126,7 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
             slow_path_speed_bound(dep.radius_m, timing.t_acq_s)
         ),
     }
-    update = can_update(v, geometry, timing)
+    update = can_update(v, dep.radius_m, dep.separation_m, timing)
     centers = [0.0, dep.separation_m, 2.0 * dep.separation_m]
     report = validate_deployment(centers, dep.radius_m, SpeedProfile.constant(v), timing)
 
@@ -191,6 +183,16 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------- simulate
+
+
+def _ignored_simulate_flag(args: argparse.Namespace) -> str | None:
+    """Why a flag of ``simulate`` would have no effect, or None."""
+    if args.scenario == "outdoor" and args.clock != "all":
+        return "--clock: the outdoor comparison always runs private/calibrated"
+    single_run = args.clock != "all" or args.scenario in ("pedestrian", "outdoor")
+    if args.trials is not None and single_run:
+        return "--trials: applies only to the --clock all matrices of static and driving"
+    return None
 
 
 def _check_draws(result: sc.ScenarioResult, strict: bool) -> int:
@@ -296,12 +298,11 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model = SimDelayModel.from_config(cfg.delay_model)
     if args.samples_csv:
         samples = import_samples_csv(args.samples_csv)
     else:
         samples = measure_sim_delay(
-            model, cfg.delay_model.sample_count, stream(args.seed, "cli", "calibrate")
+            cfg.delay_model, cfg.delay_model.sample_count, stream(args.seed, "cli", "calibrate")
         )
         export_samples_csv(out / "delay_samples.csv", samples)
     result = calibrate(samples)
@@ -405,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="clock pipeline (default: all applicable)",
     )
-    sim.add_argument("--trials", type=_positive_int, default=None, help="override trial count")
+    sim.add_argument(
+        "--trials", type=_positive_int, default=None, help="override trial count of a --clock all matrix"
+    )
 
     sw = sub.add_parser("sweep", parents=[common], help="reacquisition vs controlled clock offset")
     sw.add_argument("--receiver", choices=tuple(rcv.PROFILES), default=None)
@@ -430,6 +433,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate" and (problem := _ignored_simulate_flag(args)):
+        parser.error(problem)
     try:
         cfg = _load(args)
     except ConfigError as exc:

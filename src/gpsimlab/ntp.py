@@ -19,8 +19,9 @@ it keeps the client-side bound honest by construction: the disciplined
 clock's estimated maximum error, floor + unapplied correction + root
 dispersion + dispersion of recent estimates, provably dominates the true
 offset at every report instant. Public pools are modeled as a short
-stratum chain whose servers wander between polls; private servers sit at
-stratum 1 next to the reference and do not wander.
+chain of hops whose servers wander between polls; private servers sit
+next to the reference and do not wander. Strata are not modeled: with a
+fixed topology there is no loop to avoid and no server to select.
 """
 
 from __future__ import annotations
@@ -33,17 +34,13 @@ from .config import DEFAULTS
 from .rng import stream
 from .timebase import TimeOffset
 
-UNSYNC_STRATUM = 16
 POLL_INTERVAL_S = 16.0
 GAIN = 0.5
 SLEW_LIMIT_S = 0.25
 ERROR_FLOOR_S = 50e-6
 INITIAL_OFFSET = TimeOffset.from_millis(10.0)
 WARMUP_POLLS = 8
-
-
-class ServerUnsynchronized(ValueError):
-    """Exchange attempted against a stratum >= 16 server."""
+HOP_SYNC_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -94,19 +91,6 @@ class LinkModel:
 
 
 @dataclass(frozen=True)
-class NtpNode:
-    """One clock in the hierarchy; stratum 16 means unsynchronized."""
-
-    name: str
-    stratum: int
-    clock_offset_truth: TimeOffset = TimeOffset.zero()
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.stratum <= UNSYNC_STRATUM:
-            raise ValueError(f"stratum must be within 0..{UNSYNC_STRATUM}, got {self.stratum}")
-
-
-@dataclass(frozen=True)
 class OffsetEstimate:
     """Result of one exchange."""
 
@@ -116,34 +100,30 @@ class OffsetEstimate:
 
 
 def ntp_exchange(
-    client: NtpNode,
-    server: NtpNode,
+    client_offset: TimeOffset,
+    server_offset: TimeOffset,
     link: LinkModel,
     rng: np.random.Generator,
 ) -> OffsetEstimate:
-    """One four-timestamp exchange over ``link``.
+    """One four-timestamp exchange over ``link`` between two clocks' true offsets.
 
     The server responds instantly and advertises its actual absolute
     offset as its dispersion (see the module docstring).
     """
-    if server.stratum >= UNSYNC_STRATUM:
-        raise ServerUnsynchronized(f"server {server.name} at stratum {server.stratum}")
     up_s, down_s = link.sample_delays(rng)
     up = TimeOffset.from_seconds(up_s)
     down = TimeOffset.from_seconds(down_s)
-    theta_c = client.clock_offset_truth
-    theta_s = server.clock_offset_truth
 
-    t1 = theta_c
-    t2 = up + theta_s
+    t1 = client_offset
+    t2 = up + server_offset
     t3 = t2
-    t4 = up + down + theta_c
+    t4 = up + down + client_offset
     offset = ((t2 - t1) + (t3 - t4)).scaled(0.5)
     round_trip = ((t4 - t1) - (t3 - t2)).seconds
     return OffsetEstimate(
         offset=offset,
         round_trip_s=round_trip,
-        root_dispersion_s=abs(theta_s.seconds) + round_trip / 2.0,
+        root_dispersion_s=abs(server_offset.seconds) + round_trip / 2.0,
     )
 
 
@@ -202,9 +182,9 @@ def discipline_step(clock: DisciplinedClock, estimate: OffsetEstimate) -> Discip
 class SyncTopology:
     """A root, optional wandering pool hops, and the client's last link.
 
-    Pool hops re-sync to their upstream only every ``hop_sync_every``
-    polls and wander in between, which is what makes a public chain
-    noisier than a direct stratum-1 server.
+    Pool hops re-sync to their upstream only every HOP_SYNC_EVERY polls
+    and wander in between, which is what makes a public chain
+    noisier than a private server next to the reference.
     """
 
     name: str
@@ -212,7 +192,6 @@ class SyncTopology:
     hop_links: tuple[LinkModel, ...] = ()
     hop_wander_sigma_s: float = 0.0
     root_wander_sigma_s: float = 0.0
-    hop_sync_every: int = 4
 
 
 @dataclass(frozen=True)
@@ -224,7 +203,6 @@ class SyncSample:
 
 @dataclass(frozen=True)
 class SyncRunResult:
-    topology: str
     samples: tuple[SyncSample, ...]
     final: DisciplinedClock
     max_estimated_error_s: float
@@ -265,21 +243,15 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
                 for off in hop_offsets
             ]
 
-        if topology.hop_links and k % topology.hop_sync_every == 1 % topology.hop_sync_every:
+        if topology.hop_links and k % HOP_SYNC_EVERY == 1:
             upstream_offset = root_offset
             for j, link in enumerate(topology.hop_links):
-                hop = NtpNode(f"pool{j}", 2 + j, hop_offsets[j])
-                upstream = NtpNode("up", 1 + j, upstream_offset)
-                est = ntp_exchange(hop, upstream, link, link_rng)
+                est = ntp_exchange(hop_offsets[j], upstream_offset, link, link_rng)
                 hop_offsets[j] = hop_offsets[j] + est.offset
                 upstream_offset = hop_offsets[j]
 
-        if topology.hop_links:
-            server = NtpNode("pool_last", 1 + len(topology.hop_links), hop_offsets[-1])
-        else:
-            server = NtpNode("root", 1, root_offset)
-        client = NtpNode("client", server.stratum + 1, clock.offset_truth)
-        estimate = ntp_exchange(client, server, topology.client_link, link_rng)
+        server_offset = hop_offsets[-1] if topology.hop_links else root_offset
+        estimate = ntp_exchange(clock.offset_truth, server_offset, topology.client_link, link_rng)
         clock = discipline_step(clock, estimate)
         samples.append(SyncSample(k * POLL_INTERVAL_S, clock.offset_truth, clock.estimated_max_error_s))
 
@@ -288,7 +260,6 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
     max_abs = max(abs(s.offset_truth.seconds) for s in settled)
     bound_held = all(abs(s.offset_truth.seconds) <= s.estimated_max_error_s for s in samples)
     return SyncRunResult(
-        topology=topology.name,
         samples=tuple(samples),
         final=clock,
         max_estimated_error_s=max_est,

@@ -19,7 +19,7 @@ km/h convert with the exact factor 1000/3600.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 KMH_TO_MS = 1000.0 / 3600.0
 
@@ -67,26 +67,6 @@ class TimingProfile:
             raise ValueError(
                 f"t_reacq_s ({self.t_reacq_s}) must not exceed t_acq_s ({self.t_acq_s})"
             )
-
-
-@dataclass(frozen=True)
-class DeploymentGeometry:
-    """Uniform corridor layout: radius, separation, design speed."""
-
-    radius_m: float
-    separation_m: float
-    v_max_ms: float
-
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
-        if self.separation_m < 2 * self.radius_m:
-            raise OverlappingCoverage(
-                f"separation_m ({self.separation_m}) must be at least one coverage "
-                f"diameter ({2 * self.radius_m})"
-            )
-        if self.v_max_ms <= 0:
-            raise ValueError(f"v_max_ms must be positive, got {self.v_max_ms}")
 
 
 def reception_time(radius_m: float, speed_ms: float) -> float:
@@ -152,22 +132,25 @@ class FeasibilityResult:
         return self.ok
 
 
-def can_update(speed_ms: float, geometry: DeploymentGeometry, timing: TimingProfile) -> FeasibilityResult:
+def can_update(
+    speed_ms: float, radius_m: float, separation_m: float, timing: TimingProfile
+) -> FeasibilityResult:
     """Whether a receiver crossing at ``speed_ms`` gets a fix in each coverage.
 
     Feasible iff (t_blk <= t_max or v <= 2r/t_acq) and t_reacq <= t_rcp,
-    with boundary equalities feasible.
+    with boundary equalities feasible. Overlapping coverages raise
+    OverlappingCoverage, a non-positive speed ZeroSpeed.
     """
-    t_rcp = reception_time(geometry.radius_m, speed_ms)
-    t_blk = blockage_time(geometry.separation_m, geometry.radius_m, speed_ms)
+    t_rcp = reception_time(radius_m, speed_ms)
+    t_blk = blockage_time(separation_m, radius_m, speed_ms)
     fast_ok = t_blk <= timing.t_max_s
-    slow_ok = speed_ms <= slow_path_speed_bound(geometry.radius_m, timing.t_acq_s)
+    slow_ok = speed_ms <= slow_path_speed_bound(radius_m, timing.t_acq_s)
     if not (fast_ok or slow_ok):
         return FeasibilityResult(
             False,
             f"blockage {t_blk:.2f} s exceeds t_max {timing.t_max_s:.2f} s and speed "
             f"{speed_ms:.2f} m/s exceeds the cold-acquisition bound "
-            f"{slow_path_speed_bound(geometry.radius_m, timing.t_acq_s):.2f} m/s",
+            f"{slow_path_speed_bound(radius_m, timing.t_acq_s):.2f} m/s",
         )
     if timing.t_reacq_s > t_rcp:
         return FeasibilityResult(

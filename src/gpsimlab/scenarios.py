@@ -33,14 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import receiver as rcv
-from .calibration import (
-    DEFAULT_SAMPLE_COUNT,
-    SimDelayModel,
-    apply_correction,
-    calibrate,
-    measure_sim_delay,
-    true_delay_series,
-)
+from .calibration import apply_correction, calibrate, measure_sim_delay, true_delay_series
 from .config import DEFAULTS, Config
 from .ntp import default_topology, run_disciplined_sync
 from .placement import SpeedProfile
@@ -193,9 +186,10 @@ def draw_clock(
     The sync run depends on the server type but not on the calibration
     flag, and the delay process depends on neither, so raw and calibrated
     variants of the same seed share their underlying randomness. The
-    draw is judged against the configured budget.
+    delay walk and the calibration run over ``cfg.delay_model.sample_count``
+    samples, and the draw is judged against the configured budget.
     """
-    delay_model = SimDelayModel.from_config(cfg.delay_model)
+    delay = cfg.delay_model
     sync = run_disciplined_sync(
         default_topology("wireless", config.server_type),
         NTP_WARMUP_S,
@@ -203,7 +197,7 @@ def draw_clock(
     )
     delay_rng = stream(seed, scope, "simdelay", coverage)
     true_delay = TimeOffset.from_seconds(
-        float(true_delay_series(delay_model, DEFAULT_SAMPLE_COUNT, delay_rng)[-1])
+        float(true_delay_series(delay, delay.sample_count, delay_rng)[-1])
     )
     ref_rng = stream(seed, scope, "ref", coverage)
     ref_error = TimeOffset.from_seconds(ref_rng.uniform(-REF_ERROR_BOUND_S, REF_ERROR_BOUND_S))
@@ -211,7 +205,7 @@ def draw_clock(
     chain = ClockErrorChain(sim_delay=true_delay, ntp_error=sync.final.offset_truth, ref_error=ref_error)
     if config.calibrated:
         meas_rng = stream(seed, scope, "calmeas", coverage)
-        result = calibrate(measure_sim_delay(delay_model, DEFAULT_SAMPLE_COUNT, meas_rng))
+        result = calibrate(measure_sim_delay(delay, delay.sample_count, meas_rng))
         chain = apply_correction(chain, result)
     error = compose_clock_error(chain)
     return ClockDraw(
@@ -404,24 +398,16 @@ def run_static_handover(
 class MatrixCell:
     label: str
     per_trial_p95_m: tuple[float, ...]
-    per_trial_avg_m: tuple[float, ...]
     median_p95_m: float
     median_avg_m: float
     max_m: float
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "median_p95_m": self.median_p95_m,
-            "median_avg_m": self.median_avg_m,
-            "max_m": self.max_m,
-            "per_trial_p95_m": list(self.per_trial_p95_m),
-        }
-
 
 @dataclass(frozen=True)
-class HandoverMatrixResult:
-    cells: tuple[MatrixCell, ...]
+class MatrixResult:
+    """A static handover or traversal matrix: one cell per clock configuration."""
+
+    cells: tuple[MatrixCell | TraversalCell, ...]
     trials: int
     ordering_ok_every_trial: bool
 
@@ -431,7 +417,7 @@ def run_static_handover_matrix(
     seed: int = 0,
     profile: rcv.ReceiverProfile = rcv.DEDICATED,
     cfg: Config = DEFAULTS,
-) -> HandoverMatrixResult:
+) -> MatrixResult:
     """All clock configurations over paired trial seeds.
 
     ``trials`` defaults to ``cfg.handover.trials``. The ordering flag
@@ -463,14 +449,13 @@ def run_static_handover_matrix(
         MatrixCell(
             label=c.label,
             per_trial_p95_m=tuple(p95s[c.label]),
-            per_trial_avg_m=tuple(avgs[c.label]),
             median_p95_m=float(np.median(p95s[c.label])),
             median_avg_m=float(np.median(avgs[c.label])),
             max_m=maxes[c.label],
         )
         for c in ALL_CLOCK_CONFIGS
     )
-    return HandoverMatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=ordering_ok)
+    return MatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=ordering_ok)
 
 
 # --------------------------------------------------------------- offset sweep
@@ -601,7 +586,6 @@ class PathScenario:
     profile: rcv.ReceiverProfile = rcv.DEDICATED
     clock: ClockConfig = PRIVATE_CALIBRATED
     pr_noise_m: float = DEFAULTS.handover.pr_noise_m
-    n_sats: int = DEFAULTS.handover.n_sats
 
     def __post_init__(self) -> None:
         if self.length_m <= 0:
@@ -619,9 +603,10 @@ def run_dynamic_traversal(
     coverage center; fixes are never attributed to a coverage the path
     position is outside of. A coverage is entered when the last step
     outside it ends, the same instant the static handover restores
-    signal at.
+    signal at. The satellite count comes from ``cfg.handover``.
     """
     layout = scenario.layout
+    n_sats = cfg.handover.n_sats
 
     # integrate the path first so noise arrays can be sized up front
     positions = []
@@ -634,7 +619,7 @@ def run_dynamic_traversal(
     draws = {
         k: draw_clock(seed, "dynamic", k, scenario.clock, cfg) for k in range(len(layout.centers_m))
     }
-    sky = random_sky_geometry(stream(seed, "dynamic", "sky"), n_sats=scenario.n_sats)
+    sky = random_sky_geometry(stream(seed, "dynamic", "sky"), n_sats=n_sats)
     intended = {
         k: np.array([center, 0.0, 0.0]) for k, center in enumerate(layout.centers_m)
     }
@@ -642,9 +627,7 @@ def run_dynamic_traversal(
         k: np.linalg.norm(sky.advanced(draws[k].error).positions - intended[k], axis=1)
         for k in draws
     }
-    pr_noise = stream(seed, "dynamic", "prnoise").normal(
-        0.0, scenario.pr_noise_m, (n_steps, scenario.n_sats)
-    )
+    pr_noise = stream(seed, "dynamic", "prnoise").normal(0.0, scenario.pr_noise_m, (n_steps, n_sats))
     live_noise = stream(seed, "dynamic", "live").normal(0.0, LIVE_SKY_SIGMA_M, (n_steps, 2))
 
     segments = []
@@ -721,19 +704,12 @@ class TraversalCell:
     handover_success_all: bool
 
 
-@dataclass(frozen=True)
-class TraversalMatrixResult:
-    cells: tuple[TraversalCell, ...]
-    trials: int
-    ordering_ok_every_trial: bool
-
-
 def run_traversal_matrix(
     scenario: PathScenario,
     trials: int | None = None,
     seed: int = 0,
     cfg: Config = DEFAULTS,
-) -> TraversalMatrixResult:
+) -> MatrixResult:
     """The traversal under TRAVERSAL_CLOCK_CONFIGS, paired per trial.
 
     ``trials`` defaults to TRAVERSAL_TRIALS.
@@ -764,7 +740,7 @@ def run_traversal_matrix(
         )
         for c in TRAVERSAL_CLOCK_CONFIGS
     )
-    return TraversalMatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=ordering_ok)
+    return MatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=ordering_ok)
 
 
 # ---------------------------------------------------------- outdoor comparison

@@ -23,6 +23,13 @@ SPEED_OF_LIGHT = 299_792_458.0
 MAX_ITERATIONS = 20
 CONVERGENCE_M = 1e-4
 
+# random_sky_geometry's constellation
+SAT_RANGE_M = 2.02e7
+SAT_SPEED_MS = 3900.0
+MAX_LOS_RATE_MS = 350.0
+MIN_ELEVATION_DEG = 15.0
+MAX_ELEVATION_DEG = 75.0
+
 
 class SingularGeometry(ValueError):
     """Too few satellites or rank-deficient sight-line set."""
@@ -171,31 +178,23 @@ def position_error_from_clock_offset(
     return solution.position - true_position
 
 
-def random_sky_geometry(
-    rng: np.random.Generator,
-    n_sats: int = DEFAULTS.handover.n_sats,
-    sat_range_m: float = 2.02e7,
-    sat_speed_ms: float = 3900.0,
-    max_los_rate_ms: float = 350.0,
-    min_elevation_deg: float = 15.0,
-    max_elevation_deg: float = 75.0,
-) -> SatGeometry:
+def random_sky_geometry(rng: np.random.Generator, n_sats: int = DEFAULTS.handover.n_sats) -> SatGeometry:
     """Synthetic mid-latitude sky plot around the frame origin.
 
-    Azimuths are uniform, elevations uniform in the configured band.
-    Velocity magnitude is fixed at ``sat_speed_ms`` but its line-of-sight
-    component is capped at ``max_los_rate_ms``: satellites mostly move
-    across the sky, not along the sight line, which keeps the range-rate
-    spectrum realistic for medium-orbit constellations.
+    Azimuths are uniform, elevations uniform between MIN_ELEVATION_DEG
+    and MAX_ELEVATION_DEG. Velocity magnitude is fixed at SAT_SPEED_MS but
+    its line-of-sight component is capped at MAX_LOS_RATE_MS: satellites
+    mostly move across the sky, not along the sight line, which keeps the
+    range-rate spectrum realistic for medium-orbit constellations.
     """
     az = rng.uniform(0.0, 2.0 * np.pi, n_sats)
-    el = rng.uniform(np.radians(min_elevation_deg), np.radians(max_elevation_deg), n_sats)
+    el = rng.uniform(np.radians(MIN_ELEVATION_DEG), np.radians(MAX_ELEVATION_DEG), n_sats)
     units = np.column_stack(
         [np.cos(el) * np.sin(az), np.cos(el) * np.cos(az), np.sin(el)]
     )
-    positions = units * sat_range_m
+    positions = units * SAT_RANGE_M
 
-    los_rate = rng.uniform(-max_los_rate_ms, max_los_rate_ms, n_sats)
+    los_rate = rng.uniform(-MAX_LOS_RATE_MS, MAX_LOS_RATE_MS, n_sats)
     velocities = np.empty_like(positions)
     for i, u in enumerate(units):
         # pick a tangent direction in the plane orthogonal to the sight line
@@ -205,6 +204,6 @@ def random_sky_geometry(
         t2 = np.cross(u, t1)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         tangent = np.cos(phase) * t1 + np.sin(phase) * t2
-        cross_speed = np.sqrt(max(sat_speed_ms**2 - los_rate[i] ** 2, 0.0))
+        cross_speed = np.sqrt(max(SAT_SPEED_MS**2 - los_rate[i] ** 2, 0.0))
         velocities[i] = los_rate[i] * u + cross_speed * tangent
     return SatGeometry(positions, velocities)

@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from gpsimlab.calibration import (
     CSV_HEADER,
-    DEFAULT_SAMPLE_COUNT,
     EmptySampleSet,
-    SimDelayModel,
     apply_correction,
     calibrate,
     export_samples_csv,
@@ -16,14 +14,12 @@ from gpsimlab.calibration import (
     measure_sim_delay,
     true_delay_series,
 )
+from gpsimlab.config import ConfigError, DelayModelConfig, config_from_dict
 from gpsimlab.rng import stream
 from gpsimlab.timebase import ClockErrorChain, TimeOffset
 
-MODEL = SimDelayModel(
-    mean_delay=TimeOffset.from_millis(30.0),
-    wander_sigma=TimeOffset.from_millis(0.02),
-    noise_sigma=TimeOffset.from_millis(0.5),
-)
+MODEL = DelayModelConfig(mean_delay_ms=30.0, wander_sigma_ms=0.02, noise_sigma_ms=0.5)
+SAMPLE_COUNT = 1800
 
 sample_lists = st.lists(
     st.integers(min_value=0, max_value=10**9).map(TimeOffset), min_size=1, max_size=60
@@ -83,7 +79,7 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_correction_lands_near_process_mean(self, seed):
-        samples = measure_sim_delay(MODEL, DEFAULT_SAMPLE_COUNT, stream(seed, "cal", "run"))
+        samples = measure_sim_delay(MODEL, SAMPLE_COUNT, stream(seed, "cal", "run"))
         correction = calibrate(samples).correction
         assert correction.millis == pytest.approx(30.0, abs=1.5)
 
@@ -103,10 +99,10 @@ class TestMeasurement:
         # after removing the correction the remaining process delay is a
         # fraction of the original 30 ms mean
         for seed in range(4):
-            samples = measure_sim_delay(MODEL, DEFAULT_SAMPLE_COUNT, stream(seed, "meas"))
+            samples = measure_sim_delay(MODEL, SAMPLE_COUNT, stream(seed, "meas"))
             correction = calibrate(samples).correction
             truth = TimeOffset.from_seconds(
-                float(true_delay_series(MODEL, DEFAULT_SAMPLE_COUNT, stream(seed, "truth"))[-1])
+                float(true_delay_series(MODEL, SAMPLE_COUNT, stream(seed, "truth"))[-1])
             )
             assert abs((truth - correction).millis) < 5.0
 
@@ -139,15 +135,7 @@ class TestCsv:
 
 class TestModelValidation:
     def test_negative_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            SimDelayModel(
-                mean_delay=TimeOffset.from_millis(-1),
-                wander_sigma=TimeOffset(0),
-                noise_sigma=TimeOffset(0),
-            )
-        with pytest.raises(ValueError):
-            SimDelayModel(
-                mean_delay=TimeOffset.from_millis(30),
-                wander_sigma=TimeOffset(-1),
-                noise_sigma=TimeOffset(0),
-            )
+        # the delay model is the config section itself, checked by the loader
+        for key, value in (("mean_delay_ms", -1.0), ("mean_delay_ms", 0.0), ("wander_sigma_ms", -1e-6)):
+            with pytest.raises(ConfigError, match=f"delay_model.{key}"):
+                config_from_dict({"delay_model": {key: value}})

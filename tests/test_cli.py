@@ -156,6 +156,42 @@ class TestSimulate:
         assert payload["clock"]["0"]["within_budget"] is inside
         assert code == (EXIT_OK if inside else EXIT_INFEASIBLE)
 
+    def test_clock_draw_reads_delay_sample_count(self, tmp_path):
+        # the delay walk and the calibration run over delay_model.sample_count
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delay_model": {"sample_count": 10}}))
+        argv = ("simulate", "--scenario", "static", "--clock", "private/calibrated")
+        assert run(*argv, "--out", str(tmp_path / "default")) == EXIT_OK
+        assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "short")) == EXIT_OK
+        default = json.loads((tmp_path / "default" / "handover.json").read_text())
+        short = json.loads((tmp_path / "short" / "handover.json").read_text())
+        assert short["clock"]["0"]["sim_delay_ms"] != default["clock"]["0"]["sim_delay_ms"]
+
+    def test_traversal_reads_handover_n_sats(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"handover": {"n_sats": 5}}))
+        assert run("simulate", "--scenario", "pedestrian", "--out", str(tmp_path / "eight")) == EXIT_OK
+        code = run("simulate", "--scenario", "pedestrian", "--config", str(cfg), "--out", str(tmp_path / "five"))
+        assert code == EXIT_OK
+        eight = (tmp_path / "eight" / "pedestrian.json").read_bytes()
+        assert (tmp_path / "five" / "pedestrian.json").read_bytes() != eight
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scenario", "static", "--clock", "private/calibrated", "--trials", "3"],
+            ["--scenario", "driving", "--clock", "private/raw", "--trials", "3"],
+            ["--scenario", "pedestrian", "--trials", "3"],
+            ["--scenario", "outdoor", "--trials", "3"],
+            ["--scenario", "outdoor", "--clock", "public/raw"],
+        ],
+    )
+    def test_flags_a_run_would_ignore_are_usage_errors(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", *flags, "--out", str(tmp_path)])
+        assert excinfo.value.code == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
 
 class TestSweep:
     def test_grid_from_config(self, tmp_path):

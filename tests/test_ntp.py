@@ -5,12 +5,9 @@ from gpsimlab.ntp import (
     CONNECTIONS,
     DisciplinedClock,
     LinkModel,
-    NtpNode,
     POLL_INTERVAL_S,
     SERVER_TYPES,
-    ServerUnsynchronized,
     SyncTopology,
-    UNSYNC_STRATUM,
     default_topology,
     discipline_step,
     ntp_exchange,
@@ -29,34 +26,29 @@ def _rng(seed=0):
 
 class TestExchange:
     def test_symmetric_link_true_server_is_exact(self):
-        client = NtpNode("c", 3, TimeOffset.from_millis(12))
-        server = NtpNode("s", 1, TimeOffset.zero())
-        est = ntp_exchange(client, server, SYMMETRIC, _rng())
-        assert est.offset == -client.clock_offset_truth
+        client = TimeOffset.from_millis(12)
+        est = ntp_exchange(client, TimeOffset.zero(), SYMMETRIC, _rng())
+        assert est.offset == -client
 
     def test_round_trip_equals_sampled_path(self):
-        client = NtpNode("c", 3, TimeOffset.from_millis(-4))
-        server = NtpNode("s", 1, TimeOffset.from_millis(2))
         link = LinkModel(base_delay_up_s=0.010, base_delay_down_s=0.003, asymmetry_bias_s=0.001)
-        est = ntp_exchange(client, server, link, _rng())
+        est = ntp_exchange(TimeOffset.from_millis(-4), TimeOffset.from_millis(2), link, _rng())
         assert est.round_trip_s == pytest.approx(0.014, abs=1e-12)
 
     def test_error_is_server_offset_plus_half_asymmetry(self):
         # deterministic link: up = 8 ms, down = 2 ms, so the estimator is
         # wrong by exactly theta_server + 3 ms no matter the client offset
-        client = NtpNode("c", 3, TimeOffset.from_millis(-7))
-        server = NtpNode("s", 1, TimeOffset.from_millis(5))
+        client = TimeOffset.from_millis(-7)
         link = LinkModel(base_delay_up_s=0.008, base_delay_down_s=0.002)
-        est = ntp_exchange(client, server, link, _rng())
-        ideal = -client.clock_offset_truth
+        est = ntp_exchange(client, TimeOffset.from_millis(5), link, _rng())
+        ideal = -client
         error = est.offset - ideal
         assert error == TimeOffset.from_millis(8)
 
     def test_mean_error_matches_link_expectation(self):
         # Monte Carlo over the lognormal jitter; the persistent bias must
         # survive averaging and match mean_one_way to CLT accuracy
-        client = NtpNode("c", 3, TimeOffset.zero())
-        server = NtpNode("s", 1, TimeOffset.from_millis(1))
+        server = TimeOffset.from_millis(1)
         link = LinkModel(
             base_delay_up_s=0.004,
             base_delay_down_s=0.004,
@@ -68,22 +60,14 @@ class TestExchange:
         )
         rng = _rng(1)
         errors = [
-            ntp_exchange(client, server, link, rng).offset.seconds for _ in range(4000)
+            ntp_exchange(TimeOffset.zero(), server, link, rng).offset.seconds for _ in range(4000)
         ]
         up, down = link.mean_one_way()
-        predicted = server.clock_offset_truth.seconds + (up - down) / 2.0
+        predicted = server.seconds + (up - down) / 2.0
         assert np.mean(errors) == pytest.approx(predicted, abs=1e-4)
 
-    def test_unsynchronized_server_rejected(self):
-        client = NtpNode("c", 3)
-        server = NtpNode("s", UNSYNC_STRATUM)
-        with pytest.raises(ServerUnsynchronized):
-            ntp_exchange(client, server, SYMMETRIC, _rng())
-
     def test_dispersion_defaults_to_true_offset_plus_half_rtt(self):
-        client = NtpNode("c", 3)
-        server = NtpNode("s", 1, TimeOffset.from_millis(-3))
-        est = ntp_exchange(client, server, SYMMETRIC, _rng())
+        est = ntp_exchange(TimeOffset.zero(), TimeOffset.from_millis(-3), SYMMETRIC, _rng())
         assert est.root_dispersion_s == pytest.approx(0.003 + est.round_trip_s / 2.0)
 
 
@@ -125,9 +109,7 @@ class TestDiscipline:
         states = []
         rng = _rng(3)
         for _ in range(polls):
-            client = NtpNode("c", 3, clock.offset_truth)
-            server = NtpNode("s", 1, server_offset)
-            clock = discipline_step(clock, ntp_exchange(client, server, link, rng))
+            clock = discipline_step(clock, ntp_exchange(clock.offset_truth, server_offset, link, rng))
             states.append(clock)
         return states
 

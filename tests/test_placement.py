@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gpsimlab.placement import (
-    DeploymentGeometry,
     OverlappingCoverage,
     SpeedProfile,
     TimingProfile,
@@ -70,13 +69,12 @@ class TestClosedForms:
         with pytest.raises(OverlappingCoverage):
             blockage_time(100.0, 80.0, V110)
         with pytest.raises(OverlappingCoverage):
-            DeploymentGeometry(80.0, 100.0, V110)
+            can_update(V110, 80.0, 100.0, PLANNING)
 
 
 class TestFeasibility:
     def test_default_corridor_is_feasible(self):
-        geometry = DeploymentGeometry(80.0, 500.0, V110)
-        result = can_update(V110, geometry, PLANNING)
+        result = can_update(V110, 80.0, 500.0, PLANNING)
         assert result
         assert "warm" in result.reason
 
@@ -84,10 +82,8 @@ class TestFeasibility:
         # choose a separation whose gap takes exactly t_max to cross
         v = 10.0
         gap = PLANNING.t_max_s * v
-        geometry = DeploymentGeometry(80.0, gap + 160.0, v)
-        assert can_update(v, geometry, PLANNING)
-        tighter = DeploymentGeometry(80.0, gap + 160.0 + v * 0.5, v)
-        result = can_update(v, tighter, PLANNING)
+        assert can_update(v, 80.0, gap + 160.0, PLANNING)
+        result = can_update(v, 80.0, gap + 160.0 + v * 0.5, PLANNING)
         assert not result
         assert "exceeds" in result.reason
 
@@ -96,15 +92,13 @@ class TestFeasibility:
         # a cold acquisition inside the coverage
         r = 80.0
         v = slow_path_speed_bound(r, PLANNING.t_acq_s)
-        geometry = DeploymentGeometry(r, 10_000.0, v)
-        assert can_update(v, geometry, PLANNING)
-        assert not can_update(v * 1.01, geometry, PLANNING)
+        assert can_update(v, r, 10_000.0, PLANNING)
+        assert not can_update(v * 1.01, r, 10_000.0, PLANNING)
 
     def test_reacquisition_must_fit_crossing(self):
         # fast crossing of a small coverage: blockage fine, dwell too short
         r = 10.0
-        geometry = DeploymentGeometry(r, 2.0 * r + 1.0, 20.0)
-        result = can_update(20.0, geometry, PLANNING)
+        result = can_update(20.0, r, 2.0 * r + 1.0, PLANNING)
         assert not result
         assert "fit" in result.reason
 
@@ -117,10 +111,8 @@ class TestFeasibility:
         # radius shortens the gap and lengthens the dwell
         bigger = radius * 1.5
         sep = 2.0 * bigger + 50.0
-        small_geo = DeploymentGeometry(radius, sep, speed)
-        big_geo = DeploymentGeometry(bigger, sep, speed)
-        if can_update(speed, small_geo, PLANNING):
-            assert can_update(speed, big_geo, PLANNING)
+        if can_update(speed, radius, sep, PLANNING):
+            assert can_update(speed, bigger, sep, PLANNING)
 
 
 class TestSpeedProfile:
