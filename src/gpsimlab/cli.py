@@ -32,7 +32,6 @@ from .calibration import calibrate, export_samples_csv, import_samples_csv, meas
 from .config import Config, ConfigError, default_config, load_config
 from .ntp import run_sync_comparison
 from .placement import (
-    SpeedProfile,
     blockage_time,
     can_update,
     kmh_to_ms,
@@ -41,6 +40,7 @@ from .placement import (
     min_radius_for_separation,
     ms_to_kmh,
     reception_time,
+    separation_radius_floor,
     slow_path_speed_bound,
     validate_deployment,
 )
@@ -112,14 +112,13 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     timing = rcv.planning_timing(profile)
     v = kmh_to_ms(dep.max_speed_kmh)
 
-    # the separation term of the radius floor, shown separately from the
-    # speed term so a planner can see which constraint binds
-    sep_floor = dep.separation_m / (2.0 * (1.0 + timing.t_max_s / timing.t_acq_s))
     derived = {
         "reception_time_s": reception_time(dep.radius_m, v),
         "blockage_time_s": blockage_time(dep.separation_m, dep.radius_m, v),
         "min_coverage_radius_m": min_coverage_radius(v, timing.t_reacq_s),
-        "radius_floor_separation_m": sep_floor,
+        # the separation term of min_radius_m, shown on its own so a
+        # planner can see which constraint binds
+        "radius_floor_separation_m": separation_radius_floor(dep.separation_m, timing),
         "min_radius_m": min_radius_for_separation(dep.separation_m, timing, v),
         "max_separation_m": max_separation(dep.radius_m, timing),
         "slow_path_speed_bound_kmh": ms_to_kmh(
@@ -128,7 +127,7 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     }
     update = can_update(v, dep.radius_m, dep.separation_m, timing)
     centers = [0.0, dep.separation_m, 2.0 * dep.separation_m]
-    report = validate_deployment(centers, dep.radius_m, SpeedProfile.constant(v), timing)
+    report = validate_deployment(centers, dep.radius_m, v, timing)
 
     out = Path(args.out)
     payload = {
@@ -143,7 +142,7 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
         },
         "derived": derived,
         "update_check": {"ok": update.ok, "reason": update.reason},
-        "layout_report": report.to_dict(),
+        "layout_report": report,
     }
     write_json(out / "plan.json", payload)
 
@@ -178,7 +177,7 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
 
     ok = update.ok and report.ok
     if args.strict:
-        ok = ok and all(g.blockage_s <= timing.t_max_s for g in report.gap_checks)
+        ok = ok and all(g.blockage_s <= timing.t_max_s for g in report.gaps)
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
@@ -189,9 +188,11 @@ def _ignored_simulate_flag(args: argparse.Namespace) -> str | None:
     """Why a flag of ``simulate`` would have no effect, or None."""
     if args.scenario == "outdoor" and args.clock != "all":
         return "--clock: the outdoor comparison always runs private/calibrated"
-    single_run = args.clock != "all" or args.scenario in ("pedestrian", "outdoor")
-    if args.trials is not None and single_run:
+    matrix = args.clock == "all" and args.scenario in ("static", "driving")
+    if args.trials is not None and not matrix:
         return "--trials: applies only to the --clock all matrices of static and driving"
+    if args.strict and (matrix or args.scenario == "outdoor"):
+        return "--strict: applies only to single static, driving and pedestrian runs"
     return None
 
 
@@ -383,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     common.add_argument("--out", default="out", help="artifact directory (default ./out)")
-    common.add_argument(
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument(
         "--strict",
         action="store_true",
         help="escalate soft failures (budget excursions, slow-path gaps, bound misses)",
@@ -396,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("plan", parents=[common], help="feasibility report for the configured deployment")
+    sub.add_parser("plan", parents=[common, strict], help="feasibility report for the configured deployment")
 
-    sim = sub.add_parser("simulate", parents=[common], help="run a handover scenario")
+    sim = sub.add_parser("simulate", parents=[common, strict], help="run a handover scenario")
     sim.add_argument("--scenario", choices=SCENARIOS, required=True)
     sim.add_argument(
         "--clock",
@@ -417,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", parents=[common], help="delay calibration statistics")
     cal.add_argument("--samples-csv", default=None, help="calibrate from an existing sample CSV")
 
-    sub.add_parser("sync-compare", parents=[common], help="sync error across connection and server types")
+    sub.add_parser("sync-compare", parents=[common, strict], help="sync error across connection and server types")
     return parser
 
 

@@ -49,23 +49,21 @@ class LinkModel:
 
     ``asymmetry_bias_s`` is added wholly to the uplink, so it equals the
     mean up-minus-down difference it introduces. Jitter is log-normal
-    with the given median and log-space sigma, drawn independently per
-    direction; a zero median disables it. Sampled delays never go
-    negative.
+    with the given median and log-space sigma, the same law in both
+    directions but drawn independently, uplink first; a zero median
+    disables it. Sampled delays never go negative.
     """
 
     base_delay_up_s: float
     base_delay_down_s: float
     asymmetry_bias_s: float = 0.0
-    jitter_median_up_s: float = 0.0
-    jitter_sigma_up: float = 0.0
-    jitter_median_down_s: float = 0.0
-    jitter_sigma_down: float = 0.0
+    jitter_median_s: float = 0.0
+    jitter_sigma: float = 0.0
 
     def __post_init__(self) -> None:
         if self.base_delay_up_s < 0 or self.base_delay_down_s < 0:
             raise ValueError("base one-way delays must be non-negative")
-        for name in ("jitter_median_up_s", "jitter_sigma_up", "jitter_median_down_s", "jitter_sigma_down"):
+        for name in ("jitter_median_s", "jitter_sigma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -73,21 +71,15 @@ class LinkModel:
         """Draw (up, down) one-way delays in seconds."""
         up = self.base_delay_up_s + self.asymmetry_bias_s
         down = self.base_delay_down_s
-        if self.jitter_median_up_s > 0:
-            up += self.jitter_median_up_s * np.exp(self.jitter_sigma_up * rng.standard_normal())
-        if self.jitter_median_down_s > 0:
-            down += self.jitter_median_down_s * np.exp(self.jitter_sigma_down * rng.standard_normal())
+        if self.jitter_median_s > 0:
+            up += self.jitter_median_s * np.exp(self.jitter_sigma * rng.standard_normal())
+            down += self.jitter_median_s * np.exp(self.jitter_sigma * rng.standard_normal())
         return max(up, 0.0), max(down, 0.0)
 
     def mean_one_way(self) -> tuple[float, float]:
         """Expected (up, down) delays; log-normal mean is median*exp(sigma^2/2)."""
-        up = self.base_delay_up_s + self.asymmetry_bias_s
-        down = self.base_delay_down_s
-        if self.jitter_median_up_s > 0:
-            up += self.jitter_median_up_s * np.exp(self.jitter_sigma_up**2 / 2.0)
-        if self.jitter_median_down_s > 0:
-            down += self.jitter_median_down_s * np.exp(self.jitter_sigma_down**2 / 2.0)
-        return up, down
+        jitter = self.jitter_median_s * np.exp(self.jitter_sigma**2 / 2.0)
+        return self.base_delay_up_s + self.asymmetry_bias_s + jitter, self.base_delay_down_s + jitter
 
 
 @dataclass(frozen=True)
@@ -279,50 +271,40 @@ WIRED_PRIVATE_LINK = LinkModel(
     base_delay_up_s=0.0004,
     base_delay_down_s=0.0004,
     asymmetry_bias_s=0.0002,
-    jitter_median_up_s=0.00005,
-    jitter_sigma_up=0.5,
-    jitter_median_down_s=0.00005,
-    jitter_sigma_down=0.5,
+    jitter_median_s=0.00005,
+    jitter_sigma=0.5,
 )
 
 WIRED_PUBLIC_CLIENT_LINK = LinkModel(
     base_delay_up_s=0.0035,
     base_delay_down_s=0.0035,
     asymmetry_bias_s=0.006,
-    jitter_median_up_s=0.0008,
-    jitter_sigma_up=0.6,
-    jitter_median_down_s=0.0008,
-    jitter_sigma_down=0.6,
+    jitter_median_s=0.0008,
+    jitter_sigma=0.6,
 )
 
 LTE_PRIVATE_LINK = LinkModel(
     base_delay_up_s=0.012,
     base_delay_down_s=0.010,
     asymmetry_bias_s=0.005,
-    jitter_median_up_s=0.0015,
-    jitter_sigma_up=0.5,
-    jitter_median_down_s=0.0015,
-    jitter_sigma_down=0.5,
+    jitter_median_s=0.0015,
+    jitter_sigma=0.5,
 )
 
 LTE_PUBLIC_CLIENT_LINK = LinkModel(
     base_delay_up_s=0.018,
     base_delay_down_s=0.014,
     asymmetry_bias_s=0.090,
-    jitter_median_up_s=0.0025,
-    jitter_sigma_up=0.6,
-    jitter_median_down_s=0.0025,
-    jitter_sigma_down=0.6,
+    jitter_median_s=0.0025,
+    jitter_sigma=0.6,
 )
 
 POOL_HOP_LINK = LinkModel(
     base_delay_up_s=0.0025,
     base_delay_down_s=0.0025,
     asymmetry_bias_s=0.001,
-    jitter_median_up_s=0.0008,
-    jitter_sigma_up=0.6,
-    jitter_median_down_s=0.0008,
-    jitter_sigma_down=0.6,
+    jitter_median_s=0.0008,
+    jitter_sigma=0.6,
 )
 
 POOL_HOP_WANDER_S = 0.0004

@@ -108,17 +108,40 @@ def max_separation(radius_m: float, timing: TimingProfile) -> float:
     return 2.0 * radius_m * (1.0 + timing.t_max_s / timing.t_acq_s)
 
 
+def separation_radius_floor(separation_m: float, timing: TimingProfile) -> float:
+    """Smallest radius whose max_separation reaches d: r = d / (2 (1 + t_max/t_acq))."""
+    return separation_m / (2.0 * (1.0 + timing.t_max_s / timing.t_acq_s))
+
+
 def min_radius_for_separation(
     separation_m: float, timing: TimingProfile, v_max_ms: float
 ) -> float:
     """Smallest radius serving a given separation at speeds up to v_max.
 
-    Binding constraints: separation feasibility r >= d / (2 (1 + t_max/t_acq))
-    and reacquisition r >= v_max * t_reacq / 2.
+    Binding constraints: the separation floor and reacquisition
+    r >= v_max * t_reacq / 2.
     """
-    r_sep = separation_m / (2.0 * (1.0 + timing.t_max_s / timing.t_acq_s))
     r_reacq = min_coverage_radius(v_max_ms, timing.t_reacq_s)
-    return max(r_sep, r_reacq)
+    return max(separation_radius_floor(separation_m, timing), r_reacq)
+
+
+WARM = "warm reacquisition"
+COLD = "cold acquisition"
+
+
+def gap_path(
+    speed_ms: float, radius_m: float, blockage_s: float, timing: TimingProfile
+) -> str | None:
+    """How fixes resume after a gap: WARM, COLD, or None when neither fits.
+
+    Warm reacquisition needs t_blk <= t_max; cold acquisition needs the
+    crossing to fit it, v <= 2r/t_acq. Warm wins when both hold.
+    """
+    if blockage_s <= timing.t_max_s:
+        return WARM
+    if speed_ms <= slow_path_speed_bound(radius_m, timing.t_acq_s):
+        return COLD
+    return None
 
 
 @dataclass(frozen=True)
@@ -137,15 +160,14 @@ def can_update(
 ) -> FeasibilityResult:
     """Whether a receiver crossing at ``speed_ms`` gets a fix in each coverage.
 
-    Feasible iff (t_blk <= t_max or v <= 2r/t_acq) and t_reacq <= t_rcp,
-    with boundary equalities feasible. Overlapping coverages raise
+    Feasible iff gap_path finds a path and t_reacq <= t_rcp, with
+    boundary equalities feasible. Overlapping coverages raise
     OverlappingCoverage, a non-positive speed ZeroSpeed.
     """
     t_rcp = reception_time(radius_m, speed_ms)
     t_blk = blockage_time(separation_m, radius_m, speed_ms)
-    fast_ok = t_blk <= timing.t_max_s
-    slow_ok = speed_ms <= slow_path_speed_bound(radius_m, timing.t_acq_s)
-    if not (fast_ok or slow_ok):
+    path = gap_path(speed_ms, radius_m, t_blk, timing)
+    if path is None:
         return FeasibilityResult(
             False,
             f"blockage {t_blk:.2f} s exceeds t_max {timing.t_max_s:.2f} s and speed "
@@ -158,51 +180,7 @@ def can_update(
             f"reacquisition {timing.t_reacq_s:.2f} s does not fit the crossing "
             f"time {t_rcp:.2f} s",
         )
-    path = "warm reacquisition" if fast_ok else "cold acquisition"
     return FeasibilityResult(True, f"update feasible via {path}")
-
-
-@dataclass(frozen=True)
-class SpeedProfile:
-    """Piecewise-constant speed over path position.
-
-    ``segments`` maps a path position (meters, ascending, first at 0) to
-    the speed holding from there until the next segment start.
-    """
-
-    segments: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("speed profile needs at least one segment")
-        if self.segments[0][0] != 0.0:
-            raise ValueError(f"first segment must start at 0, got {self.segments[0][0]}")
-        positions = [s for s, _ in self.segments]
-        if positions != sorted(positions) or len(set(positions)) != len(positions):
-            raise ValueError("segment starts must be strictly ascending")
-        for start, speed in self.segments:
-            if speed <= 0:
-                raise ZeroSpeed(f"segment at {start} m has non-positive speed {speed}")
-
-    @classmethod
-    def constant(cls, speed_ms: float) -> "SpeedProfile":
-        return cls(((0.0, speed_ms),))
-
-    def speed_at(self, position_m: float) -> float:
-        speed = self.segments[0][1]
-        for start, value in self.segments:
-            if position_m < start:
-                break
-            speed = value
-        return speed
-
-    def max_speed_on(self, start_m: float, end_m: float) -> float:
-        """Largest speed holding anywhere on [start_m, end_m]."""
-        speeds = [self.speed_at(start_m)]
-        for seg_start, value in self.segments:
-            if start_m < seg_start <= end_m:
-                speeds.append(value)
-        return max(speeds)
 
 
 @dataclass(frozen=True)
@@ -229,35 +207,24 @@ class GapCheck:
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    coverage_checks: tuple[CoverageCheck, ...]
-    gap_checks: tuple[GapCheck, ...]
+    coverages: tuple[CoverageCheck, ...]
+    gaps: tuple[GapCheck, ...]
     suggested_min_radius_m: float
     suggested_max_gap_m: float
     note: str = POWER_NOTE
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "coverages": [vars(c).copy() for c in self.coverage_checks],
-            "gaps": [vars(g).copy() for g in self.gap_checks],
-            "suggested_min_radius_m": self.suggested_min_radius_m,
-            "suggested_max_gap_m": self.suggested_max_gap_m,
-            "note": self.note,
-        }
 
 
 def validate_deployment(
     centers_m: list[float] | tuple[float, ...],
     radius_m: float,
-    speeds: SpeedProfile,
+    speed_ms: float,
     timing: TimingProfile,
 ) -> ValidationReport:
-    """Check every coverage and every gap of an explicit layout.
+    """Check every coverage and every gap of an explicit layout crossed at ``speed_ms``.
 
-    Each coverage is checked at the worst (largest) speed holding inside
-    it; each gap likewise. Suggestions give the radius that would fix all
-    reception failures and the gap length that would fix all blockage
-    failures at the observed speeds.
+    Suggestions give the radius that would fix all reception failures
+    and the gap length that would fix all blockage failures at that
+    speed.
     """
     if radius_m <= 0:
         raise ValueError(f"radius_m must be positive, got {radius_m}")
@@ -272,45 +239,38 @@ def validate_deployment(
                 f"centers at {a} m and {b} m are closer than one diameter ({2 * radius_m} m)"
             )
 
-    worst_speed = 0.0
-    coverage_checks = []
-    for i, center in enumerate(centers):
-        v = speeds.max_speed_on(center - radius_m, center + radius_m)
-        worst_speed = max(worst_speed, v)
-        t_rcp = reception_time(radius_m, v)
-        ok = timing.t_reacq_s <= t_rcp
-        reason = (
-            f"reacquisition fits the {t_rcp:.2f} s crossing"
-            if ok
-            else f"reacquisition {timing.t_reacq_s:.2f} s exceeds the {t_rcp:.2f} s crossing"
-        )
-        coverage_checks.append(CoverageCheck(i, center, v, t_rcp, ok, reason))
+    # one speed, so every coverage shares the same crossing
+    t_rcp = reception_time(radius_m, speed_ms)
+    fits = timing.t_reacq_s <= t_rcp
+    reason = (
+        f"reacquisition fits the {t_rcp:.2f} s crossing"
+        if fits
+        else f"reacquisition {timing.t_reacq_s:.2f} s exceeds the {t_rcp:.2f} s crossing"
+    )
+    coverages = tuple(
+        CoverageCheck(i, center, speed_ms, t_rcp, fits, reason) for i, center in enumerate(centers)
+    )
 
-    gap_checks = []
+    gaps = []
     for i, (a, b) in enumerate(zip(centers, centers[1:])):
         gap_start, gap_end = a + radius_m, b - radius_m
-        v = speeds.max_speed_on(gap_start, gap_end)
-        worst_speed = max(worst_speed, v)
-        t_blk = (gap_end - gap_start) / v
-        fast_ok = t_blk <= timing.t_max_s
-        slow_ok = v <= slow_path_speed_bound(radius_m, timing.t_acq_s)
-        ok = fast_ok or slow_ok
-        if fast_ok:
+        t_blk = (gap_end - gap_start) / speed_ms
+        path = gap_path(speed_ms, radius_m, t_blk, timing)
+        if path == WARM:
             reason = f"blockage {t_blk:.2f} s within t_max {timing.t_max_s:.2f} s"
-        elif slow_ok:
-            reason = f"blockage long but {v:.2f} m/s admits cold acquisition"
+        elif path == COLD:
+            reason = f"blockage long but {speed_ms:.2f} m/s admits cold acquisition"
         else:
             reason = (
                 f"blockage {t_blk:.2f} s exceeds t_max {timing.t_max_s:.2f} s and "
-                f"{v:.2f} m/s is too fast for cold acquisition"
+                f"{speed_ms:.2f} m/s is too fast for cold acquisition"
             )
-        gap_checks.append(GapCheck(i, gap_start, gap_end, v, t_blk, ok, reason))
+        gaps.append(GapCheck(i, gap_start, gap_end, speed_ms, t_blk, path is not None, reason))
 
-    ok = all(c.ok for c in coverage_checks) and all(g.ok for g in gap_checks)
     return ValidationReport(
-        ok=ok,
-        coverage_checks=tuple(coverage_checks),
-        gap_checks=tuple(gap_checks),
-        suggested_min_radius_m=min_coverage_radius(worst_speed, timing.t_reacq_s),
-        suggested_max_gap_m=timing.t_max_s * worst_speed,
+        ok=fits and all(g.ok for g in gaps),
+        coverages=coverages,
+        gaps=tuple(gaps),
+        suggested_min_radius_m=min_coverage_radius(speed_ms, timing.t_reacq_s),
+        suggested_max_gap_m=timing.t_max_s * speed_ms,
     )

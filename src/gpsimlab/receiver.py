@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .placement import TimingProfile
 from .timebase import TimeOffset
 
 DT_S = 0.1
@@ -115,15 +116,12 @@ PROFILES = {p.name: p for p in (DEDICATED, SMARTPHONE)}
 PLANNING_REACQ_BOUND_S = {"dedicated": 5.0, "smartphone": 15.0}
 
 
-def planning_timing(profile: ReceiverProfile) -> "placement.TimingProfile":
+def planning_timing(profile: ReceiverProfile) -> TimingProfile:
     """Planning margins for a profile: bounded reacquisition, t_max, t_acq."""
-    from . import placement
-
-    bound = PLANNING_REACQ_BOUND_S.get(profile.name)
-    if bound is None:
-        bound = max(v for _, v in profile.reacq_knots)
-    return placement.TimingProfile(
-        t_reacq_s=bound, t_max_s=profile.t_max_s, t_acq_s=profile.t_acq_s
+    return TimingProfile(
+        t_reacq_s=PLANNING_REACQ_BOUND_S[profile.name],
+        t_max_s=profile.t_max_s,
+        t_acq_s=profile.t_acq_s,
     )
 
 

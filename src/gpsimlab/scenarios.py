@@ -36,7 +36,7 @@ from . import receiver as rcv
 from .calibration import apply_correction, calibrate, measure_sim_delay, true_delay_series
 from .config import DEFAULTS, Config
 from .ntp import default_topology, run_disciplined_sync
-from .placement import SpeedProfile
+from .placement import ZeroSpeed
 from .rng import derive_seed, stream
 from .solver import SatGeometry, random_sky_geometry, solve_position
 from .timebase import (
@@ -478,7 +478,6 @@ class SweepResult:
 
 
 def run_offset_sweep(
-    offsets: Sequence[TimeOffset] | None = None,
     profile: rcv.ReceiverProfile = rcv.DEDICATED,
     trials: int | None = None,
     seed: int = 0,
@@ -491,11 +490,10 @@ def run_offset_sweep(
     the gap from signal restoration to the first fix; position errors
     cover the fixes of the final window. Sky plots and noise are drawn per
     trial only, so every offset within a trial sees identical randomness
-    and rows are directly comparable across the grid. ``offsets`` and
-    ``trials`` default to ``cfg.sweep``.
+    and rows are directly comparable across the grid. The offset grid
+    comes from ``cfg.sweep``, and so does ``trials`` unless given.
     """
-    if offsets is None:
-        offsets = [TimeOffset.from_millis(ms) for ms in cfg.sweep.offsets_ms()]
+    offsets = [TimeOffset.from_millis(ms) for ms in cfg.sweep.offsets_ms()]
     if trials is None:
         trials = cfg.sweep.trials
     h = cfg.handover
@@ -578,10 +576,10 @@ class TunnelLayout:
 
 @dataclass(frozen=True)
 class PathScenario:
-    """A traversal: path length, speeds over it, layout, receiver, clock."""
+    """A traversal: path length, crossing speed, layout, receiver, clock."""
 
     length_m: float
-    speeds: SpeedProfile
+    speed_ms: float
     layout: TunnelLayout
     profile: rcv.ReceiverProfile = rcv.DEDICATED
     clock: ClockConfig = PRIVATE_CALIBRATED
@@ -590,6 +588,8 @@ class PathScenario:
     def __post_init__(self) -> None:
         if self.length_m <= 0:
             raise ValueError(f"length_m must be positive, got {self.length_m}")
+        if self.speed_ms <= 0:
+            raise ZeroSpeed(f"speed_ms must be positive, got {self.speed_ms}")
 
 
 def run_dynamic_traversal(
@@ -612,7 +612,7 @@ def run_dynamic_traversal(
     positions = []
     s = 0.0
     while s < scenario.length_m:
-        s += scenario.speeds.speed_at(s) * DT_S
+        s += scenario.speed_ms * DT_S
         positions.append(s)
     n_steps = len(positions)
 
@@ -665,7 +665,7 @@ def default_driving_scenario() -> PathScenario:
     """Three coverages 500 m apart crossed at 110 km/h with a timing receiver."""
     return PathScenario(
         length_m=1900.0,
-        speeds=SpeedProfile.constant(110.0 * 1000.0 / 3600.0),
+        speed_ms=110.0 * 1000.0 / 3600.0,
         layout=TunnelLayout(
             centers_m=(450.0, 950.0, 1450.0),
             radius_m=80.0,
@@ -684,7 +684,7 @@ def default_pedestrian_scenario() -> PathScenario:
     """
     return PathScenario(
         length_m=800.0,
-        speeds=SpeedProfile.constant(1.4),
+        speed_ms=1.4,
         layout=TunnelLayout(
             centers_m=(165.0, 415.0, 665.0),
             radius_m=80.0,

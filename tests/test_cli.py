@@ -291,6 +291,31 @@ class TestParser:
         assert excinfo.value.code == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["calibrate"],
+            ["sweep", "--trials", "1"],
+            ["simulate", "--scenario", "static", "--trials", "1"],
+            ["simulate", "--scenario", "driving", "--trials", "1"],
+            ["simulate", "--scenario", "outdoor"],
+        ],
+        ids=["calibrate", "sweep", "static-matrix", "driving-matrix", "outdoor"],
+    )
+    def test_strict_rejected_where_no_run_reads_it(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--strict", "--out", str(tmp_path)])
+        assert excinfo.value.code == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--scenario", "driving", "--clock", "private/calibrated"], ["--scenario", "pedestrian"]],
+        ids=["driving-single", "pedestrian"],
+    )
+    def test_strict_accepted_on_single_traversals(self, tmp_path, flags):
+        assert main(["simulate", *flags, "--strict", "--out", str(tmp_path)]) == EXIT_OK
+
     def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path):
         path = tmp_path / "bad.json"
         with pytest.raises(ValueError):

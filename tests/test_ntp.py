@@ -53,10 +53,8 @@ class TestExchange:
             base_delay_up_s=0.004,
             base_delay_down_s=0.004,
             asymmetry_bias_s=0.006,
-            jitter_median_up_s=0.002,
-            jitter_sigma_up=0.5,
-            jitter_median_down_s=0.002,
-            jitter_sigma_down=0.5,
+            jitter_median_s=0.002,
+            jitter_sigma=0.5,
         )
         rng = _rng(1)
         errors = [
@@ -87,10 +85,8 @@ class TestChain:
         hop_link = LinkModel(
             base_delay_up_s=0.004,
             base_delay_down_s=0.002,
-            jitter_median_up_s=0.001,
-            jitter_sigma_up=0.5,
-            jitter_median_down_s=0.001,
-            jitter_sigma_down=0.5,
+            jitter_median_s=0.001,
+            jitter_sigma=0.5,
         )
         errors = {}
         for depth in (1, 3):

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from gpsimlab.placement import (
     OverlappingCoverage,
-    SpeedProfile,
     TimingProfile,
     ZeroSpeed,
     blockage_time,
@@ -17,6 +16,8 @@ from gpsimlab.placement import (
     slow_path_speed_bound,
     validate_deployment,
 )
+from gpsimlab.receiver import PROFILES, planning_timing
+from gpsimlab.reports import _canonical
 
 PLANNING = TimingProfile(t_reacq_s=5.0, t_max_s=135.0, t_acq_s=30.0)
 V110 = kmh_to_ms(110.0)
@@ -114,75 +115,57 @@ class TestFeasibility:
         if can_update(speed, radius, sep, PLANNING):
             assert can_update(speed, bigger, sep, PLANNING)
 
-
-class TestSpeedProfile:
-    def test_constant(self):
-        profile = SpeedProfile.constant(12.0)
-        assert profile.speed_at(0.0) == 12.0
-        assert profile.speed_at(1e6) == 12.0
-
-    def test_segments_and_max(self):
-        profile = SpeedProfile(segments=((0.0, 10.0), (100.0, 30.0), (200.0, 5.0)))
-        assert profile.speed_at(50.0) == 10.0
-        assert profile.speed_at(100.0) == 30.0
-        assert profile.speed_at(500.0) == 5.0
-        assert profile.max_speed_on(0.0, 150.0) == 30.0
-        assert profile.max_speed_on(201.0, 300.0) == 5.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SpeedProfile(segments=())
-        with pytest.raises(ValueError):
-            SpeedProfile(segments=((10.0, 5.0),))  # must start at 0
-        with pytest.raises(ValueError):
-            SpeedProfile(segments=((0.0, 5.0), (0.0, 6.0)))
-        with pytest.raises(ZeroSpeed):
-            SpeedProfile(segments=((0.0, 0.0),))
+    @given(
+        st.integers(min_value=1, max_value=500),
+        st.integers(min_value=0, max_value=20_000),
+        st.floats(min_value=0.1, max_value=80.0),
+        st.sampled_from(sorted(PROFILES)),
+    )
+    def test_layout_check_applies_the_same_rule(self, radius, spare, speed, receiver):
+        # integer meters make the gap lengths of both checks exact
+        separation = 2 * radius + spare
+        timing = planning_timing(PROFILES[receiver])
+        report = validate_deployment([0, separation, 2 * separation], radius, speed, timing)
+        assert can_update(speed, radius, separation, timing).ok == report.ok
 
 
 class TestValidateDeployment:
     def test_good_layout(self):
-        report = validate_deployment(
-            [450.0, 950.0, 1450.0], 80.0, SpeedProfile.constant(V110), PLANNING
-        )
+        report = validate_deployment([450.0, 950.0, 1450.0], 80.0, V110, PLANNING)
         assert report.ok
-        assert len(report.coverage_checks) == 3
-        assert len(report.gap_checks) == 2
-        assert all(c.ok for c in report.coverage_checks)
-        assert all(g.ok for g in report.gap_checks)
+        assert len(report.coverages) == 3
+        assert len(report.gaps) == 2
+        assert all(c.ok for c in report.coverages)
+        assert all(g.ok for g in report.gaps)
 
     def test_bad_gap_flagged_with_suggestion(self):
         # ~4.8 km gap at highway speed: too long for t_max (135 s covers
         # about 4.1 km at 110 km/h), too fast for cold acquisition
-        report = validate_deployment(
-            [0.0, 5000.0], 80.0, SpeedProfile.constant(V110), PLANNING
-        )
+        report = validate_deployment([0.0, 5000.0], 80.0, V110, PLANNING)
         assert not report.ok
-        bad = report.gap_checks[0]
+        bad = report.gaps[0]
         assert not bad.ok
         assert report.suggested_max_gap_m == pytest.approx(PLANNING.t_max_s * V110)
 
     def test_small_radius_flagged(self):
-        report = validate_deployment(
-            [0.0, 400.0], 20.0, SpeedProfile.constant(V110), PLANNING
-        )
+        report = validate_deployment([0.0, 400.0], 20.0, V110, PLANNING)
         assert not report.ok
-        assert not report.coverage_checks[0].ok
+        assert not report.coverages[0].ok
         assert report.suggested_min_radius_m == pytest.approx(
             min_coverage_radius(V110, PLANNING.t_reacq_s)
         )
 
     def test_overlapping_centers_rejected(self):
         with pytest.raises(OverlappingCoverage):
-            validate_deployment([0.0, 100.0], 80.0, SpeedProfile.constant(10.0), PLANNING)
+            validate_deployment([0.0, 100.0], 80.0, 10.0, PLANNING)
 
     def test_unsorted_centers_rejected(self):
         with pytest.raises(ValueError):
-            validate_deployment([500.0, 0.0], 80.0, SpeedProfile.constant(10.0), PLANNING)
+            validate_deployment([500.0, 0.0], 80.0, 10.0, PLANNING)
 
     def test_report_serializes(self):
-        report = validate_deployment([0.0, 500.0], 80.0, SpeedProfile.constant(10.0), PLANNING)
-        payload = report.to_dict()
+        report = validate_deployment([0.0, 500.0], 80.0, 10.0, PLANNING)
+        payload = _canonical(report)
         assert payload["ok"] is True
         assert len(payload["coverages"]) == 2
         assert "suggested_min_radius_m" in payload

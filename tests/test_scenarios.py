@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpsimlab import scenarios as sc
-from gpsimlab.config import SweepConfig
-from gpsimlab.placement import SpeedProfile
-from gpsimlab.receiver import DEDICATED, SMARTPHONE
+from gpsimlab.config import Config, SweepConfig
+from gpsimlab.placement import ZeroSpeed, validate_deployment
+from gpsimlab.receiver import DEDICATED, SMARTPHONE, planning_timing
 from gpsimlab.reports import write_json
 from gpsimlab.rng import derive_seed
-from gpsimlab.timebase import TimeOffset
 
 error_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=200
@@ -158,8 +158,8 @@ class TestStaticHandover:
 
 class TestOffsetSweep:
     def test_shape_and_symmetry(self):
-        offsets = [TimeOffset.from_millis(ms) for ms in (-100, -50, 0, 50, 100)]
-        result = sc.run_offset_sweep(offsets, DEDICATED, trials=2, seed=0)
+        cfg = Config(sweep=SweepConfig(min_offset_ms=-100.0, max_offset_ms=100.0, step_ms=50.0))
+        result = sc.run_offset_sweep(DEDICATED, trials=2, seed=0, cfg=cfg)
         rows = {r.offset_ms: r for r in result.rows}
         assert len(result.rows) == 5
         # reacquisition depends on |offset| only
@@ -179,9 +179,9 @@ class TestOffsetSweep:
         assert offsets[-1] == 250.0
 
     def test_smartphone_reacquires_slower(self):
-        offsets = [TimeOffset.zero()]
-        fast = sc.run_offset_sweep(offsets, DEDICATED, trials=1, seed=1)
-        slow = sc.run_offset_sweep(offsets, SMARTPHONE, trials=1, seed=1)
+        cfg = Config(sweep=SweepConfig(min_offset_ms=0.0, max_offset_ms=0.0))
+        fast = sc.run_offset_sweep(DEDICATED, trials=1, seed=1, cfg=cfg)
+        slow = sc.run_offset_sweep(SMARTPHONE, trials=1, seed=1, cfg=cfg)
         assert slow.rows[0].mean_reacq_s > fast.rows[0].mean_reacq_s
 
 
@@ -209,6 +209,19 @@ class TestTunnelLayout:
 
 
 class TestDynamicTraversal:
+    @pytest.mark.parametrize("make", [sc.default_driving_scenario, sc.default_pedestrian_scenario])
+    def test_builtin_layouts_plan_warm_at_their_speed(self, make):
+        scenario = make()
+        layout, timing = scenario.layout, planning_timing(scenario.profile)
+        report = validate_deployment(layout.centers_m, layout.radius_m, scenario.speed_ms, timing)
+        assert report.ok
+        # every gap stays within t_max, so each coverage is entered warm
+        assert all(g.blockage_s <= timing.t_max_s for g in report.gaps)
+
+    def test_non_positive_speed_rejected(self):
+        with pytest.raises(ZeroSpeed):
+            dataclasses.replace(sc.default_driving_scenario(), speed_ms=0.0)
+
     def test_driving_defaults_succeed(self):
         result = sc.run_dynamic_traversal(sc.default_driving_scenario(), seed=0)
         assert set(result.handover_success) == {0, 1, 2}
@@ -219,7 +232,7 @@ class TestDynamicTraversal:
     def test_fixes_only_inside_their_coverage(self):
         scenario = sc.default_driving_scenario()
         result = sc.run_dynamic_traversal(scenario, seed=4)
-        v = scenario.speeds.speed_at(0.0)
+        v = scenario.speed_ms
         for fix in result.fixes:
             if fix.coverage is None:
                 continue
@@ -259,8 +272,6 @@ class TestDynamicTraversal:
         scenario = sc.default_driving_scenario()
         avgs = []
         for config in (sc.PUBLIC_RAW, sc.PRIVATE_RAW, sc.PRIVATE_CALIBRATED):
-            import dataclasses
-
             result = sc.run_dynamic_traversal(
                 dataclasses.replace(scenario, clock=config), seed=seed
             )
