@@ -25,6 +25,7 @@ COMMANDS = (
     ("sync-compare",),
     ("calibrate",),
     ("sweep", "--trials", "1"),
+    ("sweep", "--receiver", "smartphone", "--trials", "1"),
     ("simulate", "--scenario", "static", "--trials", "2"),
     ("simulate", "--scenario", "static", "--clock", "private/calibrated"),
     ("simulate", "--scenario", "driving", "--trials", "1"),

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from gpsimlab.config import config_to_dict, default_config
+from gpsimlab.config import DEFAULTS, config_to_dict
 
 
 def main() -> int:
@@ -23,7 +23,7 @@ def main() -> int:
         help="output file (default: stdout)",
     )
     args = parser.parse_args()
-    text = json.dumps(config_to_dict(default_config()), indent=2, sort_keys=True)
+    text = json.dumps(config_to_dict(DEFAULTS), indent=2, sort_keys=True)
     if args.path is None:
         print(text)
     else:

@@ -29,11 +29,13 @@ from . import __version__
 from . import receiver as rcv
 from . import scenarios as sc
 from .calibration import calibrate, export_samples_csv, import_samples_csv, measure_sim_delay
-from .config import Config, ConfigError, default_config, load_config
+from .config import DEFAULTS, Config, ConfigError, load_config
 from .ntp import run_sync_comparison
 from .placement import (
+    WARM,
     blockage_time,
     can_update,
+    gap_path,
     kmh_to_ms,
     max_separation,
     min_coverage_radius,
@@ -61,7 +63,7 @@ def _load(args: argparse.Namespace) -> Config:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
         return load_config(path)
-    return default_config()
+    return DEFAULTS
 
 
 def _fix_rows(result: sc.ScenarioResult):
@@ -177,7 +179,7 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
 
     ok = update.ok and report.ok
     if args.strict:
-        ok = ok and all(g.blockage_s <= timing.t_max_s for g in report.gaps)
+        ok = ok and all(gap_path(v, dep.radius_m, g.blockage_s, timing) == WARM for g in report.gaps)
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 

@@ -81,21 +81,9 @@ class Config:
     sync: SyncConfig = SyncConfig()
 
 
-_SECTIONS = {
-    "deployment": DeploymentConfig,
-    "delay_model": DelayModelConfig,
-    "budget": BudgetConfig,
-    "handover": HandoverConfig,
-    "sweep": SweepConfig,
-    "sync": SyncConfig,
-}
-
+_SECTIONS = {f.name: f.type for f in dataclasses.fields(Config)}
 
 DEFAULTS = Config()
-
-
-def default_config() -> Config:
-    return DEFAULTS
 
 
 def _unknown_key_error(key: str, known: list[str], path: str) -> ConfigError:
@@ -146,6 +134,7 @@ def _positive(value: float, path: str) -> None:
 def _validate(cfg: Config) -> Config:
     from .ntp import POLL_INTERVAL_S
     from .receiver import PROFILES
+    from .timebase import NS_PER_MS, TimeOffset
 
     _positive(cfg.deployment.radius_m, "deployment.radius_m")
     _positive(cfg.deployment.max_speed_kmh, "deployment.max_speed_kmh")
@@ -166,7 +155,9 @@ def _validate(cfg: Config) -> Config:
         raise ConfigError("delay_model.noise_sigma_ms: must be non-negative")
     if cfg.delay_model.sample_count < 1:
         raise ConfigError("delay_model.sample_count: must be at least 1")
-    _positive(cfg.budget.limit_ms, "budget.limit_ms")
+    limit_ms = cfg.budget.limit_ms
+    if not math.isfinite(limit_ms * NS_PER_MS) or TimeOffset.from_millis(limit_ms).ns < 1:
+        raise ConfigError(f"budget.limit_ms: must be at least 1 ns and finite in ns, got {limit_ms}")
     if cfg.handover.trials < 1:
         raise ConfigError("handover.trials: must be at least 1")
     if cfg.handover.n_sats < 4:

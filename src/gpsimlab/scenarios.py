@@ -2,9 +2,10 @@
 
 Every scenario is one timeline: a list of segments of live-sky
 reception, blockage, and simulator coverage that ``run_timeline`` steps
-the receiver through. The scenarios differ only in how long each segment
-lasts and in how the fix steps it reports are turned into position
-fixes and error statistics. The moving parts come from the other
+the receiver through. The static handover, the offset sweep and the
+outdoor comparison are one experiment, live sky then blockage then one
+simulator, built by ``_handover``; the traversal cuts its path into
+segments. The moving parts come from the other
 modules: the composed transmit-clock error decides the receiver's
 reacquisition time and, through satellite motion, the fix bias inside a
 coverage; the solver turns noisy pseudoranges into fixes; the placement
@@ -60,6 +61,7 @@ REF_ERROR_BOUND_S = 200e-9
 # Each of the sweep's three windows: signal, blockage, signal again.
 SWEEP_WINDOW_S = 60.0
 TRAVERSAL_TRIALS = 5
+OUTDOOR_WINDOW_S = 5.0
 OUTDOOR_THRESHOLD_M = 8.0
 
 
@@ -354,6 +356,44 @@ def run_timeline(
 # ------------------------------------------------------------ static handover
 
 
+def _handover(
+    scope: str,
+    seed: int,
+    offset: TimeOffset,
+    profile: rcv.ReceiverProfile,
+    start: rcv.ReceiverState,
+    steps: tuple[int, int, int],
+    cfg: Config,
+    clock_draws: dict[int, ClockDraw],
+) -> ScenarioResult:
+    """Live sky, blockage, then one simulator transmitting with ``offset``.
+
+    ``steps`` holds the three segment lengths in DT_S quanta; sky and
+    noise depend only on (seed, scope). The simulator window is coverage
+    0 at the origin; noise and satellite count come from ``cfg.handover``.
+    """
+    h = cfg.handover
+    live_steps, blocked_steps, sim_steps = steps
+    sky = random_sky_geometry(stream(seed, scope, "sky"), n_sats=h.n_sats)
+    intended = np.zeros(3)
+    base_pr = np.linalg.norm(sky.advanced(offset).positions - intended, axis=1)
+    pr_noise = stream(seed, scope, "prnoise").normal(0.0, h.pr_noise_m, (sim_steps, h.n_sats))
+    live_noise = stream(seed, scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live_steps, 2))
+
+    segments = (
+        Segment(live_steps, True),
+        Segment(blocked_steps, False, offset),
+        Segment(sim_steps, True, offset, 0),
+    )
+    starts, fix_steps, transitions = run_timeline(segments, profile, start)
+    fixes = [
+        Fix(t, np.array([live_noise[i, 0], live_noise[i, 1], 0.0]), 0.0, "live_sky", None)
+        for i, t in fix_steps[0]
+    ]
+    fixes += [_simulator_fix(t, base_pr + pr_noise[i], sky, intended, 0) for i, t in fix_steps[2]]
+    return _finalize(fixes, transitions, {0: intended}, {0: starts[2]}, clock_draws)
+
+
 def run_static_handover(
     config: ClockConfig,
     profile: rcv.ReceiverProfile = rcv.DEDICATED,
@@ -366,32 +406,14 @@ def run_static_handover(
     blockage it reacquires the simulated signal, whose clock error is
     drawn through the configured pipeline, and the fixes over the
     simulator window form the reported statistics (coverage index 0).
-    Segment lengths, noise and satellite count come from ``cfg.handover``.
+    Segment lengths come from ``cfg.handover``.
     """
     h = cfg.handover
     draw = draw_clock(seed, "static", 0, config, cfg)
-    eps = draw.error
-    sky = random_sky_geometry(stream(seed, "static", "sky"), n_sats=h.n_sats)
-    intended = np.zeros(3)
-    base_pr = np.linalg.norm(sky.advanced(eps).positions - intended, axis=1)
-
-    live_steps = round(h.live_s / DT_S)
-    sim_steps = round(h.sim_s / DT_S)
-    pr_noise = stream(seed, "static", "prnoise").normal(0.0, h.pr_noise_m, (sim_steps, h.n_sats))
-    live_noise = stream(seed, "static", "live").normal(0.0, LIVE_SKY_SIGMA_M, (live_steps, 2))
-
-    segments = (
-        Segment(live_steps, True),
-        Segment(round(h.blocked_s / DT_S), False, eps),
-        Segment(sim_steps, True, eps, 0),
+    steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
+    return _handover(
+        "static", seed, draw.error, profile, rcv.ReceiverState.tracking(), steps, cfg, {0: draw}
     )
-    starts, fix_steps, transitions = run_timeline(segments, profile, rcv.ReceiverState.tracking())
-    fixes = [
-        Fix(t, np.array([live_noise[i, 0], live_noise[i, 1], 0.0]), 0.0, "live_sky", None)
-        for i, t in fix_steps[0]
-    ]
-    fixes += [_simulator_fix(t, base_pr + pr_noise[i], sky, intended, 0) for i, t in fix_steps[2]]
-    return _finalize(fixes, transitions, {0: intended}, {0: starts[2]}, {0: draw})
 
 
 @dataclass(frozen=True)
@@ -496,46 +518,29 @@ def run_offset_sweep(
     offsets = [TimeOffset.from_millis(ms) for ms in cfg.sweep.offsets_ms()]
     if trials is None:
         trials = cfg.sweep.trials
-    h = cfg.handover
-    window = round(SWEEP_WINDOW_S / DT_S)
-    intended = np.zeros(3)
+    steps = (round(SWEEP_WINDOW_S / DT_S),) * 3
+    cold = rcv.ReceiverState.cold(profile)
+    trial_seeds = [derive_seed(seed, "sweep", trial) for trial in range(trials)]
 
-    reacq: dict[int, list[float]] = {o.ns: [] for o in offsets}
-    errors: dict[int, list[float]] = {o.ns: [] for o in offsets}
-    for trial in range(trials):
-        trial_seed = derive_seed(seed, "sweep", trial)
-        sky = random_sky_geometry(stream(trial_seed, "sweep", "sky"), n_sats=h.n_sats)
-        pr_noise = stream(trial_seed, "sweep", "prnoise").normal(0.0, h.pr_noise_m, (window, h.n_sats))
-
-        for offset in offsets:
-            base_pr = np.linalg.norm(sky.advanced(offset).positions - intended, axis=1)
-            segments = (
-                Segment(window, True),
-                Segment(window, False, offset),
-                Segment(window, True, offset),
-            )
-            starts, fix_steps, _ = run_timeline(segments, profile, rcv.ReceiverState.cold(profile))
-            if not fix_steps[2]:
+    rows = []
+    for offset in offsets:
+        reacq, errors = [], []
+        for trial_seed in trial_seeds:
+            result = _handover("sweep", trial_seed, offset, profile, cold, steps, cfg, {})
+            if 0 not in result.coverage_stats:
                 raise EmptyFixSet(f"no reacquisition at offset {offset.millis} ms")
-            solutions = [
-                solve_position(base_pr + pr_noise[i], sky, initial_guess=intended)
-                for i, _ in fix_steps[2]
-            ]
-            window_errors = [horizontal_error(sol.position, intended) for sol in solutions]
-            reacq[offset.ns].append(fix_steps[2][0][1] - starts[2])
-            errors[offset.ns].append(float(np.mean(window_errors)))
-
-    rows = tuple(
-        SweepRow(
-            offset_ms=o.millis,
-            mean_reacq_s=float(np.mean(reacq[o.ns])),
-            std_reacq_s=float(np.std(reacq[o.ns])),
-            mean_error_m=float(np.mean(errors[o.ns])),
-            std_error_m=float(np.std(errors[o.ns])),
+            reacq.append(result.first_fix_latency_s[0])
+            errors.append(result.coverage_stats[0].avg_m)
+        rows.append(
+            SweepRow(
+                offset_ms=offset.millis,
+                mean_reacq_s=float(np.mean(reacq)),
+                std_reacq_s=float(np.std(reacq)),
+                mean_error_m=float(np.mean(errors)),
+                std_error_m=float(np.std(errors)),
+            )
         )
-        for o in offsets
-    )
-    return SweepResult(receiver=profile.name, rows=rows, trials=trials)
+    return SweepResult(receiver=profile.name, rows=tuple(rows), trials=trials)
 
 
 # ---------------------------------------------------------- dynamic traversal
@@ -757,39 +762,29 @@ class OutdoorComparison:
     fit_for_outdoor_use: bool
 
 
-def run_outdoor_comparison(
-    seed: int = 0, window_s: float = 5.0, cfg: Config = DEFAULTS
-) -> OutdoorComparison:
+def run_outdoor_comparison(seed: int = 0, cfg: Config = DEFAULTS) -> OutdoorComparison:
     """Same reception window under live sky and under a private/calibrated simulator.
 
-    The receiver tracks throughout, so every step is a fix and no
-    timeline is needed. The fitness flag asks whether the simulated
-    average stays an order of magnitude under the default coverage
-    radius, i.e. whether simulator reception is positionally
-    indistinguishable from open sky at the scale the deployment cares
-    about.
+    The handover experiment with a zero-step blockage: the receiver
+    tracks throughout, so every step of both OUTDOOR_WINDOW_S windows is
+    a fix. The fitness flag asks whether the simulated average stays an
+    order of magnitude under the default coverage radius, i.e. whether
+    simulator reception is positionally indistinguishable from open sky
+    at the scale the deployment cares about.
     """
-    h = cfg.handover
-    steps = round(window_s / DT_S)
-    live_noise = stream(seed, "outdoor", "live").normal(0.0, LIVE_SKY_SIGMA_M, (steps, 2))
-    live_errors = [float(np.linalg.norm(row)) for row in live_noise]
-
     draw = draw_clock(seed, "outdoor", 0, PRIVATE_CALIBRATED, cfg)
-    sky = random_sky_geometry(stream(seed, "outdoor", "sky"), n_sats=h.n_sats)
-    intended = np.zeros(3)
-    base_pr = np.linalg.norm(sky.advanced(draw.error).positions - intended, axis=1)
-    pr_noise = stream(seed, "outdoor", "prnoise").normal(0.0, h.pr_noise_m, (steps, h.n_sats))
-    sim_errors = [
-        horizontal_error(solve_position(base_pr + noise, sky, initial_guess=intended).position, intended)
-        for noise in pr_noise
-    ]
-
-    live_stats = compute_error_stats(live_errors)
-    sim_stats = compute_error_stats(sim_errors)
+    window = round(OUTDOOR_WINDOW_S / DT_S)
+    tracking = rcv.ReceiverState.tracking()
+    steps = (window, 0, window)
+    result = _handover("outdoor", seed, draw.error, rcv.DEDICATED, tracking, steps, cfg, {0: draw})
+    live_stats = compute_error_stats(
+        [horizontal_error(f.position, np.zeros(3)) for f in result.fixes if f.coverage is None]
+    )
+    sim_stats = result.coverage_stats[0]
     return OutdoorComparison(
         live=live_stats,
         simulated=sim_stats,
-        window_s=window_s,
+        window_s=OUTDOOR_WINDOW_S,
         threshold_m=OUTDOOR_THRESHOLD_M,
         fit_for_outdoor_use=sim_stats.avg_m <= OUTDOOR_THRESHOLD_M,
     )

@@ -63,6 +63,17 @@ class TestPlan:
         payload = json.loads((out / "plan.json").read_text())
         assert payload["inputs"]["radius_m"] == 90.0
 
+    def test_strict_fails_a_layout_that_resumes_cold(self, tmp_path):
+        # 5000 m gaps walked at 5 km/h outlast t_max; the 80 m coverages are
+        # still slow enough to acquire cold, which only --strict refuses
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deployment": {"separation_m": 5000.0, "max_speed_kmh": 5.0}}))
+        lax, strict = tmp_path / "lax", tmp_path / "strict"
+        assert run("plan", "--config", str(cfg), "--out", str(lax)) == EXIT_OK
+        assert run("plan", "--config", str(cfg), "--strict", "--out", str(strict)) == EXIT_INFEASIBLE
+        assert (lax / "plan.json").read_bytes() == (strict / "plan.json").read_bytes()
+        assert run("plan", "--strict", "--out", str(tmp_path / "default")) == EXIT_OK
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("plan", "--out", str(a)) == EXIT_OK
@@ -261,6 +272,17 @@ class TestConfigInput:
         cfg.write_text('{"budget": {"limit_ms": NaN}}')
         code = run(
             "simulate", "--scenario", "static", "--clock", "public/raw",
+            "--config", str(cfg), "--out", str(tmp_path / "o"),
+        )
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("limit_ms", [4e-7, 1e308])
+    @pytest.mark.parametrize("flags", [("--clock", "private/calibrated"), ("--trials", "1")])
+    def test_budget_not_a_whole_nanosecond_count_exits_two(self, tmp_path, limit_ms, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget": {"limit_ms": limit_ms}}))
+        code = run(
+            "simulate", "--scenario", "static", *flags,
             "--config", str(cfg), "--out", str(tmp_path / "o"),
         )
         assert code == EXIT_CONFIG

@@ -3,28 +3,28 @@ import json
 import pytest
 
 from gpsimlab.config import (
+    DEFAULTS,
     Config,
     ConfigError,
     config_from_dict,
     config_to_dict,
-    default_config,
     load_config,
 )
 
 
 class TestRoundTrip:
     def test_defaults_survive_round_trip(self):
-        cfg = default_config()
+        cfg = DEFAULTS
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_partial_sections_merge_with_defaults(self):
         cfg = config_from_dict({"deployment": {"radius_m": 120.0}})
         assert cfg.deployment.radius_m == 120.0
-        assert cfg.deployment.separation_m == default_config().deployment.separation_m
-        assert cfg.sweep == default_config().sweep
+        assert cfg.deployment.separation_m == DEFAULTS.deployment.separation_m
+        assert cfg.sweep == DEFAULTS.sweep
 
     def test_empty_object_is_all_defaults(self):
-        assert config_from_dict({}) == default_config()
+        assert config_from_dict({}) == DEFAULTS
 
     def test_int_accepted_for_float_field(self):
         cfg = config_from_dict({"budget": {"limit_ms": 40}})
@@ -89,6 +89,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="limit_ms"):
             config_from_dict({"budget": {"limit_ms": 0.0}})
 
+    @pytest.mark.parametrize("limit_ms", [4e-7, 1e308])
+    def test_budget_must_be_a_whole_nanosecond_count(self, limit_ms):
+        # the budget is held in whole nanoseconds: 4e-7 ms rounds to 0 ns,
+        # 1e308 ms overflows the conversion
+        with pytest.raises(ConfigError, match=r"budget\.limit_ms"):
+            config_from_dict({"budget": {"limit_ms": limit_ms}})
+        assert config_from_dict({"budget": {"limit_ms": 1e-6}}).budget.limit_ms == 1e-6
+
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -125,7 +133,7 @@ class TestFileLoading:
             load_config(str(path))
 
     def test_config_is_frozen(self):
-        cfg = default_config()
+        cfg = DEFAULTS
         with pytest.raises(Exception):
             cfg.deployment.radius_m = 10.0
         assert isinstance(cfg, Config)

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from gpsimlab import scenarios as sc
 from gpsimlab.config import Config, SweepConfig
 from gpsimlab.placement import ZeroSpeed, validate_deployment
-from gpsimlab.receiver import DEDICATED, SMARTPHONE, planning_timing
+from gpsimlab.receiver import DEDICATED, SMARTPHONE, ReceiverState, planning_timing
 from gpsimlab.reports import write_json
 from gpsimlab.rng import derive_seed
+from gpsimlab.timebase import TimeOffset
 
 error_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=200
@@ -57,6 +58,23 @@ class TestErrorStats:
 
     def test_horizontal_error_ignores_height(self):
         assert sc.horizontal_error(np.array([3.0, 4.0, 100.0]), np.zeros(3)) == 5.0
+
+
+class TestTimeline:
+    def test_zero_step_segment_leaves_a_tracking_receiver_tracking(self):
+        offset = TimeOffset.from_millis(20.0)
+        segments = (
+            sc.Segment(3, True),
+            sc.Segment(0, False, offset),
+            sc.Segment(4, True, offset, 0),
+        )
+        starts, fixes, transitions = sc.run_timeline(segments, DEDICATED, ReceiverState.tracking())
+        assert starts[2] == starts[1] == pytest.approx(3 * sc.DT_S)
+        assert fixes[1] == []
+        assert [j for j, _ in fixes[0]] == [0, 1, 2]
+        assert [j for j, _ in fixes[2]] == [0, 1, 2, 3]
+        # the only row is the first step's; nothing logs BLOCKED
+        assert [r.mode for r in transitions] == ["TRACKING"]
 
 
 class TestClockDraw:
@@ -289,7 +307,7 @@ class TestDynamicTraversal:
 
 class TestOutdoorComparison:
     def test_live_model_matches_its_calibration(self):
-        comparison = sc.run_outdoor_comparison(seed=0, window_s=60.0)
+        comparison = sc.run_outdoor_comparison(seed=0)
         # mean of the live-sky noise model is tuned to the open-sky error level
         assert comparison.live.avg_m == pytest.approx(sc.LIVE_SKY_MEAN_ERROR_M, abs=0.6)
 
