@@ -3,11 +3,15 @@
 
     python3 scripts/artifact_diff.py --base origin/main
 
-Checks REF out into a temporary worktree, runs a fixed list of quick
-commands at seeds 0 and 7 once under each tree's ``src/``, and prints
-every artifact file that differs, exists on one side only, or comes
-with a different exit code. Exits 1 if anything differs, 0 otherwise.
-The runs ignore GPSIMLAB_CONFIG, so both trees read built-in defaults.
+Unpacks REF (``git archive``) into a temporary directory, runs a fixed
+list of quick commands at seeds 0 and 7 once under each tree's ``src/``,
+and prints every artifact file that differs, exists on one side only, or
+comes with a different exit code. A differing JSON or CSV artifact is
+printed with its largest relative drift from the base, measured by the
+benchmark's own comparator, or as "structure differs" when its keys,
+labels, flags or row count changed. Exits 1 if anything differs, 0
+otherwise. The runs ignore GPSIMLAB_CONFIG, so both trees read built-in
+defaults.
 """
 
 import argparse
@@ -19,6 +23,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import checks  # noqa: E402
+
 SEEDS = (0, 7)
 COMMANDS = (
     ("plan",),
@@ -29,6 +36,7 @@ COMMANDS = (
     ("simulate", "--scenario", "static", "--trials", "2"),
     ("simulate", "--scenario", "static", "--clock", "private/calibrated"),
     ("simulate", "--scenario", "driving", "--trials", "1"),
+    ("simulate", "--scenario", "driving", "--clock", "private/calibrated"),
     ("simulate", "--scenario", "pedestrian"),
     ("simulate", "--scenario", "outdoor"),
 )
@@ -60,27 +68,36 @@ def differences(base: Path, head: Path) -> list[str]:
         if not a.exists() or not b.exists():
             found.append(f"{rel}: only in {'head' if b.exists() else 'base'}")
         elif not filecmp.cmp(a, b, shallow=False):
-            found.append(f"{rel}: differs")
+            found.append(f"{rel}: {drift(a, b)}")
     return found
+
+
+def drift(base: Path, head: Path) -> str:
+    """How ``head`` differs from ``base``: its largest relative drift where one is defined."""
+    if base.suffix not in (".json", ".csv"):
+        return "differs"
+    try:
+        return f"differs, largest relative drift {checks.drift(head, checks.extract(base)):.3g}"
+    except checks.InvalidArtifact:
+        return "structure differs"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git ref to compare against")
     args = parser.parse_args()
+    # a benchmark reference samples the rows of a long CSV; a diff wants every row's drift
+    checks.MAX_REFERENCE_ROWS = sys.maxsize
 
     with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
         tmp = Path(tmp)
-        worktree = tmp / "base-tree"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(worktree), args.base], cwd=ROOT, check=True
-        )
-        try:
-            base_codes = run_commands(worktree, tmp / "base")
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT, check=True
-            )
+        base_tree = tmp / "base-tree"
+        base_tree.mkdir()
+        archive = subprocess.run(
+            ["git", "archive", args.base], cwd=ROOT, check=True, capture_output=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
+        base_codes = run_commands(base_tree, tmp / "base")
         head_codes = run_commands(ROOT, tmp / "head")
 
         found = [

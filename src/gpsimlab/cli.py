@@ -21,6 +21,7 @@ unexpected runtime failure.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -29,12 +30,13 @@ from . import __version__
 from . import receiver as rcv
 from . import scenarios as sc
 from .calibration import calibrate, export_samples_csv, import_samples_csv, measure_sim_delay
-from .config import DEFAULTS, Config, ConfigError, load_config
+from .config import DEFAULTS, Config, ConfigError, DeploymentConfig, load_config
 from .ntp import run_sync_comparison
 from .placement import (
     WARM,
     blockage_time,
     can_update,
+    coverage_centers,
     gap_path,
     kmh_to_ms,
     max_separation,
@@ -56,6 +58,9 @@ EXIT_RUNTIME = 3
 
 CONFIG_ENV_VAR = "GPSIMLAB_CONFIG"
 
+# plan.json's blockage curve runs from one diameter up to this separation
+BLOCKAGE_CURVE_END_M = 1000.0
+
 SCENARIOS = ("static", "driving", "pedestrian", "outdoor")
 
 
@@ -66,36 +71,24 @@ def _load(args: argparse.Namespace) -> Config:
     return DEFAULTS
 
 
-def _fix_rows(result: sc.ScenarioResult):
-    for f in result.fixes:
-        yield (
-            f.t_s,
-            float(f.position[0]),
-            float(f.position[1]),
-            float(f.position[2]),
-            f.clock_bias_s,
-            f.source,
-            "" if f.coverage is None else f.coverage,
-        )
-
-
-def _transition_rows(result: sc.ScenarioResult):
-    for r in result.transitions:
-        yield (r.t_s, r.mode, r.signal, r.offset_ms, "" if r.coverage is None else r.coverage)
-
-
 def _write_run_artifacts(out: Path, name: str, result: sc.ScenarioResult) -> list[Path]:
     paths = [out / f"{name}.json", out / f"{name}_fixes.csv", out / f"{name}_transitions.csv"]
     write_json(paths[0], result)
     write_csv(
         paths[1],
         ("t_s", "x_m", "y_m", "z_m", "clock_bias_s", "source", "coverage"),
-        _fix_rows(result),
+        (
+            (f.t_s, *map(float, f.position), f.clock_bias_s, f.source, "" if f.coverage is None else f.coverage)
+            for f in result.fixes
+        ),
     )
     write_csv(
         paths[2],
         ("t_s", "mode", "signal", "offset_ms", "coverage"),
-        _transition_rows(result),
+        (
+            (r.t_s, r.mode, r.signal, r.offset_ms, "" if r.coverage is None else r.coverage)
+            for r in result.transitions
+        ),
     )
     return paths
 
@@ -108,11 +101,21 @@ def _announce(paths) -> None:
 # ------------------------------------------------------------------- plan
 
 
+def _check_plan_range(dep: DeploymentConfig, v: float, t_max_s: float) -> None:
+    """plan divides lengths up to the last center or curve end by v and multiplies v by t_max."""
+    longest_m = max(2.0 * dep.separation_m, BLOCKAGE_CURVE_END_M)
+    if not math.isfinite(longest_m):
+        raise ConfigError(f"deployment.separation_m: {dep.separation_m} leaves float range in plan")
+    if not (math.isfinite(longest_m / v) and math.isfinite(v * t_max_s)):
+        raise ConfigError(f"deployment.max_speed_kmh: {dep.max_speed_kmh} leaves float range in plan")
+
+
 def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     dep = cfg.deployment
     profile = rcv.PROFILES[dep.receiver]
     timing = rcv.planning_timing(profile)
     v = kmh_to_ms(dep.max_speed_kmh)
+    _check_plan_range(dep, v, timing.t_max_s)
 
     derived = {
         "reception_time_s": reception_time(dep.radius_m, v),
@@ -128,8 +131,7 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
         ),
     }
     update = can_update(v, dep.radius_m, dep.separation_m, timing)
-    centers = [0.0, dep.separation_m, 2.0 * dep.separation_m]
-    report = validate_deployment(centers, dep.radius_m, v, timing)
+    report = validate_deployment(coverage_centers(0.0, dep.separation_m), dep.radius_m, v, timing)
 
     out = Path(args.out)
     payload = {
@@ -165,7 +167,7 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
         ),
     )
     d0 = 2.0 * dep.radius_m
-    seps = [d0 + 20.0 * i for i in range(int((1000.0 - d0) // 20.0) + 1)]
+    seps = [d0 + 20.0 * i for i in range(int((BLOCKAGE_CURVE_END_M - d0) // 20.0) + 1)]
     write_csv(
         out / "blockage_curve.csv",
         ("separation_m", "blockage_time_s", "within_t_max"),
@@ -237,7 +239,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
 
     if args.scenario in ("driving", "pedestrian"):
         base = (
-            sc.default_driving_scenario()
+            sc.PathScenario(cfg.deployment, sc.PRIVATE_CALIBRATED, sc.DRIVING_PR_NOISE_M)
             if args.scenario == "driving"
             else sc.default_pedestrian_scenario()
         )
@@ -449,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except sc.EmptyFixSet as exc:
+        print(f"scenario failed: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -133,11 +133,13 @@ def _positive(value: float, path: str) -> None:
 
 def _validate(cfg: Config) -> Config:
     from .ntp import POLL_INTERVAL_S
+    from .placement import kmh_to_ms
     from .receiver import PROFILES
     from .timebase import NS_PER_MS, TimeOffset
 
     _positive(cfg.deployment.radius_m, "deployment.radius_m")
-    _positive(cfg.deployment.max_speed_kmh, "deployment.max_speed_kmh")
+    # positive in m/s too: the smallest subnormal km/h rounds to 0 m/s
+    _positive(kmh_to_ms(cfg.deployment.max_speed_kmh), "deployment.max_speed_kmh (in m/s)")
     if cfg.deployment.separation_m < 2 * cfg.deployment.radius_m:
         raise ConfigError(
             "deployment.separation_m: coverages overlap "

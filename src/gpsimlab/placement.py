@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 KMH_TO_MS = 1000.0 / 3600.0
 
+CORRIDOR_COVERAGES = 3
+LIVE_LEAD_M = 200.0
+
 POWER_NOTE = (
     "The smallest feasible coverage radius minimizes required transmitter "
     "power; radii above the minimum trade power for margin."
@@ -85,6 +88,47 @@ def blockage_time(separation_m: float, radius_m: float, speed_ms: float) -> floa
     if speed_ms <= 0:
         raise ZeroSpeed(f"speed must be positive, got {speed_ms}")
     return (separation_m - 2.0 * radius_m) / speed_ms
+
+
+def coverage_centers(first_m: float, separation_m: float) -> tuple[float, ...]:
+    """The centers ``plan`` checks and a traversal crosses: ``separation_m`` apart from ``first_m``."""
+    return tuple(first_m + i * separation_m for i in range(CORRIDOR_COVERAGES))
+
+
+@dataclass(frozen=True)
+class Corridor:
+    """Coverage centers along a path; the portals sit at LIVE_LEAD_M and ``portal_out_m``."""
+
+    centers_m: tuple[float, ...]
+    radius_m: float
+    portal_out_m: float
+
+    @property
+    def length_m(self) -> float:
+        return self.portal_out_m + LIVE_LEAD_M
+
+    def source_at(self, s_m: float) -> tuple[str, int | None]:
+        """What the receiver hears at path position ``s_m``; portals and coverage edges are inside."""
+        if not LIVE_LEAD_M <= s_m <= self.portal_out_m:
+            return "live_sky", None
+        for k, center in enumerate(self.centers_m):
+            if abs(s_m - center) <= self.radius_m:
+                return "simulator", k
+        return "blocked", None
+
+
+def corridor_layout(radius_m: float, separation_m: float) -> Corridor:
+    """A deployment's corridor, positions counted from the start of the entry lead.
+
+    Live sky for LIVE_LEAD_M, a portal, the coverages with a portal half a
+    separation outside each end center, then live sky again.
+    """
+    if radius_m <= 0:
+        raise ValueError(f"radius_m must be positive, got {radius_m}")
+    if separation_m < 2 * radius_m:
+        raise OverlappingCoverage(f"separation_m ({separation_m}) is below one diameter ({2 * radius_m})")
+    centers = coverage_centers(LIVE_LEAD_M + separation_m / 2.0, separation_m)
+    return Corridor(centers, radius_m, centers[-1] + separation_m / 2.0)
 
 
 def min_coverage_radius(v_max_ms: float, t_reacq_s: float) -> float:

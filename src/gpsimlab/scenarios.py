@@ -2,22 +2,24 @@
 
 Every scenario is one timeline: a list of segments of live-sky
 reception, blockage, and simulator coverage that ``run_timeline`` steps
-the receiver through. The static handover, the offset sweep and the
-outdoor comparison are one experiment, live sky then blockage then one
-simulator, built by ``_handover``; the traversal cuts its path into
-segments. The moving parts come from the other
-modules: the composed transmit-clock error decides the receiver's
-reacquisition time and, through satellite motion, the fix bias inside a
-coverage; the solver turns noisy pseudoranges into fixes; the placement
-layout decides where signal exists along a path.
+the receiver through, and one builder, ``_handover``, that draws the sky
+and noise for it and turns its fixes into statistics. The static
+handover, the offset sweep and the outdoor comparison hand it live sky,
+blockage and one simulator at the origin; a traversal cuts its path
+through the corridor ``placement.corridor_layout`` lays out for a
+deployment into segments, one coverage per simulator. The moving parts
+come from the other modules: the composed transmit-clock error decides
+the receiver's reacquisition time and, through satellite motion, the fix
+bias inside a coverage; the solver turns noisy pseudoranges into fixes;
+the placement layout decides where signal exists along a path.
 
 Comparisons between clock configurations are paired: random draws that do
 not depend on the configuration (sky plot, pseudorange noise, the delay
 process, the sync run of a given server type) come from streams keyed
 only by seed and role, so two configurations under the same seed differ
 exactly where the configuration differs. Pseudorange noise is indexed by
-step, not by fix count, which keeps the pairing aligned even when
-reacquisition delays the first fix.
+simulator step, not by fix count, which keeps the pairing aligned even
+when reacquisition delays the first fix.
 
 Default parameters come from ``config.DEFAULTS``; every runner takes the
 whole ``Config`` so the CLI passes the loaded one straight through.
@@ -35,11 +37,11 @@ import numpy as np
 
 from . import receiver as rcv
 from .calibration import apply_correction, calibrate, measure_sim_delay, true_delay_series
-from .config import DEFAULTS, Config
+from .config import DEFAULTS, Config, ConfigError, DeploymentConfig
 from .ntp import default_topology, run_disciplined_sync
-from .placement import ZeroSpeed
+from .placement import ZeroSpeed, corridor_layout, kmh_to_ms
 from .rng import derive_seed, stream
-from .solver import SatGeometry, random_sky_geometry, solve_position
+from .solver import random_sky_geometry, solve_position
 from .timebase import (
     ClockErrorChain,
     ErrorBudget,
@@ -60,7 +62,10 @@ REF_ERROR_BOUND_S = 200e-9
 
 # Each of the sweep's three windows: signal, blockage, signal again.
 SWEEP_WINDOW_S = 60.0
-TRAVERSAL_TRIALS = 5
+# Pseudorange noise of a driving crossing; the pedestrian preset sees more.
+DRIVING_PR_NOISE_M = 2.5
+# A traversal steps the receiver once per DT_S; longer crossings are refused.
+MAX_TRAVERSAL_STEPS = 1_000_000
 OUTDOOR_WINDOW_S = 5.0
 OUTDOOR_THRESHOLD_M = 8.0
 
@@ -274,13 +279,11 @@ def _finalize(
     for k, intended in intended_by_coverage.items():
         errors = [horizontal_error(f.position, intended) for f in fixes if f.coverage == k]
         handover[k] = bool(errors)
+        latency[k] = None
         if errors:
             coverage_stats[k] = compute_error_stats(errors)
             all_errors.extend(errors)
-            first_t = min(f.t_s for f in fixes if f.coverage == k)
-            latency[k] = first_t - entry_times[k]
-        else:
-            latency[k] = None
+            latency[k] = min(f.t_s for f in fixes if f.coverage == k) - entry_times[k]
     overall = compute_error_stats(all_errors) if all_errors else None
     return ScenarioResult(
         fixes=tuple(fixes),
@@ -291,13 +294,6 @@ def _finalize(
         clock_draws=clock_draws,
         transitions=tuple(transitions),
     )
-
-
-def _simulator_fix(
-    t_s: float, pseudoranges: np.ndarray, sky: SatGeometry, intended: np.ndarray, coverage: int
-) -> Fix:
-    solution = solve_position(pseudoranges, sky, initial_guess=intended)
-    return Fix(t_s, solution.position, solution.clock_bias.seconds, "simulator", coverage)
 
 
 # ------------------------------------------------------------ timeline engine
@@ -353,45 +349,75 @@ def run_timeline(
     return starts, fixes, transitions
 
 
-# ------------------------------------------------------------ static handover
+# ------------------------------------------------------------ scenario builder
 
 
 def _handover(
     scope: str,
     seed: int,
-    offset: TimeOffset,
+    segments: Sequence[Segment],
+    centers_m: Sequence[float],
+    speed_ms: float,
     profile: rcv.ReceiverProfile,
     start: rcv.ReceiverState,
-    steps: tuple[int, int, int],
+    pr_noise_m: float,
     cfg: Config,
     clock_draws: dict[int, ClockDraw],
 ) -> ScenarioResult:
-    """Live sky, blockage, then one simulator transmitting with ``offset``.
+    """Step the receiver through ``segments`` and draw every scenario's fixes.
 
-    ``steps`` holds the three segment lengths in DT_S quanta; sky and
-    noise depend only on (seed, scope). The simulator window is coverage
-    0 at the origin; noise and satellite count come from ``cfg.handover``.
+    Coverage k is a simulator at ``(centers_m[k], 0, 0)`` transmitting with
+    its segments' offset; live-sky fixes scatter around the receiver, which
+    moves along x at ``speed_ms``. Sky and noise depend only on (seed,
+    scope), the satellite count on ``cfg.handover``. Pseudorange noise rows
+    are indexed by simulator step and live-sky rows by live step, both
+    counted across the timeline, so one coverage draws what its windows use.
     """
-    h = cfg.handover
-    live_steps, blocked_steps, sim_steps = steps
-    sky = random_sky_geometry(stream(seed, scope, "sky"), n_sats=h.n_sats)
-    intended = np.zeros(3)
-    base_pr = np.linalg.norm(sky.advanced(offset).positions - intended, axis=1)
-    pr_noise = stream(seed, scope, "prnoise").normal(0.0, h.pr_noise_m, (sim_steps, h.n_sats))
+    n_sats = cfg.handover.n_sats
+    sky = random_sky_geometry(stream(seed, scope, "sky"), n_sats=n_sats)
+    intended = {k: np.array([center, 0.0, 0.0]) for k, center in enumerate(centers_m)}
+    simulated = [seg for seg in segments if seg.coverage is not None]
+    base_pr = {
+        seg.coverage: np.linalg.norm(sky.advanced(seg.offset).positions - intended[seg.coverage], axis=1)
+        for seg in simulated
+    }
+    sim_steps = sum(seg.steps for seg in simulated)
+    live_steps = sum(seg.steps for seg in segments if seg.signal) - sim_steps
+    pr_noise = stream(seed, scope, "prnoise").normal(0.0, pr_noise_m, (sim_steps, n_sats))
     live_noise = stream(seed, scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live_steps, 2))
 
-    segments = (
+    starts, fix_steps, transitions = run_timeline(segments, profile, start)
+    fixes: list[Fix] = []
+    entry_times: dict[int, float] = {}
+    sim = live = 0  # noise row of the segment's first step
+    for seg, seg_start, seg_fixes in zip(segments, starts, fix_steps):
+        k = seg.coverage
+        for j, t in seg_fixes:
+            if k is None:
+                x, y = live_noise[live + j]
+                fixes.append(Fix(t, np.array([speed_ms * t + x, y, 0.0]), 0.0, "live_sky", None))
+            else:
+                fix = solve_position(base_pr[k] + pr_noise[sim + j], sky, initial_guess=intended[k])
+                fixes.append(Fix(t, fix.position, fix.clock_bias.seconds, "simulator", k))
+        if k is not None:
+            entry_times.setdefault(k, seg_start)
+            sim += seg.steps
+        elif seg.signal:
+            live += seg.steps
+    return _finalize(fixes, transitions, intended, entry_times, clock_draws)
+
+
+def _live_blocked_simulator(offset: TimeOffset, steps: tuple[int, int, int]) -> tuple[Segment, ...]:
+    """Live sky, blockage, then simulator 0 transmitting with ``offset``, lengths in DT_S."""
+    live_steps, blocked_steps, sim_steps = steps
+    return (
         Segment(live_steps, True),
         Segment(blocked_steps, False, offset),
         Segment(sim_steps, True, offset, 0),
     )
-    starts, fix_steps, transitions = run_timeline(segments, profile, start)
-    fixes = [
-        Fix(t, np.array([live_noise[i, 0], live_noise[i, 1], 0.0]), 0.0, "live_sky", None)
-        for i, t in fix_steps[0]
-    ]
-    fixes += [_simulator_fix(t, base_pr + pr_noise[i], sky, intended, 0) for i, t in fix_steps[2]]
-    return _finalize(fixes, transitions, {0: intended}, {0: starts[2]}, clock_draws)
+
+
+# ------------------------------------------------------------ static handover
 
 
 def run_static_handover(
@@ -411,8 +437,10 @@ def run_static_handover(
     h = cfg.handover
     draw = draw_clock(seed, "static", 0, config, cfg)
     steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
+    segments = _live_blocked_simulator(draw.error, steps)
+    tracking = rcv.ReceiverState.tracking()
     return _handover(
-        "static", seed, draw.error, profile, rcv.ReceiverState.tracking(), steps, cfg, {0: draw}
+        "static", seed, segments, (0.0,), 0.0, profile, tracking, h.pr_noise_m, cfg, {0: draw}
     )
 
 
@@ -518,15 +546,17 @@ def run_offset_sweep(
     offsets = [TimeOffset.from_millis(ms) for ms in cfg.sweep.offsets_ms()]
     if trials is None:
         trials = cfg.sweep.trials
-    steps = (round(SWEEP_WINDOW_S / DT_S),) * 3
+    window = round(SWEEP_WINDOW_S / DT_S)
     cold = rcv.ReceiverState.cold(profile)
+    noise = cfg.handover.pr_noise_m
     trial_seeds = [derive_seed(seed, "sweep", trial) for trial in range(trials)]
 
     rows = []
     for offset in offsets:
         reacq, errors = [], []
         for trial_seed in trial_seeds:
-            result = _handover("sweep", trial_seed, offset, profile, cold, steps, cfg, {})
+            segments = _live_blocked_simulator(offset, (window,) * 3)
+            result = _handover("sweep", trial_seed, segments, (0.0,), 0.0, profile, cold, noise, cfg, {})
             if 0 not in result.coverage_stats:
                 raise EmptyFixSet(f"no reacquisition at offset {offset.millis} ms")
             reacq.append(result.first_fix_latency_s[0])
@@ -547,54 +577,12 @@ def run_offset_sweep(
 
 
 @dataclass(frozen=True)
-class TunnelLayout:
-    """Coverages along a path with live sky outside the portals."""
-
-    centers_m: tuple[float, ...]
-    radius_m: float
-    portal_in_m: float
-    portal_out_m: float
-
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
-        centers = list(self.centers_m)
-        if centers != sorted(centers):
-            raise ValueError("coverage centers must be ascending")
-        if self.portal_in_m >= self.portal_out_m:
-            raise ValueError("portal_in_m must lie before portal_out_m")
-
-    def coverage_at(self, s_m: float) -> int | None:
-        for k, center in enumerate(self.centers_m):
-            if abs(s_m - center) <= self.radius_m:
-                return k
-        return None
-
-    def source_at(self, s_m: float) -> tuple[str, int | None]:
-        if s_m < self.portal_in_m or s_m > self.portal_out_m:
-            return "live_sky", None
-        k = self.coverage_at(s_m)
-        if k is None:
-            return "blocked", None
-        return "simulator", k
-
-
-@dataclass(frozen=True)
 class PathScenario:
-    """A traversal: path length, crossing speed, layout, receiver, clock."""
+    """A crossing of ``deployment``'s corridor at its max speed with its receiver."""
 
-    length_m: float
-    speed_ms: float
-    layout: TunnelLayout
-    profile: rcv.ReceiverProfile = rcv.DEDICATED
-    clock: ClockConfig = PRIVATE_CALIBRATED
-    pr_noise_m: float = DEFAULTS.handover.pr_noise_m
-
-    def __post_init__(self) -> None:
-        if self.length_m <= 0:
-            raise ValueError(f"length_m must be positive, got {self.length_m}")
-        if self.speed_ms <= 0:
-            raise ZeroSpeed(f"speed_ms must be positive, got {self.speed_ms}")
+    deployment: DeploymentConfig
+    clock: ClockConfig
+    pr_noise_m: float
 
 
 def run_dynamic_traversal(
@@ -608,97 +596,53 @@ def run_dynamic_traversal(
     coverage center; fixes are never attributed to a coverage the path
     position is outside of. A coverage is entered when the last step
     outside it ends, the same instant the static handover restores
-    signal at. The satellite count comes from ``cfg.handover``.
+    signal at. The satellite count comes from ``cfg.handover``. A crossing
+    of more than MAX_TRAVERSAL_STEPS steps is refused before it starts.
     """
-    layout = scenario.layout
-    n_sats = cfg.handover.n_sats
-
-    # integrate the path first so noise arrays can be sized up front
-    positions = []
+    dep = scenario.deployment
+    layout = corridor_layout(dep.radius_m, dep.separation_m)
+    v = kmh_to_ms(dep.max_speed_kmh)
+    if v <= 0:
+        raise ZeroSpeed(f"speed must be positive, got {v} m/s")
+    if layout.length_m / DT_S > MAX_TRAVERSAL_STEPS * v:
+        raise ConfigError(
+            f"deployment.max_speed_kmh, deployment.separation_m: crossing {layout.length_m} m "
+            f"at {v} m/s takes more than {MAX_TRAVERSAL_STEPS} steps of {DT_S} s"
+        )
+    sources = []
     s = 0.0
-    while s < scenario.length_m:
-        s += scenario.speed_ms * DT_S
-        positions.append(s)
-    n_steps = len(positions)
+    while s < layout.length_m:
+        s += v * DT_S
+        sources.append(layout.source_at(s))
 
     draws = {
         k: draw_clock(seed, "dynamic", k, scenario.clock, cfg) for k in range(len(layout.centers_m))
     }
-    sky = random_sky_geometry(stream(seed, "dynamic", "sky"), n_sats=n_sats)
-    intended = {
-        k: np.array([center, 0.0, 0.0]) for k, center in enumerate(layout.centers_m)
-    }
-    base_pr = {
-        k: np.linalg.norm(sky.advanced(draws[k].error).positions - intended[k], axis=1)
-        for k in draws
-    }
-    pr_noise = stream(seed, "dynamic", "prnoise").normal(0.0, scenario.pr_noise_m, (n_steps, n_sats))
-    live_noise = stream(seed, "dynamic", "live").normal(0.0, LIVE_SKY_SIGMA_M, (n_steps, 2))
-
     segments = []
-    for (source, k), run in itertools.groupby(layout.source_at(pos) for pos in positions):
+    for (source, k), run in itertools.groupby(sources):
         steps = sum(1 for _ in run)
         if source == "simulator":
             segments.append(Segment(steps, True, draws[k].error, k))
         else:
             segments.append(Segment(steps, source == "live_sky"))
-    starts, fix_steps, transitions = run_timeline(
-        segments, scenario.profile, rcv.ReceiverState.tracking()
-    )
-
-    # noise rows are indexed by the global step
-    fixes: list[Fix] = []
-    entry_times: dict[int, float] = {}
-    first_step = 0
-    for seg, start, seg_fixes in zip(segments, starts, fix_steps):
-        k = seg.coverage
-        if k is not None:
-            entry_times.setdefault(k, start)
-        for j, t in seg_fixes:
-            i = first_step + j
-            if k is None:
-                pos = np.array([positions[i] + live_noise[i, 0], live_noise[i, 1], 0.0])
-                fixes.append(Fix(t, pos, 0.0, "live_sky", None))
-            else:
-                fixes.append(_simulator_fix(t, base_pr[k] + pr_noise[i], sky, intended[k], k))
-        first_step += seg.steps
-
-    return _finalize(fixes, transitions, intended, entry_times, draws)
+    profile, tracking = rcv.PROFILES[dep.receiver], rcv.ReceiverState.tracking()
+    centers, noise = layout.centers_m, scenario.pr_noise_m
+    return _handover("dynamic", seed, segments, centers, v, profile, tracking, noise, cfg, draws)
 
 
 def default_driving_scenario() -> PathScenario:
-    """Three coverages 500 m apart crossed at 110 km/h with a timing receiver."""
-    return PathScenario(
-        length_m=1900.0,
-        speed_ms=110.0 * 1000.0 / 3600.0,
-        layout=TunnelLayout(
-            centers_m=(450.0, 950.0, 1450.0),
-            radius_m=80.0,
-            portal_in_m=200.0,
-            portal_out_m=1700.0,
-        ),
-        pr_noise_m=2.5,
-    )
+    """The default deployment's corridor crossed at 110 km/h with a timing receiver."""
+    return PathScenario(DEFAULTS.deployment, PRIVATE_CALIBRATED, DRIVING_PR_NOISE_M)
 
 
 def default_pedestrian_scenario() -> PathScenario:
-    """Walking pace through a tighter layout with a phone-grade receiver.
+    """Walking pace through a tighter corridor with a phone-grade receiver.
 
-    Gaps are kept short enough that every inter-coverage blockage stays
-    within t_max at 1.4 m/s, so each coverage is entered warm.
+    Gaps are kept short enough that every blockage stays within t_max at
+    1.4 m/s, so each coverage is entered warm.
     """
-    return PathScenario(
-        length_m=800.0,
-        speed_ms=1.4,
-        layout=TunnelLayout(
-            centers_m=(165.0, 415.0, 665.0),
-            radius_m=80.0,
-            portal_in_m=40.0,
-            portal_out_m=750.0,
-        ),
-        profile=rcv.SMARTPHONE,
-        pr_noise_m=6.0,
-    )
+    walk = DeploymentConfig(radius_m=80.0, separation_m=250.0, max_speed_kmh=5.04, receiver="smartphone")
+    return PathScenario(walk, PRIVATE_CALIBRATED, 6.0)
 
 
 @dataclass(frozen=True)
@@ -717,10 +661,10 @@ def run_traversal_matrix(
 ) -> MatrixResult:
     """The traversal under TRAVERSAL_CLOCK_CONFIGS, paired per trial.
 
-    ``trials`` defaults to TRAVERSAL_TRIALS.
+    ``trials`` defaults to ``cfg.handover.trials``.
     """
     if trials is None:
-        trials = TRAVERSAL_TRIALS
+        trials = cfg.handover.trials
     avgs: dict[str, list[float]] = {c.label: [] for c in TRAVERSAL_CLOCK_CONFIGS}
     success: dict[str, bool] = {c.label: True for c in TRAVERSAL_CLOCK_CONFIGS}
     ordering_ok = True
@@ -774,9 +718,11 @@ def run_outdoor_comparison(seed: int = 0, cfg: Config = DEFAULTS) -> OutdoorComp
     """
     draw = draw_clock(seed, "outdoor", 0, PRIVATE_CALIBRATED, cfg)
     window = round(OUTDOOR_WINDOW_S / DT_S)
-    tracking = rcv.ReceiverState.tracking()
-    steps = (window, 0, window)
-    result = _handover("outdoor", seed, draw.error, rcv.DEDICATED, tracking, steps, cfg, {0: draw})
+    segments = _live_blocked_simulator(draw.error, (window, 0, window))
+    tracking, noise = rcv.ReceiverState.tracking(), cfg.handover.pr_noise_m
+    result = _handover(
+        "outdoor", seed, segments, (0.0,), 0.0, rcv.DEDICATED, tracking, noise, cfg, {0: draw}
+    )
     live_stats = compute_error_stats(
         [horizontal_error(f.position, np.zeros(3)) for f in result.fixes if f.coverage is None]
     )

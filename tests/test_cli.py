@@ -37,6 +37,23 @@ class TestPlan:
         cfg.write_text(json.dumps({"deployment": {"radius_m": 12.0, "separation_m": 400.0, "max_speed_kmh": 200.0}}))
         assert run("plan", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_speed_kmh", 5e-324),  # 0 m/s
+            ("max_speed_kmh", 1e-320),
+            ("max_speed_kmh", 1e308),
+            ("separation_m", 1e308),
+        ],
+    )
+    def test_derived_values_out_of_float_range_exit_two(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deployment": {key: value}}))
+        out = tmp_path / "o"
+        assert run("plan", "--config", str(cfg), "--out", str(out)) == EXIT_CONFIG
+        assert f"deployment.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exits_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"deployment": {"radius_km": 0.08}}))
@@ -118,6 +135,60 @@ class TestSimulate:
             "private/calibrated",
         ]
         assert all(c["handover_success_all"] for c in payload["cells"])
+
+    def test_driving_matrix_reads_handover_trials(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"handover": {"trials": 1}}))
+        out = tmp_path / "out"
+        assert run("simulate", "--scenario", "driving", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        assert json.loads((out / "traversal_matrix.json").read_text())["trials"] == 1
+
+    def test_driving_crosses_the_configured_deployment(self, tmp_path):
+        # the smartphone's 4 s base reacquisition, not the timing receiver's 0.4 s
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deployment": {"receiver": "smartphone"}}))
+        argv = ("simulate", "--scenario", "driving", "--clock", "private/calibrated")
+        assert run(*argv, "--out", str(tmp_path / "default")) == EXIT_OK
+        assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "phone")) == EXIT_OK
+        default = json.loads((tmp_path / "default" / "driving.json").read_text())
+        phone = json.loads((tmp_path / "phone" / "driving.json").read_text())
+        assert max(default["first_fix_latency_s"].values()) < 1.0
+        assert min(phone["first_fix_latency_s"].values()) > 3.9
+
+    @pytest.mark.parametrize(
+        "scenario, config",
+        [
+            # a simulator window shorter than one step
+            ("static", {"handover": {"sim_s": 0.01}}),
+            # one step carries the receiver past the whole corridor
+            ("driving", {"deployment": {"max_speed_kmh": 1e5}}),
+        ],
+    )
+    def test_matrix_without_fixes_exits_one(self, tmp_path, capsys, scenario, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ("simulate", "--scenario", scenario, "--trials", "1", "--config", str(cfg))
+        assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_INFEASIBLE
+        assert "no " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_speed_kmh", 1e-3),  # ~7e7 steps
+            ("max_speed_kmh", 1e-320),
+            ("max_speed_kmh", 5e-324),  # 0 m/s
+            ("separation_m", 1e308),  # a corridor of infinite length
+        ],
+    )
+    @pytest.mark.parametrize("clock", ["private/calibrated", "all"])
+    def test_traversal_above_the_step_cap_exits_two(self, tmp_path, capsys, key, value, clock):
+        # refused before the path is stepped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deployment": {key: value}}))
+        argv = ("simulate", "--scenario", "driving", "--clock", clock, "--config", str(cfg))
+        assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert f"deployment.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_pedestrian_run(self, tmp_path):
         out = tmp_path / "out"

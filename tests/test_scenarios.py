@@ -7,9 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpsimlab import scenarios as sc
-from gpsimlab.config import Config, SweepConfig
-from gpsimlab.placement import ZeroSpeed, validate_deployment
-from gpsimlab.receiver import DEDICATED, SMARTPHONE, ReceiverState, planning_timing
+from gpsimlab.config import Config, ConfigError, DeploymentConfig, SweepConfig
+from gpsimlab.placement import (
+    COLD,
+    WARM,
+    OverlappingCoverage,
+    ZeroSpeed,
+    can_update,
+    corridor_layout,
+    coverage_centers,
+    gap_path,
+    kmh_to_ms,
+    ms_to_kmh,
+    validate_deployment,
+)
+from gpsimlab.receiver import DEDICATED, PROFILES, SMARTPHONE, ReceiverState, planning_timing
 from gpsimlab.reports import write_json
 from gpsimlab.rng import derive_seed
 from gpsimlab.timebase import TimeOffset
@@ -204,41 +216,78 @@ class TestOffsetSweep:
 
 
 class TestTunnelLayout:
-    LAYOUT = sc.TunnelLayout(
-        centers_m=(450.0, 950.0, 1450.0), radius_m=80.0, portal_in_m=200.0, portal_out_m=1700.0
-    )
+    # the default deployment: r 80 m, d 500 m
+    LAYOUT = corridor_layout(80.0, 500.0)
+
+    def test_default_deployment_geometry(self):
+        assert self.LAYOUT.centers_m == (450.0, 950.0, 1450.0)
+        assert self.LAYOUT.portal_out_m == 1700.0
+        assert self.LAYOUT.length_m == 1900.0
+
+    def test_centers_are_the_planned_ones_behind_the_lead(self):
+        # plan checks the same centers, counted from the first one
+        planned = coverage_centers(0.0, 500.0)
+        assert planned == (0.0, 500.0, 1000.0)
+        assert self.LAYOUT.centers_m == tuple(450.0 + c for c in planned)
 
     def test_source_mapping(self):
         assert self.LAYOUT.source_at(0.0) == ("live_sky", None)
         assert self.LAYOUT.source_at(1900.0) == ("live_sky", None)
+        assert self.LAYOUT.source_at(199.9) == ("live_sky", None)
+        assert self.LAYOUT.source_at(200.0) == ("blocked", None)  # portal inclusive
         assert self.LAYOUT.source_at(300.0) == ("blocked", None)
         assert self.LAYOUT.source_at(450.0) == ("simulator", 0)
         assert self.LAYOUT.source_at(530.0) == ("simulator", 0)  # boundary inclusive
         assert self.LAYOUT.source_at(531.0) == ("blocked", None)
         assert self.LAYOUT.source_at(1450.0) == ("simulator", 2)
+        assert self.LAYOUT.source_at(1700.0) == ("blocked", None)
+        assert self.LAYOUT.source_at(1700.1) == ("live_sky", None)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sc.TunnelLayout((500.0, 100.0), 80.0, 0.0, 1000.0)
-        with pytest.raises(ValueError):
-            sc.TunnelLayout((100.0,), -1.0, 0.0, 1000.0)
-        with pytest.raises(ValueError):
-            sc.TunnelLayout((100.0,), 10.0, 900.0, 400.0)
+            corridor_layout(-1.0, 500.0)
+        with pytest.raises(OverlappingCoverage):
+            corridor_layout(80.0, 159.0)
+        # coverages may touch: one diameter apart is a gap of zero length
+        assert corridor_layout(80.0, 160.0).centers_m == (280.0, 440.0, 600.0)
 
 
 class TestDynamicTraversal:
     @pytest.mark.parametrize("make", [sc.default_driving_scenario, sc.default_pedestrian_scenario])
     def test_builtin_layouts_plan_warm_at_their_speed(self, make):
-        scenario = make()
-        layout, timing = scenario.layout, planning_timing(scenario.profile)
-        report = validate_deployment(layout.centers_m, layout.radius_m, scenario.speed_ms, timing)
+        dep = make().deployment
+        timing = planning_timing(PROFILES[dep.receiver])
+        centers = coverage_centers(0.0, dep.separation_m)
+        report = validate_deployment(centers, dep.radius_m, kmh_to_ms(dep.max_speed_kmh), timing)
         assert report.ok
         # every gap stays within t_max, so each coverage is entered warm
         assert all(g.blockage_s <= timing.t_max_s for g in report.gaps)
 
+    @staticmethod
+    def _at_speed(speed_kmh):
+        scenario = sc.default_driving_scenario()
+        return dataclasses.replace(
+            scenario, deployment=dataclasses.replace(scenario.deployment, max_speed_kmh=speed_kmh)
+        )
+
     def test_non_positive_speed_rejected(self):
         with pytest.raises(ZeroSpeed):
-            dataclasses.replace(sc.default_driving_scenario(), speed_ms=0.0)
+            sc.run_dynamic_traversal(self._at_speed(0.0))
+
+    def test_crossing_above_the_step_cap_rejected_before_stepping(self):
+        # 1900 m at 1 mm/s would be 1.9e7 steps; refused before the first
+        with pytest.raises(ConfigError, match="deployment.max_speed_kmh"):
+            sc.run_dynamic_traversal(self._at_speed(ms_to_kmh(1e-3)))
+
+    def test_presets_cross_the_layout_plan_checks(self):
+        driving = sc.default_driving_scenario()
+        assert driving.deployment == Config().deployment
+        assert driving.pr_noise_m == 2.5
+        # the speed the driving run always had
+        assert kmh_to_ms(110.0) == 110.0 * 1000.0 / 3600.0
+        walking = sc.default_pedestrian_scenario()
+        assert walking.deployment == DeploymentConfig(80.0, 250.0, 5.04, "smartphone")
+        assert walking.pr_noise_m == 6.0
 
     def test_driving_defaults_succeed(self):
         result = sc.run_dynamic_traversal(sc.default_driving_scenario(), seed=0)
@@ -250,14 +299,24 @@ class TestDynamicTraversal:
     def test_fixes_only_inside_their_coverage(self):
         scenario = sc.default_driving_scenario()
         result = sc.run_dynamic_traversal(scenario, seed=4)
-        v = scenario.speed_ms
+        dep = scenario.deployment
+        v, layout = kmh_to_ms(dep.max_speed_kmh), corridor_layout(dep.radius_m, dep.separation_m)
         for fix in result.fixes:
             if fix.coverage is None:
                 continue
-            center = scenario.layout.centers_m[fix.coverage]
+            center = layout.centers_m[fix.coverage]
             path_pos = v * fix.t_s
             # fix is emitted at the end of a step taken inside the coverage
-            assert abs(path_pos - center) <= scenario.layout.radius_m + v * sc.DT_S + 1e-6
+            assert abs(path_pos - center) <= layout.radius_m + v * sc.DT_S + 1e-6
+
+    def test_live_fixes_scatter_around_the_vehicle(self):
+        scenario = sc.default_driving_scenario()
+        v = kmh_to_ms(scenario.deployment.max_speed_kmh)
+        live = [f for f in sc.run_dynamic_traversal(scenario, seed=0).fixes if f.coverage is None]
+        along = np.array([f.position[0] - v * f.t_s for f in live])
+        assert len(along) > 100
+        assert np.abs(along).max() < 6 * sc.LIVE_SKY_SIGMA_M
+        assert abs(along.mean()) < 1.0
 
     def test_coverages_have_independent_clock_draws(self):
         result = sc.run_dynamic_traversal(sc.default_driving_scenario(), seed=0)
@@ -277,7 +336,7 @@ class TestDynamicTraversal:
         for scenario in (sc.default_pedestrian_scenario(), sc.default_driving_scenario()):
             result = sc.run_dynamic_traversal(scenario, seed=0)
             for latency in result.first_fix_latency_s.values():
-                assert latency >= scenario.profile.t_reacq_base_s - 1e-9
+                assert latency >= PROFILES[scenario.deployment.receiver].t_reacq_base_s - 1e-9
 
     def test_pedestrian_blockages_stay_warm(self):
         # gaps of 90 m at 1.4 m/s: about 64 s of blockage, well under
@@ -303,6 +362,53 @@ class TestDynamicTraversal:
         labels = [c.label for c in matrix.cells]
         assert labels == ["public/raw", "private/raw", "private/calibrated"]
         assert all(c.handover_success_all for c in matrix.cells)
+
+
+def _first_mode_in(transitions, coverage):
+    return next(r.mode for r in transitions if r.coverage == coverage)
+
+
+class TestPlanAgreesWithTraversal:
+    """What ``plan`` concludes about a deployment holds when it is crossed.
+
+    The deployment is drawn by crossing time 2r/v and gap blockage
+    (d - 2r)/v, so warm, cold and infeasible layouts all come up while the
+    traversal stays short. The planning bounds are conservative, so a warm
+    plan implies a warm crossing, not the other way round.
+    """
+
+    @given(
+        receiver=st.sampled_from(["dedicated", "smartphone"]),
+        speed_ms=st.floats(2.0, 40.0),
+        # a cold acquisition (t_acq 30 s) fits the crossing, or it does not
+        crossing_s=st.one_of(st.floats(1.0, 29.0), st.floats(30.0, 34.0)),
+        # within t_max (135 s) or beyond it
+        blockage_s=st.one_of(st.floats(1.0, 134.0), st.floats(136.0, 200.0)),
+    )
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    def test_planned_gaps_resume_as_planned(self, receiver, speed_ms, crossing_s, blockage_s):
+        radius = speed_ms * crossing_s / 2.0
+        separation = 2.0 * radius + speed_ms * blockage_s
+        deployment = DeploymentConfig(radius, separation, ms_to_kmh(speed_ms), receiver)
+        scenario = sc.PathScenario(deployment, sc.PRIVATE_CALIBRATED, sc.DRIVING_PR_NOISE_M)
+        v, timing = kmh_to_ms(deployment.max_speed_kmh), planning_timing(PROFILES[receiver])
+        report = validate_deployment(coverage_centers(0.0, separation), radius, v, timing)
+        paths = [gap_path(v, radius, g.blockage_s, timing) for g in report.gaps]
+
+        result = sc.run_dynamic_traversal(scenario, seed=0)
+
+        warm = (
+            all(path == WARM for path in paths)
+            and can_update(v, radius, separation, timing).ok
+            and all(g.blockage_s <= timing.t_max_s - sc.DT_S for g in report.gaps)
+        )
+        if warm:
+            for k in range(len(report.coverages)):
+                assert _first_mode_in(result.transitions, k) == "REACQUISITION"
+                assert result.handover_success[k]
+        for gap, path in zip(report.gaps, paths):
+            if path == COLD and gap.blockage_s > timing.t_max_s + sc.DT_S:
+                assert _first_mode_in(result.transitions, gap.index + 1) == "ACQUISITION"
 
 
 class TestOutdoorComparison:
