@@ -50,6 +50,7 @@ from .placement import (
 )
 from .reports import format_table, write_csv, write_json
 from .rng import stream
+from .solver import NoConvergence, SingularGeometry
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -451,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except sc.EmptyFixSet as exc:
+    except (sc.EmptyFixSet, SingularGeometry, NoConvergence) as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except Exception as exc:  # pragma: no cover - defensive

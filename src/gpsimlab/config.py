@@ -18,6 +18,11 @@ import math
 from dataclasses import dataclass
 
 
+# Deviations a delay spread may reach, in units of itself: ten sigmas, doubled
+# because the walk and the measurement noise add up.
+DEVIATION_SIGMAS = 20.0
+
+
 class ConfigError(ValueError):
     """A config file failed validation; the message carries the key path."""
 
@@ -157,6 +162,19 @@ def _validate(cfg: Config) -> Config:
         raise ConfigError("delay_model.noise_sigma_ms: must be non-negative")
     if cfg.delay_model.sample_count < 1:
         raise ConfigError("delay_model.sample_count: must be at least 1")
+    # calibration sums the squared nanosecond deviations of the whole sample
+    # run, and the walk's spread grows with the square root of its length
+    count = cfg.delay_model.sample_count
+    for name, run_sigma_ms in (
+        ("wander_sigma_ms", cfg.delay_model.wander_sigma_ms * math.sqrt(count)),
+        ("noise_sigma_ms", cfg.delay_model.noise_sigma_ms),
+    ):
+        deviation_ns = run_sigma_ms * NS_PER_MS * DEVIATION_SIGMAS
+        if not math.isfinite(deviation_ns * deviation_ns * count):
+            value = getattr(cfg.delay_model, name)
+            raise ConfigError(
+                f"delay_model.{name}: squared deviations of {count} samples overflow in ns, got {value}"
+            )
     limit_ms = cfg.budget.limit_ms
     if not math.isfinite(limit_ms * NS_PER_MS) or TimeOffset.from_millis(limit_ms).ns < 1:
         raise ConfigError(f"budget.limit_ms: must be at least 1 ns and finite in ns, got {limit_ms}")

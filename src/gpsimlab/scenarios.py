@@ -17,7 +17,9 @@ Comparisons between clock configurations are paired: random draws that do
 not depend on the configuration (sky plot, pseudorange noise, the delay
 process, the sync run of a given server type) come from streams keyed
 only by seed and role, so two configurations under the same seed differ
-exactly where the configuration differs. Pseudorange noise is indexed by
+exactly where the configuration differs. ``draw_clock`` realizes every
+configuration of one host in one call, so the matrices compute each
+shared piece once per trial and host. Pseudorange noise is indexed by
 simulator step, not by fix count, which keeps the pairing aligned even
 when reacquisition delays the first fix.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -185,42 +187,52 @@ def draw_clock(
     seed: int,
     scope: str,
     coverage: int,
-    config: ClockConfig,
+    configs: ClockConfig | Sequence[ClockConfig],
     cfg: Config = DEFAULTS,
-) -> ClockDraw:
-    """Realize the clock-error chain of one simulator host.
+) -> ClockDraw | tuple[ClockDraw, ...]:
+    """Realize the clock-error chain of one simulator host under each of ``configs``.
 
     The sync run depends on the server type but not on the calibration
-    flag, and the delay process depends on neither, so raw and calibrated
-    variants of the same seed share their underlying randomness. The
-    delay walk and the calibration run over ``cfg.delay_model.sample_count``
-    samples, and the draw is judged against the configured budget.
+    flag, and the delay process depends on neither, so every piece is
+    computed once for all configurations: one sync run per server type,
+    one delay walk, one reference error and one calibration. Raw and
+    calibrated variants of the same seed therefore share their underlying
+    randomness. The delay walk and the calibration run over
+    ``cfg.delay_model.sample_count`` samples, and each draw is judged
+    against the configured budget. One ClockConfig gives one draw, a
+    sequence a tuple of draws in its order.
     """
+    single = isinstance(configs, ClockConfig)
+    wanted = (configs,) if single else tuple(configs)
     delay = cfg.delay_model
-    sync = run_disciplined_sync(
-        default_topology("wireless", config.server_type),
-        NTP_WARMUP_S,
-        derive_seed(seed, scope, "ntp", config.server_type, coverage),
-    )
+    syncs = {
+        server: run_disciplined_sync(
+            default_topology("wireless", server),
+            NTP_WARMUP_S,
+            derive_seed(seed, scope, "ntp", server, coverage),
+        ).final
+        for server in dict.fromkeys(c.server_type for c in wanted)
+    }
     delay_rng = stream(seed, scope, "simdelay", coverage)
     true_delay = TimeOffset.from_seconds(
         float(true_delay_series(delay, delay.sample_count, delay_rng)[-1])
     )
     ref_rng = stream(seed, scope, "ref", coverage)
     ref_error = TimeOffset.from_seconds(ref_rng.uniform(-REF_ERROR_BOUND_S, REF_ERROR_BOUND_S))
-
-    chain = ClockErrorChain(sim_delay=true_delay, ntp_error=sync.final.offset_truth, ref_error=ref_error)
-    if config.calibrated:
+    if any(c.calibrated for c in wanted):
         meas_rng = stream(seed, scope, "calmeas", coverage)
-        result = calibrate(measure_sim_delay(delay, delay.sample_count, meas_rng))
-        chain = apply_correction(chain, result)
-    error = compose_clock_error(chain)
-    return ClockDraw(
-        chain=chain,
-        error=error,
-        ntp_bound_s=sync.final.estimated_max_error_s,
-        within_budget=within_budget(error, ErrorBudget(TimeOffset.from_millis(cfg.budget.limit_ms))),
-    )
+        calibration = calibrate(measure_sim_delay(delay, delay.sample_count, meas_rng))
+    budget = ErrorBudget(TimeOffset.from_millis(cfg.budget.limit_ms))
+
+    draws = []
+    for config in wanted:
+        sync = syncs[config.server_type]
+        chain = ClockErrorChain(sim_delay=true_delay, ntp_error=sync.offset_truth, ref_error=ref_error)
+        if config.calibrated:
+            chain = apply_correction(chain, calibration)
+        error = compose_clock_error(chain)
+        draws.append(ClockDraw(chain, error, sync.estimated_max_error_s, within_budget(error, budget)))
+    return draws[0] if single else tuple(draws)
 
 
 # ------------------------------------------------------------------- results
@@ -375,36 +387,45 @@ def _handover(
     """
     n_sats = cfg.handover.n_sats
     sky = random_sky_geometry(stream(seed, scope, "sky"), n_sats=n_sats)
-    intended = {k: np.array([center, 0.0, 0.0]) for k, center in enumerate(centers_m)}
-    simulated = [seg for seg in segments if seg.coverage is not None]
-    base_pr = {
-        seg.coverage: np.linalg.norm(sky.advanced(seg.offset).positions - intended[seg.coverage], axis=1)
-        for seg in simulated
-    }
-    sim_steps = sum(seg.steps for seg in simulated)
+    centers = np.array([[center, 0.0, 0.0] for center in centers_m])
+    # a coverage no segment enters keeps the zero offset; no fix reads its row
+    offsets = {seg.coverage: seg.offset for seg in segments if seg.coverage is not None}
+    base_pr = np.array(
+        [np.linalg.norm(sky.advanced(offsets.get(k, TimeOffset.zero())).positions - c, axis=1)
+         for k, c in enumerate(centers)]
+    )
+    sim_steps = sum(seg.steps for seg in segments if seg.coverage is not None)
     live_steps = sum(seg.steps for seg in segments if seg.signal) - sim_steps
     pr_noise = stream(seed, scope, "prnoise").normal(0.0, pr_noise_m, (sim_steps, n_sats))
     live_noise = stream(seed, scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live_steps, 2))
 
     starts, fix_steps, transitions = run_timeline(segments, profile, start)
-    fixes: list[Fix] = []
+    fix_rows: list[tuple[float, int | None, int]] = []  # per fix: t, coverage, noise row
     entry_times: dict[int, float] = {}
     sim = live = 0  # noise row of the segment's first step
     for seg, seg_start, seg_fixes in zip(segments, starts, fix_steps):
         k = seg.coverage
-        for j, t in seg_fixes:
-            if k is None:
-                x, y = live_noise[live + j]
-                fixes.append(Fix(t, np.array([speed_ms * t + x, y, 0.0]), 0.0, "live_sky", None))
-            else:
-                fix = solve_position(base_pr[k] + pr_noise[sim + j], sky, initial_guess=intended[k])
-                fixes.append(Fix(t, fix.position, fix.clock_bias.seconds, "simulator", k))
+        first = live if k is None else sim
+        fix_rows.extend((t, k, first + j) for j, t in seg_fixes)
         if k is not None:
             entry_times.setdefault(k, seg_start)
             sim += seg.steps
         elif seg.signal:
             live += seg.steps
-    return _finalize(fixes, transitions, intended, entry_times, clock_draws)
+
+    # every simulator fix of the timeline in one stacked solve
+    coverage = [k for _, k, _ in fix_rows if k is not None]
+    noise_rows = [row for _, k, row in fix_rows if k is not None]
+    solved = solve_position(base_pr[coverage] + pr_noise[noise_rows], sky, initial_guess=centers[coverage])
+    positions, biases = iter(solved.position), iter(solved.clock_bias_s.tolist())
+    fixes: list[Fix] = []
+    for t, k, row in fix_rows:
+        if k is None:
+            x, y = live_noise[row]
+            fixes.append(Fix(t, np.array([speed_ms * t + x, y, 0.0]), 0.0, "live_sky", None))
+        else:
+            fixes.append(Fix(t, next(positions), next(biases), "simulator", k))
+    return _finalize(fixes, transitions, dict(enumerate(centers)), entry_times, clock_draws)
 
 
 def _live_blocked_simulator(offset: TimeOffset, steps: tuple[int, int, int]) -> tuple[Segment, ...]:
@@ -434,13 +455,22 @@ def run_static_handover(
     simulator window form the reported statistics (coverage index 0).
     Segment lengths come from ``cfg.handover``.
     """
+    return _static_handovers((config,), profile, seed, cfg)[0]
+
+
+def _static_handovers(
+    configs: Sequence[ClockConfig], profile: rcv.ReceiverProfile, seed: int, cfg: Config
+) -> tuple[ScenarioResult, ...]:
+    """The static handover under each of ``configs``, from one draw of the host's clock chain."""
     h = cfg.handover
-    draw = draw_clock(seed, "static", 0, config, cfg)
     steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
-    segments = _live_blocked_simulator(draw.error, steps)
     tracking = rcv.ReceiverState.tracking()
-    return _handover(
-        "static", seed, segments, (0.0,), 0.0, profile, tracking, h.pr_noise_m, cfg, {0: draw}
+    return tuple(
+        _handover(
+            "static", seed, _live_blocked_simulator(draw.error, steps), (0.0,), 0.0,
+            profile, tracking, h.pr_noise_m, cfg, {0: draw},
+        )
+        for draw in draw_clock(seed, "static", 0, configs, cfg)
     )
 
 
@@ -483,8 +513,8 @@ def run_static_handover_matrix(
     for trial in range(trials):
         trial_seed = derive_seed(seed, "handover_matrix", trial)
         trial_p95 = []
-        for config in ALL_CLOCK_CONFIGS:
-            result = run_static_handover(config, profile, trial_seed, cfg)
+        results = _static_handovers(ALL_CLOCK_CONFIGS, profile, trial_seed, cfg)
+        for config, result in zip(ALL_CLOCK_CONFIGS, results):
             stats = result.coverage_stats.get(0)
             if stats is None:
                 raise EmptyFixSet(f"no fixes for {config.label} in trial {trial}")
@@ -599,6 +629,16 @@ def run_dynamic_traversal(
     signal at. The satellite count comes from ``cfg.handover``. A crossing
     of more than MAX_TRAVERSAL_STEPS steps is refused before it starts.
     """
+    return _traversals(scenario, (scenario.clock,), seed, cfg)[0]
+
+
+def _traversals(
+    scenario: PathScenario, configs: Sequence[ClockConfig], seed: int, cfg: Config
+) -> tuple[ScenarioResult, ...]:
+    """The traversal under each of ``configs`` in place of ``scenario.clock``.
+
+    Each coverage's host draws its clock chain once for all configurations.
+    """
     dep = scenario.deployment
     layout = corridor_layout(dep.radius_m, dep.separation_m)
     v = kmh_to_ms(dep.max_speed_kmh)
@@ -614,20 +654,24 @@ def run_dynamic_traversal(
     while s < layout.length_m:
         s += v * DT_S
         sources.append(layout.source_at(s))
+    runs = [(source, k, sum(1 for _ in run)) for (source, k), run in itertools.groupby(sources)]
 
-    draws = {
-        k: draw_clock(seed, "dynamic", k, scenario.clock, cfg) for k in range(len(layout.centers_m))
-    }
-    segments = []
-    for (source, k), run in itertools.groupby(sources):
-        steps = sum(1 for _ in run)
-        if source == "simulator":
-            segments.append(Segment(steps, True, draws[k].error, k))
-        else:
-            segments.append(Segment(steps, source == "live_sky"))
+    host_draws = [draw_clock(seed, "dynamic", k, configs, cfg) for k in range(len(layout.centers_m))]
     profile, tracking = rcv.PROFILES[dep.receiver], rcv.ReceiverState.tracking()
     centers, noise = layout.centers_m, scenario.pr_noise_m
-    return _handover("dynamic", seed, segments, centers, v, profile, tracking, noise, cfg, draws)
+    results = []
+    for draws in zip(*host_draws):
+        segments = [
+            Segment(steps, True, draws[k].error, k)
+            if source == "simulator"
+            else Segment(steps, source == "live_sky")
+            for source, k, steps in runs
+        ]
+        draw_of = dict(enumerate(draws))
+        results.append(
+            _handover("dynamic", seed, segments, centers, v, profile, tracking, noise, cfg, draw_of)
+        )
+    return tuple(results)
 
 
 def default_driving_scenario() -> PathScenario:
@@ -671,8 +715,8 @@ def run_traversal_matrix(
     for trial in range(trials):
         trial_seed = derive_seed(seed, "traversal_matrix", trial)
         trial_avgs = []
-        for config in TRAVERSAL_CLOCK_CONFIGS:
-            result = run_dynamic_traversal(replace(scenario, clock=config), trial_seed, cfg)
+        results = _traversals(scenario, TRAVERSAL_CLOCK_CONFIGS, trial_seed, cfg)
+        for config, result in zip(TRAVERSAL_CLOCK_CONFIGS, results):
             if result.overall is None:
                 raise EmptyFixSet(f"no in-coverage fixes for {config.label} in trial {trial}")
             avgs[config.label].append(result.overall.avg_m)

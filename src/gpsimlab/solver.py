@@ -16,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .timebase import TimeOffset
+from .timebase import NS_PER_S, TimeOffset
 
 SPEED_OF_LIGHT = 299_792_458.0
 
 MAX_ITERATIONS = 20
 CONVERGENCE_M = 1e-4
+# Hadamard ratio of the normal matrix below which the sight lines count as rank-deficient
+RANK_TOLERANCE = 1e-12
 
 # random_sky_geometry's constellation
 SAT_RANGE_M = 2.02e7
@@ -67,9 +69,15 @@ class SatGeometry:
 
 @dataclass(frozen=True)
 class PvtSolution:
+    """Fixes of one solve: one row per pseudorange row, or unstacked for one vector.
+
+    ``clock_bias_s`` is quantized to whole nanoseconds, as every offset is.
+    ``iterations`` counts the Gauss-Newton iterations the slowest row took.
+    """
+
     position: np.ndarray
-    clock_bias: TimeOffset
-    residual_norm: float
+    clock_bias_s: float | np.ndarray
+    residual_norm: float | np.ndarray
     iterations: int
 
 
@@ -80,13 +88,29 @@ class DopValues:
     hdop: float
 
 
-def _design_matrix(positions: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diff = positions - point
-    ranges = np.linalg.norm(diff, axis=1)
+def _design_matrix(positions: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sight-line matrix and ranges from ``points`` (3,) or (F, 3) to every satellite."""
+    diff = positions - points[..., None, :]
+    ranges = np.linalg.norm(diff, axis=-1)
     if np.any(ranges <= 0):
         raise SingularGeometry("satellite coincides with the evaluation point")
-    units = diff / ranges[:, None]
-    return np.hstack([-units, np.ones((len(ranges), 1))]), ranges
+    units = diff / ranges[..., None]
+    return np.concatenate([-units, np.ones(ranges.shape + (1,))], axis=-1), ranges
+
+
+def _check_rank(normal: np.ndarray, iteration: int) -> None:
+    """Raise unless every 4x4 normal matrix of the stack has full rank.
+
+    The test is the Hadamard ratio det(N) / prod(diag(N)), the product of
+    the eigenvalues of N scaled to a unit diagonal: 1 for orthogonal
+    sight-line columns, and falling to 0 with the smallest eigenvalue. It
+    takes one determinant per row, a fraction of an eigenvalue solve.
+    """
+    if not np.isfinite(normal).all():
+        raise NoConvergence(f"iterate left the finite range at iteration {iteration}")
+    scale = np.prod(np.diagonal(normal, axis1=-2, axis2=-1), axis=-1)
+    if not np.all(np.linalg.det(normal) > RANK_TOLERANCE * scale):
+        raise SingularGeometry(f"sight lines do not span position and clock at iteration {iteration}")
 
 
 def solve_position(
@@ -97,47 +121,68 @@ def solve_position(
 ) -> PvtSolution:
     """Solve position and clock bias from pseudoranges by Gauss-Newton.
 
+    A stack of F pseudorange rows is solved at once: each iteration builds
+    the normal equations of every row still moving and solves them
+    together, and a row leaves the active set once its position step
+    falls below CONVERGENCE_M.
+
     Args:
-        pseudoranges: Measured ranges in meters, one per satellite.
+        pseudoranges: Measured ranges in meters, (N,) for one fix or
+            (F, N) for F fixes against the same satellites.
         geometry: Satellite states; at least four independent sight lines.
-        initial_guess: Starting position, defaults to the frame origin.
+        initial_guess: Starting position, (3,) for every row or (F, 3) one
+            per row; defaults to the frame origin.
         max_iterations: Iteration cap before giving up.
 
     Returns:
-        PvtSolution with the converged position, the clock bias expressed
-        as a time offset, the final residual norm, and the iteration count.
+        PvtSolution with positions (3,) or (F, 3), clock biases in whole
+        nanoseconds of seconds and residual norms, scalars or (F,), and the
+        iteration count of the slowest row.
 
     Raises:
-        SingularGeometry: fewer than four satellites, or sight lines that
-            do not span the solution space.
-        NoConvergence: the position step never fell below the tolerance.
+        SingularGeometry: fewer than four satellites, or sight lines of any
+            row that do not span the solution space.
+        NoConvergence: a row's position step never fell below the
+            tolerance, or its iterate left the finite range.
     """
     pr = np.asarray(pseudoranges, dtype=float)
-    if pr.shape != (len(geometry),):
-        raise ValueError(f"expected {len(geometry)} pseudoranges, got shape {pr.shape}")
+    stacked = pr.ndim == 2
+    prs = pr if stacked else pr[None, :]
+    if prs.ndim != 2 or prs.shape[1] != len(geometry):
+        raise ValueError(f"expected {len(geometry)} pseudoranges per row, got shape {pr.shape}")
     if len(geometry) < 4:
         raise SingularGeometry(f"need at least 4 satellites, got {len(geometry)}")
 
-    x = np.zeros(3) if initial_guess is None else np.asarray(initial_guess, dtype=float).copy()
-    bias_m = 0.0
-    for iteration in range(1, max_iterations + 1):
-        h, ranges = _design_matrix(geometry.positions, x)
-        dy = pr - (ranges + bias_m)
-        dx, _, rank, _ = np.linalg.lstsq(h, dy, rcond=None)
-        if rank < 4:
-            raise SingularGeometry(f"sight-line matrix rank {rank} < 4")
-        x += dx[:3]
-        bias_m += dx[3]
-        if np.linalg.norm(dx[:3]) < CONVERGENCE_M:
-            _, ranges = _design_matrix(geometry.positions, x)
-            residual = float(np.linalg.norm(pr - (ranges + bias_m)))
-            return PvtSolution(
-                position=x,
-                clock_bias=TimeOffset.from_seconds(bias_m / SPEED_OF_LIGHT),
-                residual_norm=residual,
-                iterations=iteration,
-            )
-    raise NoConvergence(f"no convergence after {max_iterations} iterations")
+    rows = prs.shape[0]
+    guess = np.zeros(3) if initial_guess is None else np.asarray(initial_guess, dtype=float)
+    x = np.array(np.broadcast_to(guess, (rows, 3)))
+    bias_m = np.zeros(rows)
+    residual = np.empty(rows)
+    active = np.arange(rows)
+    iteration = 0
+    while active.size:
+        if iteration == max_iterations:
+            raise NoConvergence(f"no convergence after {max_iterations} iterations")
+        iteration += 1
+        h, ranges = _design_matrix(geometry.positions, x[active])
+        dy = prs[active] - (ranges + bias_m[active, None])
+        normal = np.einsum("fni,fnj->fij", h, h)
+        _check_rank(normal, iteration)
+        dx = np.linalg.solve(normal, np.einsum("fni,fn->fi", h, dy)[..., None])[..., 0]
+        x[active] += dx[:, :3]
+        bias_m[active] += dx[:, 3]
+        done = np.linalg.norm(dx[:, :3], axis=1) < CONVERGENCE_M
+        settled = active[done]
+        _, ranges = _design_matrix(geometry.positions, x[settled])
+        residual[settled] = np.linalg.norm(prs[settled] - (ranges + bias_m[settled, None]), axis=1)
+        active = active[~done]
+
+    # whole nanoseconds, rounded half-even exactly as TimeOffset.from_seconds;
+    # adding 0.0 turns the -0.0 that rint leaves for small negatives into 0.0
+    clock_bias_s = (np.rint(bias_m / SPEED_OF_LIGHT * NS_PER_S) + 0.0) / NS_PER_S
+    if stacked:
+        return PvtSolution(x, clock_bias_s, residual, iteration)
+    return PvtSolution(x[0], float(clock_bias_s[0]), float(residual[0]), iteration)
 
 
 def dilution_of_precision(geometry: SatGeometry, position: np.ndarray) -> DopValues:

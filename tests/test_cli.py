@@ -190,6 +190,24 @@ class TestSimulate:
         assert f"deployment.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            # pseudoranges so far off that every sight line points the same way
+            ({"handover": {"pr_noise_m": 1e12}}, ("--clock", "private/calibrated")),
+            ({"handover": {"pr_noise_m": 1e12}}, ("--trials", "1")),
+            # a delay walk that throws the transmit clock days off
+            ({"delay_model": {"wander_sigma_ms": 1e12}}, ("--clock", "private/calibrated")),
+        ],
+    )
+    def test_solver_failure_exits_one(self, tmp_path, capsys, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ("simulate", "--scenario", "static", *flags, "--config", str(cfg))
+        assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("scenario failed: ") and "Error" not in err
+
     def test_pedestrian_run(self, tmp_path):
         out = tmp_path / "out"
         assert run("simulate", "--scenario", "pedestrian", "--out", str(out)) == EXIT_OK
@@ -317,6 +335,22 @@ class TestCalibrate:
         assert code == EXIT_OK
         second = json.loads((out2 / "calibration.json").read_text())
         assert second["correction_ms"] == first["correction_ms"]
+
+
+    @pytest.mark.parametrize(
+        "key, accepted, rejected",
+        [("noise_sigma_ms", 1e145, 1e146), ("wander_sigma_ms", 1e143, 1e144)],
+    )
+    def test_delay_spread_overflowing_squared_nanoseconds_exits_two(
+        self, tmp_path, capsys, key, accepted, rejected
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delay_model": {key: accepted}}))
+        assert run("calibrate", "--config", str(cfg), "--out", str(tmp_path / "a")) == EXIT_OK
+        for value in (rejected, 1e300):
+            cfg.write_text(json.dumps({"delay_model": {key: value}}))
+            assert run("calibrate", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+            assert f"delay_model.{key}" in capsys.readouterr().err
 
 
 class TestSyncCompare:

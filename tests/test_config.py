@@ -98,6 +98,17 @@ class TestValidation:
         assert config_from_dict({"budget": {"limit_ms": 1e-6}}).budget.limit_ms == 1e-6
 
     @pytest.mark.parametrize(
+        "key, accepted, rejected",
+        [("noise_sigma_ms", 1.5e145, 1.6e145), ("wander_sigma_ms", 3.7e143, 3.8e143)],
+    )
+    def test_delay_spread_keeps_squared_nanoseconds_finite(self, key, accepted, rejected):
+        # calibration sums the squared nanosecond deviations of all 1800
+        # samples; the walk's spread grows with the square root of the run
+        assert getattr(config_from_dict({"delay_model": {key: accepted}}).delay_model, key) == accepted
+        with pytest.raises(ConfigError, match=rf"delay_model\.{key}"):
+            config_from_dict({"delay_model": {key: rejected}})
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [
             ("budget", "limit_ms", float("nan")),

@@ -116,6 +116,22 @@ class TestClockDraw:
             assert draw.within_budget
             assert abs(draw.error.millis) < 10.0
 
+    @pytest.mark.parametrize(
+        "seed, scope, coverage", [(0, "static", 0), (7, "dynamic", 2), (29, "outdoor", 1)]
+    )
+    def test_shared_draw_equals_independent_draws(self, seed, scope, coverage):
+        shared = sc.draw_clock(seed, scope, coverage, sc.ALL_CLOCK_CONFIGS)
+        assert len(shared) == len(sc.ALL_CLOCK_CONFIGS)
+        for config, draw in zip(sc.ALL_CLOCK_CONFIGS, shared):
+            alone = sc.draw_clock(seed, scope, coverage, config)
+            for field in dataclasses.fields(sc.ClockDraw):
+                assert getattr(draw, field.name) == getattr(alone, field.name), (config.label, field.name)
+
+    def test_shared_draw_keeps_the_requested_order(self):
+        configs = (sc.PRIVATE_CALIBRATED, sc.PUBLIC_RAW)
+        shared = sc.draw_clock(3, "static", 0, configs)
+        assert shared == tuple(sc.draw_clock(3, "static", 0, c) for c in configs)
+
     def test_label_round_trip(self):
         for config in sc.ALL_CLOCK_CONFIGS:
             assert sc.CLOCK_CONFIGS_BY_LABEL[config.label] == config

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpsimlab.rng import stream
 from gpsimlab.solver import (
@@ -18,6 +19,7 @@ from gpsimlab.solver import (
 from gpsimlab.timebase import TimeOffset
 
 RANGE_M = 2.02e7
+ORACLE_AGREEMENT_M = 1e-6
 
 
 def tetrahedron_geometry() -> SatGeometry:
@@ -58,7 +60,7 @@ class TestSolve:
         sol = solve_position(pr, geometry)
         assert np.linalg.norm(sol.position - true_pos) < 1e-3
         # clock bias is quantized to whole nanoseconds, c * 0.5 ns of slack
-        assert sol.clock_bias.seconds * SPEED_OF_LIGHT == pytest.approx(bias_m, abs=0.2)
+        assert sol.clock_bias_s * SPEED_OF_LIGHT == pytest.approx(bias_m, abs=0.2)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_reference_solver(self, seed):
@@ -73,7 +75,7 @@ class TestSolve:
         base = solve_position(pr, geometry)
         shifted = solve_position(pr + 123.456, geometry)
         assert np.linalg.norm(shifted.position - base.position) < 1e-6
-        delta_m = (shifted.clock_bias - base.clock_bias).seconds * SPEED_OF_LIGHT
+        delta_m = (shifted.clock_bias_s - base.clock_bias_s) * SPEED_OF_LIGHT
         assert delta_m == pytest.approx(123.456, abs=0.4)  # two quantized biases
 
     def test_too_few_satellites(self):
@@ -110,6 +112,92 @@ class TestSolve:
             fd = (rp - rm) / (2.0 * h)
             np.testing.assert_allclose(H[:, j], fd, rtol=1e-6, atol=1e-9)
         assert (H[:, 3] == 1.0).all()
+
+
+class TestStackedSolve:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_sats=st.integers(min_value=5, max_value=12),
+        rows=st.integers(min_value=1, max_value=6),
+        noise_m=st.floats(min_value=0.0, max_value=10.0),
+        per_row_guess=st.booleans(),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_every_row_matches_the_oracle_and_a_one_row_solve(
+        self, seed, n_sats, rows, noise_m, per_row_guess
+    ):
+        rng = np.random.default_rng(seed)
+        geometry = random_sky_geometry(rng, n_sats=n_sats)
+        truth = rng.uniform(-100.0, 100.0, (rows, 3))
+        bias_m = rng.uniform(-1e3, 1e3, rows)
+        ranges = np.linalg.norm(geometry.positions - truth[:, None, :], axis=2)
+        prs = ranges + bias_m[:, None] + rng.normal(0.0, noise_m, (rows, n_sats))
+        guess = truth + rng.uniform(-20.0, 20.0, (rows, 3)) if per_row_guess else np.zeros(3)
+
+        stacked = solve_position(prs, geometry, initial_guess=guess)
+        assert stacked.position.shape == (rows, 3)
+        assert type(stacked.iterations) is int
+        for i in range(rows):
+            x0 = guess[i] if per_row_guess else guess
+            ref = reference_solve(prs[i], geometry.positions, x0)
+            # a 2e7 m range rounds to 3.7e-9 m, so two Gauss-Newton solvers
+            # settle up to DOP times that apart (~1e-7 m seen); 1e-6 m bounds it
+            assert np.linalg.norm(stacked.position[i] - ref[:3]) < ORACLE_AGREEMENT_M
+            # whole nanoseconds: within c * 0.5 ns of the oracle's bias
+            assert abs(stacked.clock_bias_s[i] * SPEED_OF_LIGHT - ref[3]) <= 0.16
+            one = solve_position(prs[i], geometry, initial_guess=x0)
+            assert np.linalg.norm(stacked.position[i] - one.position) < 1e-9
+            assert stacked.clock_bias_s[i] == one.clock_bias_s
+            assert stacked.residual_norm[i] == pytest.approx(one.residual_norm, abs=1e-9)
+            assert one.iterations <= stacked.iterations
+
+    def test_clock_bias_rounds_like_a_time_offset(self):
+        # biases within a few ns of zero: no row may keep a negative zero,
+        # which TimeOffset cannot hold and a CSV would print as -0.0
+        geometry, true_pos, _, _ = random_case(6)
+        ranges = np.linalg.norm(geometry.positions - true_pos, axis=1)
+        prs = ranges + np.linspace(-1.0, 1.0, 41)[:, None]
+        for b in solve_position(prs, geometry).clock_bias_s.tolist():
+            assert repr(b) == repr(TimeOffset.from_seconds(b).seconds)
+
+    def test_empty_stack(self):
+        geometry, _, _, _ = random_case(0)
+        solution = solve_position(np.empty((0, len(geometry))), geometry, initial_guess=np.empty((0, 3)))
+        assert solution.position.shape == (0, 3)
+        assert solution.iterations == 0
+
+    def test_row_length_must_match_the_satellites(self):
+        geometry, _, _, pr = random_case(0)
+        with pytest.raises(ValueError):
+            solve_position(np.tile(pr[:-1], (2, 1)), geometry)
+
+    def test_degenerate_geometry_in_a_stack(self):
+        pos = np.tile([[0.0, 0.0, RANGE_M]], (5, 1))
+        degenerate = SatGeometry(pos, np.zeros((5, 3)))
+        with pytest.raises(SingularGeometry):
+            solve_position(np.full((3, 5), RANGE_M), degenerate)
+
+    def test_one_row_that_degenerates_fails_the_stack(self):
+        # a row 1e12 m off drives its iterate so far out that every sight
+        # line points the same way; the rank test runs at every iteration
+        geometry, _, _, pr = random_case(2)
+        prs = np.tile(pr, (4, 1))
+        prs[2] += stream(2, "solver", "far").normal(0.0, 1e12, len(pr))
+        with pytest.raises(SingularGeometry):
+            solve_position(prs, geometry)
+        solve_position(np.delete(prs, 2, axis=0), geometry)
+
+    def test_no_convergence_reported(self):
+        geometry, _, _, pr = random_case(1)
+        with pytest.raises(NoConvergence):
+            solve_position(np.tile(pr, (3, 1)), geometry, max_iterations=1)
+
+    def test_non_finite_pseudorange_is_no_convergence(self):
+        geometry, _, _, pr = random_case(1)
+        prs = np.tile(pr, (2, 1))
+        prs[1, 0] = np.inf
+        with pytest.raises(NoConvergence):
+            solve_position(prs, geometry)
 
 
 class TestDop:
