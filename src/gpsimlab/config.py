@@ -18,8 +18,15 @@ import math
 from dataclasses import dataclass
 
 
-# Deviations a delay spread may reach, in units of itself: ten sigmas, doubled
-# because the walk and the measurement noise add up.
+# Deviations a delay spread may reach, in units of itself, before calibration's
+# sum of squared nanosecond deviations could overflow. Over n samples that sum
+# is at most 2n·max|walk|² + 2·Σnoise² (clipping at zero only shrinks it). The
+# check keeps n·(2kσ)² finite for the walk's end-point spread and for the
+# noise spread, with k = 10, so the sum stays in range unless the walk leaves
+# ±10 end-point sigmas (at most 2·P(|Z| > 10) by Lévy's inequality) or the
+# noise's mean square exceeds 100σ² (at most P(|Z| > 10), the n = 1 case). A
+# run that passes overflows with probability below 3·P(|Z| > 10) ≈ 5e-23; with
+# k = 5 it would be 1.7e-6 per calibration run, ~1e-4 per 50-trial matrix.
 DEVIATION_SIGMAS = 20.0
 
 

@@ -19,7 +19,7 @@ target t completes after ceil(t / DT_S) steps of signal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,14 +152,16 @@ def step(
     ``signal_present`` and ``clock_offset`` describe the signal during
     this quantum. Blockage time resets whenever the signal returns.
     """
+    # states are built field by field: dataclasses.replace costs several
+    # times the constructor, and this runs once per fix of every timeline
     if not signal_present:
         blocked = state.blockage_elapsed_s + DT_S if state.mode is Mode.BLOCKED else DT_S
-        return replace(
-            state, mode=Mode.BLOCKED, blockage_elapsed_s=blocked, mode_elapsed_s=0.0, target_s=0.0
-        )
+        return ReceiverState(Mode.BLOCKED, blockage_elapsed_s=blocked)
 
     if state.mode is Mode.TRACKING:
-        return replace(state, mode_elapsed_s=state.mode_elapsed_s + DT_S)
+        return ReceiverState(
+            Mode.TRACKING, state.blockage_elapsed_s, state.mode_elapsed_s + DT_S, state.target_s
+        )
 
     if state.mode is Mode.BLOCKED:
         if state.blockage_elapsed_s <= profile.t_max_s + _EPS_S:
@@ -168,12 +170,12 @@ def step(
         else:
             mode = Mode.ACQUISITION
             target = profile.t_acq_s
-        state = replace(
-            state, mode=mode, blockage_elapsed_s=0.0, mode_elapsed_s=DT_S, target_s=target
-        )
+        state = ReceiverState(mode, mode_elapsed_s=DT_S, target_s=target)
     else:
-        state = replace(state, mode_elapsed_s=state.mode_elapsed_s + DT_S)
+        state = ReceiverState(
+            state.mode, state.blockage_elapsed_s, state.mode_elapsed_s + DT_S, state.target_s
+        )
 
     if state.mode_elapsed_s >= state.target_s - _EPS_S:
-        return replace(state, mode=Mode.TRACKING, mode_elapsed_s=0.0, target_s=0.0)
+        return ReceiverState(Mode.TRACKING, state.blockage_elapsed_s)
     return state

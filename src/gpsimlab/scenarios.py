@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -455,17 +455,20 @@ def run_static_handover(
     simulator window form the reported statistics (coverage index 0).
     Segment lengths come from ``cfg.handover``.
     """
-    return _static_handovers((config,), profile, seed, cfg)[0]
+    return next(_static_handovers((config,), profile, seed, cfg))
 
 
 def _static_handovers(
     configs: Sequence[ClockConfig], profile: rcv.ReceiverProfile, seed: int, cfg: Config
-) -> tuple[ScenarioResult, ...]:
-    """The static handover under each of ``configs``, from one draw of the host's clock chain."""
+) -> Iterator[ScenarioResult]:
+    """The static handover under each of ``configs``, from one draw of the host's clock chain.
+
+    Results come one at a time, so a matrix holds one configuration's fixes.
+    """
     h = cfg.handover
     steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
     tracking = rcv.ReceiverState.tracking()
-    return tuple(
+    return (
         _handover(
             "static", seed, _live_blocked_simulator(draw.error, steps), (0.0,), 0.0,
             profile, tracking, h.pr_noise_m, cfg, {0: draw},
@@ -629,15 +632,16 @@ def run_dynamic_traversal(
     signal at. The satellite count comes from ``cfg.handover``. A crossing
     of more than MAX_TRAVERSAL_STEPS steps is refused before it starts.
     """
-    return _traversals(scenario, (scenario.clock,), seed, cfg)[0]
+    return next(_traversals(scenario, (scenario.clock,), seed, cfg))
 
 
 def _traversals(
     scenario: PathScenario, configs: Sequence[ClockConfig], seed: int, cfg: Config
-) -> tuple[ScenarioResult, ...]:
+) -> Iterator[ScenarioResult]:
     """The traversal under each of ``configs`` in place of ``scenario.clock``.
 
     Each coverage's host draws its clock chain once for all configurations.
+    Results come one at a time, so a matrix holds one configuration's fixes.
     """
     dep = scenario.deployment
     layout = corridor_layout(dep.radius_m, dep.separation_m)
@@ -659,7 +663,6 @@ def _traversals(
     host_draws = [draw_clock(seed, "dynamic", k, configs, cfg) for k in range(len(layout.centers_m))]
     profile, tracking = rcv.PROFILES[dep.receiver], rcv.ReceiverState.tracking()
     centers, noise = layout.centers_m, scenario.pr_noise_m
-    results = []
     for draws in zip(*host_draws):
         segments = [
             Segment(steps, True, draws[k].error, k)
@@ -668,10 +671,7 @@ def _traversals(
             for source, k, steps in runs
         ]
         draw_of = dict(enumerate(draws))
-        results.append(
-            _handover("dynamic", seed, segments, centers, v, profile, tracking, noise, cfg, draw_of)
-        )
-    return tuple(results)
+        yield _handover("dynamic", seed, segments, centers, v, profile, tracking, noise, cfg, draw_of)
 
 
 def default_driving_scenario() -> PathScenario:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import DEFAULTS
 from .timebase import NS_PER_S, TimeOffset
@@ -22,8 +23,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 MAX_ITERATIONS = 20
 CONVERGENCE_M = 1e-4
-# Hadamard ratio of the normal matrix below which the sight lines count as rank-deficient
-RANK_TOLERANCE = 1e-12
+
+# LAPACK's gelsd over a stack of systems: the kernel behind np.linalg.lstsq,
+# whose wrapper takes one 2-D system per call. Each row comes out bit for bit
+# as that call gives it, rank included. None where numpy names it otherwise.
+_STACKED_LSTSQ = getattr(_umath_linalg, "lstsq", None)
 
 # random_sky_geometry's constellation
 SAT_RANGE_M = 2.02e7
@@ -98,19 +102,15 @@ def _design_matrix(positions: np.ndarray, points: np.ndarray) -> tuple[np.ndarra
     return np.concatenate([-units, np.ones(ranges.shape + (1,))], axis=-1), ranges
 
 
-def _check_rank(normal: np.ndarray, iteration: int) -> None:
-    """Raise unless every 4x4 normal matrix of the stack has full rank.
-
-    The test is the Hadamard ratio det(N) / prod(diag(N)), the product of
-    the eigenvalues of N scaled to a unit diagonal: 1 for orthogonal
-    sight-line columns, and falling to 0 with the smallest eigenvalue. It
-    takes one determinant per row, a fraction of an eigenvalue solve.
-    """
-    if not np.isfinite(normal).all():
-        raise NoConvergence(f"iterate left the finite range at iteration {iteration}")
-    scale = np.prod(np.diagonal(normal, axis1=-2, axis2=-1), axis=-1)
-    if not np.all(np.linalg.det(normal) > RANK_TOLERANCE * scale):
-        raise SingularGeometry(f"sight lines do not span position and clock at iteration {iteration}")
+def _lstsq_rows(h: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares steps (F, 4) and ranks (F,) of F sight-line systems, as np.linalg.lstsq."""
+    rcond = np.finfo(float).eps * max(h.shape[-2:])
+    if _STACKED_LSTSQ is None:
+        solved = [np.linalg.lstsq(a, b, rcond=rcond) for a, b in zip(h, dy)]
+        return np.array([dx for dx, _, _, _ in solved]), np.array([rank for _, _, rank, _ in solved])
+    with np.errstate(invalid="ignore"):  # a failed SVD leaves NaN, caught by the caller
+        dx, _, rank, _ = _STACKED_LSTSQ(h, dy[..., None], rcond, signature="ddd->ddid")
+    return dx[..., 0], rank
 
 
 def solve_position(
@@ -121,10 +121,11 @@ def solve_position(
 ) -> PvtSolution:
     """Solve position and clock bias from pseudoranges by Gauss-Newton.
 
-    A stack of F pseudorange rows is solved at once: each iteration builds
-    the normal equations of every row still moving and solves them
-    together, and a row leaves the active set once its position step
-    falls below CONVERGENCE_M.
+    A stack of F pseudorange rows is solved at once: each iteration solves
+    the linearized systems of every row still moving in one LAPACK call,
+    and a row leaves the active set once its position step falls below
+    CONVERGENCE_M. Every row takes the steps, and so reaches the fix, that
+    a one-row solve takes.
 
     Args:
         pseudoranges: Measured ranges in meters, (N,) for one fix or
@@ -141,7 +142,7 @@ def solve_position(
 
     Raises:
         SingularGeometry: fewer than four satellites, or sight lines of any
-            row that do not span the solution space.
+            row that do not span the solution space at any iteration.
         NoConvergence: a row's position step never fell below the
             tolerance, or its iterate left the finite range.
     """
@@ -166,9 +167,13 @@ def solve_position(
         iteration += 1
         h, ranges = _design_matrix(geometry.positions, x[active])
         dy = prs[active] - (ranges + bias_m[active, None])
-        normal = np.einsum("fni,fnj->fij", h, h)
-        _check_rank(normal, iteration)
-        dx = np.linalg.solve(normal, np.einsum("fni,fn->fi", h, dy)[..., None])[..., 0]
+        if not (np.isfinite(h).all() and np.isfinite(dy).all()):
+            raise NoConvergence(f"iterate left the finite range at iteration {iteration}")
+        dx, rank = _lstsq_rows(h, dy)
+        if not np.isfinite(dx).all():
+            raise NoConvergence(f"least-squares step failed at iteration {iteration}")
+        if np.any(rank < 4):
+            raise SingularGeometry(f"sight-line matrix rank {rank.min()} < 4 at iteration {iteration}")
         x[active] += dx[:, :3]
         bias_m[active] += dx[:, 3]
         done = np.linalg.norm(dx[:, :3], axis=1) < CONVERGENCE_M

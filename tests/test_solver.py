@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpsimlab import solver
 from gpsimlab.rng import stream
 from gpsimlab.solver import (
     CONVERGENCE_M,
@@ -42,6 +43,20 @@ def reference_solve(pseudoranges, positions, x0):
         if np.linalg.norm(dx[:3]) < 1e-9:
             break
     return x
+
+
+def one_system_gauss_newton(pseudoranges, positions, x0):
+    """Gauss-Newton with one np.linalg.lstsq call per step and solve_position's stopping rule."""
+    x, bias_m = np.array(x0, dtype=float), 0.0
+    while True:
+        diff = positions - x
+        ranges = np.linalg.norm(diff, axis=1)
+        H = np.hstack([-diff / ranges[:, None], np.ones((len(ranges), 1))])
+        dx, *_ = np.linalg.lstsq(H, pseudoranges - (ranges + bias_m), rcond=None)
+        x += dx[:3]
+        bias_m += dx[3]
+        if np.linalg.norm(dx[:3]) < CONVERGENCE_M:
+            return x, bias_m
 
 
 def random_case(seed):
@@ -145,11 +160,26 @@ class TestStackedSolve:
             assert np.linalg.norm(stacked.position[i] - ref[:3]) < ORACLE_AGREEMENT_M
             # whole nanoseconds: within c * 0.5 ns of the oracle's bias
             assert abs(stacked.clock_bias_s[i] * SPEED_OF_LIGHT - ref[3]) <= 0.16
+            # bit for bit: a row takes the steps one lstsq call per step takes
+            x, bias_m = one_system_gauss_newton(prs[i], geometry.positions, x0)
+            assert np.array_equal(stacked.position[i], x)
+            assert stacked.clock_bias_s[i] == TimeOffset.from_seconds(bias_m / SPEED_OF_LIGHT).seconds
             one = solve_position(prs[i], geometry, initial_guess=x0)
-            assert np.linalg.norm(stacked.position[i] - one.position) < 1e-9
+            assert np.array_equal(stacked.position[i], one.position)
             assert stacked.clock_bias_s[i] == one.clock_bias_s
             assert stacked.residual_norm[i] == pytest.approx(one.residual_norm, abs=1e-9)
             assert one.iterations <= stacked.iterations
+
+    def test_rows_solved_one_lstsq_call_each_give_the_same_fixes(self, monkeypatch):
+        # the path taken where numpy does not expose the stacked kernel
+        geometry, _, _, pr = random_case(4)
+        prs = pr + stream(4, "solver", "rows").normal(0.0, 5.0, (5, len(pr)))
+        stacked = solve_position(prs, geometry)
+        monkeypatch.setattr(solver, "_STACKED_LSTSQ", None)
+        looped = solve_position(prs, geometry)
+        assert np.array_equal(looped.position, stacked.position)
+        assert np.array_equal(looped.clock_bias_s, stacked.clock_bias_s)
+        assert looped.iterations == stacked.iterations
 
     def test_clock_bias_rounds_like_a_time_offset(self):
         # biases within a few ns of zero: no row may keep a negative zero,
