@@ -12,6 +12,7 @@ settings.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -103,17 +104,30 @@ def export_samples_csv(path: str | Path, samples: Sequence[TimeOffset]) -> None:
 
 
 def import_samples_csv(path: str | Path) -> list[TimeOffset]:
-    """Read delay samples back; raises on a malformed header or values."""
+    """Read delay samples back; a ValueError names the line of a bad header or value.
+
+    Every delay must be finite, and so must n·(2·max|ns|)², which bounds
+    ``calibrate``'s sum of squared deviations over n samples.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"expected header {','.join(CSV_HEADER)}, got {header}")
-        samples = []
+            raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
+        samples, peak, peak_line = [], 0.0, 0
         for row in reader:
-            if len(row) != 2:
-                raise ValueError(f"expected 2 columns, got {row}")
-            samples.append(TimeOffset.from_millis(float(row[1])))
+            try:
+                ms = float(row[1]) if len(row) == 2 else math.nan
+            except ValueError:
+                ms = math.nan
+            if not math.isfinite(ms * NS_PER_MS):
+                raise ValueError(f"{path} line {reader.line_num}: want 2 columns, delay finite in ns; got {row}")
+            if abs(ms) > peak:
+                peak, peak_line = abs(ms), reader.line_num
+            samples.append(TimeOffset.from_millis(ms))
     if not samples:
         raise EmptySampleSet(f"no delay samples in {path}")
+    deviation_ns = 2.0 * peak * NS_PER_MS
+    if not math.isfinite(deviation_ns * deviation_ns * len(samples)):
+        raise ValueError(f"{path} line {peak_line}: squared deviations of {len(samples)} samples overflow")
     return samples

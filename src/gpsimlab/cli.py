@@ -75,12 +75,13 @@ def _load(args: argparse.Namespace) -> Config:
 def _write_run_artifacts(out: Path, name: str, result: sc.ScenarioResult) -> list[Path]:
     paths = [out / f"{name}.json", out / f"{name}_fixes.csv", out / f"{name}_transitions.csv"]
     write_json(paths[0], result)
+    columns = (result.t_s, result.positions, result.clock_bias_s, result.coverage)
     write_csv(
         paths[1],
         ("t_s", "x_m", "y_m", "z_m", "clock_bias_s", "source", "coverage"),
         (
-            (f.t_s, *map(float, f.position), f.clock_bias_s, f.source, "" if f.coverage is None else f.coverage)
-            for f in result.fixes
+            (t, *xyz, bias, "live_sky" if k < 0 else "simulator", "" if k < 0 else k)
+            for t, xyz, bias, k in zip(*(c.tolist() for c in columns))
         ),
     )
     write_csv(
@@ -305,7 +306,11 @@ def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.samples_csv:
-        samples = import_samples_csv(args.samples_csv)
+        try:
+            samples = import_samples_csv(args.samples_csv)
+        except (OSError, ValueError) as exc:
+            print(f"samples error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         samples = measure_sim_delay(
             cfg.delay_model, cfg.delay_model.sample_count, stream(args.seed, "cli", "calibrate")

@@ -352,6 +352,37 @@ class TestCalibrate:
             assert run("calibrate", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
             assert f"delay_model.{key}" in capsys.readouterr().err
 
+    HEADER = "timestamp_s,delay_ms\n"
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (None, "No such file"),
+            ("time,delay\n0.0,30.0\n", "expected header"),
+            (HEADER + "0.0,30.0\n1.0\n", "line 3"),
+            (HEADER + "0.0,abc\n", "line 2"),
+            (HEADER + "0.0,30.0\n1.0,nan\n", "line 3"),
+            (HEADER + "0.0,inf\n", "line 2"),
+            (HEADER + "0.0,1e300\n1.0,-1e300\n", "line 2"),
+            (HEADER + "0.0,30.0\n1.0,-1e300\n", "line 3"),
+            (HEADER, "no delay samples"),
+        ],
+        ids=["missing", "header", "one-column", "abc", "nan", "inf", "1e300", "-1e300", "header-only"],
+    )
+    def test_bad_samples_csv_exits_two(self, tmp_path, capsys, text, named):
+        path = tmp_path / "samples.csv"
+        if text is not None:
+            path.write_text(text)
+        code = run("calibrate", "--samples-csv", str(path), "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_samples_csv_just_inside_the_square_bound_calibrates(self, tmp_path):
+        # 2 samples at ±6e144 ms: 2·(2·6e150 ns)² ≈ 2.9e302 stays finite
+        path = tmp_path / "samples.csv"
+        path.write_text(self.HEADER + "0.0,6e144\n1.0,-6e144\n")
+        assert run("calibrate", "--samples-csv", str(path), "--out", str(tmp_path / "o")) == EXIT_OK
+
 
 class TestSyncCompare:
     def test_csv_columns_and_cells(self, tmp_path):

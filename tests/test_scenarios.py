@@ -69,7 +69,17 @@ class TestErrorStats:
             sc.nearest_rank_p95([])
 
     def test_horizontal_error_ignores_height(self):
-        assert sc.horizontal_error(np.array([3.0, 4.0, 100.0]), np.zeros(3)) == 5.0
+        positions = np.array([[3.0, 4.0, 100.0], [-3.0, 4.0, -7.0]])
+        assert sc.horizontal_distances(positions, np.zeros(3)).tolist() == [5.0, 5.0]
+
+    def test_horizontal_distances_round_as_the_per_row_norm(self):
+        # the artifacts were computed one np.linalg.norm per fix; the stacked
+        # form must round every row the same, which norm(axis=1) does not
+        rng = np.random.default_rng(0)
+        positions = rng.normal(0.0, 1e3, (50_000, 3))
+        intended = rng.normal(0.0, 1e3, 3)
+        per_row = [float(np.linalg.norm(p[:2] - intended[:2])) for p in positions]
+        assert sc.horizontal_distances(positions, intended).tolist() == per_row
 
 
 class TestTimeline:
@@ -80,13 +90,22 @@ class TestTimeline:
             sc.Segment(0, False, offset),
             sc.Segment(4, True, offset, 0),
         )
-        starts, fixes, transitions = sc.run_timeline(segments, DEDICATED, ReceiverState.tracking())
-        assert starts[2] == starts[1] == pytest.approx(3 * sc.DT_S)
-        assert fixes[1] == []
-        assert [j for j, _ in fixes[0]] == [0, 1, 2]
-        assert [j for j, _ in fixes[2]] == [0, 1, 2, 3]
+        t, tracking, transitions = sc.run_timeline(segments, DEDICATED, ReceiverState.tracking())
+        # the zero-step segment adds no step: the simulator starts at 3 DT_S
+        assert t.tolist() == pytest.approx([(i + 1) * sc.DT_S for i in range(7)])
+        assert tracking.tolist() == [True] * 7
         # the only row is the first step's; nothing logs BLOCKED
         assert [r.mode for r in transitions] == ["TRACKING"]
+
+    def test_step_times_repeat_the_running_sum_bit_for_bit(self):
+        steps = 100_000
+        t, tracking, _ = sc.run_timeline((sc.Segment(steps, True),), DEDICATED, ReceiverState.tracking())
+        expected, running = [], 0.0
+        for _ in range(steps):
+            running += sc.DT_S
+            expected.append(running)
+        assert t.tolist() == expected
+        assert tracking.all()
 
 
 class TestClockDraw:
@@ -142,15 +161,15 @@ class TestClockDraw:
 class TestStaticHandover:
     def test_timeline_and_fix_attribution(self):
         result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, DEDICATED, seed=0)
-        live = [f for f in result.fixes if f.source == "live_sky"]
-        simulated = [f for f in result.fixes if f.source == "simulator"]
-        assert live and simulated
-        assert all(f.coverage is None for f in live)
-        assert all(f.coverage == 0 for f in simulated)
-        assert max(f.t_s for f in live) <= 30.0 + 1e-9
-        assert min(f.t_s for f in simulated) >= 60.0
+        live, simulated = result.t_s[result.coverage < 0], result.t_s[result.coverage >= 0]
+        assert live.size and simulated.size
+        assert set(result.coverage.tolist()) == {-1, 0}
+        # live-sky fixes carry no receiver clock bias
+        assert not result.clock_bias_s[result.coverage < 0].any()
+        assert live.max() <= 30.0 + 1e-9
+        assert simulated.min() >= 60.0
         # no fixes at all during the blocked half minute
-        assert not [f for f in result.fixes if 30.0 + 1e-9 < f.t_s < 60.0 + 0.35]
+        assert not ((30.0 + 1e-9 < result.t_s) & (result.t_s < 60.0 + 0.35)).any()
 
     def test_first_fix_latency_matches_quantized_target(self):
         result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, DEDICATED, seed=1)
@@ -162,14 +181,15 @@ class TestStaticHandover:
         result = sc.run_static_handover(sc.PRIVATE_RAW, DEDICATED, seed=2)
         assert result.handover_success[0]
         stats = result.coverage_stats[0]
-        assert stats.count == len([f for f in result.fixes if f.coverage == 0])
+        assert stats.count == np.count_nonzero(result.coverage == 0)
         assert stats.p95_m >= stats.avg_m > 0.0
 
     def test_deterministic(self):
         a = sc.run_static_handover(sc.PUBLIC_RAW, DEDICATED, seed=5)
         b = sc.run_static_handover(sc.PUBLIC_RAW, DEDICATED, seed=5)
         assert a.to_dict() == b.to_dict()
-        assert [f.t_s for f in a.fixes] == [f.t_s for f in b.fixes]
+        for column in ("t_s", "positions", "clock_bias_s", "coverage"):
+            assert getattr(a, column).tolist() == getattr(b, column).tolist()
 
     def test_transitions_logged_in_order(self):
         result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, DEDICATED, seed=3)
@@ -317,19 +337,19 @@ class TestDynamicTraversal:
         result = sc.run_dynamic_traversal(scenario, seed=4)
         dep = scenario.deployment
         v, layout = kmh_to_ms(dep.max_speed_kmh), corridor_layout(dep.radius_m, dep.separation_m)
-        for fix in result.fixes:
-            if fix.coverage is None:
-                continue
-            center = layout.centers_m[fix.coverage]
-            path_pos = v * fix.t_s
-            # fix is emitted at the end of a step taken inside the coverage
-            assert abs(path_pos - center) <= layout.radius_m + v * sc.DT_S + 1e-6
+        inside = result.coverage >= 0
+        center = np.asarray(layout.centers_m)[result.coverage[inside]]
+        path_pos = v * result.t_s[inside]
+        # fix is emitted at the end of a step taken inside the coverage
+        assert inside.any()
+        assert (np.abs(path_pos - center) <= layout.radius_m + v * sc.DT_S + 1e-6).all()
 
     def test_live_fixes_scatter_around_the_vehicle(self):
         scenario = sc.default_driving_scenario()
         v = kmh_to_ms(scenario.deployment.max_speed_kmh)
-        live = [f for f in sc.run_dynamic_traversal(scenario, seed=0).fixes if f.coverage is None]
-        along = np.array([f.position[0] - v * f.t_s for f in live])
+        result = sc.run_dynamic_traversal(scenario, seed=0)
+        live = result.coverage < 0
+        along = result.positions[live, 0] - v * result.t_s[live]
         assert len(along) > 100
         assert np.abs(along).max() < 6 * sc.LIVE_SKY_SIGMA_M
         assert abs(along.mean()) < 1.0
@@ -461,8 +481,7 @@ class TestSeedDerivation:
         raw = sc.run_static_handover(sc.PRIVATE_RAW, DEDICATED, seed_a)
         cal = sc.run_static_handover(sc.PRIVATE_CALIBRATED, DEDICATED, seed_a)
         # identical live segments prove the shared noise streams
-        live_raw = [f for f in raw.fixes if f.source == "live_sky"]
-        live_cal = [f for f in cal.fixes if f.source == "live_sky"]
-        assert [f.t_s for f in live_raw] == [f.t_s for f in live_cal]
-        for a, b in zip(live_raw, live_cal):
-            np.testing.assert_array_equal(a.position, b.position)
+        live_raw, live_cal = raw.coverage < 0, cal.coverage < 0
+        assert live_raw.any()
+        assert raw.t_s[live_raw].tolist() == cal.t_s[live_cal].tolist()
+        np.testing.assert_array_equal(raw.positions[live_raw], cal.positions[live_cal])
