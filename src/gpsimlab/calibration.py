@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -72,9 +71,9 @@ def calibrate(samples: Sequence[TimeOffset]) -> DelayCalibration:
         raise EmptySampleSet("cannot calibrate from zero samples")
     ns = [s.ns for s in samples]
     n = len(ns)
-    # floor(mean + 1/2): half-up rounding keeps integer shifts exact,
-    # which half-even would break at half-nanosecond means
-    correction_ns = int((Fraction(sum(ns), n) + Fraction(1, 2)).__floor__())
+    # floor(mean + 1/2) in exact integers: half-up rounding keeps integer
+    # shifts exact, which half-even would break at half-nanosecond means
+    correction_ns = (2 * sum(ns) + n) // (2 * n)
     if n > 1:
         mean = sum(ns) / n
         stddev_ns = round(float(np.sqrt(sum((v - mean) ** 2 for v in ns) / (n - 1))))
@@ -106,7 +105,7 @@ def export_samples_csv(path: str | Path, samples: Sequence[TimeOffset]) -> None:
 def import_samples_csv(path: str | Path) -> list[TimeOffset]:
     """Read delay samples back; a ValueError names the line of a bad header or value.
 
-    Every delay must be finite, and so must n·(2·max|ns|)², which bounds
+    Every timestamp and every delay must be finite, and so must n·(2·max|ns|)², which bounds
     ``calibrate``'s sum of squared deviations over n samples.
     """
     with open(path, newline="") as fh:
@@ -117,11 +116,14 @@ def import_samples_csv(path: str | Path) -> list[TimeOffset]:
         samples, peak, peak_line = [], 0.0, 0
         for row in reader:
             try:
-                ms = float(row[1]) if len(row) == 2 else math.nan
+                t_s, ms = map(float, row)
             except ValueError:
-                ms = math.nan
-            if not math.isfinite(ms * NS_PER_MS):
-                raise ValueError(f"{path} line {reader.line_num}: want 2 columns, delay finite in ns; got {row}")
+                t_s = ms = math.nan
+            if not (math.isfinite(t_s) and math.isfinite(ms * NS_PER_MS)):
+                raise ValueError(
+                    f"{path} line {reader.line_num}: want 2 columns, a finite timestamp "
+                    f"and a delay finite in ns; got {row}"
+                )
             if abs(ms) > peak:
                 peak, peak_line = abs(ms), reader.line_num
             samples.append(TimeOffset.from_millis(ms))

@@ -341,30 +341,18 @@ def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_sync_compare(cfg: Config, args: argparse.Namespace) -> int:
     cells = run_sync_comparison(duration_s=cfg.sync.duration_s, seed=args.seed)
     out = Path(args.out)
-    write_json(
-        out / "sync_compare.json",
-        [
-            {
-                "connection_type": c.connection,
-                "server_type": c.server_type,
-                "est_max_ntp_error_ms": c.est_max_error_ms,
-                "max_abs_offset_ms": c.max_abs_offset_ms,
-                "bound_held": c.bound_held,
-            }
-            for c in cells
-        ],
-    )
+    write_json(out / "sync_compare.json", cells)
     write_csv(
         out / "sync_compare.csv",
         ("connection_type", "server_type", "est_max_ntp_error_ms"),
-        ((c.connection, c.server_type, c.est_max_error_ms) for c in cells),
+        ((c.connection_type, c.server_type, c.est_max_ntp_error_ms) for c in cells),
     )
     _announce([out / "sync_compare.json", out / "sync_compare.csv"])
     print(
         format_table(
             ("connection", "server", "est max err [ms]", "bound held"),
             [
-                (c.connection, c.server_type, f"{c.est_max_error_ms:.3f}", c.bound_held)
+                (c.connection_type, c.server_type, f"{c.est_max_ntp_error_ms:.3f}", c.bound_held)
                 for c in cells
             ],
         ),

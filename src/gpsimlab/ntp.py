@@ -1,6 +1,7 @@
 """Network time synchronization error modeling.
 
-Clock offsets are stored as clock-minus-true-time. An exchange returns
+Clock offsets are integer nanosecond counts of clock-minus-true-time,
+named ``*_ns``; callers wrap them in ``TimeOffset``. An exchange returns
 the classic four-timestamp estimate
 
     offset = ((T2 - T1) + (T3 - T4)) / 2
@@ -26,21 +27,26 @@ fixed topology there is no loop to avoid and no server to select.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULTS
 from .rng import stream
-from .timebase import TimeOffset
+from .timebase import NS_PER_S
 
 POLL_INTERVAL_S = 16.0
 GAIN = 0.5
-SLEW_LIMIT_S = 0.25
+SLEW_LIMIT_NS = 250_000_000
 ERROR_FLOOR_S = 50e-6
-INITIAL_OFFSET = TimeOffset.from_millis(10.0)
+INITIAL_OFFSET_NS = 10_000_000
 WARMUP_POLLS = 8
 HOP_SYNC_EVERY = 4
+
+
+def _ns(seconds: float) -> int:
+    """Seconds rounded to the nearest integer nanosecond."""
+    return round(seconds * NS_PER_S)
 
 
 @dataclass(frozen=True)
@@ -86,36 +92,36 @@ class LinkModel:
 class OffsetEstimate:
     """Result of one exchange."""
 
-    offset: TimeOffset
+    offset_ns: int
     round_trip_s: float
     root_dispersion_s: float
 
 
 def ntp_exchange(
-    client_offset: TimeOffset,
-    server_offset: TimeOffset,
+    client_offset_ns: int,
+    server_offset_ns: int,
     link: LinkModel,
     rng: np.random.Generator,
 ) -> OffsetEstimate:
     """One four-timestamp exchange over ``link`` between two clocks' true offsets.
 
     The server responds instantly and advertises its actual absolute
-    offset as its dispersion (see the module docstring).
+    offset as its dispersion (see the module docstring). The estimate
+    rounds the full sum half-to-even, so an odd sum lands on an even
+    nanosecond.
     """
     up_s, down_s = link.sample_delays(rng)
-    up = TimeOffset.from_seconds(up_s)
-    down = TimeOffset.from_seconds(down_s)
+    up, down = _ns(up_s), _ns(down_s)
 
-    t1 = client_offset
-    t2 = up + server_offset
+    t1 = client_offset_ns
+    t2 = up + server_offset_ns
     t3 = t2
-    t4 = up + down + client_offset
-    offset = ((t2 - t1) + (t3 - t4)).scaled(0.5)
-    round_trip = ((t4 - t1) - (t3 - t2)).seconds
+    t4 = up + down + client_offset_ns
+    round_trip_s = ((t4 - t1) - (t3 - t2)) / NS_PER_S
     return OffsetEstimate(
-        offset=offset,
-        round_trip_s=round_trip,
-        root_dispersion_s=abs(server_offset.seconds) + round_trip / 2.0,
+        offset_ns=round(((t2 - t1) + (t3 - t4)) * 0.5),
+        round_trip_s=round_trip_s,
+        root_dispersion_s=abs(server_offset_ns) / NS_PER_S + round_trip_s / 2.0,
     )
 
 
@@ -123,17 +129,14 @@ def ntp_exchange(
 class DisciplinedClock:
     """Client clock state under periodic correction."""
 
-    offset_truth: TimeOffset
+    offset_truth_ns: int
     estimated_max_error_s: float
-    last_estimate_offset: TimeOffset | None = None
+    last_estimate_offset_ns: int | None = None
     dispersion_s: float = 0.0
 
     @classmethod
-    def start(cls, initial_offset: TimeOffset) -> "DisciplinedClock":
-        return cls(
-            offset_truth=initial_offset,
-            estimated_max_error_s=abs(initial_offset.seconds) + ERROR_FLOOR_S,
-        )
+    def start(cls, initial_offset_ns: int) -> "DisciplinedClock":
+        return cls(initial_offset_ns, abs(initial_offset_ns) / NS_PER_S + ERROR_FLOOR_S)
 
 
 def discipline_step(clock: DisciplinedClock, estimate: OffsetEstimate) -> DisciplinedClock:
@@ -144,25 +147,20 @@ def discipline_step(clock: DisciplinedClock, estimate: OffsetEstimate) -> Discip
     remainder, the estimate's root dispersion, and the tracked spread of
     successive estimates, so it stays above the true offset.
     """
-    correction = estimate.offset.scaled(GAIN)
-    limit = TimeOffset.from_seconds(SLEW_LIMIT_S)
-    if correction.ns > limit.ns:
-        correction = limit
-    elif correction.ns < -limit.ns:
-        correction = -limit
-    residual_s = abs((estimate.offset - correction).seconds)
+    offset_ns = estimate.offset_ns
+    correction_ns = min(max(round(offset_ns * GAIN), -SLEW_LIMIT_NS), SLEW_LIMIT_NS)
+    residual_s = abs(offset_ns - correction_ns) / NS_PER_S
 
-    if clock.last_estimate_offset is not None:
-        jump_s = abs((estimate.offset - clock.last_estimate_offset).seconds)
+    if clock.last_estimate_offset_ns is not None:
+        jump_s = abs(offset_ns - clock.last_estimate_offset_ns) / NS_PER_S
         dispersion_s = 0.5 * clock.dispersion_s + 0.5 * jump_s
     else:
         dispersion_s = 0.0
 
-    return replace(
-        clock,
-        offset_truth=clock.offset_truth + correction,
+    return DisciplinedClock(
+        offset_truth_ns=clock.offset_truth_ns + correction_ns,
         estimated_max_error_s=ERROR_FLOOR_S + residual_s + estimate.root_dispersion_s + dispersion_s,
-        last_estimate_offset=estimate.offset,
+        last_estimate_offset_ns=offset_ns,
         dispersion_s=dispersion_s,
     )
 
@@ -189,7 +187,7 @@ class SyncTopology:
 @dataclass(frozen=True)
 class SyncSample:
     at_s: float
-    offset_truth: TimeOffset
+    offset_truth_ns: int
     estimated_max_error_s: float
 
 
@@ -208,7 +206,7 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
     Pool servers take a random-walk step before every poll. On a re-sync
     poll each hop synchronizes fully to the node above it, inheriting its
     offset plus half of its own link's sampled asymmetry. The client
-    starts INITIAL_OFFSET off and polls the last hop (or the root) every
+    starts INITIAL_OFFSET_NS off and polls the last hop (or the root) every
     POLL_INTERVAL_S. The result records, per poll, the true client offset
     and the estimated maximum error, plus whether the bound held at every
     poll. The reported maxima skip the first WARMUP_POLLS polls so they
@@ -218,45 +216,38 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
     link_rng = stream(seed, "ntp", topology.name, "links")
     wander_rng = stream(seed, "ntp", topology.name, "wander")
 
-    root_offset = TimeOffset.zero()
-    hop_offsets = [TimeOffset.zero() for _ in topology.hop_links]
-    clock = DisciplinedClock.start(INITIAL_OFFSET)
+    root_offset_ns = 0
+    hop_offsets_ns = [0] * len(topology.hop_links)
+    clock = DisciplinedClock.start(INITIAL_OFFSET_NS)
 
     samples = []
     polls = int(duration_s // POLL_INTERVAL_S)
     for k in range(1, polls + 1):
         if topology.root_wander_sigma_s > 0:
-            root_offset = root_offset + TimeOffset.from_seconds(
-                wander_rng.normal(0.0, topology.root_wander_sigma_s)
-            )
+            root_offset_ns += _ns(wander_rng.normal(0.0, topology.root_wander_sigma_s))
         if topology.hop_wander_sigma_s > 0:
-            hop_offsets = [
-                off + TimeOffset.from_seconds(wander_rng.normal(0.0, topology.hop_wander_sigma_s))
-                for off in hop_offsets
+            hop_offsets_ns = [
+                off + _ns(wander_rng.normal(0.0, topology.hop_wander_sigma_s)) for off in hop_offsets_ns
             ]
 
         if topology.hop_links and k % HOP_SYNC_EVERY == 1:
-            upstream_offset = root_offset
+            upstream_ns = root_offset_ns
             for j, link in enumerate(topology.hop_links):
-                est = ntp_exchange(hop_offsets[j], upstream_offset, link, link_rng)
-                hop_offsets[j] = hop_offsets[j] + est.offset
-                upstream_offset = hop_offsets[j]
+                hop_offsets_ns[j] += ntp_exchange(hop_offsets_ns[j], upstream_ns, link, link_rng).offset_ns
+                upstream_ns = hop_offsets_ns[j]
 
-        server_offset = hop_offsets[-1] if topology.hop_links else root_offset
-        estimate = ntp_exchange(clock.offset_truth, server_offset, topology.client_link, link_rng)
+        server_ns = hop_offsets_ns[-1] if topology.hop_links else root_offset_ns
+        estimate = ntp_exchange(clock.offset_truth_ns, server_ns, topology.client_link, link_rng)
         clock = discipline_step(clock, estimate)
-        samples.append(SyncSample(k * POLL_INTERVAL_S, clock.offset_truth, clock.estimated_max_error_s))
+        samples.append(SyncSample(k * POLL_INTERVAL_S, clock.offset_truth_ns, clock.estimated_max_error_s))
 
     settled = samples[WARMUP_POLLS:] if len(samples) > WARMUP_POLLS else samples
-    max_est = max(s.estimated_max_error_s for s in settled)
-    max_abs = max(abs(s.offset_truth.seconds) for s in settled)
-    bound_held = all(abs(s.offset_truth.seconds) <= s.estimated_max_error_s for s in samples)
     return SyncRunResult(
         samples=tuple(samples),
         final=clock,
-        max_estimated_error_s=max_est,
-        max_abs_offset_s=max_abs,
-        bound_held=bound_held,
+        max_estimated_error_s=max(s.estimated_max_error_s for s in settled),
+        max_abs_offset_s=max(abs(s.offset_truth_ns) for s in settled) / NS_PER_S,
+        bound_held=all(abs(s.offset_truth_ns) / NS_PER_S <= s.estimated_max_error_s for s in samples),
     )
 
 
@@ -340,9 +331,11 @@ def default_topology(connection: str, server_type: str) -> SyncTopology:
 
 @dataclass(frozen=True)
 class SyncComparisonCell:
-    connection: str
+    """One row of the comparison; the field names are the artifact keys."""
+
+    connection_type: str
     server_type: str
-    est_max_error_ms: float
+    est_max_ntp_error_ms: float
     max_abs_offset_ms: float
     bound_held: bool
 
@@ -357,9 +350,9 @@ def run_sync_comparison(
             result = run_disciplined_sync(default_topology(connection, server_type), duration_s, seed)
             cells.append(
                 SyncComparisonCell(
-                    connection=connection,
+                    connection_type=connection,
                     server_type=server_type,
-                    est_max_error_ms=result.max_estimated_error_s * 1e3,
+                    est_max_ntp_error_ms=result.max_estimated_error_s * 1e3,
                     max_abs_offset_ms=result.max_abs_offset_s * 1e3,
                     bound_held=result.bound_held,
                 )

@@ -232,7 +232,7 @@ def draw_clock(
     draws = []
     for config in wanted:
         sync = syncs[config.server_type]
-        chain = ClockErrorChain(sim_delay=true_delay, ntp_error=sync.offset_truth, ref_error=ref_error)
+        chain = ClockErrorChain(true_delay, TimeOffset(sync.offset_truth_ns), ref_error)
         if config.calibrated:
             chain = apply_correction(chain, calibration)
         error = compose_clock_error(chain)

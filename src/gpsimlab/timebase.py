@@ -20,7 +20,7 @@ NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TimeOffset:
     """Signed clock offset with nanosecond resolution."""
 
@@ -55,16 +55,6 @@ class TimeOffset:
 
     def __sub__(self, other: "TimeOffset") -> "TimeOffset":
         return TimeOffset(self.ns - other.ns)
-
-    def __neg__(self) -> "TimeOffset":
-        return TimeOffset(-self.ns)
-
-    def __abs__(self) -> "TimeOffset":
-        return TimeOffset(abs(self.ns))
-
-    def scaled(self, factor: float) -> "TimeOffset":
-        """Offset scaled by ``factor``, rounded to the nearest nanosecond."""
-        return TimeOffset(round(self.ns * factor))
 
 
 @dataclass(frozen=True)

@@ -111,13 +111,13 @@ def test_criterion_2_clock_error_composition(criterion):
             total = compose_clock_error(chain)
             assert total.ns == a + b + c
             assert within_budget(total) == (abs(a + b + c) <= 50_000_000)
-            assert within_budget(total) == within_budget(-total)
+            assert within_budget(total) == within_budget(TimeOffset(-total.ns))
 
         composition_is_exact_and_symmetric()
 
         # boundary is inclusive in both directions
         edge = TimeOffset.from_millis(50)
-        assert within_budget(edge) and within_budget(-edge)
+        assert within_budget(edge) and within_budget(TimeOffset(-edge.ns))
         assert not within_budget(TimeOffset(edge.ns + 1))
 
         # a 30 ms transmit path plus 19 ms of sync error fits the budget;
@@ -140,10 +140,10 @@ def test_criterion_3_sync_error_matrix(criterion):
         assert elapsed < SYNC_TIME_LIMIT_S, f"sync matrix took {elapsed:.1f} s"
         assert len(cells) == 4
         for cell in cells:
-            target = SYNC_TARGET_MS[(cell.connection, cell.server_type)]
+            target = SYNC_TARGET_MS[(cell.connection_type, cell.server_type)]
             low, high = target * (1 - SYNC_REL_TOL), target * (1 + SYNC_REL_TOL)
-            assert low <= cell.est_max_error_ms <= high, (
-                f"{cell.connection}/{cell.server_type}: {cell.est_max_error_ms:.3f} ms "
+            assert low <= cell.est_max_ntp_error_ms <= high, (
+                f"{cell.connection_type}/{cell.server_type}: {cell.est_max_ntp_error_ms:.3f} ms "
                 f"outside [{low:.3f}, {high:.3f}]"
             )
             # the advertised bound must dominate the true offset throughout

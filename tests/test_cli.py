@@ -366,8 +366,13 @@ class TestCalibrate:
             (HEADER + "0.0,1e300\n1.0,-1e300\n", "line 2"),
             (HEADER + "0.0,30.0\n1.0,-1e300\n", "line 3"),
             (HEADER, "no delay samples"),
+            (HEADER + "abc,30.0\n", "line 2"),
+            (HEADER + "0.0,30.0\n,31.0\n", "line 3"),
         ],
-        ids=["missing", "header", "one-column", "abc", "nan", "inf", "1e300", "-1e300", "header-only"],
+        ids=[
+            "missing", "header", "one-column", "abc", "nan", "inf", "1e300", "-1e300", "header-only",
+            "timestamp-abc", "timestamp-empty",
+        ],
     )
     def test_bad_samples_csv_exits_two(self, tmp_path, capsys, text, named):
         path = tmp_path / "samples.csv"

@@ -37,7 +37,7 @@ class TestReacquisitionMap:
     @given(st.floats(min_value=0.0, max_value=0.5))
     def test_symmetric_in_sign(self, offset_s):
         pos = TimeOffset.from_seconds(offset_s)
-        assert reacquisition_time(DEDICATED, pos) == reacquisition_time(DEDICATED, -pos)
+        assert reacquisition_time(DEDICATED, pos) == reacquisition_time(DEDICATED, TimeOffset(-pos.ns))
 
     @given(st.floats(min_value=0.0, max_value=0.4), st.floats(min_value=0.0, max_value=0.1))
     def test_monotone_in_magnitude(self, base_s, extra_s):

@@ -46,17 +46,6 @@ class TestTimeOffset:
         x, y = TimeOffset(a), TimeOffset(b)
         assert (x + y).ns == a + b
         assert (x - y).ns == a - b
-        assert (-x).ns == -a
-        assert abs(x).ns == abs(a)
-
-    def test_scaled_rounds(self):
-        assert TimeOffset(3).scaled(0.5).ns == 2  # banker's rounding on .5
-        assert TimeOffset(10).scaled(0.25).ns == 2
-        assert TimeOffset(-10).scaled(0.5).ns == -5
-
-    @given(NS_RANGE, NS_RANGE)
-    def test_ordering_matches_ns(self, a, b):
-        assert (TimeOffset(a) < TimeOffset(b)) == (a < b)
 
 
 class TestComposition:
@@ -87,13 +76,13 @@ class TestBudget:
     def test_boundary_inclusive_both_signs(self):
         edge = TimeOffset.from_millis(50)
         assert within_budget(edge)
-        assert within_budget(-edge)
+        assert within_budget(TimeOffset(-edge.ns))
         assert not within_budget(TimeOffset(edge.ns + 1))
         assert not within_budget(TimeOffset(-edge.ns - 1))
 
     @given(offsets())
     def test_symmetric(self, off):
-        assert within_budget(off) == within_budget(-off)
+        assert within_budget(off) == within_budget(TimeOffset(-off.ns))
 
     @given(offsets(), st.integers(min_value=1, max_value=10**12))
     def test_threshold_definition(self, off, limit_ns):
