@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DelayModelConfig
-from .timebase import NS_PER_MS, ClockErrorChain, TimeOffset
+from .timebase import NS_PER_MS, NS_PER_S, ClockErrorChain, TimeOffset
 
 SAMPLE_INTERVAL_S = 1.0
 
@@ -57,7 +57,12 @@ def measure_sim_delay(model: DelayModelConfig, count: int, rng: np.random.Genera
     true = true_delay_series(model, count, rng)
     noise_s = TimeOffset.from_millis(model.noise_sigma_ms).seconds
     measured = np.maximum(true + rng.normal(0.0, noise_s, count), 0.0)
-    return [TimeOffset.from_seconds(s) for s in measured]
+    # TimeOffset.from_seconds for every sample in one pass: rint rounds half
+    # to even as round() does, in place so no second float array is made;
+    # no int64 cast, a sample of the widest accepted spread may exceed it
+    measured *= NS_PER_S
+    np.rint(measured, out=measured)
+    return [TimeOffset(int(v)) for v in measured]
 
 
 def calibrate(samples: Sequence[TimeOffset]) -> DelayCalibration:

@@ -14,6 +14,11 @@ the moment the signal returns; later offset changes during the same
 reacquisition do not move it. Stepping is pure: the next state depends
 only on the arguments. Elapsed times advance in whole DT_S quanta, so a
 target t completes after ceil(t / DT_S) steps of signal.
+
+``advance`` moves through a stretch of unchanged signal at once: it
+steps the first quantum, where every decision of the state machine is
+made, and jumps the rest, where elapsed times only grow until a latched
+target completes.
 """
 
 from __future__ import annotations
@@ -153,7 +158,7 @@ def step(
     this quantum. Blockage time resets whenever the signal returns.
     """
     # states are built field by field: dataclasses.replace costs several
-    # times the constructor, and this runs once per fix of every timeline
+    # times the constructor
     if not signal_present:
         blocked = state.blockage_elapsed_s + DT_S if state.mode is Mode.BLOCKED else DT_S
         return ReceiverState(Mode.BLOCKED, blockage_elapsed_s=blocked)
@@ -179,3 +184,47 @@ def step(
     if state.mode_elapsed_s >= state.target_s - _EPS_S:
         return ReceiverState(Mode.TRACKING, state.blockage_elapsed_s)
     return state
+
+
+def _running_sum(start: float, quanta: int) -> np.ndarray:
+    """``start`` followed by its value after each of ``quanta`` additions of DT_S.
+
+    ``np.cumsum`` adds in order, so every entry is the float repeated
+    ``+= DT_S`` gives; ``start + k * DT_S`` would differ in the last bit.
+    """
+    sums = np.full(quanta + 1, DT_S)
+    sums[0] = start
+    return np.cumsum(sums, out=sums)
+
+
+def advance(
+    state: ReceiverState,
+    profile: ReceiverProfile,
+    signal_present: bool,
+    clock_offset: TimeOffset,
+    steps: int,
+) -> tuple[ReceiverState, list[tuple[int, Mode]]]:
+    """Advance the channel by ``steps`` >= 1 quanta of the same signal.
+
+    Returns the state ``steps`` calls of ``step`` return, and the mode
+    runs of the stretch: each run's first quantum and its mode, at most
+    two runs, the second one TRACKING.
+    """
+    # the first quantum decides the mode and latches the target; the
+    # others accumulate blockage, keep tracking or count towards the target
+    state = step(state, profile, signal_present, clock_offset)
+    runs = [(0, state.mode)]
+    rest = steps - 1
+    if state.mode is Mode.BLOCKED:
+        return ReceiverState(Mode.BLOCKED, float(_running_sum(state.blockage_elapsed_s, rest)[-1])), runs
+    if state.mode is not Mode.TRACKING:
+        elapsed = _running_sum(state.mode_elapsed_s, rest)
+        # the first quantum did not complete, so done >= 1
+        done = int(np.searchsorted(elapsed, state.target_s - _EPS_S))
+        if done > rest:
+            return ReceiverState(state.mode, state.blockage_elapsed_s, float(elapsed[-1]), state.target_s), runs
+        runs.append((done, Mode.TRACKING))
+        state = ReceiverState(Mode.TRACKING, state.blockage_elapsed_s)
+        rest -= done
+    elapsed_s = float(_running_sum(state.mode_elapsed_s, rest)[-1])
+    return ReceiverState(Mode.TRACKING, state.blockage_elapsed_s, elapsed_s, state.target_s), runs

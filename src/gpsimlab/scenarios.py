@@ -1,9 +1,10 @@
 """Handover scenario engine.
 
 Every scenario is one timeline: a list of segments of live-sky
-reception, blockage, and simulator coverage that ``run_timeline`` steps
-the receiver through, and one builder, ``_handover``, that draws the sky
-and noise for it and turns its fixes into statistics. The static
+reception, blockage, and simulator coverage that ``run_timeline``
+advances the receiver through a segment at a time, and one builder,
+``_handover``, that solves its fixes against a trial's sky and noise
+(``draw_sky``) and turns them into statistics. The static
 handover, the offset sweep and the outdoor comparison hand it live sky,
 blockage and one simulator at the origin; a traversal cuts its path
 through the corridor ``placement.corridor_layout`` lays out for a
@@ -18,7 +19,8 @@ not depend on the configuration (sky plot, pseudorange noise, the delay
 process, the sync run of a given server type) come from streams keyed
 only by seed and role, so two configurations under the same seed differ
 exactly where the configuration differs. ``draw_clock`` realizes every
-configuration of one host in one call, so the matrices compute each
+configuration of one host in one call and ``draw_sky`` draws the sky and
+noise once for all of them, so the matrices and the sweep compute each
 shared piece once per trial and host. Pseudorange noise is indexed by
 simulator step, not by fix count, which keeps the pairing aligned even
 when reacquisition delays the first fix.
@@ -43,7 +45,7 @@ from .config import DEFAULTS, Config, ConfigError, DeploymentConfig
 from .ntp import default_topology, run_disciplined_sync
 from .placement import ZeroSpeed, corridor_layout, kmh_to_ms
 from .rng import derive_seed, stream
-from .solver import random_sky_geometry, solve_position
+from .solver import SatGeometry, random_sky_geometry, solve_position
 from .timebase import (
     ClockErrorChain,
     ErrorBudget,
@@ -303,7 +305,7 @@ class Segment:
 def run_timeline(
     segments: Sequence[Segment], profile: rcv.ReceiverProfile, state: rcv.ReceiverState
 ) -> tuple[np.ndarray, np.ndarray, list[TransitionRow]]:
-    """Step the receiver through ``segments`` in order.
+    """Advance the receiver through ``segments`` in order, a segment at a time.
 
     Returns, per step of the whole timeline, the time the step ends at
     and whether it ends in TRACKING, i.e. makes a fix; and the transition
@@ -312,46 +314,78 @@ def run_timeline(
     step, so every t is the same float however the timeline is cut.
     """
     t = np.cumsum(np.full(sum(seg.steps for seg in segments), DT_S))
-    ends, tracking = t.tolist(), [False] * t.size
+    tracking = np.zeros(t.size, dtype=bool)
     transitions: list[TransitionRow] = []
     last_mode = None
-    for i, seg in enumerate(seg for seg in segments for _ in range(seg.steps)):
-        state = rcv.step(state, profile, seg.signal, seg.offset)
-        if state.mode is not last_mode:
-            transitions.append(
-                TransitionRow(ends[i], state.mode.value, seg.signal, seg.offset.millis, seg.coverage)
-            )
-            last_mode = state.mode
-        tracking[i] = state.mode is rcv.Mode.TRACKING
-    return t, np.array(tracking, dtype=bool), transitions
+    start = 0
+    for seg in segments:
+        if seg.steps == 0:
+            continue
+        state, runs = rcv.advance(state, profile, seg.signal, seg.offset, seg.steps)
+        for i, mode in runs:
+            if mode is not last_mode:
+                transitions.append(
+                    TransitionRow(float(t[start + i]), mode.value, seg.signal, seg.offset.millis, seg.coverage)
+                )
+                last_mode = mode
+        # TRACKING, when reached, is the segment's last run
+        first, mode = runs[-1]
+        tracking[start + first : start + seg.steps] = mode is rcv.Mode.TRACKING
+        start += seg.steps
+    return t, tracking, transitions
 
 
 # ------------------------------------------------------------ scenario builder
 
 
+@dataclass(frozen=True)
+class SkyDraw:
+    """The sky and noise of one trial, which every clock configuration shares.
+
+    ``pr_noise`` holds one row per simulator step of the timeline and
+    ``live_noise`` one per live-sky step, in time order.
+    """
+
+    sky: SatGeometry
+    pr_noise: np.ndarray
+    live_noise: np.ndarray
+
+
+def draw_sky(scope: str, seed: int, segments: Sequence[Segment], pr_noise_m: float, cfg: Config) -> SkyDraw:
+    """Draw the sky plot and noise rows of ``segments`` under (seed, scope).
+
+    Only the segments' lengths and kinds are read, so one draw serves
+    every clock configuration of a trial. The satellite count comes from
+    ``cfg.handover``.
+    """
+    n_sats = cfg.handover.n_sats
+    sim_steps = sum(seg.steps for seg in segments if seg.coverage is not None)
+    live_steps = sum(seg.steps for seg in segments if seg.signal and seg.coverage is None)
+    return SkyDraw(
+        random_sky_geometry(stream(seed, scope, "sky"), n_sats=n_sats),
+        stream(seed, scope, "prnoise").normal(0.0, pr_noise_m, (sim_steps, n_sats)),
+        stream(seed, scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live_steps, 2)),
+    )
+
+
 def _handover(
-    scope: str,
-    seed: int,
     segments: Sequence[Segment],
     centers_m: Sequence[float],
     speed_ms: float,
     profile: rcv.ReceiverProfile,
     start: rcv.ReceiverState,
-    pr_noise_m: float,
-    cfg: Config,
+    drawn: SkyDraw,
     clock_draws: dict[int, ClockDraw],
 ) -> ScenarioResult:
-    """Step the receiver through ``segments`` and draw every scenario's fixes.
+    """Advance the receiver through ``segments`` and solve every fix against ``drawn``.
 
     Coverage k is a simulator at ``(centers_m[k], 0, 0)`` transmitting with
     its segments' offset; live-sky fixes scatter around the receiver, which
-    moves along x at ``speed_ms``. Sky and noise depend only on (seed,
-    scope), the satellite count on ``cfg.handover``. Pseudorange noise rows
-    are indexed by simulator step and live-sky rows by live step, both
-    counted across the timeline, so one coverage draws what its windows use.
+    moves along x at ``speed_ms``. Pseudorange noise rows are indexed by
+    simulator step and live-sky rows by live step, both counted across the
+    timeline, so one coverage reads what its windows use.
     """
-    n_sats = cfg.handover.n_sats
-    sky = random_sky_geometry(stream(seed, scope, "sky"), n_sats=n_sats)
+    sky = drawn.sky
     centers = np.array([[center, 0.0, 0.0] for center in centers_m])
     # a coverage no segment enters keeps the zero offset; no fix reads its row
     offsets = {seg.coverage: seg.offset for seg in segments if seg.coverage is not None}
@@ -367,18 +401,16 @@ def _handover(
     live = np.repeat([seg.signal for seg in segments], steps) & ~simulated
     # a step's noise row counts the steps of its kind before it
     noise_row = np.where(simulated, np.cumsum(simulated), np.cumsum(live)) - 1
-    pr_noise = stream(seed, scope, "prnoise").normal(0.0, pr_noise_m, (simulated.sum(), n_sats))
-    live_noise = stream(seed, scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live.sum(), 2))
 
     fix = np.flatnonzero(tracking)
     t_s, coverage, row = t[fix], step_coverage[fix], noise_row[fix]
     sim = coverage >= 0
     hosts = coverage[sim]
     # every simulator fix of the timeline in one stacked solve
-    solved = solve_position(base_pr[hosts] + pr_noise[row[sim]], sky, initial_guess=centers[hosts])
+    solved = solve_position(base_pr[hosts] + drawn.pr_noise[row[sim]], sky, initial_guess=centers[hosts])
     positions, clock_bias_s = np.zeros((fix.size, 3)), np.zeros(fix.size)
     positions[sim], clock_bias_s[sim] = solved.position, solved.clock_bias_s
-    positions[~sim, :2] = live_noise[row[~sim]]
+    positions[~sim, :2] = drawn.live_noise[row[~sim]]
     positions[~sim, 0] += speed_ms * t_s[~sim]
 
     # a coverage is entered when the step before its first step ends
@@ -441,15 +473,16 @@ def _static_handovers(
 ) -> Iterator[ScenarioResult]:
     """The static handover under each of ``configs``, from one draw of the host's clock chain.
 
-    Results come one at a time, so a matrix holds one configuration's fixes.
+    The sky and noise are drawn once too. Results come one at a time, so a
+    matrix holds one configuration's fixes.
     """
     h = cfg.handover
     steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
     tracking = rcv.ReceiverState.tracking()
+    drawn = draw_sky("static", seed, _live_blocked_simulator(TimeOffset.zero(), steps), h.pr_noise_m, cfg)
     return (
         _handover(
-            "static", seed, _live_blocked_simulator(draw.error, steps), (0.0,), 0.0,
-            profile, tracking, h.pr_noise_m, cfg, {0: draw},
+            _live_blocked_simulator(draw.error, steps), (0.0,), 0.0, profile, tracking, drawn, {0: draw}
         )
         for draw in draw_clock(seed, "static", 0, configs, cfg)
     )
@@ -559,15 +592,19 @@ def run_offset_sweep(
         trials = cfg.sweep.trials
     window = round(SWEEP_WINDOW_S / DT_S)
     cold = rcv.ReceiverState.cold(profile)
-    noise = cfg.handover.pr_noise_m
-    trial_seeds = [derive_seed(seed, "sweep", trial) for trial in range(trials)]
+    # each trial's sky and noise, drawn once for every offset of the grid
+    windows = _live_blocked_simulator(TimeOffset.zero(), (window,) * 3)
+    trial_draws = [
+        draw_sky("sweep", derive_seed(seed, "sweep", trial), windows, cfg.handover.pr_noise_m, cfg)
+        for trial in range(trials)
+    ]
 
     rows = []
     for offset in offsets:
         reacq, errors = [], []
-        for trial_seed in trial_seeds:
-            segments = _live_blocked_simulator(offset, (window,) * 3)
-            result = _handover("sweep", trial_seed, segments, (0.0,), 0.0, profile, cold, noise, cfg, {})
+        segments = _live_blocked_simulator(offset, (window,) * 3)
+        for drawn in trial_draws:
+            result = _handover(segments, (0.0,), 0.0, profile, cold, drawn, {})
             if 0 not in result.coverage_stats:
                 raise EmptyFixSet(f"no reacquisition at offset {offset.millis} ms")
             reacq.append(result.first_fix_latency_s[0])
@@ -640,7 +677,7 @@ def _traversals(
 
     host_draws = [draw_clock(seed, "dynamic", k, configs, cfg) for k in range(len(layout.centers_m))]
     profile, tracking = rcv.PROFILES[dep.receiver], rcv.ReceiverState.tracking()
-    centers, noise = layout.centers_m, scenario.pr_noise_m
+    drawn = None
     for draws in zip(*host_draws):
         segments = [
             Segment(steps, True, draws[k].error, k)
@@ -648,8 +685,10 @@ def _traversals(
             else Segment(steps, source == "live_sky")
             for source, k, steps in runs
         ]
+        if drawn is None:  # the configurations' segments differ only in offsets
+            drawn = draw_sky("dynamic", seed, segments, scenario.pr_noise_m, cfg)
         draw_of = dict(enumerate(draws))
-        yield _handover("dynamic", seed, segments, centers, v, profile, tracking, noise, cfg, draw_of)
+        yield _handover(segments, layout.centers_m, v, profile, tracking, drawn, draw_of)
 
 
 def default_driving_scenario() -> PathScenario:
@@ -741,10 +780,8 @@ def run_outdoor_comparison(seed: int = 0, cfg: Config = DEFAULTS) -> OutdoorComp
     draw = draw_clock(seed, "outdoor", 0, PRIVATE_CALIBRATED, cfg)
     window = round(OUTDOOR_WINDOW_S / DT_S)
     segments = _live_blocked_simulator(draw.error, (window, 0, window))
-    tracking, noise = rcv.ReceiverState.tracking(), cfg.handover.pr_noise_m
-    result = _handover(
-        "outdoor", seed, segments, (0.0,), 0.0, rcv.DEDICATED, tracking, noise, cfg, {0: draw}
-    )
+    drawn = draw_sky("outdoor", seed, segments, cfg.handover.pr_noise_m, cfg)
+    result = _handover(segments, (0.0,), 0.0, rcv.DEDICATED, rcv.ReceiverState.tracking(), drawn, {0: draw})
     live_stats = compute_error_stats(
         horizontal_distances(result.positions[result.coverage < 0], np.zeros(3))
     )

@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +16,9 @@ from gpsimlab.calibration import (
     measure_sim_delay,
     true_delay_series,
 )
-from gpsimlab.config import ConfigError, DelayModelConfig, config_from_dict
+from gpsimlab.config import DEVIATION_SIGMAS, ConfigError, DelayModelConfig, config_from_dict
 from gpsimlab.rng import stream
-from gpsimlab.timebase import ClockErrorChain, TimeOffset
+from gpsimlab.timebase import NS_PER_MS, ClockErrorChain, TimeOffset
 
 MODEL = DelayModelConfig(mean_delay_ms=30.0, wander_sigma_ms=0.02, noise_sigma_ms=0.5)
 SAMPLE_COUNT = 1800
@@ -76,6 +78,25 @@ class TestMeasurement:
         a = measure_sim_delay(MODEL, 100, stream(3, "cal"))
         b = measure_sim_delay(MODEL, 100, stream(3, "cal"))
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("widest", [False, True])
+    def test_samples_round_as_from_seconds(self, seed, widest):
+        count = 200
+        model = MODEL
+        if widest:
+            # just inside the validator's overflow bound: samples far above 2**63 ns
+            sigma_ms = 0.99 * math.sqrt(sys.float_info.max / count) / (NS_PER_MS * DEVIATION_SIGMAS)
+            cfg = config_from_dict({"delay_model": {"noise_sigma_ms": sigma_ms, "sample_count": count}})
+            model = cfg.delay_model
+        rng = stream(seed, "cal", "round")
+        true = true_delay_series(model, count, rng)
+        noise_s = TimeOffset.from_millis(model.noise_sigma_ms).seconds
+        measured = np.maximum(true + rng.normal(0.0, noise_s, count), 0.0)
+        samples = measure_sim_delay(model, count, stream(seed, "cal", "round"))
+        assert samples == [TimeOffset.from_seconds(s) for s in measured]
+        assert all(type(s.ns) is int for s in samples)
+        assert (max(s.ns for s in samples) > 2**63) is widest
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_correction_lands_near_process_mean(self, seed):

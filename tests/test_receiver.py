@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from gpsimlab.receiver import (
     ReceiverProfile,
     ReceiverState,
     SMARTPHONE,
+    advance,
     planning_timing,
     reacquisition_time,
     step,
@@ -25,6 +27,27 @@ def run_steps(state, profile, n, signal, offset=TimeOffset.zero()):
     for _ in range(n):
         state = step(state, profile, signal, offset)
     return state
+
+
+def stepped_runs(state, profile, n, signal, offset):
+    """``n`` calls of ``step``: the final state and each mode's first quantum."""
+    runs = []
+    for i in range(n):
+        state = step(state, profile, signal, offset)
+        if not runs or runs[-1][1] is not state.mode:
+            runs.append((i, state.mode))
+    return state, runs
+
+
+def fields(state):
+    return [(type(v), v) for v in dataclasses.astuple(state)]
+
+
+# warm reacquisition at 150 ms: the latched target is 1.2 s, 12 quanta of signal
+OFFSET_150 = TimeOffset.from_millis(150)
+BLOCKED_1S = ReceiverState(Mode.BLOCKED, blockage_elapsed_s=1.0)
+# 3 of the 4 quanta of a base-time reacquisition done
+REACQ_ONE_SHORT = run_steps(BLOCKED_1S, DEDICATED, 3, signal=True)
 
 
 class TestReacquisitionMap:
@@ -161,3 +184,32 @@ class TestStateMachine:
         needed = math.ceil(SMARTPHONE.t_reacq_base_s / DT)
         state = run_steps(state, SMARTPHONE, needed - 1, signal=True, offset=TimeOffset.from_millis(10))
         assert state.mode is Mode.TRACKING
+
+
+    @pytest.mark.parametrize(
+        "state, signal, offset, n",
+        [
+            (ReceiverState.tracking(), True, TimeOffset.zero(), 1),
+            (ReceiverState.tracking(), False, TimeOffset.zero(), 1),
+            (BLOCKED_1S, True, OFFSET_150, 1),
+            (BLOCKED_1S, False, OFFSET_150, 1350),
+            (ReceiverState.tracking(), True, TimeOffset.zero(), 500),
+            (REACQ_ONE_SHORT, True, OFFSET_150, 7),  # completes on the first quantum
+            (BLOCKED_1S, True, OFFSET_150, 12),  # completes on the last quantum
+            (BLOCKED_1S, True, OFFSET_150, 11),  # one quantum short of completing
+            (ReceiverState.cold(DEDICATED), True, TimeOffset.zero(), 250),
+            (ReceiverState.cold(DEDICATED), True, TimeOffset.zero(), 2000),
+        ],
+    )
+    def test_advance_equals_stepping_every_quantum(self, state, signal, offset, n):
+        jumped, runs = advance(state, DEDICATED, signal, offset, n)
+        stepped, stepped_modes = stepped_runs(state, DEDICATED, n, signal, offset)
+        assert fields(jumped) == fields(stepped)
+        assert runs == stepped_modes
+
+    def test_advance_runs_mark_where_reacquisition_completes(self):
+        assert REACQ_ONE_SHORT.mode is Mode.REACQUISITION
+        assert advance(REACQ_ONE_SHORT, DEDICATED, True, OFFSET_150, 7)[1] == [(0, Mode.TRACKING)]
+        last = advance(BLOCKED_1S, DEDICATED, True, OFFSET_150, 12)[1]
+        assert last == [(0, Mode.REACQUISITION), (11, Mode.TRACKING)]
+        assert advance(BLOCKED_1S, DEDICATED, True, OFFSET_150, 11)[1] == [(0, Mode.REACQUISITION)]

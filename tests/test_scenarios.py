@@ -21,7 +21,16 @@ from gpsimlab.placement import (
     ms_to_kmh,
     validate_deployment,
 )
-from gpsimlab.receiver import DEDICATED, PROFILES, SMARTPHONE, ReceiverState, planning_timing
+from gpsimlab.receiver import (
+    _EPS_S,
+    DEDICATED,
+    PROFILES,
+    SMARTPHONE,
+    Mode,
+    ReceiverState,
+    planning_timing,
+    step,
+)
 from gpsimlab.reports import write_json
 from gpsimlab.rng import derive_seed
 from gpsimlab.timebase import TimeOffset
@@ -82,7 +91,84 @@ class TestErrorStats:
         assert sc.horizontal_distances(positions, intended).tolist() == per_row
 
 
+def stepped_timeline(segments, profile, state):
+    """``run_timeline``'s result from one ``step`` per quantum and a running sum of DT_S."""
+    ends, tracking, rows = [], [], []
+    running, last_mode = 0.0, None
+    for seg in (seg for seg in segments for _ in range(seg.steps)):
+        state = step(state, profile, seg.signal, seg.offset)
+        running += sc.DT_S
+        if state.mode is not last_mode:
+            rows.append((running, state.mode.value, seg.signal, seg.offset.millis, seg.coverage))
+            last_mode = state.mode
+        ends.append(running)
+        tracking.append(state.mode is Mode.TRACKING)
+    return ends, tracking, rows
+
+
+def jumped_timeline(segments, profile, state):
+    t, tracking, transitions = sc.run_timeline(segments, profile, state)
+    return t.tolist(), tracking.tolist(), [dataclasses.astuple(r) for r in transitions]
+
+
+def part_way(state, profile, quanta, offset):
+    """The state up to ``quanta`` quanta of signal after ``state``, stopping short of TRACKING."""
+    for _ in range(quanta):
+        following = step(state, profile, True, offset)
+        if following.mode is Mode.TRACKING:
+            break
+        state = following
+    return state
+
+
+@st.composite
+def timelines(draw):
+    """Segments, a profile and a start state, cold, warm, at the t_max edge or part-way."""
+    profile = draw(st.sampled_from(sorted(PROFILES.values(), key=lambda p: p.name)))
+    # offsets run past the last knot of the reacquisition map, 250 ms
+    offsets = st.floats(min_value=0.0, max_value=300.0).map(TimeOffset.from_millis)
+    segments = draw(
+        st.lists(
+            st.builds(sc.Segment, st.integers(0, 400), st.booleans(), offsets, st.sampled_from([None, 0, 1])),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    cold = ReceiverState.cold(profile)
+    blocked = ReceiverState(Mode.BLOCKED, blockage_elapsed_s=sc.DT_S)
+    state = draw(
+        st.one_of(
+            st.sampled_from([ReceiverState.tracking(), cold]),
+            st.sampled_from([-_EPS_S, 0.0, _EPS_S]).map(
+                lambda eps: ReceiverState(Mode.BLOCKED, blockage_elapsed_s=profile.t_max_s + eps)
+            ),
+            # part-way through a warm reacquisition or a cold acquisition
+            st.builds(part_way, st.sampled_from([blocked, cold]), st.just(profile), st.integers(1, 300), offsets),
+        )
+    )
+    return segments, profile, state
+
+
 class TestTimeline:
+    @given(timelines())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_jumped_segments_match_stepping_every_quantum(self, timeline):
+        assert jumped_timeline(*timeline) == stepped_timeline(*timeline)
+
+    def test_blockage_split_across_segments_reaching_t_max_enters_warm(self):
+        # 700 + 650 quanta of blockage is t_max of the dedicated profile exactly
+        offset = TimeOffset.from_millis(20.0)
+        segments = (
+            sc.Segment(10, True),
+            sc.Segment(700, False),
+            sc.Segment(650, False, offset),
+            sc.Segment(30, True, offset, 0),
+        )
+        assert 1350 * sc.DT_S == pytest.approx(DEDICATED.t_max_s)
+        result = jumped_timeline(segments, DEDICATED, ReceiverState.tracking())
+        assert result == stepped_timeline(segments, DEDICATED, ReceiverState.tracking())
+        assert [row[1] for row in result[2]] == ["TRACKING", "BLOCKED", "REACQUISITION", "TRACKING"]
+
     def test_zero_step_segment_leaves_a_tracking_receiver_tracking(self):
         offset = TimeOffset.from_millis(20.0)
         segments = (
