@@ -338,6 +338,16 @@ def run_timeline(
 # ------------------------------------------------------------ scenario builder
 
 
+def _step_kinds(segments: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per step of the timeline: its coverage (-1 off simulator), whether it is a
+    simulator step and whether it is a live-sky one.
+    """
+    steps = [seg.steps for seg in segments]
+    coverage = np.repeat([-1 if seg.coverage is None else seg.coverage for seg in segments], steps)
+    simulated = coverage >= 0
+    return coverage, simulated, np.repeat([seg.signal for seg in segments], steps) & ~simulated
+
+
 @dataclass(frozen=True)
 class SkyDraw:
     """The sky and noise of one trial, which every clock configuration shares.
@@ -359,12 +369,11 @@ def draw_sky(scope: str, seed: int, segments: Sequence[Segment], pr_noise_m: flo
     ``cfg.handover``.
     """
     n_sats = cfg.handover.n_sats
-    sim_steps = sum(seg.steps for seg in segments if seg.coverage is not None)
-    live_steps = sum(seg.steps for seg in segments if seg.signal and seg.coverage is None)
+    _, simulated, live = _step_kinds(segments)
     return SkyDraw(
         random_sky_geometry(stream(seed, scope, "sky"), n_sats=n_sats),
-        stream(seed, scope, "prnoise").normal(0.0, pr_noise_m, (sim_steps, n_sats)),
-        stream(seed, scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live_steps, 2)),
+        stream(seed, scope, "prnoise").normal(0.0, pr_noise_m, (simulated.sum(), n_sats)),
+        stream(seed, scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live.sum(), 2)),
     )
 
 
@@ -395,10 +404,7 @@ def _handover(
     )
 
     t, tracking, transitions = run_timeline(segments, profile, start)
-    steps = [seg.steps for seg in segments]
-    step_coverage = np.repeat([-1 if seg.coverage is None else seg.coverage for seg in segments], steps)
-    simulated = step_coverage >= 0
-    live = np.repeat([seg.signal for seg in segments], steps) & ~simulated
+    step_coverage, simulated, live = _step_kinds(segments)
     # a step's noise row counts the steps of its kind before it
     noise_row = np.where(simulated, np.cumsum(simulated), np.cumsum(live)) - 1
 
@@ -592,32 +598,28 @@ def run_offset_sweep(
         trials = cfg.sweep.trials
     window = round(SWEEP_WINDOW_S / DT_S)
     cold = rcv.ReceiverState.cold(profile)
-    # each trial's sky and noise, drawn once for every offset of the grid
-    windows = _live_blocked_simulator(TimeOffset.zero(), (window,) * 3)
-    trial_draws = [
-        draw_sky("sweep", derive_seed(seed, "sweep", trial), windows, cfg.handover.pr_noise_m, cfg)
-        for trial in range(trials)
-    ]
-
-    rows = []
-    for offset in offsets:
-        reacq, errors = [], []
-        segments = _live_blocked_simulator(offset, (window,) * 3)
-        for drawn in trial_draws:
+    grid = [_live_blocked_simulator(offset, (window,) * 3) for offset in offsets]
+    reacq: list[list[float]] = [[] for _ in offsets]
+    errors: list[list[float]] = [[] for _ in offsets]
+    # trials outside offsets: one trial's sky and noise serve its whole grid
+    for trial in range(trials):
+        drawn = draw_sky("sweep", derive_seed(seed, "sweep", trial), grid[0], cfg.handover.pr_noise_m, cfg)
+        for offset, segments, offset_reacq, offset_errors in zip(offsets, grid, reacq, errors):
             result = _handover(segments, (0.0,), 0.0, profile, cold, drawn, {})
             if 0 not in result.coverage_stats:
                 raise EmptyFixSet(f"no reacquisition at offset {offset.millis} ms")
-            reacq.append(result.first_fix_latency_s[0])
-            errors.append(result.coverage_stats[0].avg_m)
-        rows.append(
-            SweepRow(
-                offset_ms=offset.millis,
-                mean_reacq_s=float(np.mean(reacq)),
-                std_reacq_s=float(np.std(reacq)),
-                mean_error_m=float(np.mean(errors)),
-                std_error_m=float(np.std(errors)),
-            )
+            offset_reacq.append(result.first_fix_latency_s[0])
+            offset_errors.append(result.coverage_stats[0].avg_m)
+    rows = [
+        SweepRow(
+            offset_ms=offset.millis,
+            mean_reacq_s=float(np.mean(offset_reacq)),
+            std_reacq_s=float(np.std(offset_reacq)),
+            mean_error_m=float(np.mean(offset_errors)),
+            std_error_m=float(np.std(offset_errors)),
         )
+        for offset, offset_reacq, offset_errors in zip(offsets, reacq, errors)
+    ]
     return SweepResult(receiver=profile.name, rows=tuple(rows), trials=trials)
 
 
