@@ -216,13 +216,15 @@ def advance(
     runs = [(0, state.mode)]
     rest = steps - 1
     if state.mode is Mode.BLOCKED:
-        return ReceiverState(Mode.BLOCKED, float(_running_sum(state.blockage_elapsed_s, rest)[-1])), runs
+        blocked_s = float(_running_sum(state.blockage_elapsed_s, rest)[-1])
+        return ReceiverState(Mode.BLOCKED, blocked_s), runs
     if state.mode is not Mode.TRACKING:
         elapsed = _running_sum(state.mode_elapsed_s, rest)
         # the first quantum did not complete, so done >= 1
         done = int(np.searchsorted(elapsed, state.target_s - _EPS_S))
         if done > rest:
-            return ReceiverState(state.mode, state.blockage_elapsed_s, float(elapsed[-1]), state.target_s), runs
+            pending = ReceiverState(state.mode, state.blockage_elapsed_s, float(elapsed[-1]), state.target_s)
+            return pending, runs
         runs.append((done, Mode.TRACKING))
         state = ReceiverState(Mode.TRACKING, state.blockage_elapsed_s)
         rest -= done

@@ -324,8 +324,9 @@ def run_timeline(
         state, runs = rcv.advance(state, profile, seg.signal, seg.offset, seg.steps)
         for i, mode in runs:
             if mode is not last_mode:
+                end = float(t[start + i])
                 transitions.append(
-                    TransitionRow(float(t[start + i]), mode.value, seg.signal, seg.offset.millis, seg.coverage)
+                    TransitionRow(end, mode.value, seg.signal, seg.offset.millis, seg.coverage)
                 )
                 last_mode = mode
         # TRACKING, when reached, is the segment's last run
@@ -485,12 +486,12 @@ def _static_handovers(
     h = cfg.handover
     steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
     tracking = rcv.ReceiverState.tracking()
-    drawn = draw_sky("static", seed, _live_blocked_simulator(TimeOffset.zero(), steps), h.pr_noise_m, cfg)
+    draws = draw_clock(seed, "static", 0, configs, cfg)
+    timelines = [_live_blocked_simulator(draw.error, steps) for draw in draws]
+    drawn = draw_sky("static", seed, timelines[0], h.pr_noise_m, cfg)
     return (
-        _handover(
-            _live_blocked_simulator(draw.error, steps), (0.0,), 0.0, profile, tracking, drawn, {0: draw}
-        )
-        for draw in draw_clock(seed, "static", 0, configs, cfg)
+        _handover(segments, (0.0,), 0.0, profile, tracking, drawn, {0: draw})
+        for segments, draw in zip(timelines, draws)
     )
 
 
@@ -679,18 +680,19 @@ def _traversals(
 
     host_draws = [draw_clock(seed, "dynamic", k, configs, cfg) for k in range(len(layout.centers_m))]
     profile, tracking = rcv.PROFILES[dep.receiver], rcv.ReceiverState.tracking()
-    drawn = None
-    for draws in zip(*host_draws):
-        segments = [
+    config_draws = list(zip(*host_draws))
+    timelines = [
+        [
             Segment(steps, True, draws[k].error, k)
             if source == "simulator"
             else Segment(steps, source == "live_sky")
             for source, k, steps in runs
         ]
-        if drawn is None:  # the configurations' segments differ only in offsets
-            drawn = draw_sky("dynamic", seed, segments, scenario.pr_noise_m, cfg)
-        draw_of = dict(enumerate(draws))
-        yield _handover(segments, layout.centers_m, v, profile, tracking, drawn, draw_of)
+        for draws in config_draws
+    ]
+    drawn = draw_sky("dynamic", seed, timelines[0], scenario.pr_noise_m, cfg)
+    for segments, draws in zip(timelines, config_draws):
+        yield _handover(segments, layout.centers_m, v, profile, tracking, drawn, dict(enumerate(draws)))
 
 
 def default_driving_scenario() -> PathScenario:

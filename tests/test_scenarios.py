@@ -143,7 +143,9 @@ def timelines(draw):
                 lambda eps: ReceiverState(Mode.BLOCKED, blockage_elapsed_s=profile.t_max_s + eps)
             ),
             # part-way through a warm reacquisition or a cold acquisition
-            st.builds(part_way, st.sampled_from([blocked, cold]), st.just(profile), st.integers(1, 300), offsets),
+            st.builds(
+                part_way, st.sampled_from([blocked, cold]), st.just(profile), st.integers(1, 300), offsets
+            ),
         )
     )
     return segments, profile, state
