@@ -185,7 +185,6 @@ class TestStateMachine:
         state = run_steps(state, SMARTPHONE, needed - 1, signal=True, offset=TimeOffset.from_millis(10))
         assert state.mode is Mode.TRACKING
 
-
     @pytest.mark.parametrize(
         "state, signal, offset, n",
         [
