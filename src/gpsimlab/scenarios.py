@@ -68,7 +68,7 @@ REF_ERROR_BOUND_S = 200e-9
 SWEEP_WINDOW_S = 60.0
 # Pseudorange noise of a driving crossing; the pedestrian preset sees more.
 DRIVING_PR_NOISE_M = 2.5
-# A traversal steps the receiver once per DT_S; longer crossings are refused.
+# A traversal's path is sampled once per DT_S step; longer crossings are refused.
 MAX_TRAVERSAL_STEPS = 1_000_000
 OUTDOOR_WINDOW_S = 5.0
 OUTDOOR_THRESHOLD_M = 8.0
