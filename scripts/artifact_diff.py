@@ -4,9 +4,11 @@
     python3 scripts/artifact_diff.py --base origin/main
 
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
-list of quick commands at seeds 0 and 7 once under each tree's ``src/``,
-and prints every artifact file that differs, exists on one side only, or
-comes with a different exit code. A differing JSON or CSV artifact is
+list of quick commands at seeds 0 and 7 once under each tree's ``src/``
+(among them ``calibrate --samples-csv`` on the samples that tree's own
+``calibrate`` run wrote at the same seed), and prints every artifact file
+that differs, exists on one side only, or comes with a different exit
+code. A differing JSON or CSV artifact is
 printed with its largest relative drift from the base, measured by the
 benchmark's own comparator, or as "structure differs" when its keys,
 labels, flags or row count changed. Exits 1 if anything differs, 0
@@ -31,6 +33,7 @@ COMMANDS = (
     ("plan",),
     ("sync-compare",),
     ("calibrate",),
+    ("calibrate", "--samples-csv", "{calibrate}/delay_samples.csv"),
     ("sweep", "--trials", "1"),
     ("sweep", "--receiver", "smartphone", "--trials", "1"),
     ("simulate", "--scenario", "static", "--trials", "2"),
@@ -48,9 +51,12 @@ def run_commands(tree: Path, out: Path) -> dict[str, int]:
     env["PYTHONPATH"] = str(tree / "src")
     codes = {}
     for seed in SEEDS:
+        # "{calibrate}" in an argument is the run directory of this seed's plain calibrate
+        calibrate = out / f"seed{seed}/{COMMANDS.index(('calibrate',))}-calibrate"
         for i, command in enumerate(COMMANDS):
             name = f"seed{seed}/{i}-{'_'.join(command).replace('/', '-')}"
-            argv = [sys.executable, "-m", "gpsimlab.cli", *command, "--seed", str(seed)]
+            args = [part.format(calibrate=calibrate) for part in command]
+            argv = [sys.executable, "-m", "gpsimlab.cli", *args, "--seed", str(seed)]
             proc = subprocess.run(
                 argv + ["--out", str(out / name)], env=env, cwd=tree, capture_output=True
             )

@@ -65,26 +65,28 @@ def measure_sim_delay(model: DelayModelConfig, count: int, rng: np.random.Genera
     return [TimeOffset(int(v)) for v in measured]
 
 
-def calibrate(samples: Sequence[TimeOffset]) -> DelayCalibration:
+def calibrate(ns: Sequence[int]) -> DelayCalibration:
     """Mean correction with unbiased spread and worst-case residual.
 
-    The correction is the exact integer-nanosecond rounding of the sample
+    ``ns`` holds the delay samples as integer nanosecond counts. The
+    correction is the exact integer-nanosecond rounding of the sample
     mean, so shifting every sample by a constant shifts the correction by
     exactly that constant.
     """
-    if not samples:
+    if not ns:
         raise EmptySampleSet("cannot calibrate from zero samples")
-    ns = [s.ns for s in samples]
     n = len(ns)
+    total = sum(ns)
     # floor(mean + 1/2) in exact integers: half-up rounding keeps integer
     # shifts exact, which half-even would break at half-nanosecond means
-    correction_ns = (2 * sum(ns) + n) // (2 * n)
+    correction_ns = (2 * total + n) // (2 * n)
     if n > 1:
-        mean = sum(ns) / n
+        mean = total / n
         stddev_ns = round(float(np.sqrt(sum((v - mean) ** 2 for v in ns) / (n - 1))))
     else:
         stddev_ns = 0
-    residual_ns = max(abs(v - correction_ns) for v in ns)
+    # the correction lies between the extremes, so they hold the largest |v - correction|
+    residual_ns = max(max(ns) - correction_ns, correction_ns - min(ns))
     return DelayCalibration(
         correction=TimeOffset(correction_ns),
         sample_stddev=TimeOffset(stddev_ns),
@@ -98,17 +100,18 @@ def apply_correction(chain: ClockErrorChain, calibration: DelayCalibration) -> C
     return replace(chain, sim_delay=chain.sim_delay - calibration.correction)
 
 
-def export_samples_csv(path: str | Path, samples: Sequence[TimeOffset]) -> None:
-    """One row per sample, stamped SAMPLE_INTERVAL_S apart."""
+def export_samples_csv(path: str | Path, ns: Sequence[int]) -> None:
+    """One row per nanosecond sample, in ms, stamped SAMPLE_INTERVAL_S apart.
+
+    The bytes of ``csv.writer`` rows of ``repr`` floats, which never need quoting.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i, sample in enumerate(samples):
-            writer.writerow([repr(i * SAMPLE_INTERVAL_S), repr(sample.ns / NS_PER_MS)])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(f"{i * SAMPLE_INTERVAL_S!r},{v / NS_PER_MS!r}\r\n" for i, v in enumerate(ns))
 
 
-def import_samples_csv(path: str | Path) -> list[TimeOffset]:
-    """Read delay samples back; a ValueError names the line of a bad header or value.
+def import_samples_csv(path: str | Path) -> list[int]:
+    """Read delay samples back in integer ns; a ValueError names the line of a bad header or value.
 
     Every timestamp and every delay must be finite, and so must n·(2·max|ns|)², which bounds
     ``calibrate``'s sum of squared deviations over n samples.
@@ -118,7 +121,7 @@ def import_samples_csv(path: str | Path) -> list[TimeOffset]:
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
             raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
-        samples, peak, peak_line = [], 0.0, 0
+        millis, peak, peak_line = [], 0.0, 0
         for row in reader:
             try:
                 t_s, ms = map(float, row)
@@ -131,10 +134,12 @@ def import_samples_csv(path: str | Path) -> list[TimeOffset]:
                 )
             if abs(ms) > peak:
                 peak, peak_line = abs(ms), reader.line_num
-            samples.append(TimeOffset.from_millis(ms))
-    if not samples:
+            millis.append(ms)
+    if not millis:
         raise EmptySampleSet(f"no delay samples in {path}")
     deviation_ns = 2.0 * peak * NS_PER_MS
-    if not math.isfinite(deviation_ns * deviation_ns * len(samples)):
-        raise ValueError(f"{path} line {peak_line}: squared deviations of {len(samples)} samples overflow")
-    return samples
+    if not math.isfinite(deviation_ns * deviation_ns * len(millis)):
+        raise ValueError(f"{path} line {peak_line}: squared deviations of {len(millis)} samples overflow")
+    # TimeOffset.from_millis for every row in one pass: rint rounds half to
+    # even as round() does; no int64 cast, a sample may exceed it
+    return list(map(int, np.rint(np.array(millis) * NS_PER_MS).tolist()))

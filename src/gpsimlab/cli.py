@@ -312,9 +312,8 @@ def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
             print(f"samples error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        samples = measure_sim_delay(
-            cfg.delay_model, cfg.delay_model.sample_count, stream(args.seed, "cli", "calibrate")
-        )
+        model = cfg.delay_model
+        samples = [s.ns for s in measure_sim_delay(model, model.sample_count, stream(args.seed, "cli", "calibrate"))]
         export_samples_csv(out / "delay_samples.csv", samples)
     result = calibrate(samples)
     payload = {

@@ -44,11 +44,6 @@ WARMUP_POLLS = 8
 HOP_SYNC_EVERY = 4
 
 
-def _ns(seconds: float) -> int:
-    """Seconds rounded to the nearest integer nanosecond."""
-    return round(seconds * NS_PER_S)
-
-
 @dataclass(frozen=True)
 class LinkModel:
     """One network path: fixed one-way delays, optional bias and jitter.
@@ -73,14 +68,22 @@ class LinkModel:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def sample_delays(self, rng: np.random.Generator) -> tuple[float, float]:
-        """Draw (up, down) one-way delays in seconds."""
-        up = self.base_delay_up_s + self.asymmetry_bias_s
-        down = self.base_delay_down_s
+    def delays_ns(self, normals: np.ndarray) -> tuple[list[int], list[int]]:
+        """Sampled (up, down) one-way delays in whole nanoseconds, one pair per row.
+
+        Each row of ``normals`` holds one exchange's uplink and downlink
+        standard normal draws. They only scale the jitter, so a link without
+        jitter never reads them. Delays round half to even, as ``round`` does.
+        """
+        seconds = np.array([self.base_delay_up_s + self.asymmetry_bias_s, self.base_delay_down_s])
         if self.jitter_median_s > 0:
-            up += self.jitter_median_s * np.exp(self.jitter_sigma * rng.standard_normal())
-            down += self.jitter_median_s * np.exp(self.jitter_sigma * rng.standard_normal())
-        return max(up, 0.0), max(down, 0.0)
+            seconds = seconds + self.jitter_median_s * np.exp(self.jitter_sigma * normals)
+        else:
+            seconds = np.broadcast_to(seconds, normals.shape)
+        ns = np.rint(np.maximum(seconds, 0.0) * NS_PER_S)
+        # no int64 cast: every delay converts to an exact Python int
+        up, down = ns.T.tolist()
+        return list(map(int, up)), list(map(int, down))
 
     def mean_one_way(self) -> tuple[float, float]:
         """Expected (up, down) delays; log-normal mean is median*exp(sigma^2/2)."""
@@ -97,22 +100,15 @@ class OffsetEstimate:
     root_dispersion_s: float
 
 
-def ntp_exchange(
-    client_offset_ns: int,
-    server_offset_ns: int,
-    link: LinkModel,
-    rng: np.random.Generator,
-) -> OffsetEstimate:
-    """One four-timestamp exchange over ``link`` between two clocks' true offsets.
+def ntp_exchange(client_offset_ns: int, server_offset_ns: int, up: int, down: int) -> OffsetEstimate:
+    """One four-timestamp exchange between two clocks' true offsets.
 
-    The server responds instantly and advertises its actual absolute
-    offset as its dispersion (see the module docstring). The estimate
-    rounds the full sum half-to-even, so an odd sum lands on an even
-    nanosecond.
+    ``up`` and ``down`` are the exchange's sampled one-way delays in
+    nanoseconds (``LinkModel.delays_ns``). The server responds instantly
+    and advertises its actual absolute offset as its dispersion (see the
+    module docstring). The estimate rounds the full sum half-to-even, so
+    an odd sum lands on an even nanosecond.
     """
-    up_s, down_s = link.sample_delays(rng)
-    up, down = _ns(up_s), _ns(down_s)
-
     t1 = client_offset_ns
     t2 = up + server_offset_ns
     t3 = t2
@@ -213,31 +209,52 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
     describe the settled clock rather than the initial convergence
     transient; the bound check still covers every poll.
     """
-    link_rng = stream(seed, "ntp", topology.name, "links")
-    wander_rng = stream(seed, "ntp", topology.name, "wander")
+    polls = int(duration_s // POLL_INTERVAL_S)
+    if polls < 1:
+        raise ValueError(f"duration_s must cover at least one {POLL_INTERVAL_S:g} s poll, got {duration_s}")
+    hops = len(topology.hop_links)
+
+    # Every random number of the run, drawn before the first poll in the
+    # order the polls consume them; an array draw is bit for bit the same
+    # sequence of scalar draws, and normal(0, sigma) is sigma * standard_normal.
+    # Wander, per poll: the root's step, then each hop's.
+    sigmas = np.array([topology.root_wander_sigma_s] + [topology.hop_wander_sigma_s] * hops)
+    drawn = sigmas > 0
+    wander = stream(seed, "ntp", topology.name, "wander").standard_normal((polls, int(drawn.sum())))
+    steps = np.zeros((polls, 1 + hops))
+    steps[:, drawn] = np.rint(wander * sigmas[drawn] * NS_PER_S)
+    # Link delays, per poll: on a re-sync poll each hop's up and down draw,
+    # then the client's; a link without jitter draws nothing.
+    links = (*topology.hop_links, topology.client_link)
+    active = np.ones((polls, len(links)), dtype=bool)
+    active[:, :hops] = (np.arange(1, polls + 1) % HOP_SYNC_EVERY == 1)[:, None]
+    jittered = [link.jitter_median_s > 0 for link in links]
+    draws = active * np.array(jittered) * 2
+    first_draw = (np.cumsum(draws) - draws.ravel()).reshape(draws.shape)
+    normals = stream(seed, "ntp", topology.name, "links").standard_normal(int(draws.sum()))
+    delays = []
+    for i, link in enumerate(links):
+        at = first_draw[active[:, i], i]
+        pairs = normals[at[:, None] + [0, 1]] if jittered[i] else np.zeros((at.size, 2))
+        delays.append(iter(zip(*link.delays_ns(pairs))))
+    *hop_delays, client_delays = delays
 
     root_offset_ns = 0
-    hop_offsets_ns = [0] * len(topology.hop_links)
+    hop_offsets_ns = [0] * hops
     clock = DisciplinedClock.start(INITIAL_OFFSET_NS)
-
     samples = []
-    polls = int(duration_s // POLL_INTERVAL_S)
-    for k in range(1, polls + 1):
-        if topology.root_wander_sigma_s > 0:
-            root_offset_ns += _ns(wander_rng.normal(0.0, topology.root_wander_sigma_s))
-        if topology.hop_wander_sigma_s > 0:
-            hop_offsets_ns = [
-                off + _ns(wander_rng.normal(0.0, topology.hop_wander_sigma_s)) for off in hop_offsets_ns
-            ]
+    for k, (root_step, *hop_steps) in enumerate(steps.tolist(), start=1):
+        root_offset_ns += int(root_step)
+        hop_offsets_ns = [off + int(step) for off, step in zip(hop_offsets_ns, hop_steps)]
 
-        if topology.hop_links and k % HOP_SYNC_EVERY == 1:
+        if hops and k % HOP_SYNC_EVERY == 1:
             upstream_ns = root_offset_ns
-            for j, link in enumerate(topology.hop_links):
-                hop_offsets_ns[j] += ntp_exchange(hop_offsets_ns[j], upstream_ns, link, link_rng).offset_ns
+            for j, delay in enumerate(hop_delays):
+                hop_offsets_ns[j] += ntp_exchange(hop_offsets_ns[j], upstream_ns, *next(delay)).offset_ns
                 upstream_ns = hop_offsets_ns[j]
 
-        server_ns = hop_offsets_ns[-1] if topology.hop_links else root_offset_ns
-        estimate = ntp_exchange(clock.offset_truth_ns, server_ns, topology.client_link, link_rng)
+        server_ns = hop_offsets_ns[-1] if hops else root_offset_ns
+        estimate = ntp_exchange(clock.offset_truth_ns, server_ns, *next(client_delays))
         clock = discipline_step(clock, estimate)
         samples.append(SyncSample(k * POLL_INTERVAL_S, clock.offset_truth_ns, clock.estimated_max_error_s))
 

@@ -228,7 +228,7 @@ def draw_clock(
     ref_error = TimeOffset.from_seconds(ref_rng.uniform(-REF_ERROR_BOUND_S, REF_ERROR_BOUND_S))
     if any(c.calibrated for c in wanted):
         meas_rng = stream(seed, scope, "calmeas", coverage)
-        calibration = calibrate(measure_sim_delay(delay, delay.sample_count, meas_rng))
+        calibration = calibrate([s.ns for s in measure_sim_delay(delay, delay.sample_count, meas_rng)])
     budget = ErrorBudget(TimeOffset.from_millis(cfg.budget.limit_ms))
 
     draws = []
@@ -513,6 +513,11 @@ class MatrixResult:
     ordering_ok_every_trial: bool
 
 
+def _ordered_every_trial(per_config: dict[str, list[float]]) -> bool:
+    """Whether each trial's values fall strictly along the configurations, in key order."""
+    return not any(a <= b for trial in zip(*per_config.values()) for a, b in zip(trial, trial[1:]))
+
+
 def run_static_handover_matrix(
     trials: int | None = None,
     seed: int = 0,
@@ -530,10 +535,8 @@ def run_static_handover_matrix(
     p95s: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
     avgs: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
     maxes: dict[str, float] = {c.label: 0.0 for c in ALL_CLOCK_CONFIGS}
-    ordering_ok = True
     for trial in range(trials):
         trial_seed = derive_seed(seed, "handover_matrix", trial)
-        trial_p95 = []
         results = _static_handovers(ALL_CLOCK_CONFIGS, profile, trial_seed, cfg)
         for config, result in zip(ALL_CLOCK_CONFIGS, results):
             stats = result.coverage_stats.get(0)
@@ -542,9 +545,6 @@ def run_static_handover_matrix(
             p95s[config.label].append(stats.p95_m)
             avgs[config.label].append(stats.avg_m)
             maxes[config.label] = max(maxes[config.label], stats.max_m)
-            trial_p95.append(stats.p95_m)
-        if any(a <= b for a, b in zip(trial_p95, trial_p95[1:])):
-            ordering_ok = False
 
     cells = tuple(
         MatrixCell(
@@ -556,7 +556,7 @@ def run_static_handover_matrix(
         )
         for c in ALL_CLOCK_CONFIGS
     )
-    return MatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=ordering_ok)
+    return MatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=_ordered_every_trial(p95s))
 
 
 # --------------------------------------------------------------- offset sweep
@@ -732,19 +732,14 @@ def run_traversal_matrix(
         trials = cfg.handover.trials
     avgs: dict[str, list[float]] = {c.label: [] for c in TRAVERSAL_CLOCK_CONFIGS}
     success: dict[str, bool] = {c.label: True for c in TRAVERSAL_CLOCK_CONFIGS}
-    ordering_ok = True
     for trial in range(trials):
         trial_seed = derive_seed(seed, "traversal_matrix", trial)
-        trial_avgs = []
         results = _traversals(scenario, TRAVERSAL_CLOCK_CONFIGS, trial_seed, cfg)
         for config, result in zip(TRAVERSAL_CLOCK_CONFIGS, results):
             if result.overall is None:
                 raise EmptyFixSet(f"no in-coverage fixes for {config.label} in trial {trial}")
             avgs[config.label].append(result.overall.avg_m)
             success[config.label] &= all(result.handover_success.values())
-            trial_avgs.append(result.overall.avg_m)
-        if any(a <= b for a, b in zip(trial_avgs, trial_avgs[1:])):
-            ordering_ok = False
     cells = tuple(
         TraversalCell(
             label=c.label,
@@ -754,7 +749,7 @@ def run_traversal_matrix(
         )
         for c in TRAVERSAL_CLOCK_CONFIGS
     )
-    return MatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=ordering_ok)
+    return MatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=_ordered_every_trial(avgs))
 
 
 # ---------------------------------------------------------- outdoor comparison

@@ -20,9 +20,9 @@ NS_PER_S = 1_000_000_000
 NS_PER_MS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeOffset:
-    """Signed clock offset with nanosecond resolution."""
+    """Signed clock offset with nanosecond resolution; slotted, as delay runs make one per sample."""
 
     ns: int
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from gpsimlab.calibration import (
     CSV_HEADER,
+    SAMPLE_INTERVAL_S,
     EmptySampleSet,
     apply_correction,
     calibrate,
@@ -23,16 +25,18 @@ from gpsimlab.timebase import NS_PER_MS, ClockErrorChain, TimeOffset
 MODEL = DelayModelConfig(mean_delay_ms=30.0, wander_sigma_ms=0.02, noise_sigma_ms=0.5)
 SAMPLE_COUNT = 1800
 
-sample_lists = st.lists(
-    st.integers(min_value=0, max_value=10**9).map(TimeOffset), min_size=1, max_size=60
-)
+sample_lists = st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=60)
+
+
+def _ns(samples):
+    return [s.ns for s in samples]
 
 
 class TestCalibrate:
     @given(sample_lists)
     def test_correction_is_rounded_exact_mean(self, samples):
         # oracle: rational mean rounded half-up, floor(mean + 1/2)
-        mean = Fraction(sum(s.ns for s in samples), len(samples))
+        mean = Fraction(sum(samples), len(samples))
         expected = (mean + Fraction(1, 2)).__floor__()
         assert calibrate(samples).correction.ns == expected
 
@@ -40,23 +44,23 @@ class TestCalibrate:
     def test_shift_equivariance(self, samples, shift_ns):
         # shifting every sample by a constant shifts the correction by
         # exactly that constant; float averaging would not guarantee this
-        shifted = [TimeOffset(s.ns + shift_ns) for s in samples]
+        shifted = [s + shift_ns for s in samples]
         assert calibrate(shifted).correction.ns == calibrate(samples).correction.ns + shift_ns
 
     @given(sample_lists)
     def test_residual_bound_is_max_abs_deviation(self, samples):
         result = calibrate(samples)
-        brute = max(abs(s.ns - result.correction.ns) for s in samples)
+        brute = max(abs(s - result.correction.ns) for s in samples)
         assert result.residual_bound.ns == brute
 
-    @given(st.lists(st.integers(min_value=0, max_value=10**9).map(TimeOffset), min_size=2, max_size=60))
+    @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=2, max_size=60))
     def test_stddev_matches_unbiased_estimator(self, samples):
         result = calibrate(samples)
-        expected = float(np.std([s.ns for s in samples], ddof=1))
+        expected = float(np.std(samples, ddof=1))
         assert result.sample_stddev.ns == pytest.approx(expected, rel=1e-9, abs=1.0)
 
     def test_single_sample(self):
-        result = calibrate([TimeOffset.from_millis(31)])
+        result = calibrate([TimeOffset.from_millis(31).ns])
         assert result.correction == TimeOffset.from_millis(31)
         assert result.sample_stddev.ns == 0
         assert result.residual_bound.ns == 0
@@ -101,7 +105,7 @@ class TestMeasurement:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_correction_lands_near_process_mean(self, seed):
         samples = measure_sim_delay(MODEL, SAMPLE_COUNT, stream(seed, "cal", "run"))
-        correction = calibrate(samples).correction
+        correction = calibrate(_ns(samples)).correction
         assert correction.millis == pytest.approx(30.0, abs=1.5)
 
     def test_apply_correction_touches_only_sim_delay(self):
@@ -110,7 +114,7 @@ class TestMeasurement:
             ntp_error=TimeOffset.from_millis(2),
             ref_error=TimeOffset(150),
         )
-        result = calibrate(measure_sim_delay(MODEL, 400, stream(5, "cal")))
+        result = calibrate(_ns(measure_sim_delay(MODEL, 400, stream(5, "cal"))))
         corrected = apply_correction(chain, result)
         assert corrected.sim_delay == chain.sim_delay - result.correction
         assert corrected.ntp_error == chain.ntp_error
@@ -121,7 +125,7 @@ class TestMeasurement:
         # fraction of the original 30 ms mean
         for seed in range(4):
             samples = measure_sim_delay(MODEL, SAMPLE_COUNT, stream(seed, "meas"))
-            correction = calibrate(samples).correction
+            correction = calibrate(_ns(samples)).correction
             truth = TimeOffset.from_seconds(
                 float(true_delay_series(MODEL, SAMPLE_COUNT, stream(seed, "truth"))[-1])
             )
@@ -130,16 +134,49 @@ class TestMeasurement:
 
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
-        samples = measure_sim_delay(MODEL, 64, stream(11, "csv"))
+        samples = _ns(measure_sim_delay(MODEL, 64, stream(11, "csv")))
         path = tmp_path / "samples.csv"
         export_samples_csv(path, samples)
         assert import_samples_csv(path) == samples
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "samples.csv"
-        export_samples_csv(path, [TimeOffset.from_millis(30)])
+        export_samples_csv(path, [TimeOffset.from_millis(30).ns])
         first = path.read_text().splitlines()[0]
         assert first.split(",") == list(CSV_HEADER)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [0],
+            [-1, -(10**6), -30_123_456_789],
+            [2**53 + 1, -(2**53) - 3, 2**60 + 12345],
+            [2**63 + 2**20, -(2**63) - 2**20, 2**70 + 1, 10**300],
+            list(range(-100_000, 100_000, 1)),
+        ],
+        ids=["zero", "negative", "above-2^53", "above-2^63", "200000"],
+    )
+    def test_bytes_match_csv_writer_of_reprs(self, tmp_path, samples):
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for i, ns in enumerate(samples):
+                writer.writerow([repr(i * SAMPLE_INTERVAL_S), repr(ns / NS_PER_MS)])
+        path = tmp_path / "samples.csv"
+        export_samples_csv(path, samples)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_samples_above_int64_read_back_exact(self, tmp_path):
+        # every value here is a whole number of ms times 2**k, so ms * NS_PER_MS is exact
+        samples = [2**63 * NS_PER_MS, -(2**64) * NS_PER_MS, 3 * 2**70 * NS_PER_MS, 2**63 + 2**11]
+        path = tmp_path / "samples.csv"
+        rows = "".join(f"{i}.0,{v / NS_PER_MS!r}\n" for i, v in enumerate(samples))
+        path.write_text(",".join(CSV_HEADER) + "\n" + rows)
+        read = import_samples_csv(path)
+        assert read == [round(v / NS_PER_MS * NS_PER_MS) for v in samples]
+        assert read[:3] == samples[:3]
+        assert all(type(v) is int for v in read)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpsimlab.ntp import (
     CONNECTIONS,
+    HOP_SYNC_EVERY,
+    INITIAL_OFFSET_NS,
     DisciplinedClock,
     LinkModel,
+    OffsetEstimate,
     POLL_INTERVAL_S,
+    SyncRunResult,
+    SyncSample,
+    WARMUP_POLLS,
     SERVER_TYPES,
     SyncTopology,
     default_topology,
@@ -24,15 +31,21 @@ def _rng(seed=0):
     return stream(seed, "test", "ntp")
 
 
+def _delays(link, rng):
+    """One exchange's (up, down) delays in ns, drawn as a scalar loop would draw them."""
+    up, down = link.delays_ns(rng.standard_normal((1, 2)))
+    return up[0], down[0]
+
+
 class TestExchange:
     def test_symmetric_link_true_server_is_exact(self):
         client_ns = 12 * NS_PER_MS
-        est = ntp_exchange(client_ns, 0, SYMMETRIC, _rng())
+        est = ntp_exchange(client_ns, 0, *_delays(SYMMETRIC, _rng()))
         assert est.offset_ns == -client_ns
 
     def test_round_trip_equals_sampled_path(self):
         link = LinkModel(base_delay_up_s=0.010, base_delay_down_s=0.003, asymmetry_bias_s=0.001)
-        est = ntp_exchange(-4 * NS_PER_MS, 2 * NS_PER_MS, link, _rng())
+        est = ntp_exchange(-4 * NS_PER_MS, 2 * NS_PER_MS, *_delays(link, _rng()))
         assert est.round_trip_s == pytest.approx(0.014, abs=1e-12)
 
     def test_error_is_server_offset_plus_half_asymmetry(self):
@@ -40,7 +53,7 @@ class TestExchange:
         # wrong by exactly theta_server + 3 ms no matter the client offset
         client_ns = -7 * NS_PER_MS
         link = LinkModel(base_delay_up_s=0.008, base_delay_down_s=0.002)
-        est = ntp_exchange(client_ns, 5 * NS_PER_MS, link, _rng())
+        est = ntp_exchange(client_ns, 5 * NS_PER_MS, *_delays(link, _rng()))
         ideal_ns = -client_ns
         error_ns = est.offset_ns - ideal_ns
         assert error_ns == 8 * NS_PER_MS
@@ -56,14 +69,14 @@ class TestExchange:
             jitter_median_s=0.002,
             jitter_sigma=0.5,
         )
-        rng = _rng(1)
-        errors = [ntp_exchange(0, server_ns, link, rng).offset_ns / NS_PER_S for _ in range(4000)]
+        ups, downs = link.delays_ns(_rng(1).standard_normal((4000, 2)))
+        errors = [ntp_exchange(0, server_ns, up, down).offset_ns / NS_PER_S for up, down in zip(ups, downs)]
         up, down = link.mean_one_way()
         predicted = server_ns / NS_PER_S + (up - down) / 2.0
         assert np.mean(errors) == pytest.approx(predicted, abs=1e-4)
 
     def test_dispersion_defaults_to_true_offset_plus_half_rtt(self):
-        est = ntp_exchange(0, -3 * NS_PER_MS, SYMMETRIC, _rng())
+        est = ntp_exchange(0, -3 * NS_PER_MS, *_delays(SYMMETRIC, _rng()))
         assert est.root_dispersion_s == pytest.approx(0.003 + est.round_trip_s / 2.0)
 
 
@@ -104,7 +117,8 @@ class TestDiscipline:
         states = []
         rng = _rng(3)
         for _ in range(polls):
-            clock = discipline_step(clock, ntp_exchange(clock.offset_truth_ns, server_offset_ns, link, rng))
+            estimate = ntp_exchange(clock.offset_truth_ns, server_offset_ns, *_delays(link, rng))
+            clock = discipline_step(clock, estimate)
             states.append(clock)
         return states
 
@@ -180,3 +194,110 @@ class TestTopologyRuns:
         for cell in cells:
             assert cell.bound_held
             assert cell.est_max_ntp_error_ms > 0.0
+
+
+# The per-poll loop as it was before the run drew its normals up front:
+# scalar draws in poll order, and delays rounded one at a time.
+
+
+def _reference_delays(link, rng):
+    up = link.base_delay_up_s + link.asymmetry_bias_s
+    down = link.base_delay_down_s
+    if link.jitter_median_s > 0:
+        up += link.jitter_median_s * np.exp(link.jitter_sigma * rng.standard_normal())
+        down += link.jitter_median_s * np.exp(link.jitter_sigma * rng.standard_normal())
+    return max(up, 0.0), max(down, 0.0)
+
+
+def _reference_exchange(client_offset_ns, server_offset_ns, link, rng):
+    up_s, down_s = _reference_delays(link, rng)
+    up, down = round(up_s * NS_PER_S), round(down_s * NS_PER_S)
+    t1 = client_offset_ns
+    t2 = up + server_offset_ns
+    t3 = t2
+    t4 = up + down + client_offset_ns
+    round_trip_s = ((t4 - t1) - (t3 - t2)) / NS_PER_S
+    return OffsetEstimate(
+        offset_ns=round(((t2 - t1) + (t3 - t4)) * 0.5),
+        round_trip_s=round_trip_s,
+        root_dispersion_s=abs(server_offset_ns) / NS_PER_S + round_trip_s / 2.0,
+    )
+
+
+def _reference_sync(topology, duration_s, seed):
+    link_rng = stream(seed, "ntp", topology.name, "links")
+    wander_rng = stream(seed, "ntp", topology.name, "wander")
+    root_offset_ns = 0
+    hop_offsets_ns = [0] * len(topology.hop_links)
+    clock = DisciplinedClock.start(INITIAL_OFFSET_NS)
+    samples = []
+    polls = int(duration_s // POLL_INTERVAL_S)
+    for k in range(1, polls + 1):
+        if topology.root_wander_sigma_s > 0:
+            root_offset_ns += round(wander_rng.normal(0.0, topology.root_wander_sigma_s) * NS_PER_S)
+        if topology.hop_wander_sigma_s > 0:
+            hop_offsets_ns = [
+                off + round(wander_rng.normal(0.0, topology.hop_wander_sigma_s) * NS_PER_S)
+                for off in hop_offsets_ns
+            ]
+        if topology.hop_links and k % HOP_SYNC_EVERY == 1:
+            upstream_ns = root_offset_ns
+            for j, link in enumerate(topology.hop_links):
+                hop_offsets_ns[j] += _reference_exchange(hop_offsets_ns[j], upstream_ns, link, link_rng).offset_ns
+                upstream_ns = hop_offsets_ns[j]
+        server_ns = hop_offsets_ns[-1] if topology.hop_links else root_offset_ns
+        estimate = _reference_exchange(clock.offset_truth_ns, server_ns, topology.client_link, link_rng)
+        clock = discipline_step(clock, estimate)
+        samples.append(SyncSample(k * POLL_INTERVAL_S, clock.offset_truth_ns, clock.estimated_max_error_s))
+    settled = samples[WARMUP_POLLS:] if len(samples) > WARMUP_POLLS else samples
+    return SyncRunResult(
+        samples=tuple(samples),
+        final=clock,
+        max_estimated_error_s=max(s.estimated_max_error_s for s in settled),
+        max_abs_offset_s=max(abs(s.offset_truth_ns) for s in settled) / NS_PER_S,
+        bound_held=all(abs(s.offset_truth_ns) / NS_PER_S <= s.estimated_max_error_s for s in samples),
+    )
+
+
+def _either(off, on):
+    return st.one_of(st.just(off), on)
+
+
+links = st.builds(
+    LinkModel,
+    base_delay_up_s=st.floats(0.0, 0.05),
+    base_delay_down_s=st.floats(0.0, 0.05),
+    # a bias below minus the base delay clamps the uplink at 0
+    asymmetry_bias_s=st.floats(-0.1, 0.1),
+    jitter_median_s=_either(0.0, st.floats(1e-6, 0.01)),
+    jitter_sigma=st.floats(0.0, 1.5),
+)
+
+topologies = st.builds(
+    SyncTopology,
+    name=st.sampled_from(["a", "b"]),
+    client_link=links,
+    hop_links=st.lists(links, max_size=3).map(tuple),
+    hop_wander_sigma_s=_either(0.0, st.floats(1e-7, 0.002)),
+    root_wander_sigma_s=_either(0.0, st.floats(1e-7, 0.002)),
+)
+
+
+class TestPreDrawnRun:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        topologies,
+        st.floats(POLL_INTERVAL_S, 7200.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_poll_scalar_draws(self, topology, duration_s, seed):
+        result = run_disciplined_sync(topology, duration_s, seed)
+        reference = _reference_sync(topology, duration_s, seed)
+        assert result.samples == reference.samples
+        assert result.final == reference.final
+        assert result == reference
+
+    @pytest.mark.parametrize("duration_s", [0.0, POLL_INTERVAL_S - 1e-9])
+    def test_duration_below_one_poll_names_duration(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s"):
+            run_disciplined_sync(default_topology("wired", "private"), duration_s, seed=0)

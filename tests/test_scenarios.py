@@ -309,6 +309,19 @@ class TestStaticHandover:
             assert cell.median_p95_m == pytest.approx(float(np.median(cell.per_trial_p95_m)))
         assert matrix.ordering_ok_every_trial
 
+    @pytest.mark.parametrize(
+        "per_config, ordered",
+        [
+            ({"a": [3.0, 5.0], "b": [2.0, 4.0], "c": [1.0, 3.0]}, True),
+            ({"a": [3.0, 5.0], "b": [2.0, 5.0], "c": [1.0, 3.0]}, False),
+            ({"a": [3.0, 5.0], "b": [2.0, 4.0], "c": [1.0, 4.5]}, False),
+            ({"a": [], "b": []}, True),
+        ],
+        ids=["strict", "tie", "inverted", "no-trials"],
+    )
+    def test_ordering_is_strict_per_trial(self, per_config, ordered):
+        assert sc._ordered_every_trial(per_config) is ordered
+
 
 class TestOffsetSweep:
     def test_shape_and_symmetry(self):
