@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from gpsimlab.calibration import (
     CSV_HEADER,
-    SAMPLE_INTERVAL_S,
     EmptySampleSet,
+    SAMPLE_INTERVAL_S,
     apply_correction,
     calibrate,
     export_samples_csv,
@@ -168,7 +168,8 @@ class TestCsv:
         assert path.read_bytes() == reference.read_bytes()
 
     def test_samples_above_int64_read_back_exact(self, tmp_path):
-        # every value here is a whole number of ms times 2**k, so ms * NS_PER_MS is exact
+        # the first three are whole ms counts a double holds exactly, so they come back unchanged;
+        # every sample comes back as round() of its ms value times NS_PER_MS, as from_millis did
         samples = [2**63 * NS_PER_MS, -(2**64) * NS_PER_MS, 3 * 2**70 * NS_PER_MS, 2**63 + 2**11]
         path = tmp_path / "samples.csv"
         rows = "".join(f"{i}.0,{v / NS_PER_MS!r}\n" for i, v in enumerate(samples))

@@ -4,17 +4,17 @@ from hypothesis import given, settings, strategies as st
 
 from gpsimlab.ntp import (
     CONNECTIONS,
+    DisciplinedClock,
     HOP_SYNC_EVERY,
     INITIAL_OFFSET_NS,
-    DisciplinedClock,
     LinkModel,
     OffsetEstimate,
     POLL_INTERVAL_S,
+    SERVER_TYPES,
     SyncRunResult,
     SyncSample,
-    WARMUP_POLLS,
-    SERVER_TYPES,
     SyncTopology,
+    WARMUP_POLLS,
     default_topology,
     discipline_step,
     ntp_exchange,
@@ -32,7 +32,7 @@ def _rng(seed=0):
 
 
 def _delays(link, rng):
-    """One exchange's (up, down) delays in ns, drawn as a scalar loop would draw them."""
+    """One exchange's (up, down) delays in ns, from two fresh standard normals."""
     up, down = link.delays_ns(rng.standard_normal((1, 2)))
     return up[0], down[0]
 
