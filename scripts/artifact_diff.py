@@ -6,18 +6,20 @@
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
 list of quick commands at seeds 0 and 7 once under each tree's ``src/``
 (among them ``calibrate --samples-csv`` on the samples that tree's own
-``calibrate`` run wrote at the same seed), and prints every artifact file
-that differs, exists on one side only, or comes with a different exit
-code. A differing JSON or CSV artifact is
-printed with its largest relative drift from the base, measured by the
-benchmark's own comparator, or as "structure differs" when its keys,
-labels, flags or row count changed. Exits 1 if anything differs, 0
-otherwise. The runs ignore GPSIMLAB_CONFIG, so both trees read built-in
-defaults.
+``calibrate`` run wrote at the same seed, and static handovers whose
+config blocks the receiver up to and past t_max), and prints every
+artifact file that differs, exists on one side only, or comes with a
+different exit code. A differing JSON or CSV artifact is printed with
+its largest relative drift from the base, measured by the benchmark's
+own comparator, or as "structure differs" when its keys, labels, flags
+or row count changed. Exits 1 if anything differs, 0 otherwise. The
+runs ignore GPSIMLAB_CONFIG, so both trees read built-in defaults or
+the command's own config.
 """
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +40,12 @@ COMMANDS = (
     ("sweep", "--receiver", "smartphone", "--trials", "1"),
     ("simulate", "--scenario", "static", "--trials", "2"),
     ("simulate", "--scenario", "static", "--clock", "private/calibrated"),
+    # a command may end with a config, which its runs read through --config:
+    # a blockage past t_max, which falls back to cold acquisition, and one of
+    # exactly t_max, which still reacquires warm
+    ("simulate", "--scenario", "static", "--clock", "private/calibrated",
+     {"handover": {"blocked_s": 140.0, "sim_s": 40.0}}),
+    ("simulate", "--scenario", "static", "--clock", "private/calibrated", {"handover": {"blocked_s": 135.0}}),
     ("simulate", "--scenario", "driving", "--trials", "1"),
     ("simulate", "--scenario", "driving", "--clock", "private/calibrated"),
     ("simulate", "--scenario", "pedestrian"),
@@ -54,8 +62,14 @@ def run_commands(tree: Path, out: Path) -> dict[str, int]:
         # "{calibrate}" in an argument is the run directory of this seed's plain calibrate
         calibrate = out / f"seed{seed}/{COMMANDS.index(('calibrate',))}-calibrate"
         for i, command in enumerate(COMMANDS):
+            *command, config = command if isinstance(command[-1], dict) else (*command, None)
             name = f"seed{seed}/{i}-{'_'.join(command).replace('/', '-')}"
             args = [part.format(calibrate=calibrate) for part in command]
+            if config is not None:
+                path = out / f"configs/{i}.json"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps(config))
+                args += ["--config", str(path)]
             argv = [sys.executable, "-m", "gpsimlab.cli", *args, "--seed", str(seed)]
             proc = subprocess.run(
                 argv + ["--out", str(out / name)], env=env, cwd=tree, capture_output=True

@@ -241,7 +241,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
 
     if args.scenario in ("driving", "pedestrian"):
         base = (
-            sc.PathScenario(cfg.deployment, sc.PRIVATE_CALIBRATED, sc.DRIVING_PR_NOISE_M)
+            sc.default_driving_scenario(cfg)
             if args.scenario == "driving"
             else sc.default_pedestrian_scenario()
         )

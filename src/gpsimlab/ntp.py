@@ -228,16 +228,13 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
     links = (*topology.hop_links, topology.client_link)
     active = np.ones((polls, len(links)), dtype=bool)
     active[:, :hops] = (np.arange(1, polls + 1) % HOP_SYNC_EVERY == 1)[:, None]
-    jittered = [link.jitter_median_s > 0 for link in links]
-    draws = active * np.array(jittered) * 2
-    first_draw = (np.cumsum(draws) - draws.ravel()).reshape(draws.shape)
-    normals = stream(seed, "ntp", topology.name, "links").standard_normal(int(draws.sum()))
-    delays = []
-    for i, link in enumerate(links):
-        at = first_draw[active[:, i], i]
-        pairs = normals[at[:, None] + [0, 1]] if jittered[i] else np.zeros((at.size, 2))
-        delays.append(iter(zip(*link.delays_ns(pairs))))
-    *hop_delays, client_delays = delays
+    jittered = active & [link.jitter_median_s > 0 for link in links]
+    # a mask fills in row-major order: poll by poll, then link by link
+    normals = np.zeros((polls, len(links), 2))
+    normals[jittered] = stream(seed, "ntp", topology.name, "links").standard_normal((int(jittered.sum()), 2))
+    *hop_delays, client_delays = (
+        iter(zip(*link.delays_ns(normals[active[:, i], i]))) for i, link in enumerate(links)
+    )
 
     root_offset_ns = 0
     hop_offsets_ns = [0] * hops

@@ -12,18 +12,21 @@ piecewise-linearly, clamped at the last knot.
 The reacquisition target is latched once, from the clock offset seen at
 the moment the signal returns; later offset changes during the same
 reacquisition do not move it. Stepping is pure: the next state depends
-only on the arguments. Elapsed times advance in whole DT_S quanta, so a
-target t completes after ceil(t / DT_S) steps of signal.
+only on the arguments. Time advances in whole DT_S quanta and the state
+counts them as an integer: a blockage of k quanta is within t_max when
+k * DT_S <= t_max + ε, and a target of t s completes after
+max(1, ⌈(t − ε)/DT_S⌉) quanta of signal.
 
 ``advance`` moves through a stretch of unchanged signal at once: it
 steps the first quantum, where every decision of the state machine is
-made, and jumps the rest, where elapsed times only grow until a latched
+made, and jumps the rest, where the count only grows until a latched
 target completes.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,18 +135,29 @@ def planning_timing(profile: ReceiverProfile) -> TimingProfile:
 
 @dataclass(frozen=True)
 class ReceiverState:
+    """A mode and its count of DT_S quanta.
+
+    BLOCKED counts quanta without signal. ACQUISITION and REACQUISITION
+    count quanta of signal towards ``target``, latched in quanta when the
+    signal returns. TRACKING carries neither.
+    """
+
     mode: Mode
-    blockage_elapsed_s: float = 0.0
-    mode_elapsed_s: float = 0.0
-    target_s: float = 0.0
+    quanta: int = 0
+    target: int = 0
 
     @classmethod
     def cold(cls, profile: ReceiverProfile) -> "ReceiverState":
-        return cls(mode=Mode.ACQUISITION, target_s=profile.t_acq_s)
+        return cls(Mode.ACQUISITION, target=_target_quanta(profile.t_acq_s))
 
     @classmethod
     def tracking(cls) -> "ReceiverState":
-        return cls(mode=Mode.TRACKING)
+        return cls(Mode.TRACKING)
+
+
+def _target_quanta(target_s: float) -> int:
+    """Quanta of signal a target of ``target_s`` takes to complete."""
+    return max(1, math.ceil((target_s - _EPS_S) / DT_S))
 
 
 def step(
@@ -160,41 +174,22 @@ def step(
     # states are built field by field: dataclasses.replace costs several
     # times the constructor
     if not signal_present:
-        blocked = state.blockage_elapsed_s + DT_S if state.mode is Mode.BLOCKED else DT_S
-        return ReceiverState(Mode.BLOCKED, blockage_elapsed_s=blocked)
+        return ReceiverState(Mode.BLOCKED, state.quanta + 1 if state.mode is Mode.BLOCKED else 1)
 
     if state.mode is Mode.TRACKING:
-        return ReceiverState(
-            Mode.TRACKING, state.blockage_elapsed_s, state.mode_elapsed_s + DT_S, state.target_s
-        )
+        return state
 
     if state.mode is Mode.BLOCKED:
-        if state.blockage_elapsed_s <= profile.t_max_s + _EPS_S:
-            mode = Mode.REACQUISITION
-            target = reacquisition_time(profile, clock_offset)
+        if state.quanta * DT_S <= profile.t_max_s + _EPS_S:
+            state = ReceiverState(
+                Mode.REACQUISITION, target=_target_quanta(reacquisition_time(profile, clock_offset))
+            )
         else:
-            mode = Mode.ACQUISITION
-            target = profile.t_acq_s
-        state = ReceiverState(mode, mode_elapsed_s=DT_S, target_s=target)
-    else:
-        state = ReceiverState(
-            state.mode, state.blockage_elapsed_s, state.mode_elapsed_s + DT_S, state.target_s
-        )
+            state = ReceiverState(Mode.ACQUISITION, target=_target_quanta(profile.t_acq_s))
 
-    if state.mode_elapsed_s >= state.target_s - _EPS_S:
-        return ReceiverState(Mode.TRACKING, state.blockage_elapsed_s)
-    return state
-
-
-def _running_sum(start: float, quanta: int) -> np.ndarray:
-    """``start`` followed by its value after each of ``quanta`` additions of DT_S.
-
-    ``np.cumsum`` adds in order, so every entry is the float repeated
-    ``+= DT_S`` gives; ``start + k * DT_S`` would differ in the last bit.
-    """
-    sums = np.full(quanta + 1, DT_S)
-    sums[0] = start
-    return np.cumsum(sums, out=sums)
+    if state.quanta + 1 >= state.target:
+        return ReceiverState.tracking()
+    return ReceiverState(state.mode, state.quanta + 1, state.target)
 
 
 def advance(
@@ -216,17 +211,12 @@ def advance(
     runs = [(0, state.mode)]
     rest = steps - 1
     if state.mode is Mode.BLOCKED:
-        blocked_s = float(_running_sum(state.blockage_elapsed_s, rest)[-1])
-        return ReceiverState(Mode.BLOCKED, blocked_s), runs
-    if state.mode is not Mode.TRACKING:
-        elapsed = _running_sum(state.mode_elapsed_s, rest)
-        # the first quantum did not complete, so done >= 1
-        done = int(np.searchsorted(elapsed, state.target_s - _EPS_S))
-        if done > rest:
-            pending = ReceiverState(state.mode, state.blockage_elapsed_s, float(elapsed[-1]), state.target_s)
-            return pending, runs
-        runs.append((done, Mode.TRACKING))
-        state = ReceiverState(Mode.TRACKING, state.blockage_elapsed_s)
-        rest -= done
-    elapsed_s = float(_running_sum(state.mode_elapsed_s, rest)[-1])
-    return ReceiverState(Mode.TRACKING, state.blockage_elapsed_s, elapsed_s, state.target_s), runs
+        return ReceiverState(Mode.BLOCKED, state.quanta + rest), runs
+    if state.mode is Mode.TRACKING:
+        return state, runs
+    # the first quantum did not complete, so done >= 1
+    done = state.target - state.quanta
+    if done > rest:
+        return ReceiverState(state.mode, state.quanta + rest, state.target), runs
+    runs.append((done, Mode.TRACKING))
+    return ReceiverState.tracking(), runs

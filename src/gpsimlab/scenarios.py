@@ -68,8 +68,8 @@ REF_ERROR_BOUND_S = 200e-9
 SWEEP_WINDOW_S = 60.0
 # Pseudorange noise of a driving crossing; the pedestrian preset sees more.
 DRIVING_PR_NOISE_M = 2.5
-# A traversal's path is sampled once per DT_S step; longer crossings are refused.
-MAX_TRAVERSAL_STEPS = 1_000_000
+# A timeline holds one entry per DT_S step; a longer handover or crossing is refused.
+MAX_TIMELINE_STEPS = 1_000_000
 OUTDOOR_WINDOW_S = 5.0
 OUTDOOR_THRESHOLD_M = 8.0
 
@@ -481,9 +481,15 @@ def _static_handovers(
     """The static handover under each of ``configs``, from one draw of the host's clock chain.
 
     The sky and noise are drawn once too. Results come one at a time, so a
-    matrix holds one configuration's fixes.
+    matrix holds one configuration's fixes. A handover of more than
+    MAX_TIMELINE_STEPS steps is refused before anything is drawn.
     """
     h = cfg.handover
+    if (h.live_s + h.blocked_s + h.sim_s) / DT_S > MAX_TIMELINE_STEPS:
+        raise ConfigError(
+            f"handover.live_s, handover.blocked_s, handover.sim_s: {h.live_s} + {h.blocked_s} + "
+            f"{h.sim_s} s takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s"
+        )
     steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
     tracking = rcv.ReceiverState.tracking()
     draws = draw_clock(seed, "static", 0, configs, cfg)
@@ -648,7 +654,7 @@ def run_dynamic_traversal(
     position is outside of. A coverage is entered when the last step
     outside it ends, the same instant the static handover restores
     signal at. The satellite count comes from ``cfg.handover``. A crossing
-    of more than MAX_TRAVERSAL_STEPS steps is refused before it starts.
+    of more than MAX_TIMELINE_STEPS steps is refused before it starts.
     """
     return next(_traversals(scenario, (scenario.clock,), seed, cfg))
 
@@ -666,10 +672,10 @@ def _traversals(
     v = kmh_to_ms(dep.max_speed_kmh)
     if v <= 0:
         raise ZeroSpeed(f"speed must be positive, got {v} m/s")
-    if layout.length_m / DT_S > MAX_TRAVERSAL_STEPS * v:
+    if layout.length_m / DT_S > MAX_TIMELINE_STEPS * v:
         raise ConfigError(
             f"deployment.max_speed_kmh, deployment.separation_m: crossing {layout.length_m} m "
-            f"at {v} m/s takes more than {MAX_TRAVERSAL_STEPS} steps of {DT_S} s"
+            f"at {v} m/s takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s"
         )
     sources = []
     s = 0.0
@@ -695,9 +701,9 @@ def _traversals(
         yield _handover(segments, layout.centers_m, v, profile, tracking, drawn, dict(enumerate(draws)))
 
 
-def default_driving_scenario() -> PathScenario:
-    """The default deployment's corridor crossed at 110 km/h with a timing receiver."""
-    return PathScenario(DEFAULTS.deployment, PRIVATE_CALIBRATED, DRIVING_PR_NOISE_M)
+def default_driving_scenario(cfg: Config = DEFAULTS) -> PathScenario:
+    """``cfg.deployment``'s corridor crossed at its max speed with its receiver."""
+    return PathScenario(cfg.deployment, PRIVATE_CALIBRATED, DRIVING_PR_NOISE_M)
 
 
 def default_pedestrian_scenario() -> PathScenario:

@@ -190,6 +190,18 @@ class TestSimulate:
         assert f"deployment.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", [1e12, 1e308])
+    @pytest.mark.parametrize("key", ["live_s", "blocked_s", "sim_s"])
+    @pytest.mark.parametrize("clock", ["private/calibrated", "all"])
+    def test_static_handover_above_the_step_cap_exits_two(self, tmp_path, capsys, key, value, clock):
+        # refused before the timeline is sized or any draw is made
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"handover": {key: value}}))
+        argv = ("simulate", "--scenario", "static", "--clock", clock, "--config", str(cfg))
+        assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert f"handover.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "config, flags",
         [

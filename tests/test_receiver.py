@@ -2,9 +2,10 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpsimlab.receiver import (
+    _EPS_S,
     DEDICATED,
     DT_S,
     FLAT_REGION_S,
@@ -39,13 +40,22 @@ def stepped_runs(state, profile, n, signal, offset):
     return state, runs
 
 
+def running_sum_quanta(target_s):
+    """Quanta of signal a target took under the float rule: the first running sum of DT_S >= target - ε."""
+    running, quanta = DT, 1
+    while running < target_s - _EPS_S:
+        running += DT
+        quanta += 1
+    return quanta
+
+
 def fields(state):
     return [(type(v), v) for v in dataclasses.astuple(state)]
 
 
 # warm reacquisition at 150 ms: the latched target is 1.2 s, 12 quanta of signal
 OFFSET_150 = TimeOffset.from_millis(150)
-BLOCKED_1S = ReceiverState(Mode.BLOCKED, blockage_elapsed_s=1.0)
+BLOCKED_1S = ReceiverState(Mode.BLOCKED, quanta=10)
 # 3 of the 4 quanta of a base-time reacquisition done
 REACQ_ONE_SHORT = run_steps(BLOCKED_1S, DEDICATED, 3, signal=True)
 
@@ -113,26 +123,26 @@ class TestStateMachine:
     def test_blockage_accumulates_without_signal(self):
         state = run_steps(ReceiverState.tracking(), DEDICATED, 25, signal=False)
         assert state.mode is Mode.BLOCKED
-        assert state.blockage_elapsed_s == pytest.approx(2.5)
+        assert state.quanta == 25
 
     def test_warm_reacquisition_after_short_blockage(self):
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
         state = step(state, DEDICATED, True, TimeOffset.zero())
         assert state.mode is Mode.REACQUISITION
-        assert state.target_s == DEDICATED.t_reacq_base_s
+        assert state.target == 4  # t_reacq_base_s, 0.4 s
 
     def test_cold_acquisition_after_long_blockage(self):
         steps_past = int(DEDICATED.t_max_s / DT) + 2
         state = run_steps(ReceiverState.tracking(), DEDICATED, steps_past, signal=False)
         state = step(state, DEDICATED, True, TimeOffset.zero())
         assert state.mode is Mode.ACQUISITION
-        assert state.target_s == DEDICATED.t_acq_s
+        assert state.target == 300  # t_acq_s, 30 s
 
     def test_boundary_blockage_is_warm(self):
         # exactly t_max of blockage still reacquires warm
         steps_exact = round(DEDICATED.t_max_s / DT)
         state = run_steps(ReceiverState.tracking(), DEDICATED, steps_exact, signal=False)
-        assert state.blockage_elapsed_s == pytest.approx(DEDICATED.t_max_s)
+        assert state.quanta == 1350
         state = step(state, DEDICATED, True, TimeOffset.zero())
         assert state.mode is Mode.REACQUISITION
 
@@ -153,9 +163,9 @@ class TestStateMachine:
         big = TimeOffset.from_millis(250)
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
         state = step(state, DEDICATED, True, big)
-        assert state.target_s == pytest.approx(2.0)
+        assert state.target == 20  # 2.0 s
         state = run_steps(state, DEDICATED, 5, signal=True, offset=TimeOffset.zero())
-        assert state.target_s == pytest.approx(2.0)
+        assert state.target == 20
         assert state.mode is Mode.REACQUISITION
 
     def test_signal_loss_mid_reacquisition_restarts_blockage(self):
@@ -163,7 +173,7 @@ class TestStateMachine:
         state = step(state, DEDICATED, True, TimeOffset.zero())
         state = step(state, DEDICATED, False, TimeOffset.zero())
         assert state.mode is Mode.BLOCKED
-        assert state.blockage_elapsed_s == pytest.approx(DT)
+        assert state.quanta == 1
 
     def test_cold_start_acquires(self):
         state = ReceiverState.cold(DEDICATED)
@@ -212,3 +222,38 @@ class TestStateMachine:
         last = advance(BLOCKED_1S, DEDICATED, True, OFFSET_150, 12)[1]
         assert last == [(0, Mode.REACQUISITION), (11, Mode.TRACKING)]
         assert advance(BLOCKED_1S, DEDICATED, True, OFFSET_150, 11)[1] == [(0, Mode.REACQUISITION)]
+
+
+class TestQuantaCount:
+    """The integer count against the float running sums it replaced."""
+
+    @given(st.integers(0, 300_000_000), st.sampled_from([DEDICATED, SMARTPHONE]))
+    # the ends of the flat region and of the reacquisition map, and a target
+    # of 8.600000000000001 s, which ε keeps at 86 quanta
+    @example(50_000_000, DEDICATED)
+    @example(250_000_000, SMARTPHONE)
+    @example(165_000_000, SMARTPHONE)
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_latched_target_matches_the_running_sum(self, offset_ns, profile):
+        offset = TimeOffset(offset_ns)
+        state = step(BLOCKED_1S, profile, True, offset)
+        assert state.target == running_sum_quanta(reacquisition_time(profile, offset))
+
+    @pytest.mark.parametrize("profile", [DEDICATED, SMARTPHONE], ids=lambda p: p.name)
+    def test_cold_target_matches_the_running_sum(self, profile):
+        assert ReceiverState.cold(profile).target == running_sum_quanta(profile.t_acq_s)
+
+    @pytest.mark.parametrize("profile", [DEDICATED, SMARTPHONE], ids=lambda p: p.name)
+    def test_blockage_of_1350_quanta_is_warm_and_1351_cold(self, profile):
+        warm = step(ReceiverState(Mode.BLOCKED, 1350), profile, True, TimeOffset.zero())
+        cold = step(ReceiverState(Mode.BLOCKED, 1351), profile, True, TimeOffset.zero())
+        assert (warm.mode, cold.mode) == (Mode.REACQUISITION, Mode.ACQUISITION)
+
+    @pytest.mark.parametrize("profile", [DEDICATED, SMARTPHONE], ids=lambda p: p.name)
+    def test_warm_rule_matches_the_running_sum(self, profile):
+        # the float rule compared the k-th running sum of DT_S with t_max + ε
+        running = 0.0
+        for quanta in range(1, 2001):
+            running += DT
+            resumed = step(ReceiverState(Mode.BLOCKED, quanta), profile, True, TimeOffset.zero())
+            assert (resumed.mode is Mode.REACQUISITION) == (running <= profile.t_max_s + _EPS_S)

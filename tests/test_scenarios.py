@@ -22,7 +22,6 @@ from gpsimlab.placement import (
     validate_deployment,
 )
 from gpsimlab.receiver import (
-    _EPS_S,
     DEDICATED,
     PROFILES,
     SMARTPHONE,
@@ -135,13 +134,12 @@ def timelines(draw):
         )
     )
     cold = ReceiverState.cold(profile)
-    blocked = ReceiverState(Mode.BLOCKED, blockage_elapsed_s=sc.DT_S)
+    blocked = ReceiverState(Mode.BLOCKED, quanta=1)
     state = draw(
         st.one_of(
             st.sampled_from([ReceiverState.tracking(), cold]),
-            st.sampled_from([-_EPS_S, 0.0, _EPS_S]).map(
-                lambda eps: ReceiverState(Mode.BLOCKED, blockage_elapsed_s=profile.t_max_s + eps)
-            ),
+            # t_max is 1,350 quanta of blockage
+            st.sampled_from([1349, 1350, 1351]).map(lambda quanta: ReceiverState(Mode.BLOCKED, quanta)),
             # part-way through a warm reacquisition or a cold acquisition
             st.builds(
                 part_way, st.sampled_from([blocked, cold]), st.just(profile), st.integers(1, 300), offsets
