@@ -6,8 +6,10 @@
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
 list of quick commands at seeds 0 and 7 once under each tree's ``src/``
 (among them ``calibrate --samples-csv`` on the samples that tree's own
-``calibrate`` run wrote at the same seed, and static handovers whose
-config blocks the receiver up to and past t_max), and prints every
+``calibrate`` run wrote at the same seed, static handovers whose config
+blocks the receiver up to and past t_max, a strict raw public clock
+judged against a budget it misses and one it fits, and a sweep past the
+last reacquisition knot), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -50,6 +52,12 @@ COMMANDS = (
     ("simulate", "--scenario", "driving", "--clock", "private/calibrated"),
     ("simulate", "--scenario", "pedestrian"),
     ("simulate", "--scenario", "outdoor"),
+    # a raw public clock misses the default 50 ms budget (exit 1 under
+    # --strict) and fits a 100 ms one, so both budget flags are written
+    ("simulate", "--scenario", "static", "--clock", "public/raw", "--strict"),
+    ("simulate", "--scenario", "static", "--clock", "public/raw", "--strict", {"budget": {"limit_ms": 100.0}}),
+    # ±400 ms lies past the reacquisition map's last knot, 250 ms
+    ("sweep", {"sweep": {"min_offset_ms": -400.0, "max_offset_ms": 400.0, "step_ms": 200.0, "trials": 1}}),
 )
 
 

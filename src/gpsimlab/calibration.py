@@ -4,7 +4,7 @@ The host takes a roughly constant time to turn a commanded scenario state
 into radiated signal. That delay drifts slowly and each measurement of it
 carries noise, so it is modeled as mean plus random walk plus Gaussian
 measurement noise. Calibration estimates the mean over a long sample run
-and subtracts it from the clock-error chain; what remains is walk drift
+and subtracts it from the drawn process delay; what remains is walk drift
 plus estimation error, far inside the handover budget at the default
 settings.
 """
@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .config import DelayModelConfig
-from .timebase import NS_PER_MS, NS_PER_S, ClockErrorChain, TimeOffset
+from .timebase import NS_PER_MS, NS_PER_S, TimeOffset, ns_from_millis
 
 SAMPLE_INTERVAL_S = 1.0
 
@@ -33,11 +33,11 @@ class EmptySampleSet(ValueError):
 
 @dataclass(frozen=True)
 class DelayCalibration:
-    """Correction plus the spread diagnostics of the sample run."""
+    """Correction plus the spread diagnostics of the sample run, in integer ns."""
 
-    correction: TimeOffset
-    sample_stddev: TimeOffset
-    residual_bound: TimeOffset
+    correction_ns: int
+    sample_stddev_ns: int
+    residual_bound_ns: int
     sample_count: int
 
 
@@ -48,17 +48,17 @@ def true_delay_series(model: DelayModelConfig, count: int, rng: np.random.Genera
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    walk = np.cumsum(rng.normal(0.0, TimeOffset.from_millis(model.wander_sigma_ms).seconds, count))
-    return np.maximum(TimeOffset.from_millis(model.mean_delay_ms).seconds + walk, 0.0)
+    walk = np.cumsum(rng.normal(0.0, ns_from_millis(model.wander_sigma_ms) / NS_PER_S, count))
+    return np.maximum(ns_from_millis(model.mean_delay_ms) / NS_PER_S + walk, 0.0)
 
 
 def measure_sim_delay(model: DelayModelConfig, count: int, rng: np.random.Generator) -> list[TimeOffset]:
     """Measured delay samples: true process delay plus measurement noise."""
     true = true_delay_series(model, count, rng)
-    noise_s = TimeOffset.from_millis(model.noise_sigma_ms).seconds
+    noise_s = ns_from_millis(model.noise_sigma_ms) / NS_PER_S
     measured = np.maximum(true + rng.normal(0.0, noise_s, count), 0.0)
-    # TimeOffset.from_seconds for every sample in one pass: rint rounds half
-    # to even as round() does, in place so no second float array is made;
+    # ns_from_seconds for every sample in one pass: rint rounds half to
+    # even as round() does, in place so no second float array is made;
     # no int64 cast, a sample of the widest accepted spread may exceed it
     measured *= NS_PER_S
     np.rint(measured, out=measured)
@@ -87,17 +87,7 @@ def calibrate(ns: Sequence[int]) -> DelayCalibration:
         stddev_ns = 0
     # the correction lies between the extremes, so they hold the largest |v - correction|
     residual_ns = max(max(ns) - correction_ns, correction_ns - min(ns))
-    return DelayCalibration(
-        correction=TimeOffset(correction_ns),
-        sample_stddev=TimeOffset(stddev_ns),
-        residual_bound=TimeOffset(residual_ns),
-        sample_count=n,
-    )
-
-
-def apply_correction(chain: ClockErrorChain, calibration: DelayCalibration) -> ClockErrorChain:
-    """Chain with the calibrated correction removed from the process delay."""
-    return replace(chain, sim_delay=chain.sim_delay - calibration.correction)
+    return DelayCalibration(correction_ns, stddev_ns, residual_ns, n)
 
 
 def export_samples_csv(path: str | Path, ns: Sequence[int]) -> None:
@@ -140,6 +130,6 @@ def import_samples_csv(path: str | Path) -> list[int]:
     deviation_ns = 2.0 * peak * NS_PER_MS
     if not math.isfinite(deviation_ns * deviation_ns * len(millis)):
         raise ValueError(f"{path} line {peak_line}: squared deviations of {len(millis)} samples overflow")
-    # TimeOffset.from_millis for every row in one pass: rint rounds half to
-    # even as round() does; no int64 cast, a sample may exceed it
+    # ns_from_millis for every row in one pass: rint rounds half to even as
+    # round() does; no int64 cast, a sample may exceed it
     return list(map(int, np.rint(np.array(millis) * NS_PER_MS).tolist()))

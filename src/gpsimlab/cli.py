@@ -51,6 +51,7 @@ from .placement import (
 from .reports import format_table, write_csv, write_json
 from .rng import stream
 from .solver import NoConvergence, SingularGeometry
+from .timebase import NS_PER_MS
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -317,9 +318,9 @@ def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
         export_samples_csv(out / "delay_samples.csv", samples)
     result = calibrate(samples)
     payload = {
-        "correction_ms": result.correction.millis,
-        "sample_stddev_ms": result.sample_stddev.millis,
-        "residual_bound_ms": result.residual_bound.millis,
+        "correction_ms": result.correction_ns / NS_PER_MS,
+        "sample_stddev_ms": result.sample_stddev_ns / NS_PER_MS,
+        "residual_bound_ms": result.residual_bound_ns / NS_PER_MS,
         "sample_count": result.sample_count,
     }
     write_json(out / "calibration.json", payload)
@@ -328,8 +329,8 @@ def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
         paths.append(out / "delay_samples.csv")
     _announce(paths)
     print(
-        f"correction {result.correction.millis:.3f} ms over {result.sample_count} samples, "
-        f"residual bound {result.residual_bound.millis:.3f} ms"
+        f"correction {payload['correction_ms']:.3f} ms over {result.sample_count} samples, "
+        f"residual bound {payload['residual_bound_ms']:.3f} ms"
     )
     return EXIT_OK
 
@@ -365,11 +366,16 @@ def cmd_sync_compare(cfg: Config, args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- main
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"JSON config path (default: ${CONFIG_ENV_VAR} if set, else built-ins)",
     )
-    common.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    common.add_argument("--seed", type=_int_at_least(0), default=0, help="base seed, non-negative (default 0)")
     common.add_argument("--out", default="out", help="artifact directory (default ./out)")
     strict = argparse.ArgumentParser(add_help=False)
     strict.add_argument(
@@ -406,12 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="clock pipeline (default: all applicable)",
     )
     sim.add_argument(
-        "--trials", type=_positive_int, default=None, help="override trial count of a --clock all matrix"
+        "--trials", type=_int_at_least(1), default=None, help="override trial count of a --clock all matrix"
     )
 
     sw = sub.add_parser("sweep", parents=[common], help="reacquisition vs controlled clock offset")
     sw.add_argument("--receiver", choices=tuple(rcv.PROFILES), default=None)
-    sw.add_argument("--trials", type=_positive_int, default=None, help="override trial count")
+    sw.add_argument("--trials", type=_int_at_least(1), default=None, help="override trial count")
 
     cal = sub.add_parser("calibrate", parents=[common], help="delay calibration statistics")
     cal.add_argument("--samples-csv", default=None, help="calibrate from an existing sample CSV")

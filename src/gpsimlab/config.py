@@ -29,6 +29,11 @@ from dataclasses import dataclass
 # k = 5 it would be 1.7e-6 per calibration run, ~1e-4 per 50-trial matrix.
 DEVIATION_SIGMAS = 20.0
 
+# The most entries a count from the config may give an array or a loop: a
+# timeline's DT_S steps, a delay-sample run, a sync run's polls or a sweep's
+# offsets. A config that asks for more is refused.
+MAX_TIMELINE_STEPS = 1_000_000
+
 
 class ConfigError(ValueError):
     """A config file failed validation; the message carries the key path."""
@@ -147,7 +152,7 @@ def _validate(cfg: Config) -> Config:
     from .ntp import POLL_INTERVAL_S
     from .placement import kmh_to_ms
     from .receiver import PROFILES
-    from .timebase import NS_PER_MS, TimeOffset
+    from .timebase import NS_PER_MS, ns_from_millis
 
     _positive(cfg.deployment.radius_m, "deployment.radius_m")
     # positive in m/s too: the smallest subnormal km/h rounds to 0 m/s
@@ -167,8 +172,10 @@ def _validate(cfg: Config) -> Config:
         raise ConfigError("delay_model.wander_sigma_ms: must be non-negative")
     if cfg.delay_model.noise_sigma_ms < 0:
         raise ConfigError("delay_model.noise_sigma_ms: must be non-negative")
-    if cfg.delay_model.sample_count < 1:
-        raise ConfigError("delay_model.sample_count: must be at least 1")
+    if not 1 <= cfg.delay_model.sample_count <= MAX_TIMELINE_STEPS:
+        raise ConfigError(
+            f"delay_model.sample_count: must be 1 to {MAX_TIMELINE_STEPS}, got {cfg.delay_model.sample_count}"
+        )
     # calibration sums the squared nanosecond deviations of the whole sample
     # run, and the walk's spread grows with the square root of its length
     count = cfg.delay_model.sample_count
@@ -183,7 +190,7 @@ def _validate(cfg: Config) -> Config:
                 f"delay_model.{name}: squared deviations of {count} samples overflow in ns, got {value}"
             )
     limit_ms = cfg.budget.limit_ms
-    if not math.isfinite(limit_ms * NS_PER_MS) or TimeOffset.from_millis(limit_ms).ns < 1:
+    if not math.isfinite(limit_ms * NS_PER_MS) or ns_from_millis(limit_ms) < 1:
         raise ConfigError(f"budget.limit_ms: must be at least 1 ns and finite in ns, got {limit_ms}")
     if cfg.handover.trials < 1:
         raise ConfigError("handover.trials: must be at least 1")
@@ -195,11 +202,17 @@ def _validate(cfg: Config) -> Config:
         raise ConfigError("sweep.step_ms: must be positive")
     if cfg.sweep.min_offset_ms > cfg.sweep.max_offset_ms:
         raise ConfigError("sweep.min_offset_ms: must not exceed sweep.max_offset_ms")
+    # compared as floats: the span may overflow to inf, which floor() refuses
+    if (cfg.sweep.max_offset_ms - cfg.sweep.min_offset_ms) / cfg.sweep.step_ms + 1 > MAX_TIMELINE_STEPS:
+        raise ConfigError(
+            "sweep.min_offset_ms, sweep.max_offset_ms, sweep.step_ms: the grid holds more than "
+            f"{MAX_TIMELINE_STEPS} offsets"
+        )
     if cfg.sweep.trials < 1:
         raise ConfigError("sweep.trials: must be at least 1")
-    if cfg.sync.duration_s < POLL_INTERVAL_S:
+    if not POLL_INTERVAL_S <= cfg.sync.duration_s <= MAX_TIMELINE_STEPS * POLL_INTERVAL_S:
         raise ConfigError(
-            f"sync.duration_s: must cover at least one {POLL_INTERVAL_S} s poll interval, "
+            f"sync.duration_s: must cover 1 to {MAX_TIMELINE_STEPS} polls of {POLL_INTERVAL_S} s, "
             f"got {cfg.sync.duration_s}"
         )
     return cfg

@@ -1,7 +1,7 @@
 """Network time synchronization error modeling.
 
 Clock offsets are integer nanosecond counts of clock-minus-true-time,
-named ``*_ns``; callers wrap them in ``TimeOffset``. An exchange returns
+named ``*_ns``, as everywhere in the package. An exchange returns
 the classic four-timestamp estimate
 
     offset = ((T2 - T1) + (T3 - T4)) / 2

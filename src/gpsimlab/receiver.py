@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .placement import TimingProfile
-from .timebase import TimeOffset
+from .timebase import NS_PER_S
 
 DT_S = 0.1
 FLAT_REGION_S = 0.050
@@ -94,9 +94,9 @@ class ReceiverProfile:
         return float(np.interp(abs_offset_s, xs, ys))
 
 
-def reacquisition_time(profile: ReceiverProfile, offset: TimeOffset) -> float:
+def reacquisition_time(profile: ReceiverProfile, offset_ns: int) -> float:
     """Warm reacquisition time for a signal with the given clock offset."""
-    return profile._interp(abs(offset.seconds))
+    return profile._interp(abs(offset_ns) / NS_PER_S)
 
 
 DEDICATED = ReceiverProfile(
@@ -164,11 +164,11 @@ def step(
     state: ReceiverState,
     profile: ReceiverProfile,
     signal_present: bool,
-    clock_offset: TimeOffset,
+    clock_offset_ns: int,
 ) -> ReceiverState:
     """Advance the channel by one DT_S quantum.
 
-    ``signal_present`` and ``clock_offset`` describe the signal during
+    ``signal_present`` and ``clock_offset_ns`` describe the signal during
     this quantum. Blockage time resets whenever the signal returns.
     """
     # states are built field by field: dataclasses.replace costs several
@@ -182,7 +182,7 @@ def step(
     if state.mode is Mode.BLOCKED:
         if state.quanta * DT_S <= profile.t_max_s + _EPS_S:
             state = ReceiverState(
-                Mode.REACQUISITION, target=_target_quanta(reacquisition_time(profile, clock_offset))
+                Mode.REACQUISITION, target=_target_quanta(reacquisition_time(profile, clock_offset_ns))
             )
         else:
             state = ReceiverState(Mode.ACQUISITION, target=_target_quanta(profile.t_acq_s))
@@ -196,7 +196,7 @@ def advance(
     state: ReceiverState,
     profile: ReceiverProfile,
     signal_present: bool,
-    clock_offset: TimeOffset,
+    clock_offset_ns: int,
     steps: int,
 ) -> tuple[ReceiverState, list[tuple[int, Mode]]]:
     """Advance the channel by ``steps`` >= 1 quanta of the same signal.
@@ -207,7 +207,7 @@ def advance(
     """
     # the first quantum decides the mode and latches the target; the
     # others accumulate blockage, keep tracking or count towards the target
-    state = step(state, profile, signal_present, clock_offset)
+    state = step(state, profile, signal_present, clock_offset_ns)
     runs = [(0, state.mode)]
     rest = steps - 1
     if state.mode is Mode.BLOCKED:

@@ -40,19 +40,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import receiver as rcv
-from .calibration import apply_correction, calibrate, measure_sim_delay, true_delay_series
-from .config import DEFAULTS, Config, ConfigError, DeploymentConfig
+from .calibration import calibrate, measure_sim_delay, true_delay_series
+from .config import DEFAULTS, MAX_TIMELINE_STEPS, Config, ConfigError, DeploymentConfig
 from .ntp import default_topology, run_disciplined_sync
 from .placement import ZeroSpeed, corridor_layout, kmh_to_ms
 from .rng import derive_seed, stream
 from .solver import SatGeometry, random_sky_geometry, solve_position
-from .timebase import (
-    ClockErrorChain,
-    ErrorBudget,
-    TimeOffset,
-    compose_clock_error,
-    within_budget,
-)
+from .timebase import NS_PER_MS, ns_from_millis, ns_from_seconds, within_budget
 
 DT_S = rcv.DT_S
 
@@ -68,8 +62,6 @@ REF_ERROR_BOUND_S = 200e-9
 SWEEP_WINDOW_S = 60.0
 # Pseudorange noise of a driving crossing; the pedestrian preset sees more.
 DRIVING_PR_NOISE_M = 2.5
-# A timeline holds one entry per DT_S step; a longer handover or crossing is refused.
-MAX_TIMELINE_STEPS = 1_000_000
 OUTDOOR_WINDOW_S = 5.0
 OUTDOOR_THRESHOLD_M = 8.0
 
@@ -172,19 +164,25 @@ CLOCK_CONFIGS_BY_LABEL = {c.label: c for c in ALL_CLOCK_CONFIGS}
 
 @dataclass(frozen=True)
 class ClockDraw:
-    """One realized transmit-clock error with its composition."""
+    """One realized transmit-clock error and its three parts, in integer ns."""
 
-    chain: ClockErrorChain
-    error: TimeOffset
+    sim_delay_ns: int
+    ntp_error_ns: int
+    ref_error_ns: int
     ntp_bound_s: float
     within_budget: bool
 
+    @property
+    def error_ns(self) -> int:
+        """The composed transmit-clock error, the exact sum of the three parts."""
+        return self.sim_delay_ns + self.ntp_error_ns + self.ref_error_ns
+
     def to_dict(self) -> dict:
         return {
-            "sim_delay_ms": self.chain.sim_delay.millis,
-            "ntp_error_ms": self.chain.ntp_error.millis,
-            "ref_error_ms": self.chain.ref_error.millis,
-            "composed_ms": self.error.millis,
+            "sim_delay_ms": self.sim_delay_ns / NS_PER_MS,
+            "ntp_error_ms": self.ntp_error_ns / NS_PER_MS,
+            "ref_error_ms": self.ref_error_ns / NS_PER_MS,
+            "composed_ms": self.error_ns / NS_PER_MS,
             "ntp_bound_ms": self.ntp_bound_s * 1e3,
             "within_budget": self.within_budget,
         }
@@ -221,24 +219,22 @@ def draw_clock(
         for server in dict.fromkeys(c.server_type for c in wanted)
     }
     delay_rng = stream(seed, scope, "simdelay", coverage)
-    true_delay = TimeOffset.from_seconds(
-        float(true_delay_series(delay, delay.sample_count, delay_rng)[-1])
-    )
+    true_delay_ns = ns_from_seconds(float(true_delay_series(delay, delay.sample_count, delay_rng)[-1]))
     ref_rng = stream(seed, scope, "ref", coverage)
-    ref_error = TimeOffset.from_seconds(ref_rng.uniform(-REF_ERROR_BOUND_S, REF_ERROR_BOUND_S))
+    ref_error_ns = ns_from_seconds(ref_rng.uniform(-REF_ERROR_BOUND_S, REF_ERROR_BOUND_S))
+    correction_ns = 0
     if any(c.calibrated for c in wanted):
         meas_rng = stream(seed, scope, "calmeas", coverage)
-        calibration = calibrate([s.ns for s in measure_sim_delay(delay, delay.sample_count, meas_rng)])
-    budget = ErrorBudget(TimeOffset.from_millis(cfg.budget.limit_ms))
+        samples = measure_sim_delay(delay, delay.sample_count, meas_rng)
+        correction_ns = calibrate([s.ns for s in samples]).correction_ns
+    limit_ns = ns_from_millis(cfg.budget.limit_ms)
 
     draws = []
     for config in wanted:
         sync = syncs[config.server_type]
-        chain = ClockErrorChain(true_delay, TimeOffset(sync.offset_truth_ns), ref_error)
-        if config.calibrated:
-            chain = apply_correction(chain, calibration)
-        error = compose_clock_error(chain)
-        draws.append(ClockDraw(chain, error, sync.estimated_max_error_s, within_budget(error, budget)))
+        sim_delay_ns = true_delay_ns - correction_ns if config.calibrated else true_delay_ns
+        parts = (sim_delay_ns, sync.offset_truth_ns, ref_error_ns)
+        draws.append(ClockDraw(*parts, sync.estimated_max_error_s, within_budget(sum(parts), limit_ns)))
     return draws[0] if single else tuple(draws)
 
 
@@ -291,14 +287,14 @@ class ScenarioResult:
 class Segment:
     """A stretch of constant reception: ``steps`` quanta of DT_S.
 
-    ``offset`` is the clock offset the receiver is handed during the
+    ``offset_ns`` is the clock offset the receiver is handed during the
     stretch and that its transition rows record; ``coverage`` is the
     simulator it comes from, None for live sky and blockage.
     """
 
     steps: int
     signal: bool
-    offset: TimeOffset = TimeOffset.zero()
+    offset_ns: int = 0
     coverage: int | None = None
 
 
@@ -321,12 +317,12 @@ def run_timeline(
     for seg in segments:
         if seg.steps == 0:
             continue
-        state, runs = rcv.advance(state, profile, seg.signal, seg.offset, seg.steps)
+        state, runs = rcv.advance(state, profile, seg.signal, seg.offset_ns, seg.steps)
         for i, mode in runs:
             if mode is not last_mode:
                 end = float(t[start + i])
                 transitions.append(
-                    TransitionRow(end, mode.value, seg.signal, seg.offset.millis, seg.coverage)
+                    TransitionRow(end, mode.value, seg.signal, seg.offset_ns / NS_PER_MS, seg.coverage)
                 )
                 last_mode = mode
         # TRACKING, when reached, is the segment's last run
@@ -398,9 +394,9 @@ def _handover(
     sky = drawn.sky
     centers = np.array([[center, 0.0, 0.0] for center in centers_m])
     # a coverage no segment enters keeps the zero offset; no fix reads its row
-    offsets = {seg.coverage: seg.offset for seg in segments if seg.coverage is not None}
+    offsets_ns = {seg.coverage: seg.offset_ns for seg in segments if seg.coverage is not None}
     base_pr = np.array(
-        [np.linalg.norm(sky.advanced(offsets.get(k, TimeOffset.zero())).positions - c, axis=1)
+        [np.linalg.norm(sky.advanced(offsets_ns.get(k, 0)).positions - c, axis=1)
          for k, c in enumerate(centers)]
     )
 
@@ -445,13 +441,13 @@ def _handover(
     )
 
 
-def _live_blocked_simulator(offset: TimeOffset, steps: tuple[int, int, int]) -> tuple[Segment, ...]:
-    """Live sky, blockage, then simulator 0 transmitting with ``offset``, lengths in DT_S."""
+def _live_blocked_simulator(offset_ns: int, steps: tuple[int, int, int]) -> tuple[Segment, ...]:
+    """Live sky, blockage, then simulator 0 transmitting with ``offset_ns``, lengths in DT_S."""
     live_steps, blocked_steps, sim_steps = steps
     return (
         Segment(live_steps, True),
-        Segment(blocked_steps, False, offset),
-        Segment(sim_steps, True, offset, 0),
+        Segment(blocked_steps, False, offset_ns),
+        Segment(sim_steps, True, offset_ns, 0),
     )
 
 
@@ -493,7 +489,7 @@ def _static_handovers(
     steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
     tracking = rcv.ReceiverState.tracking()
     draws = draw_clock(seed, "static", 0, configs, cfg)
-    timelines = [_live_blocked_simulator(draw.error, steps) for draw in draws]
+    timelines = [_live_blocked_simulator(draw.error_ns, steps) for draw in draws]
     drawn = draw_sky("static", seed, timelines[0], h.pr_noise_m, cfg)
     return (
         _handover(segments, (0.0,), 0.0, profile, tracking, drawn, {0: draw})
@@ -600,32 +596,32 @@ def run_offset_sweep(
     and rows are directly comparable across the grid. The offset grid
     comes from ``cfg.sweep``, and so does ``trials`` unless given.
     """
-    offsets = [TimeOffset.from_millis(ms) for ms in cfg.sweep.offsets_ms()]
+    offsets_ns = [ns_from_millis(ms) for ms in cfg.sweep.offsets_ms()]
     if trials is None:
         trials = cfg.sweep.trials
     window = round(SWEEP_WINDOW_S / DT_S)
     cold = rcv.ReceiverState.cold(profile)
-    grid = [_live_blocked_simulator(offset, (window,) * 3) for offset in offsets]
-    reacq: list[list[float]] = [[] for _ in offsets]
-    errors: list[list[float]] = [[] for _ in offsets]
+    grid = [_live_blocked_simulator(offset_ns, (window,) * 3) for offset_ns in offsets_ns]
+    reacq: list[list[float]] = [[] for _ in offsets_ns]
+    errors: list[list[float]] = [[] for _ in offsets_ns]
     # trials outside offsets: one trial's sky and noise serve its whole grid
     for trial in range(trials):
         drawn = draw_sky("sweep", derive_seed(seed, "sweep", trial), grid[0], cfg.handover.pr_noise_m, cfg)
-        for offset, segments, offset_reacq, offset_errors in zip(offsets, grid, reacq, errors):
+        for offset_ns, segments, offset_reacq, offset_errors in zip(offsets_ns, grid, reacq, errors):
             result = _handover(segments, (0.0,), 0.0, profile, cold, drawn, {})
             if 0 not in result.coverage_stats:
-                raise EmptyFixSet(f"no reacquisition at offset {offset.millis} ms")
+                raise EmptyFixSet(f"no reacquisition at offset {offset_ns / NS_PER_MS} ms")
             offset_reacq.append(result.first_fix_latency_s[0])
             offset_errors.append(result.coverage_stats[0].avg_m)
     rows = [
         SweepRow(
-            offset_ms=offset.millis,
+            offset_ms=offset_ns / NS_PER_MS,
             mean_reacq_s=float(np.mean(offset_reacq)),
             std_reacq_s=float(np.std(offset_reacq)),
             mean_error_m=float(np.mean(offset_errors)),
             std_error_m=float(np.std(offset_errors)),
         )
-        for offset, offset_reacq, offset_errors in zip(offsets, reacq, errors)
+        for offset_ns, offset_reacq, offset_errors in zip(offsets_ns, reacq, errors)
     ]
     return SweepResult(receiver=profile.name, rows=tuple(rows), trials=trials)
 
@@ -689,7 +685,7 @@ def _traversals(
     config_draws = list(zip(*host_draws))
     timelines = [
         [
-            Segment(steps, True, draws[k].error, k)
+            Segment(steps, True, draws[k].error_ns, k)
             if source == "simulator"
             else Segment(steps, source == "live_sky")
             for source, k, steps in runs
@@ -784,7 +780,7 @@ def run_outdoor_comparison(seed: int = 0, cfg: Config = DEFAULTS) -> OutdoorComp
     """
     draw = draw_clock(seed, "outdoor", 0, PRIVATE_CALIBRATED, cfg)
     window = round(OUTDOOR_WINDOW_S / DT_S)
-    segments = _live_blocked_simulator(draw.error, (window, 0, window))
+    segments = _live_blocked_simulator(draw.error_ns, (window, 0, window))
     drawn = draw_sky("outdoor", seed, segments, cfg.handover.pr_noise_m, cfg)
     result = _handover(segments, (0.0,), 0.0, rcv.DEDICATED, rcv.ReceiverState.tracking(), drawn, {0: draw})
     live_stats = compute_error_stats(

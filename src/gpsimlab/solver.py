@@ -17,7 +17,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .config import DEFAULTS
-from .timebase import NS_PER_S, TimeOffset
+from .timebase import NS_PER_S
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -65,10 +65,9 @@ class SatGeometry:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def advanced(self, offset: TimeOffset) -> "SatGeometry":
-        """Geometry with every satellite moved along its velocity for ``offset``."""
-        dt = offset.seconds
-        return SatGeometry(self.positions + self.velocities * dt, self.velocities)
+    def advanced(self, offset_ns: int) -> "SatGeometry":
+        """Geometry with every satellite moved along its velocity for ``offset_ns``."""
+        return SatGeometry(self.positions + self.velocities * (offset_ns / NS_PER_S), self.velocities)
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def solve_position(
         residual[settled] = np.linalg.norm(prs[settled] - (ranges + bias_m[settled, None]), axis=1)
         active = active[~done]
 
-    # whole nanoseconds, rounded half-even exactly as TimeOffset.from_seconds;
+    # whole nanoseconds, rounded half-even exactly as timebase.ns_from_seconds;
     # adding 0.0 turns the -0.0 that rint leaves for small negatives into 0.0
     clock_bias_s = (np.rint(bias_m / SPEED_OF_LIGHT * NS_PER_S) + 0.0) / NS_PER_S
     if stacked:
@@ -209,10 +208,10 @@ def dilution_of_precision(geometry: SatGeometry, position: np.ndarray) -> DopVal
 
 def position_error_from_clock_offset(
     geometry: SatGeometry,
-    offset: TimeOffset,
+    offset_ns: int,
     true_position: np.ndarray,
 ) -> np.ndarray:
-    """Position error caused by a transmit clock running ``offset`` early.
+    """Position error caused by a transmit clock running ``offset_ns`` early.
 
     Pseudoranges are generated from satellites advanced along their
     velocities by the offset, then solved against the unshifted geometry.
@@ -222,7 +221,7 @@ def position_error_from_clock_offset(
     position minus ``true_position``.
     """
     true_position = np.asarray(true_position, dtype=float)
-    shifted = geometry.advanced(offset)
+    shifted = geometry.advanced(offset_ns)
     pr = np.linalg.norm(shifted.positions - true_position, axis=1)
     solution = solve_position(pr, geometry, initial_guess=true_position)
     return solution.position - true_position

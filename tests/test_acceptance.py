@@ -23,7 +23,7 @@ from gpsimlab.placement import TimingProfile, kmh_to_ms, max_separation, min_cov
 from gpsimlab.receiver import DEDICATED, SMARTPHONE
 from gpsimlab.rng import stream
 from gpsimlab.solver import SatGeometry, _design_matrix, position_error_from_clock_offset, random_sky_geometry, solve_position
-from gpsimlab.timebase import ClockErrorChain, ErrorBudget, TimeOffset, compose_clock_error, within_budget
+from gpsimlab.timebase import ns_from_millis, within_budget
 
 # ---- pinned tolerances and targets ----------------------------------------
 
@@ -104,32 +104,32 @@ def test_criterion_2_clock_error_composition(criterion):
     with criterion(2, "clock error composition"):
         ns_values = st.integers(min_value=-(10**14), max_value=10**14)
 
+        limit_ns = ns_from_millis(sc.DEFAULTS.budget.limit_ms)
+
+        def composed(sim_ns, ntp_ns, ref_ns):
+            return sc.ClockDraw(sim_ns, ntp_ns, ref_ns, ntp_bound_s=0.0, within_budget=True).error_ns
+
         @given(ns_values, ns_values, ns_values)
         @settings(max_examples=300)
         def composition_is_exact_and_symmetric(a, b, c):
-            chain = ClockErrorChain(TimeOffset(a), TimeOffset(b), TimeOffset(c))
-            total = compose_clock_error(chain)
-            assert total.ns == a + b + c
-            assert within_budget(total) == (abs(a + b + c) <= 50_000_000)
-            assert within_budget(total) == within_budget(TimeOffset(-total.ns))
+            total = composed(a, b, c)
+            assert total == a + b + c
+            assert within_budget(total, limit_ns) == (abs(a + b + c) <= 50_000_000)
+            assert within_budget(total, limit_ns) == within_budget(-total, limit_ns)
 
         composition_is_exact_and_symmetric()
 
         # boundary is inclusive in both directions
-        edge = TimeOffset.from_millis(50)
-        assert within_budget(edge) and within_budget(TimeOffset(-edge.ns))
-        assert not within_budget(TimeOffset(edge.ns + 1))
+        edge = ns_from_millis(50)
+        assert within_budget(edge, limit_ns) and within_budget(-edge, limit_ns)
+        assert not within_budget(edge + 1, limit_ns)
 
         # a 30 ms transmit path plus 19 ms of sync error fits the budget;
         # one more millisecond of sync error does not
-        inside = ClockErrorChain(
-            TimeOffset.from_millis(30), TimeOffset.from_millis(19), TimeOffset.zero()
-        )
-        outside = ClockErrorChain(
-            TimeOffset.from_millis(30), TimeOffset.from_millis(20), TimeOffset(1)
-        )
-        assert within_budget(compose_clock_error(inside))
-        assert not within_budget(compose_clock_error(outside))
+        inside = composed(ns_from_millis(30), ns_from_millis(19), 0)
+        outside = composed(ns_from_millis(30), ns_from_millis(20), 1)
+        assert within_budget(inside, limit_ns)
+        assert not within_budget(outside, limit_ns)
 
 
 def test_criterion_3_sync_error_matrix(criterion):
@@ -242,9 +242,7 @@ def test_criterion_7_solver_properties(criterion):
                 np.testing.assert_allclose(H[:, j], fd, rtol=JACOBIAN_REL_TOL, atol=1e-9)
 
             frozen = SatGeometry(geometry.positions, np.zeros_like(geometry.velocities))
-            err = position_error_from_clock_offset(
-                frozen, TimeOffset.from_millis(200), true_pos
-            )
+            err = position_error_from_clock_offset(frozen, ns_from_millis(200), true_pos)
             assert np.linalg.norm(err) <= ZERO_VELOCITY_ERROR_M
 
 

@@ -11,16 +11,16 @@ from gpsimlab.calibration import (
     CSV_HEADER,
     EmptySampleSet,
     SAMPLE_INTERVAL_S,
-    apply_correction,
     calibrate,
     export_samples_csv,
     import_samples_csv,
     measure_sim_delay,
     true_delay_series,
 )
-from gpsimlab.config import DEVIATION_SIGMAS, ConfigError, DelayModelConfig, config_from_dict
+from gpsimlab.config import DEFAULTS, DEVIATION_SIGMAS, ConfigError, DelayModelConfig, config_from_dict
 from gpsimlab.rng import stream
-from gpsimlab.timebase import NS_PER_MS, ClockErrorChain, TimeOffset
+from gpsimlab import scenarios as sc
+from gpsimlab.timebase import NS_PER_MS, NS_PER_S, TimeOffset, ns_from_millis, ns_from_seconds
 
 MODEL = DelayModelConfig(mean_delay_ms=30.0, wander_sigma_ms=0.02, noise_sigma_ms=0.5)
 SAMPLE_COUNT = 1800
@@ -38,32 +38,32 @@ class TestCalibrate:
         # oracle: rational mean rounded half-up, floor(mean + 1/2)
         mean = Fraction(sum(samples), len(samples))
         expected = (mean + Fraction(1, 2)).__floor__()
-        assert calibrate(samples).correction.ns == expected
+        assert calibrate(samples).correction_ns == expected
 
     @given(sample_lists, st.integers(min_value=-10**6, max_value=10**6))
     def test_shift_equivariance(self, samples, shift_ns):
         # shifting every sample by a constant shifts the correction by
         # exactly that constant; float averaging would not guarantee this
         shifted = [s + shift_ns for s in samples]
-        assert calibrate(shifted).correction.ns == calibrate(samples).correction.ns + shift_ns
+        assert calibrate(shifted).correction_ns == calibrate(samples).correction_ns + shift_ns
 
     @given(sample_lists)
     def test_residual_bound_is_max_abs_deviation(self, samples):
         result = calibrate(samples)
-        brute = max(abs(s - result.correction.ns) for s in samples)
-        assert result.residual_bound.ns == brute
+        brute = max(abs(s - result.correction_ns) for s in samples)
+        assert result.residual_bound_ns == brute
 
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=2, max_size=60))
     def test_stddev_matches_unbiased_estimator(self, samples):
         result = calibrate(samples)
         expected = float(np.std(samples, ddof=1))
-        assert result.sample_stddev.ns == pytest.approx(expected, rel=1e-9, abs=1.0)
+        assert result.sample_stddev_ns == pytest.approx(expected, rel=1e-9, abs=1.0)
 
     def test_single_sample(self):
-        result = calibrate([TimeOffset.from_millis(31).ns])
-        assert result.correction == TimeOffset.from_millis(31)
-        assert result.sample_stddev.ns == 0
-        assert result.residual_bound.ns == 0
+        result = calibrate([ns_from_millis(31)])
+        assert result.correction_ns == ns_from_millis(31)
+        assert result.sample_stddev_ns == 0
+        assert result.residual_bound_ns == 0
         assert result.sample_count == 1
 
     def test_empty_rejected(self):
@@ -95,41 +95,42 @@ class TestMeasurement:
             model = cfg.delay_model
         rng = stream(seed, "cal", "round")
         true = true_delay_series(model, count, rng)
-        noise_s = TimeOffset.from_millis(model.noise_sigma_ms).seconds
+        noise_s = ns_from_millis(model.noise_sigma_ms) / NS_PER_S
         measured = np.maximum(true + rng.normal(0.0, noise_s, count), 0.0)
         samples = measure_sim_delay(model, count, stream(seed, "cal", "round"))
-        assert samples == [TimeOffset.from_seconds(s) for s in measured]
+        assert samples == [TimeOffset(ns_from_seconds(s)) for s in measured]
         assert all(type(s.ns) is int for s in samples)
         assert (max(s.ns for s in samples) > 2**63) is widest
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_correction_lands_near_process_mean(self, seed):
         samples = measure_sim_delay(MODEL, SAMPLE_COUNT, stream(seed, "cal", "run"))
-        correction = calibrate(_ns(samples)).correction
-        assert correction.millis == pytest.approx(30.0, abs=1.5)
+        correction_ns = calibrate(_ns(samples)).correction_ns
+        assert correction_ns / NS_PER_MS == pytest.approx(30.0, abs=1.5)
 
     def test_apply_correction_touches_only_sim_delay(self):
-        chain = ClockErrorChain(
-            sim_delay=TimeOffset.from_millis(30.2),
-            ntp_error=TimeOffset.from_millis(2),
-            ref_error=TimeOffset(150),
+        # a calibrated draw subtracts exactly the correction of its host's
+        # measurement run from the true delay and keeps the other two parts
+        model = DEFAULTS.delay_model
+        raw, cal = sc.draw_clock(5, "cal", 2, (sc.PRIVATE_RAW, sc.PRIVATE_CALIBRATED))
+        samples = measure_sim_delay(model, model.sample_count, stream(5, "cal", "calmeas", 2))
+        correction_ns = calibrate(_ns(samples)).correction_ns
+        truth_ns = ns_from_seconds(
+            float(true_delay_series(model, model.sample_count, stream(5, "cal", "simdelay", 2))[-1])
         )
-        result = calibrate(_ns(measure_sim_delay(MODEL, 400, stream(5, "cal"))))
-        corrected = apply_correction(chain, result)
-        assert corrected.sim_delay == chain.sim_delay - result.correction
-        assert corrected.ntp_error == chain.ntp_error
-        assert corrected.ref_error == chain.ref_error
+        assert raw.sim_delay_ns == truth_ns
+        assert cal.sim_delay_ns == truth_ns - correction_ns
+        assert (cal.ntp_error_ns, cal.ref_error_ns) == (raw.ntp_error_ns, raw.ref_error_ns)
+        assert cal.error_ns == raw.error_ns - correction_ns
 
     def test_calibration_shrinks_typical_residual(self):
         # after removing the correction the remaining process delay is a
         # fraction of the original 30 ms mean
         for seed in range(4):
             samples = measure_sim_delay(MODEL, SAMPLE_COUNT, stream(seed, "meas"))
-            correction = calibrate(_ns(samples)).correction
-            truth = TimeOffset.from_seconds(
-                float(true_delay_series(MODEL, SAMPLE_COUNT, stream(seed, "truth"))[-1])
-            )
-            assert abs((truth - correction).millis) < 5.0
+            correction_ns = calibrate(_ns(samples)).correction_ns
+            truth_ns = ns_from_seconds(float(true_delay_series(MODEL, SAMPLE_COUNT, stream(seed, "truth"))[-1]))
+            assert abs(truth_ns - correction_ns) / NS_PER_MS < 5.0
 
 
 class TestCsv:
@@ -141,7 +142,7 @@ class TestCsv:
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "samples.csv"
-        export_samples_csv(path, [TimeOffset.from_millis(30).ns])
+        export_samples_csv(path, [ns_from_millis(30)])
         first = path.read_text().splitlines()[0]
         assert first.split(",") == list(CSV_HEADER)
 

@@ -441,6 +441,23 @@ class TestConfigInput:
         assert code == EXIT_CONFIG
 
 
+class TestCounts:
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [
+            (["calibrate"], {"delay_model": {"sample_count": 10**12}}, "delay_model.sample_count"),
+            (["simulate", "--scenario", "outdoor"], {"delay_model": {"sample_count": 10**12}}, "delay_model.sample_count"),
+            (["sync-compare"], {"sync": {"duration_s": 1e15}}, "sync.duration_s"),
+        ],
+        ids=["calibrate", "outdoor", "sync-compare"],
+    )
+    def test_counts_above_the_cap_exit_two(self, tmp_path, capsys, argv, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -464,6 +481,31 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(command + ["--trials", trials, "--out", str(tmp_path)])
         assert excinfo.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan"],
+            ["simulate", "--scenario", "static"],
+            ["simulate", "--scenario", "static", "--clock", "private/raw"],
+            ["simulate", "--scenario", "driving"],
+            ["simulate", "--scenario", "pedestrian"],
+            ["simulate", "--scenario", "outdoor"],
+            ["sweep"],
+            ["calibrate"],
+            ["sync-compare"],
+        ],
+        ids=[
+            "plan", "static-matrix", "static-single", "driving", "pedestrian", "outdoor", "sweep",
+            "calibrate", "sync-compare",
+        ],
+    )
+    def test_seed_must_be_non_negative(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "-1", "--out", str(tmp_path)])
+        assert excinfo.value.code == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -120,6 +120,45 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"{section}\.{key}: expected a finite number"):
             config_from_dict({section: {key: value}})
 
+    @pytest.mark.parametrize(
+        "section, accepted, refused, named",
+        [
+            ({"delay_model": {}}, {"sample_count": 1_000_000}, {"sample_count": 1_000_001}, "sample_count"),
+            ({"delay_model": {}}, {"sample_count": 1_000_000}, {"sample_count": 10**12}, "sample_count"),
+            # 16 s polls
+            ({"sync": {}}, {"duration_s": 16e6}, {"duration_s": 16e6 + 16.0}, "duration_s"),
+            ({"sync": {}}, {"duration_s": 16e6}, {"duration_s": 1e15}, "duration_s"),
+            # the grid holds (max - min) / step + 1 offsets
+            (
+                {"sweep": {"min_offset_ms": 0.0}},
+                {"max_offset_ms": 999_999.0, "step_ms": 1.0},
+                {"max_offset_ms": 1_000_000.0, "step_ms": 1.0},
+                "step_ms",
+            ),
+            ({"sweep": {}}, {"step_ms": 1e-3}, {"step_ms": 1e-300}, "step_ms"),
+            (
+                {"sweep": {}},
+                {"min_offset_ms": -250.0, "max_offset_ms": 250.0},
+                {"min_offset_ms": -1e300, "max_offset_ms": 1e300},
+                "max_offset_ms",
+            ),
+            # max - min overflows to inf, which floor() could not take
+            ({"sweep": {}}, {"step_ms": 50.0}, {"min_offset_ms": -1e308, "max_offset_ms": 1e308}, "max_offset_ms"),
+        ],
+        ids=[
+            "sample_count", "sample_count-1e12", "duration_s", "duration_s-1e15",
+            "sweep-span", "sweep-step-1e-300", "sweep-span-1e300", "sweep-span-inf",
+        ],
+    )
+    def test_counts_that_size_arrays_are_capped(self, section, accepted, refused, named):
+        # the first case of each key sits exactly at the cap of 10^6 entries
+        [(name, base)] = section.items()
+        cfg = config_from_dict({name: {**base, **accepted}})
+        for key, value in accepted.items():
+            assert getattr(getattr(cfg, name), key) == value
+        with pytest.raises(ConfigError, match=rf"{name}\.{named}.*1000000"):
+            config_from_dict({name: {**base, **refused}})
+
     def test_sync_duration_covers_one_poll(self):
         with pytest.raises(ConfigError, match=r"sync\.duration_s"):
             config_from_dict({"sync": {"duration_s": 10.0}})

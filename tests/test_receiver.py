@@ -19,22 +19,22 @@ from gpsimlab.receiver import (
     reacquisition_time,
     step,
 )
-from gpsimlab.timebase import TimeOffset
+from gpsimlab.timebase import ns_from_millis, ns_from_seconds
 
 DT = DT_S
 
 
-def run_steps(state, profile, n, signal, offset=TimeOffset.zero()):
+def run_steps(state, profile, n, signal, offset_ns=0):
     for _ in range(n):
-        state = step(state, profile, signal, offset)
+        state = step(state, profile, signal, offset_ns)
     return state
 
 
-def stepped_runs(state, profile, n, signal, offset):
+def stepped_runs(state, profile, n, signal, offset_ns):
     """``n`` calls of ``step``: the final state and each mode's first quantum."""
     runs = []
     for i in range(n):
-        state = step(state, profile, signal, offset)
+        state = step(state, profile, signal, offset_ns)
         if not runs or runs[-1][1] is not state.mode:
             runs.append((i, state.mode))
     return state, runs
@@ -54,7 +54,7 @@ def fields(state):
 
 
 # warm reacquisition at 150 ms: the latched target is 1.2 s, 12 quanta of signal
-OFFSET_150 = TimeOffset.from_millis(150)
+OFFSET_150 = ns_from_millis(150)
 BLOCKED_1S = ReceiverState(Mode.BLOCKED, quanta=10)
 # 3 of the 4 quanta of a base-time reacquisition done
 REACQ_ONE_SHORT = run_steps(BLOCKED_1S, DEDICATED, 3, signal=True)
@@ -63,30 +63,30 @@ REACQ_ONE_SHORT = run_steps(BLOCKED_1S, DEDICATED, 3, signal=True)
 class TestReacquisitionMap:
     @given(st.floats(min_value=-FLAT_REGION_S, max_value=FLAT_REGION_S))
     def test_flat_inside_handover_budget(self, offset_s):
-        off = TimeOffset.from_seconds(offset_s)
+        off = ns_from_seconds(offset_s)
         assert reacquisition_time(DEDICATED, off) == DEDICATED.t_reacq_base_s
         assert reacquisition_time(SMARTPHONE, off) == SMARTPHONE.t_reacq_base_s
 
     @given(st.floats(min_value=0.0, max_value=0.5))
     def test_symmetric_in_sign(self, offset_s):
-        pos = TimeOffset.from_seconds(offset_s)
-        assert reacquisition_time(DEDICATED, pos) == reacquisition_time(DEDICATED, TimeOffset(-pos.ns))
+        pos = ns_from_seconds(offset_s)
+        assert reacquisition_time(DEDICATED, pos) == reacquisition_time(DEDICATED, -pos)
 
     @given(st.floats(min_value=0.0, max_value=0.4), st.floats(min_value=0.0, max_value=0.1))
     def test_monotone_in_magnitude(self, base_s, extra_s):
-        a = TimeOffset.from_seconds(base_s)
-        b = TimeOffset.from_seconds(base_s + extra_s)
+        a = ns_from_seconds(base_s)
+        b = ns_from_seconds(base_s + extra_s)
         assert reacquisition_time(DEDICATED, a) <= reacquisition_time(DEDICATED, b)
 
     def test_clamps_past_last_knot(self):
         last_offset, last_value = DEDICATED.reacq_knots[-1]
         for factor in (1.0, 2.0, 10.0):
-            off = TimeOffset.from_seconds(last_offset * factor)
+            off = ns_from_seconds(last_offset * factor)
             assert reacquisition_time(DEDICATED, off) == last_value
 
     def test_interpolates_between_knots(self):
         # dedicated map: 0.4 s at 50 ms rising to 2.0 s at 250 ms
-        mid = TimeOffset.from_millis(150)
+        mid = ns_from_millis(150)
         assert reacquisition_time(DEDICATED, mid) == pytest.approx(1.2)
 
 
@@ -127,14 +127,14 @@ class TestStateMachine:
 
     def test_warm_reacquisition_after_short_blockage(self):
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
-        state = step(state, DEDICATED, True, TimeOffset.zero())
+        state = step(state, DEDICATED, True, 0)
         assert state.mode is Mode.REACQUISITION
         assert state.target == 4  # t_reacq_base_s, 0.4 s
 
     def test_cold_acquisition_after_long_blockage(self):
         steps_past = int(DEDICATED.t_max_s / DT) + 2
         state = run_steps(ReceiverState.tracking(), DEDICATED, steps_past, signal=False)
-        state = step(state, DEDICATED, True, TimeOffset.zero())
+        state = step(state, DEDICATED, True, 0)
         assert state.mode is Mode.ACQUISITION
         assert state.target == 300  # t_acq_s, 30 s
 
@@ -143,16 +143,16 @@ class TestStateMachine:
         steps_exact = round(DEDICATED.t_max_s / DT)
         state = run_steps(ReceiverState.tracking(), DEDICATED, steps_exact, signal=False)
         assert state.quanta == 1350
-        state = step(state, DEDICATED, True, TimeOffset.zero())
+        state = step(state, DEDICATED, True, 0)
         assert state.mode is Mode.REACQUISITION
 
     def test_completion_takes_ceil_target_over_dt_steps(self):
-        offset = TimeOffset.from_millis(150)  # target 1.2 s -> 12 steps
+        offset = ns_from_millis(150)  # target 1.2 s -> 12 steps
         target = reacquisition_time(DEDICATED, offset)
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
         state = step(state, DEDICATED, True, offset)
         needed = math.ceil(target / DT)
-        state = run_steps(state, DEDICATED, needed - 2, signal=True, offset=offset)
+        state = run_steps(state, DEDICATED, needed - 2, signal=True, offset_ns=offset)
         assert state.mode is Mode.REACQUISITION
         state = step(state, DEDICATED, True, offset)
         assert state.mode is Mode.TRACKING
@@ -160,18 +160,18 @@ class TestStateMachine:
     def test_target_latched_at_signal_return(self):
         # a big offset at restoration fixes the target; an offset change
         # mid-reacquisition must not move it
-        big = TimeOffset.from_millis(250)
+        big = ns_from_millis(250)
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
         state = step(state, DEDICATED, True, big)
         assert state.target == 20  # 2.0 s
-        state = run_steps(state, DEDICATED, 5, signal=True, offset=TimeOffset.zero())
+        state = run_steps(state, DEDICATED, 5, signal=True, offset_ns=0)
         assert state.target == 20
         assert state.mode is Mode.REACQUISITION
 
     def test_signal_loss_mid_reacquisition_restarts_blockage(self):
         state = run_steps(ReceiverState.tracking(), DEDICATED, 10, signal=False)
-        state = step(state, DEDICATED, True, TimeOffset.zero())
-        state = step(state, DEDICATED, False, TimeOffset.zero())
+        state = step(state, DEDICATED, True, 0)
+        state = step(state, DEDICATED, False, 0)
         assert state.mode is Mode.BLOCKED
         assert state.quanta == 1
 
@@ -181,7 +181,7 @@ class TestStateMachine:
         steps_needed = math.ceil(DEDICATED.t_acq_s / DT)
         state = run_steps(state, DEDICATED, steps_needed - 1, signal=True)
         assert state.mode is Mode.ACQUISITION
-        state = step(state, DEDICATED, True, TimeOffset.zero())
+        state = step(state, DEDICATED, True, 0)
         assert state.mode is Mode.TRACKING
 
     def test_tracking_stays_tracking_with_signal(self):
@@ -190,25 +190,29 @@ class TestStateMachine:
 
     def test_smartphone_base_reacquisition(self):
         state = run_steps(ReceiverState.tracking(), SMARTPHONE, 10, signal=False)
-        state = step(state, SMARTPHONE, True, TimeOffset.from_millis(10))
+        state = step(state, SMARTPHONE, True, ns_from_millis(10))
         needed = math.ceil(SMARTPHONE.t_reacq_base_s / DT)
-        state = run_steps(state, SMARTPHONE, needed - 1, signal=True, offset=TimeOffset.from_millis(10))
+        state = run_steps(state, SMARTPHONE, needed - 1, signal=True, offset_ns=ns_from_millis(10))
         assert state.mode is Mode.TRACKING
+
+    ADVANCE_CASES = [
+        (ReceiverState.tracking(), True, 0, 1),
+        (ReceiverState.tracking(), False, 0, 1),
+        (BLOCKED_1S, True, OFFSET_150, 1),
+        (BLOCKED_1S, False, OFFSET_150, 1350),
+        (ReceiverState.tracking(), True, 0, 500),
+        (REACQ_ONE_SHORT, True, OFFSET_150, 7),  # completes on the first quantum
+        (BLOCKED_1S, True, OFFSET_150, 12),  # completes on the last quantum
+        (BLOCKED_1S, True, OFFSET_150, 11),  # one quantum short of completing
+        (ReceiverState.cold(DEDICATED), True, 0, 250),
+        (ReceiverState.cold(DEDICATED), True, 0, 2000),
+    ]
 
     @pytest.mark.parametrize(
         "state, signal, offset, n",
-        [
-            (ReceiverState.tracking(), True, TimeOffset.zero(), 1),
-            (ReceiverState.tracking(), False, TimeOffset.zero(), 1),
-            (BLOCKED_1S, True, OFFSET_150, 1),
-            (BLOCKED_1S, False, OFFSET_150, 1350),
-            (ReceiverState.tracking(), True, TimeOffset.zero(), 500),
-            (REACQ_ONE_SHORT, True, OFFSET_150, 7),  # completes on the first quantum
-            (BLOCKED_1S, True, OFFSET_150, 12),  # completes on the last quantum
-            (BLOCKED_1S, True, OFFSET_150, 11),  # one quantum short of completing
-            (ReceiverState.cold(DEDICATED), True, TimeOffset.zero(), 250),
-            (ReceiverState.cold(DEDICATED), True, TimeOffset.zero(), 2000),
-        ],
+        ADVANCE_CASES,
+        # each case is named by its position, as when the offsets were objects
+        ids=[f"state{i}-{signal}-offset{i}-{n}" for i, (_, signal, _, n) in enumerate(ADVANCE_CASES)],
     )
     def test_advance_equals_stepping_every_quantum(self, state, signal, offset, n):
         jumped, runs = advance(state, DEDICATED, signal, offset, n)
@@ -235,9 +239,8 @@ class TestQuantaCount:
     @example(165_000_000, SMARTPHONE)
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_latched_target_matches_the_running_sum(self, offset_ns, profile):
-        offset = TimeOffset(offset_ns)
-        state = step(BLOCKED_1S, profile, True, offset)
-        assert state.target == running_sum_quanta(reacquisition_time(profile, offset))
+        state = step(BLOCKED_1S, profile, True, offset_ns)
+        assert state.target == running_sum_quanta(reacquisition_time(profile, offset_ns))
 
     @pytest.mark.parametrize("profile", [DEDICATED, SMARTPHONE], ids=lambda p: p.name)
     def test_cold_target_matches_the_running_sum(self, profile):
@@ -245,8 +248,8 @@ class TestQuantaCount:
 
     @pytest.mark.parametrize("profile", [DEDICATED, SMARTPHONE], ids=lambda p: p.name)
     def test_blockage_of_1350_quanta_is_warm_and_1351_cold(self, profile):
-        warm = step(ReceiverState(Mode.BLOCKED, 1350), profile, True, TimeOffset.zero())
-        cold = step(ReceiverState(Mode.BLOCKED, 1351), profile, True, TimeOffset.zero())
+        warm = step(ReceiverState(Mode.BLOCKED, 1350), profile, True, 0)
+        cold = step(ReceiverState(Mode.BLOCKED, 1351), profile, True, 0)
         assert (warm.mode, cold.mode) == (Mode.REACQUISITION, Mode.ACQUISITION)
 
     @pytest.mark.parametrize("profile", [DEDICATED, SMARTPHONE], ids=lambda p: p.name)
@@ -255,5 +258,5 @@ class TestQuantaCount:
         running = 0.0
         for quanta in range(1, 2001):
             running += DT
-            resumed = step(ReceiverState(Mode.BLOCKED, quanta), profile, True, TimeOffset.zero())
+            resumed = step(ReceiverState(Mode.BLOCKED, quanta), profile, True, 0)
             assert (resumed.mode is Mode.REACQUISITION) == (running <= profile.t_max_s + _EPS_S)

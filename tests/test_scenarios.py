@@ -32,7 +32,7 @@ from gpsimlab.receiver import (
 )
 from gpsimlab.reports import write_json
 from gpsimlab.rng import derive_seed
-from gpsimlab.timebase import TimeOffset
+from gpsimlab.timebase import NS_PER_MS, ns_from_millis
 
 error_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=200
@@ -95,10 +95,10 @@ def stepped_timeline(segments, profile, state):
     ends, tracking, rows = [], [], []
     running, last_mode = 0.0, None
     for seg in (seg for seg in segments for _ in range(seg.steps)):
-        state = step(state, profile, seg.signal, seg.offset)
+        state = step(state, profile, seg.signal, seg.offset_ns)
         running += sc.DT_S
         if state.mode is not last_mode:
-            rows.append((running, state.mode.value, seg.signal, seg.offset.millis, seg.coverage))
+            rows.append((running, state.mode.value, seg.signal, seg.offset_ns / NS_PER_MS, seg.coverage))
             last_mode = state.mode
         ends.append(running)
         tracking.append(state.mode is Mode.TRACKING)
@@ -110,10 +110,10 @@ def jumped_timeline(segments, profile, state):
     return t.tolist(), tracking.tolist(), [dataclasses.astuple(r) for r in transitions]
 
 
-def part_way(state, profile, quanta, offset):
+def part_way(state, profile, quanta, offset_ns):
     """The state up to ``quanta`` quanta of signal after ``state``, stopping short of TRACKING."""
     for _ in range(quanta):
-        following = step(state, profile, True, offset)
+        following = step(state, profile, True, offset_ns)
         if following.mode is Mode.TRACKING:
             break
         state = following
@@ -125,7 +125,7 @@ def timelines(draw):
     """Segments, a profile and a start state, cold, warm, at the t_max edge or part-way."""
     profile = draw(st.sampled_from(sorted(PROFILES.values(), key=lambda p: p.name)))
     # offsets run past the last knot of the reacquisition map, 250 ms
-    offsets = st.floats(min_value=0.0, max_value=300.0).map(TimeOffset.from_millis)
+    offsets = st.floats(min_value=0.0, max_value=300.0).map(ns_from_millis)
     segments = draw(
         st.lists(
             st.builds(sc.Segment, st.integers(0, 400), st.booleans(), offsets, st.sampled_from([None, 0, 1])),
@@ -157,7 +157,7 @@ class TestTimeline:
 
     def test_blockage_split_across_segments_reaching_t_max_enters_warm(self):
         # 700 + 650 quanta of blockage is t_max of the dedicated profile exactly
-        offset = TimeOffset.from_millis(20.0)
+        offset = ns_from_millis(20.0)
         segments = (
             sc.Segment(10, True),
             sc.Segment(700, False),
@@ -170,7 +170,7 @@ class TestTimeline:
         assert [row[1] for row in result[2]] == ["TRACKING", "BLOCKED", "REACQUISITION", "TRACKING"]
 
     def test_zero_step_segment_leaves_a_tracking_receiver_tracking(self):
-        offset = TimeOffset.from_millis(20.0)
+        offset = ns_from_millis(20.0)
         segments = (
             sc.Segment(3, True),
             sc.Segment(0, False, offset),
@@ -199,27 +199,27 @@ class TestClockDraw:
         raw = sc.draw_clock(9, "static", 0, sc.PRIVATE_RAW)
         cal = sc.draw_clock(9, "static", 0, sc.PRIVATE_CALIBRATED)
         # same sync run and same delay process; only the correction differs
-        assert raw.chain.ntp_error == cal.chain.ntp_error
-        assert raw.chain.ref_error == cal.chain.ref_error
-        correction = raw.chain.sim_delay - cal.chain.sim_delay
-        assert correction.millis == pytest.approx(30.0, abs=3.0)
+        assert raw.ntp_error_ns == cal.ntp_error_ns
+        assert raw.ref_error_ns == cal.ref_error_ns
+        correction_ns = raw.sim_delay_ns - cal.sim_delay_ns
+        assert correction_ns / NS_PER_MS == pytest.approx(30.0, abs=3.0)
 
     def test_error_is_component_sum(self):
         draw = sc.draw_clock(4, "static", 0, sc.PUBLIC_RAW)
-        parts = draw.chain
-        assert draw.error.ns == parts.sim_delay.ns + parts.ntp_error.ns + parts.ref_error.ns
+        assert draw.error_ns == draw.sim_delay_ns + draw.ntp_error_ns + draw.ref_error_ns
+        assert draw.to_dict()["composed_ms"] == draw.error_ns / NS_PER_MS
 
     def test_server_type_changes_sync_draw(self):
         pub = sc.draw_clock(2, "static", 0, sc.PUBLIC_RAW)
         prv = sc.draw_clock(2, "static", 0, sc.PRIVATE_RAW)
-        assert pub.chain.ntp_error != prv.chain.ntp_error
-        assert pub.chain.sim_delay == prv.chain.sim_delay
+        assert pub.ntp_error_ns != prv.ntp_error_ns
+        assert pub.sim_delay_ns == prv.sim_delay_ns
 
     def test_calibration_brings_error_inside_budget(self):
         for seed in range(5):
             draw = sc.draw_clock(seed, "static", 0, sc.PRIVATE_CALIBRATED)
             assert draw.within_budget
-            assert abs(draw.error.millis) < 10.0
+            assert abs(draw.error_ns) / NS_PER_MS < 10.0
 
     @pytest.mark.parametrize(
         "seed, scope, coverage", [(0, "static", 0), (7, "dynamic", 2), (29, "outdoor", 1)]
@@ -455,7 +455,7 @@ class TestDynamicTraversal:
 
     def test_coverages_have_independent_clock_draws(self):
         result = sc.run_dynamic_traversal(sc.default_driving_scenario(), seed=0)
-        errors = [d.error.ns for d in result.clock_draws.values()]
+        errors = [d.error_ns for d in result.clock_draws.values()]
         assert len(set(errors)) == len(errors)
 
     def test_pedestrian_first_fix_near_four_seconds(self):

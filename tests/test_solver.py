@@ -17,7 +17,7 @@ from gpsimlab.solver import (
     random_sky_geometry,
     solve_position,
 )
-from gpsimlab.timebase import TimeOffset
+from gpsimlab.timebase import NS_PER_S, ns_from_millis, ns_from_seconds
 
 RANGE_M = 2.02e7
 ORACLE_AGREEMENT_M = 1e-6
@@ -163,7 +163,7 @@ class TestStackedSolve:
             # bit for bit: a row takes the steps one lstsq call per step takes
             x, bias_m = one_system_gauss_newton(prs[i], geometry.positions, x0)
             assert np.array_equal(stacked.position[i], x)
-            assert stacked.clock_bias_s[i] == TimeOffset.from_seconds(bias_m / SPEED_OF_LIGHT).seconds
+            assert stacked.clock_bias_s[i] == ns_from_seconds(bias_m / SPEED_OF_LIGHT) / NS_PER_S
             one = solve_position(prs[i], geometry, initial_guess=x0)
             assert np.array_equal(stacked.position[i], one.position)
             assert stacked.clock_bias_s[i] == one.clock_bias_s
@@ -183,12 +183,12 @@ class TestStackedSolve:
 
     def test_clock_bias_rounds_like_a_time_offset(self):
         # biases within a few ns of zero: no row may keep a negative zero,
-        # which TimeOffset cannot hold and a CSV would print as -0.0
+        # which an integer nanosecond count cannot hold and a CSV would print as -0.0
         geometry, true_pos, _, _ = random_case(6)
         ranges = np.linalg.norm(geometry.positions - true_pos, axis=1)
         prs = ranges + np.linspace(-1.0, 1.0, 41)[:, None]
         for b in solve_position(prs, geometry).clock_bias_s.tolist():
-            assert repr(b) == repr(TimeOffset.from_seconds(b).seconds)
+            assert repr(b) == repr(ns_from_seconds(b) / NS_PER_S)
 
     def test_empty_stack(self):
         geometry, _, _, _ = random_case(0)
@@ -252,9 +252,7 @@ class TestDop:
 class TestClockOffsetError:
     def test_zero_velocity_means_zero_error(self):
         geometry = tetrahedron_geometry()
-        err = position_error_from_clock_offset(
-            geometry, TimeOffset.from_millis(200), np.zeros(3)
-        )
+        err = position_error_from_clock_offset(geometry, ns_from_millis(200), np.zeros(3))
         assert np.linalg.norm(err) < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
@@ -263,11 +261,11 @@ class TestClockOffsetError:
         # with the reference implementation, difference to truth
         rng = stream(seed, "offset", "sky")
         geometry = random_sky_geometry(rng)
-        eps = TimeOffset.from_millis(80)
+        eps_ns = ns_from_millis(80)
         true_pos = np.zeros(3)
-        err = position_error_from_clock_offset(geometry, eps, true_pos)
+        err = position_error_from_clock_offset(geometry, eps_ns, true_pos)
 
-        moved = geometry.positions + geometry.velocities * eps.seconds
+        moved = geometry.positions + geometry.velocities * (eps_ns / NS_PER_S)
         pr = np.linalg.norm(moved - true_pos, axis=1)
         ref = reference_solve(pr, geometry.positions, true_pos)
         np.testing.assert_allclose(err, ref[:3] - true_pos, atol=1e-6)
@@ -276,15 +274,15 @@ class TestClockOffsetError:
     def test_error_scales_linearly_in_offset(self, seed):
         rng = stream(seed, "offset", "lin")
         geometry = random_sky_geometry(rng)
-        e1 = position_error_from_clock_offset(geometry, TimeOffset.from_millis(20), np.zeros(3))
-        e2 = position_error_from_clock_offset(geometry, TimeOffset.from_millis(40), np.zeros(3))
+        e1 = position_error_from_clock_offset(geometry, ns_from_millis(20), np.zeros(3))
+        e2 = position_error_from_clock_offset(geometry, ns_from_millis(40), np.zeros(3))
         assert np.linalg.norm(e2) == pytest.approx(2.0 * np.linalg.norm(e1), rel=0.05)
 
     def test_sign_flip_mirrors_error(self):
         rng = stream(7, "offset", "sign")
         geometry = random_sky_geometry(rng)
-        plus = position_error_from_clock_offset(geometry, TimeOffset.from_millis(30), np.zeros(3))
-        minus = position_error_from_clock_offset(geometry, TimeOffset.from_millis(-30), np.zeros(3))
+        plus = position_error_from_clock_offset(geometry, ns_from_millis(30), np.zeros(3))
+        minus = position_error_from_clock_offset(geometry, ns_from_millis(-30), np.zeros(3))
         np.testing.assert_allclose(plus, -minus, atol=0.05 * np.linalg.norm(plus))
 
 
@@ -309,8 +307,7 @@ class TestRandomSky:
 
     def test_advanced_moves_by_velocity_times_offset(self):
         geometry = random_sky_geometry(stream(0, "sky", "adv"))
-        eps = TimeOffset.from_millis(50)
-        moved = geometry.advanced(eps)
+        moved = geometry.advanced(ns_from_millis(50))
         np.testing.assert_allclose(
             moved.positions, geometry.positions + geometry.velocities * 0.05
         )

@@ -3,22 +3,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from gpsimlab.timebase import (
-    DEFAULT_BUDGET,
-    ClockErrorChain,
-    ErrorBudget,
-    NS_PER_MS,
-    NS_PER_S,
-    TimeOffset,
-    compose_clock_error,
-    within_budget,
-)
+from gpsimlab.config import DEFAULTS
+from gpsimlab.scenarios import ClockDraw
+from gpsimlab.timebase import NS_PER_MS, NS_PER_S, TimeOffset, ns_from_millis, ns_from_seconds, within_budget
 
 NS_RANGE = st.integers(min_value=-(10**15), max_value=10**15)
+LIMIT_NS = 50 * NS_PER_MS
 
 
-def offsets():
-    return NS_RANGE.map(TimeOffset)
+def draw(sim_ns, ntp_ns, ref_ns):
+    return ClockDraw(sim_ns, ntp_ns, ref_ns, ntp_bound_s=0.0, within_budget=True)
 
 
 class TestTimeOffset:
@@ -27,84 +21,88 @@ class TestTimeOffset:
         assert NS_PER_MS == 1_000_000
 
     def test_from_seconds_rounds_to_nearest(self):
-        assert TimeOffset.from_seconds(1.5e-9).ns == 2
-        assert TimeOffset.from_seconds(-1.5e-9).ns == -2
-        assert TimeOffset.from_seconds(0.25).ns == 250_000_000
+        assert ns_from_seconds(1.5e-9) == 2
+        assert ns_from_seconds(-1.5e-9) == -2
+        assert ns_from_seconds(0.25) == 250_000_000
+        assert type(ns_from_seconds(0.1)) is int
 
     def test_from_millis(self):
-        assert TimeOffset.from_millis(50).ns == 50 * NS_PER_MS
-        assert TimeOffset.from_millis(-0.5).ns == -500_000
+        assert ns_from_millis(50) == 50 * NS_PER_MS
+        assert ns_from_millis(-0.5) == -500_000
+        assert type(ns_from_millis(0.1)) is int
 
     @given(NS_RANGE)
     def test_unit_round_trips(self, ns):
-        off = TimeOffset(ns)
-        assert off.seconds == ns / NS_PER_S
-        assert off.millis == ns / NS_PER_MS
+        assert ns_from_seconds(ns / NS_PER_S) == ns
+        assert ns_from_millis(ns / NS_PER_MS) == ns
 
-    @given(NS_RANGE, NS_RANGE)
-    def test_arithmetic_is_exact_int(self, a, b):
-        x, y = TimeOffset(a), TimeOffset(b)
-        assert (x + y).ns == a + b
-        assert (x - y).ns == a - b
+    @given(st.integers(min_value=-(10**9), max_value=10**9))
+    def test_ties_round_half_to_even(self, k):
+        # (2k+1)/1024 s and (2k+1)/128 ms are exact binary fractions whose
+        # nanosecond counts, (2k+1)·5^9/2 and (2k+1)·5^6/2, are exact ties
+        for ns, twice in (
+            (ns_from_seconds((2 * k + 1) / 1024), (2 * k + 1) * 5**9),
+            (ns_from_millis((2 * k + 1) / 128), (2 * k + 1) * 5**6),
+        ):
+            low = (twice - 1) // 2
+            assert ns == (low if low % 2 == 0 else low + 1)
+
+    def test_holds_only_integer_ns(self):
+        assert TimeOffset(-7).ns == -7
+        with pytest.raises(TypeError):
+            TimeOffset(1.0)
 
 
 class TestComposition:
-    @given(offsets(), offsets(), offsets())
+    @given(NS_RANGE, NS_RANGE, NS_RANGE)
     def test_compose_is_exact_sum(self, sim, ntp, ref):
-        chain = ClockErrorChain(sim_delay=sim, ntp_error=ntp, ref_error=ref)
-        assert compose_clock_error(chain).ns == sim.ns + ntp.ns + ref.ns
+        composed = draw(sim, ntp, ref).error_ns
+        assert type(composed) is int
+        assert composed == sim + ntp + ref
 
-    @given(offsets(), offsets(), offsets())
+    @given(NS_RANGE, NS_RANGE, NS_RANGE)
     def test_compose_order_invariant(self, a, b, c):
-        left = compose_clock_error(ClockErrorChain(a, b, c))
-        right = compose_clock_error(ClockErrorChain(c, a, b))
-        assert left == right
+        assert draw(a, b, c).error_ns == draw(c, a, b).error_ns
 
     def test_large_parts_cancel_exactly(self):
-        chain = ClockErrorChain(
-            TimeOffset.from_millis(250),
-            TimeOffset.from_millis(-200),
-            TimeOffset.from_millis(-50),
-        )
-        assert compose_clock_error(chain).ns == 0
+        assert draw(ns_from_millis(250), ns_from_millis(-200), ns_from_millis(-50)).error_ns == 0
 
 
 class TestBudget:
     def test_default_budget_is_50ms(self):
-        assert DEFAULT_BUDGET.limit.ns == 50 * NS_PER_MS
+        assert ns_from_millis(DEFAULTS.budget.limit_ms) == 50 * NS_PER_MS
 
     def test_boundary_inclusive_both_signs(self):
-        edge = TimeOffset.from_millis(50)
-        assert within_budget(edge)
-        assert within_budget(TimeOffset(-edge.ns))
-        assert not within_budget(TimeOffset(edge.ns + 1))
-        assert not within_budget(TimeOffset(-edge.ns - 1))
+        edge = ns_from_millis(50)
+        assert within_budget(edge, LIMIT_NS)
+        assert within_budget(-edge, LIMIT_NS)
+        assert not within_budget(edge + 1, LIMIT_NS)
+        assert not within_budget(-edge - 1, LIMIT_NS)
 
-    @given(offsets())
-    def test_symmetric(self, off):
-        assert within_budget(off) == within_budget(TimeOffset(-off.ns))
+    @given(NS_RANGE, st.integers(min_value=1, max_value=10**12))
+    def test_symmetric(self, error_ns, limit_ns):
+        assert within_budget(error_ns, limit_ns) == within_budget(-error_ns, limit_ns)
 
-    @given(offsets(), st.integers(min_value=1, max_value=10**12))
-    def test_threshold_definition(self, off, limit_ns):
-        budget = ErrorBudget(limit=TimeOffset(limit_ns))
-        assert within_budget(off, budget) == (abs(off.ns) <= limit_ns)
+    @given(NS_RANGE, st.integers(min_value=1, max_value=10**12))
+    def test_threshold_definition(self, error_ns, limit_ns):
+        assert within_budget(error_ns, limit_ns) == (abs(error_ns) <= limit_ns)
 
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ErrorBudget(limit=TimeOffset(0))
+    @given(st.integers(min_value=1, max_value=10**12), st.sampled_from((-1, 1)))
+    def test_boundary_inclusive_for_every_limit(self, limit_ns, sign):
+        assert within_budget(sign * limit_ns, limit_ns)
+        assert not within_budget(sign * (limit_ns + 1), limit_ns)
 
     def test_composed_chain_against_budget(self):
         # 30 ms process delay plus 19 ms sync error stays inside; one more
         # millisecond of sync error crosses out, boundary inclusive
-        base = ClockErrorChain(
-            TimeOffset.from_millis(30), TimeOffset.from_millis(19), TimeOffset(0)
-        )
-        assert within_budget(compose_clock_error(base))
-        worse = ClockErrorChain(
-            TimeOffset.from_millis(30), TimeOffset.from_millis(20), TimeOffset(1)
-        )
-        assert not within_budget(compose_clock_error(worse))
+        inside = draw(ns_from_millis(30), ns_from_millis(19), 0)
+        assert within_budget(inside.error_ns, LIMIT_NS)
+        outside = draw(ns_from_millis(30), ns_from_millis(20), 1)
+        assert not within_budget(outside.error_ns, LIMIT_NS)
 
     def test_nan_rejected_by_from_seconds(self):
-        with pytest.raises((ValueError, OverflowError)):
-            TimeOffset.from_seconds(math.nan)
+        for convert in (ns_from_seconds, ns_from_millis):
+            with pytest.raises(ValueError):
+                convert(math.nan)
+            with pytest.raises(OverflowError):
+                convert(math.inf)
