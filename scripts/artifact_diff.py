@@ -6,7 +6,8 @@
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
 list of quick commands at seeds 0 and 7 once under each tree's ``src/``
 (among them ``calibrate --samples-csv`` on the samples that tree's own
-``calibrate`` run wrote at the same seed, static handovers whose config
+``calibrate`` run wrote at the same seed and on a few hand-written
+sample files, static handovers whose config
 blocks the receiver up to and past t_max, a strict raw public clock
 judged against a budget it misses and one it fits, and a sweep past the
 last reacquisition knot), and prints every
@@ -14,7 +15,9 @@ artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
 own comparator, or as "structure differs" when its keys, labels, flags
-or row count changed. Exits 1 if anything differs, 0 otherwise. The
+or row count changed. A run that prints to standard error keeps it as
+``stderr.txt`` in its run directory, so a changed message shows as a
+differing file. Exits 1 if anything differs, 0 otherwise. The
 runs ignore GPSIMLAB_CONFIG, so both trees read built-in defaults or
 the command's own config.
 """
@@ -33,11 +36,20 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import checks  # noqa: E402
 
 SEEDS = (0, 7)
+# hand-written --samples-csv files, shared by both trees' runs as "{samples}/<name>.csv"
+HEADER = "timestamp_s,delay_ms\n"
+SAMPLES = {
+    "lf": HEADER + "0.0,30.5\n1.0,29.75\n2.0,30.000001\n",
+    "quoted": HEADER + '0.0,"30.5"\n"1.0",29.75\n',
+    "spaced": HEADER + " 0.0 ,\t30.5\n1.0\t, 29.75 \n",
+    "blank-line": HEADER + "0.0,30.5\n\n1.0,29.75\n",
+}
 COMMANDS = (
     ("plan",),
     ("sync-compare",),
     ("calibrate",),
     ("calibrate", "--samples-csv", "{calibrate}/delay_samples.csv"),
+    *(("calibrate", "--samples-csv", f"{{samples}}/{name}.csv") for name in SAMPLES),
     ("sweep", "--trials", "1"),
     ("sweep", "--receiver", "smartphone", "--trials", "1"),
     ("simulate", "--scenario", "static", "--trials", "2"),
@@ -61,7 +73,7 @@ COMMANDS = (
 )
 
 
-def run_commands(tree: Path, out: Path) -> dict[str, int]:
+def run_commands(tree: Path, out: Path, samples: Path) -> dict[str, int]:
     """Run every command at every seed under ``tree/src``; exit code per run directory."""
     env = {k: v for k, v in os.environ.items() if k != "GPSIMLAB_CONFIG"}
     env["PYTHONPATH"] = str(tree / "src")
@@ -72,7 +84,7 @@ def run_commands(tree: Path, out: Path) -> dict[str, int]:
         for i, command in enumerate(COMMANDS):
             *command, config = command if isinstance(command[-1], dict) else (*command, None)
             name = f"seed{seed}/{i}-{'_'.join(command).replace('/', '-')}"
-            args = [part.format(calibrate=calibrate) for part in command]
+            args = [part.format(calibrate=calibrate, samples=samples) for part in command]
             if config is not None:
                 path = out / f"configs/{i}.json"
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -83,6 +95,9 @@ def run_commands(tree: Path, out: Path) -> dict[str, int]:
                 argv + ["--out", str(out / name)], env=env, cwd=tree, capture_output=True
             )
             codes[name] = proc.returncode
+            if proc.stderr:
+                (out / name).mkdir(parents=True, exist_ok=True)
+                (out / name / "stderr.txt").write_bytes(proc.stderr)
     return codes
 
 
@@ -125,8 +140,13 @@ def main() -> int:
             ["git", "archive", args.base], cwd=ROOT, check=True, capture_output=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
-        base_codes = run_commands(base_tree, tmp / "base")
-        head_codes = run_commands(ROOT, tmp / "head")
+        # one copy of the sample files, so both trees' messages name the same path
+        samples = tmp / "samples"
+        samples.mkdir()
+        for name, text in SAMPLES.items():
+            (samples / f"{name}.csv").write_text(text)
+        base_codes = run_commands(base_tree, tmp / "base", samples)
+        head_codes = run_commands(ROOT, tmp / "head", samples)
 
         found = [
             f"{name}: exit {base_codes[name]} at base, {head_codes[name]} here"

@@ -12,8 +12,11 @@ settings.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -101,35 +104,77 @@ def export_samples_csv(path: str | Path, ns: Sequence[int]) -> None:
 
 
 def import_samples_csv(path: str | Path) -> list[int]:
-    """Read delay samples back in integer ns; a ValueError names the line of a bad header or value.
+    """Read delay samples back in integer ns; a ValueError names the line of a bad header or row.
 
-    Every timestamp and every delay must be finite, and so must n·(2·max|ns|)², which bounds
-    ``calibrate``'s sum of squared deviations over n samples.
+    After the header each line is one row of 2 columns, a finite timestamp and a delay finite
+    in ns, and n·(2·max|ns|)² must be finite too: it bounds ``calibrate``'s sum of squared
+    deviations over n samples. numpy's text reader parses the rows as it streams the file.
     """
-    with open(path, newline="") as fh:
+    with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
             raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
-        millis, peak, peak_line = [], 0.0, 0
+        first_line = reader.line_num + 1
+        # the text reader skips blank lines, so the lines it is handed are counted
+        counter = itertools.count()
+        try:
+            with warnings.catch_warnings():
+                # a file of no data rows is refused below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    map(itemgetter(0), zip(fh, counter)),
+                    delimiter=",", quotechar='"', comments=None, ndmin=2,
+                )
+        except ValueError:
+            rows = None
+        line_count = next(counter)
+    if rows is None or rows.shape != (line_count, 2):
+        raise _refusal(path)
+    times, millis = rows.T
+    with np.errstate(over="ignore"):
+        ns = millis * NS_PER_MS
+    if not (np.isfinite(times).all() and np.isfinite(ns).all()):
+        raise _refusal(path)
+    peak_row = int(np.argmax(np.abs(millis)))
+    deviation_ns = 2.0 * abs(float(millis[peak_row])) * NS_PER_MS
+    if not math.isfinite(deviation_ns * deviation_ns * line_count):
+        raise ValueError(
+            f"{path} line {first_line + peak_row}: squared deviations of {line_count} samples overflow"
+        )
+    # ns_from_millis for every row in one pass: rint rounds half to even as
+    # round() does; no int64 cast, a sample may exceed it
+    np.rint(ns, out=ns)
+    return list(map(int, ns.tolist()))
+
+
+def _refusal(path: str | Path) -> ValueError:
+    """The error naming the first line of a refused file that is not one good row."""
+    with open(path) as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        line = header_line = reader.line_num
         for row in reader:
             try:
-                t_s, ms = map(float, row)
+                t_s, ms = map(_text_float, row)
             except ValueError:
                 t_s = ms = math.nan
-            if not (math.isfinite(t_s) and math.isfinite(ms * NS_PER_MS)):
-                raise ValueError(
+            # a quoted field may carry a row across lines; the text reader's rows are single lines
+            if reader.line_num != line + 1 or not (math.isfinite(t_s) and math.isfinite(ms * NS_PER_MS)):
+                return ValueError(
                     f"{path} line {reader.line_num}: want 2 columns, a finite timestamp "
                     f"and a delay finite in ns; got {row}"
                 )
-            if abs(ms) > peak:
-                peak, peak_line = abs(ms), reader.line_num
-            millis.append(ms)
-    if not millis:
-        raise EmptySampleSet(f"no delay samples in {path}")
-    deviation_ns = 2.0 * peak * NS_PER_MS
-    if not math.isfinite(deviation_ns * deviation_ns * len(millis)):
-        raise ValueError(f"{path} line {peak_line}: squared deviations of {len(millis)} samples overflow")
-    # ns_from_millis for every row in one pass: rint rounds half to even as
-    # round() does; no int64 cast, a sample may exceed it
-    return list(map(int, np.rint(np.array(millis) * NS_PER_MS).tolist()))
+            line = reader.line_num
+    if line == header_line:
+        return EmptySampleSet(f"no delay samples in {path}")
+    return ValueError(f"{path}: rows unreadable as {','.join(CSV_HEADER)}")
+
+
+def _text_float(field: str) -> float:
+    """``field`` as numpy's text reader parses it: ``float`` of the ASCII text within the
+    whitespace, so no digit-grouping underscores and no non-ASCII digits."""
+    text = field.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {field!r}")
+    return float(text)

@@ -305,14 +305,15 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.samples_csv:
+        # read before anything is written: a refused file leaves no --out directory behind
         try:
             samples = import_samples_csv(args.samples_csv)
         except (OSError, ValueError) as exc:
             print(f"samples error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     else:
+        out.mkdir(parents=True, exist_ok=True)
         model = cfg.delay_model
         samples = [s.ns for s in measure_sim_delay(model, model.sample_count, stream(args.seed, "cli", "calibrate"))]
         export_samples_csv(out / "delay_samples.csv", samples)

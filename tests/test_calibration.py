@@ -1,11 +1,12 @@
 import csv
 import math
+import re
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gpsimlab.calibration import (
     CSV_HEADER,
@@ -133,7 +134,113 @@ class TestMeasurement:
             assert abs(truth_ns - correction_ns) / NS_PER_MS < 5.0
 
 
+# the most samples a generated file holds, and the largest |ns| for which n·(2·max|ns|)² of
+# that many samples stays finite, less a margin for the ms rounding of the file
+ROUND_TRIP_MAX_SAMPLES = 40
+SQUARE_BOUND_NS = int(0.99 * math.sqrt(sys.float_info.max / ROUND_TRIP_MAX_SAMPLES) / 2)
+# up to 2**51 ns the two roundings of ns / NS_PER_MS * NS_PER_MS err by under half a
+# nanosecond together; 4_303_762_013_691_171 (about 2**52) already reads back one less
+EXACT_NS = 2**51
+
+round_trip_ns = st.lists(
+    st.one_of(
+        st.integers(min_value=-EXACT_NS, max_value=EXACT_NS),
+        st.integers(min_value=-SQUARE_BOUND_NS, max_value=SQUARE_BOUND_NS),
+        st.sampled_from([2**53 + 1, -(2**53) - 3, 2**63, -(2**63) - 1, 2**63 + 2**20, SQUARE_BOUND_NS]),
+    ),
+    min_size=1,
+    max_size=ROUND_TRIP_MAX_SAMPLES,
+)
+
+
+def _read_rows_one_at_a_time(path):
+    """Reference reading of a samples file, row by row: ("ints", ns), ("line", n) naming the
+    first bad row or the peak of an overflow, or ("empty",).
+
+    A row is one line of 2 fields, each ``float`` of its ASCII text within the whitespace
+    without digit-grouping underscores, a finite timestamp and a delay finite in ns.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        millis, peak, peak_line, line = [], 0.0, 0, reader.line_num
+        for row in reader:
+            fields = [f.strip() for f in row]
+            try:
+                if reader.line_num != line + 1 or not all(f.isascii() and "_" not in f for f in fields):
+                    raise ValueError(row)
+                t_s, ms = map(float, fields)
+            except ValueError:
+                t_s = ms = math.nan
+            if not (math.isfinite(t_s) and math.isfinite(ms * NS_PER_MS)):
+                return ("line", reader.line_num)
+            line = reader.line_num
+            if abs(ms) > peak:
+                peak, peak_line = abs(ms), line
+            millis.append(ms)
+    if not millis:
+        return ("empty",)
+    deviation_ns = 2.0 * peak * NS_PER_MS
+    if not math.isfinite(deviation_ns * deviation_ns * len(millis)):
+        return ("line", peak_line)
+    return ("ints", [round(ms * NS_PER_MS) for ms in millis])
+
+
+def _import_outcome(path):
+    try:
+        return ("ints", import_samples_csv(path))
+    except EmptySampleSet:
+        return ("empty",)
+    except ValueError as exc:
+        named = re.search(r" line (\d+): ", str(exc))
+        return ("line", int(named.group(1))) if named else ("unnamed", str(exc))
+
+
+def _maybe_quoted(fields):
+    return st.builds(lambda f, quote: f'"{f}"' if quote else f, fields, st.booleans())
+
+
+csv_numbers = _maybe_quoted(
+    st.one_of(
+        st.sampled_from(["0", "-2e3", "+7", ".5", "5.", "1e300", "-1e300", " 4 ", "\t5", "\xa01", "30\x1c"]),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+)
+csv_fields = _maybe_quoted(
+    st.one_of(
+        st.sampled_from(
+            ["inf", "-Infinity", "nan", "1e303", "abc", "", "3_0.5", "1 2", "\uff13", "0x10", "1e", '3"0', "3\n0"]
+        ),
+        st.text(alphabet='0123456789.,"e-+ \t_nai', max_size=6),
+    )
+)
+# rows of two numbers, and at most one line of anything at a drawn place among them
+csv_rows = st.lists(st.tuples(csv_numbers, csv_numbers).map(",".join), max_size=6)
+csv_odd_line = st.one_of(st.none(), st.just(""), st.lists(csv_fields, min_size=1, max_size=3).map(",".join))
+
+
 class TestCsv:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(csv_rows, csv_odd_line, st.integers(0, 6), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    def test_import_matches_row_at_a_time_reading(self, tmp_path_factory, rows, odd, at, end, final_end):
+        if odd is not None:
+            rows = rows[:at] + [odd] + rows[at:]
+        path = tmp_path_factory.mktemp("rows") / "samples.csv"
+        text = ",".join(CSV_HEADER) + end + end.join(rows) + (end if final_end and rows else "")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert _import_outcome(path) == _read_rows_one_at_a_time(path)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(round_trip_ns)
+    def test_round_trip_reads_back_rounded_millis(self, tmp_path_factory, ns):
+        path = tmp_path_factory.mktemp("round-trip") / "samples.csv"
+        export_samples_csv(path, ns)
+        read = import_samples_csv(path)
+        assert read == [round(v / NS_PER_MS * NS_PER_MS) for v in ns]
+        if all(abs(v) <= EXACT_NS for v in ns):
+            assert read == ns
+
     def test_round_trip_exact(self, tmp_path):
         samples = _ns(measure_sim_delay(MODEL, 64, stream(11, "csv")))
         path = tmp_path / "samples.csv"

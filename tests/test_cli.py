@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import pytest
 
+from gpsimlab.calibration import import_samples_csv
 from gpsimlab.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
@@ -399,6 +401,71 @@ class TestCalibrate:
         path = tmp_path / "samples.csv"
         path.write_text(self.HEADER + "0.0,6e144\n1.0,-6e144\n")
         assert run("calibrate", "--samples-csv", str(path), "--out", str(tmp_path / "o")) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "text",
+        [None, "time,delay\n0.0,30.0\n", HEADER + "0.0,abc\n", HEADER],
+        ids=["missing", "header", "abc", "header-only"],
+    )
+    def test_refused_samples_csv_leaves_no_out_directory(self, tmp_path, text):
+        path = tmp_path / "samples.csv"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        assert run("calibrate", "--samples-csv", str(path), "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    # each row format: the file's bytes and either the ns read back or the text the refusal names
+    ROWS = b"0.0,30.5\n1.0,-0.25\n2.0,1e-06\n"
+    READ = [30_500_000, -250_000, 1]
+
+    @pytest.mark.parametrize(
+        "data, outcome",
+        [
+            (HEADER.encode() + ROWS, READ),
+            ((HEADER.encode() + ROWS).replace(b"\n", b"\r\n"), READ),
+            ((HEADER.encode() + ROWS).replace(b"\n", b"\r"), READ),
+            (HEADER.encode() + ROWS.rstrip(b"\n"), READ),
+            (HEADER.encode() + b"0.0,30.5\n\n1.0,-0.25\n", "line 3"),
+            (HEADER.encode() + ROWS + b"\n", "line 5"),
+            (HEADER.encode() + b'0.0,"30.5"\n"1.0",-0.25\n', READ[:2]),
+            (HEADER.encode() + b" 0.0 ,\t30.5\t\n1.0\t, -0.25 \n", READ[:2]),
+            (HEADER.encode() + b"+0.0,+30.5\n+1.0,-0.25\n", READ[:2]),
+            (HEADER.encode() + b"0.0,30.5\n1.0,Infinity\n", "line 3"),
+            # digit-grouping underscores: float() takes them, numpy's text reader does not
+            (HEADER.encode() + b"0.0,30.5\n1.0,3_0.5\n", "line 3"),
+            (HEADER.encode(), "no delay samples"),
+            (HEADER.encode() + b"\n", "line 2"),
+            # the peak |delay| first reached on line 4, again on line 5
+            (HEADER.encode() + b"0.0,1.0\n1.0,5e299\n2.0,-1e300\n3.0,1e300\n", "line 4"),
+            (
+                HEADER.encode() + b"".join(b"%d.0,30.0\n" % i for i in range(199_999)) + b"199999.0,abc\n",
+                "line 200001",
+            ),
+        ],
+        ids=[
+            "lf", "crlf", "cr", "no-final-newline", "blank-mid", "blank-end", "quoted", "spaced",
+            "plus-signs", "infinity", "underscore", "header-only", "header-then-blank",
+            "overflow-peak-later", "bad-last-of-200000",
+        ],
+    )
+    def test_samples_csv_row_formats(self, tmp_path, capsys, data, outcome):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(data)
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("calibrate", "--samples-csv", str(path), "--out", str(out))
+        err = capsys.readouterr().err
+        assert not caught and "warn" not in err.lower()
+        if isinstance(outcome, str):
+            assert code == EXIT_CONFIG
+            assert outcome in err
+        else:
+            assert code == EXIT_OK
+            payload = json.loads((out / "calibration.json").read_text())
+            assert payload["sample_count"] == len(outcome)
+            assert import_samples_csv(path) == outcome
 
 
 class TestSyncCompare:
