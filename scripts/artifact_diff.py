@@ -5,7 +5,8 @@
 
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
 list of quick commands at seeds 0 and 7 once under each tree's ``src/``
-(among them ``calibrate --samples-csv`` on the samples that tree's own
+(among them ``plan`` on a deployment whose gap takes exactly t_max,
+``calibrate --samples-csv`` on the samples that tree's own
 ``calibrate`` run wrote at the same seed and on a few hand-written
 sample files, static handovers whose config
 blocks the receiver up to and past t_max, a strict raw public clock
@@ -46,6 +47,11 @@ SAMPLES = {
 }
 COMMANDS = (
     ("plan",),
+    ("plan", "--strict"),
+    # a gap of exactly t_max, which the inclusive boundary counts as feasible
+    ("plan", {"deployment": {
+        "radius_m": 149.13509104049035, "separation_m": 3690.097253066939, "max_speed_kmh": 90.44872189295889,
+    }}),
     ("sync-compare",),
     ("calibrate",),
     ("calibrate", "--samples-csv", "{calibrate}/delay_samples.csv"),

@@ -15,8 +15,8 @@ deterministic for a given config and seed; repeating one rewrites
 byte-identical artifacts.
 
 Exit codes: 0 success, 1 the deployment or scenario failed its own
-feasibility or success checks, 2 bad configuration or arguments, 3
-unexpected runtime failure.
+feasibility or success checks, 2 bad configuration or arguments or an
+``--out`` that cannot be written, 3 unexpected runtime failure.
 """
 
 import argparse
@@ -36,7 +36,6 @@ from .placement import (
     WARM,
     blockage_time,
     can_update,
-    coverage_centers,
     gap_path,
     kmh_to_ms,
     max_separation,
@@ -134,7 +133,7 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
         ),
     }
     update = can_update(v, dep.radius_m, dep.separation_m, timing)
-    report = validate_deployment(coverage_centers(0.0, dep.separation_m), dep.radius_m, v, timing)
+    report = validate_deployment(dep.radius_m, dep.separation_m, v, timing)
 
     out = Path(args.out)
     payload = {
@@ -157,7 +156,6 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     rows.append(("update_ok", update.ok))
     rows.append(("layout_ok", report.ok))
     table = format_table(("quantity", "value"), rows)
-    (out / "plan.txt").parent.mkdir(parents=True, exist_ok=True)
     (out / "plan.txt").write_text(table)
 
     radii = [10.0 + 5.0 * i for i in range(39)]
@@ -182,9 +180,9 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     _announce([out / "plan.json", out / "plan.txt", out / "reception_curve.csv", out / "blockage_curve.csv"])
     print(table, end="")
 
-    ok = update.ok and report.ok
+    ok = report.ok
     if args.strict:
-        ok = ok and all(gap_path(v, dep.radius_m, g.blockage_s, timing) == WARM for g in report.gaps)
+        ok = ok and gap_path(v, dep.radius_m, derived["blockage_time_s"], timing) == WARM
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
@@ -201,6 +199,14 @@ def _ignored_simulate_flag(args: argparse.Namespace) -> str | None:
     if args.strict and (matrix or args.scenario == "outdoor"):
         return "--strict: applies only to single static, driving and pedestrian runs"
     return None
+
+
+def _write_matrix(out: Path, name: str, matrix, columns: tuple[str, ...]) -> None:
+    """A ``--clock all`` matrix as JSON and as a CSV of ``clock`` and the named cell columns."""
+    paths = [out / f"{name}.json", out / f"{name}.csv"]
+    write_json(paths[0], matrix)
+    write_csv(paths[1], ("clock", *columns), ((c.label, *(getattr(c, k) for k in columns)) for c in matrix.cells))
+    _announce(paths)
 
 
 def _check_draws(result: sc.ScenarioResult, strict: bool) -> int:
@@ -220,13 +226,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
             matrix = sc.run_static_handover_matrix(
                 trials=args.trials, seed=seed, profile=profile, cfg=cfg
             )
-            write_json(out / "handover_matrix.json", matrix)
-            write_csv(
-                out / "handover_matrix.csv",
-                ("clock", "median_p95_m", "median_avg_m", "max_m"),
-                ((c.label, c.median_p95_m, c.median_avg_m, c.max_m) for c in matrix.cells),
-            )
-            _announce([out / "handover_matrix.json", out / "handover_matrix.csv"])
+            _write_matrix(out, "handover_matrix", matrix, ("median_p95_m", "median_avg_m", "max_m"))
             print(
                 format_table(
                     ("clock", "median p95 [m]", "median avg [m]"),
@@ -248,13 +248,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
         )
         if args.clock == "all" and args.scenario == "driving":
             matrix = sc.run_traversal_matrix(base, trials=args.trials, seed=seed, cfg=cfg)
-            write_json(out / "traversal_matrix.json", matrix)
-            write_csv(
-                out / "traversal_matrix.csv",
-                ("clock", "median_avg_m", "handover_success_all"),
-                ((c.label, c.median_avg_m, c.handover_success_all) for c in matrix.cells),
-            )
-            _announce([out / "traversal_matrix.json", out / "traversal_matrix.csv"])
+            _write_matrix(out, "traversal_matrix", matrix, ("median_avg_m", "handover_success_all"))
             ok = matrix.ordering_ok_every_trial and all(c.handover_success_all for c in matrix.cells)
             return EXIT_OK if ok else EXIT_INFEASIBLE
         if args.clock != "all":
@@ -454,6 +448,11 @@ def main(argv: list[str] | None = None) -> int:
     except (sc.EmptyFixSet, SingularGeometry, NoConvergence) as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except OSError as exc:
+        # mapped here rather than by creating --out up front, so a command
+        # refused before it writes still leaves no --out directory behind
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

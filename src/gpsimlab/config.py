@@ -34,6 +34,9 @@ DEVIATION_SIGMAS = 20.0
 # offsets. A config that asks for more is refused.
 MAX_TIMELINE_STEPS = 1_000_000
 
+# GPS L1 C/A has 32 PRNs, so a simulated sky holds at most that many satellites
+MAX_SATELLITES = 32
+
 
 class ConfigError(ValueError):
     """A config file failed validation; the message carries the key path."""
@@ -194,8 +197,11 @@ def _validate(cfg: Config) -> Config:
         raise ConfigError(f"budget.limit_ms: must be at least 1 ns and finite in ns, got {limit_ms}")
     if cfg.handover.trials < 1:
         raise ConfigError("handover.trials: must be at least 1")
-    if cfg.handover.n_sats < 4:
-        raise ConfigError("handover.n_sats: need at least 4 satellites to solve")
+    if not 4 <= cfg.handover.n_sats <= MAX_SATELLITES:
+        raise ConfigError(
+            f"handover.n_sats: need 4 satellites to solve and at most {MAX_SATELLITES} PRNs, "
+            f"got {cfg.handover.n_sats}"
+        )
     for name in ("live_s", "blocked_s", "sim_s", "pr_noise_m"):
         _positive(getattr(cfg.handover, name), f"handover.{name}")
     if cfg.sweep.step_ms <= 0:

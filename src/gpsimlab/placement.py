@@ -259,62 +259,51 @@ class ValidationReport:
 
 
 def validate_deployment(
-    centers_m: list[float] | tuple[float, ...],
-    radius_m: float,
-    speed_ms: float,
-    timing: TimingProfile,
+    radius_m: float, separation_m: float, speed_ms: float, timing: TimingProfile
 ) -> ValidationReport:
-    """Check every coverage and every gap of an explicit layout crossed at ``speed_ms``.
+    """Check every coverage and every gap of the corridor ``coverage_centers(0.0, separation_m)`` lays out.
 
-    Suggestions give the radius that would fix all reception failures
-    and the gap length that would fix all blockage failures at that
-    speed.
+    One speed crosses equal coverages and equal gaps, so every coverage
+    shares one crossing and every gap one blockage_time and gap_path
+    verdict, the numbers can_update judges. Suggestions give the radius
+    that would fix all reception failures and the gap length that would
+    fix all blockage failures at that speed.
     """
     if radius_m <= 0:
         raise ValueError(f"radius_m must be positive, got {radius_m}")
-    centers = tuple(float(c) for c in centers_m)
-    if not centers:
-        raise ValueError("layout needs at least one coverage center")
-    if list(centers) != sorted(centers):
-        raise ValueError("coverage centers must be ascending along the path")
-    for a, b in zip(centers, centers[1:]):
-        if b - a < 2 * radius_m:
-            raise OverlappingCoverage(
-                f"centers at {a} m and {b} m are closer than one diameter ({2 * radius_m} m)"
-            )
-
-    # one speed, so every coverage shares the same crossing
     t_rcp = reception_time(radius_m, speed_ms)
+    t_blk = blockage_time(separation_m, radius_m, speed_ms)
+    centers = coverage_centers(0.0, separation_m)
+
     fits = timing.t_reacq_s <= t_rcp
-    reason = (
+    crossing = (
         f"reacquisition fits the {t_rcp:.2f} s crossing"
         if fits
         else f"reacquisition {timing.t_reacq_s:.2f} s exceeds the {t_rcp:.2f} s crossing"
     )
     coverages = tuple(
-        CoverageCheck(i, center, speed_ms, t_rcp, fits, reason) for i, center in enumerate(centers)
+        CoverageCheck(i, center, speed_ms, t_rcp, fits, crossing) for i, center in enumerate(centers)
     )
 
-    gaps = []
-    for i, (a, b) in enumerate(zip(centers, centers[1:])):
-        gap_start, gap_end = a + radius_m, b - radius_m
-        t_blk = (gap_end - gap_start) / speed_ms
-        path = gap_path(speed_ms, radius_m, t_blk, timing)
-        if path == WARM:
-            reason = f"blockage {t_blk:.2f} s within t_max {timing.t_max_s:.2f} s"
-        elif path == COLD:
-            reason = f"blockage long but {speed_ms:.2f} m/s admits cold acquisition"
-        else:
-            reason = (
-                f"blockage {t_blk:.2f} s exceeds t_max {timing.t_max_s:.2f} s and "
-                f"{speed_ms:.2f} m/s is too fast for cold acquisition"
-            )
-        gaps.append(GapCheck(i, gap_start, gap_end, speed_ms, t_blk, path is not None, reason))
+    path = gap_path(speed_ms, radius_m, t_blk, timing)
+    if path == WARM:
+        gap = f"blockage {t_blk:.2f} s within t_max {timing.t_max_s:.2f} s"
+    elif path == COLD:
+        gap = f"blockage long but {speed_ms:.2f} m/s admits cold acquisition"
+    else:
+        gap = (
+            f"blockage {t_blk:.2f} s exceeds t_max {timing.t_max_s:.2f} s and "
+            f"{speed_ms:.2f} m/s is too fast for cold acquisition"
+        )
+    gaps = tuple(
+        GapCheck(i, a + radius_m, b - radius_m, speed_ms, t_blk, path is not None, gap)
+        for i, (a, b) in enumerate(zip(centers, centers[1:]))
+    )
 
     return ValidationReport(
-        ok=fits and all(g.ok for g in gaps),
+        ok=fits and path is not None,
         coverages=coverages,
-        gaps=tuple(gaps),
+        gaps=gaps,
         suggested_min_radius_m=min_coverage_radius(speed_ms, timing.t_reacq_s),
         suggested_max_gap_m=timing.t_max_s * speed_ms,
     )

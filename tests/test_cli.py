@@ -93,6 +93,26 @@ class TestPlan:
         assert (lax / "plan.json").read_bytes() == (strict / "plan.json").read_bytes()
         assert run("plan", "--strict", "--out", str(tmp_path / "default")) == EXIT_OK
 
+    def test_gap_of_exactly_t_max_is_judged_alike_throughout(self, tmp_path):
+        # crossing this gap takes t_max = 135 s to the last bit, which an
+        # inclusive boundary counts as feasible in every part of plan.json
+        cfg = tmp_path / "cfg.json"
+        deployment = {
+            "radius_m": 149.13509104049035,
+            "separation_m": 3690.097253066939,
+            "max_speed_kmh": 90.44872189295889,
+        }
+        cfg.write_text(json.dumps({"deployment": deployment}))
+        out = tmp_path / "out"
+        assert run("plan", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        payload = json.loads((out / "plan.json").read_text())
+        assert payload["derived"]["blockage_time_s"] == payload["inputs"]["t_max_s"]
+        assert payload["update_check"]["ok"] is True
+        assert payload["layout_report"]["ok"] is True
+        for gap in payload["layout_report"]["gaps"]:
+            assert gap["blockage_s"] == payload["derived"]["blockage_time_s"]
+            assert gap["ok"] is True
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("plan", "--out", str(a)) == EXIT_OK
@@ -515,14 +535,29 @@ class TestCounts:
             (["calibrate"], {"delay_model": {"sample_count": 10**12}}, "delay_model.sample_count"),
             (["simulate", "--scenario", "outdoor"], {"delay_model": {"sample_count": 10**12}}, "delay_model.sample_count"),
             (["sync-compare"], {"sync": {"duration_s": 1e15}}, "sync.duration_s"),
+            (["simulate", "--scenario", "static"], {"handover": {"n_sats": 10**12}}, "handover.n_sats"),
         ],
-        ids=["calibrate", "outdoor", "sync-compare"],
+        ids=["calibrate", "outdoor", "sync-compare", "n_sats"],
     )
     def test_counts_above_the_cap_exit_two(self, tmp_path, capsys, argv, config, named):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan"], ["sync-compare"], ["calibrate"], ["simulate", "--scenario", "outdoor"]],
+        ids=["plan", "sync-compare", "calibrate", "outdoor"],
+    )
+    def test_out_naming_a_file_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert run(*argv, "--out", str(out)) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
 
 
 class TestParser:

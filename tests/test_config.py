@@ -121,42 +121,46 @@ class TestValidation:
             config_from_dict({section: {key: value}})
 
     @pytest.mark.parametrize(
-        "section, accepted, refused, named",
+        "section, accepted, refused, named, cap",
         [
-            ({"delay_model": {}}, {"sample_count": 1_000_000}, {"sample_count": 1_000_001}, "sample_count"),
-            ({"delay_model": {}}, {"sample_count": 1_000_000}, {"sample_count": 10**12}, "sample_count"),
+            ({"delay_model": {}}, {"sample_count": 1_000_000}, {"sample_count": 1_000_001}, "sample_count", 1_000_000),
+            ({"delay_model": {}}, {"sample_count": 1_000_000}, {"sample_count": 10**12}, "sample_count", 1_000_000),
             # 16 s polls
-            ({"sync": {}}, {"duration_s": 16e6}, {"duration_s": 16e6 + 16.0}, "duration_s"),
-            ({"sync": {}}, {"duration_s": 16e6}, {"duration_s": 1e15}, "duration_s"),
+            ({"sync": {}}, {"duration_s": 16e6}, {"duration_s": 16e6 + 16.0}, "duration_s", 1_000_000),
+            ({"sync": {}}, {"duration_s": 16e6}, {"duration_s": 1e15}, "duration_s", 1_000_000),
             # the grid holds (max - min) / step + 1 offsets
             (
                 {"sweep": {"min_offset_ms": 0.0}},
                 {"max_offset_ms": 999_999.0, "step_ms": 1.0},
                 {"max_offset_ms": 1_000_000.0, "step_ms": 1.0},
                 "step_ms",
+                1_000_000,
             ),
-            ({"sweep": {}}, {"step_ms": 1e-3}, {"step_ms": 1e-300}, "step_ms"),
+            ({"sweep": {}}, {"step_ms": 1e-3}, {"step_ms": 1e-300}, "step_ms", 1_000_000),
             (
                 {"sweep": {}},
                 {"min_offset_ms": -250.0, "max_offset_ms": 250.0},
                 {"min_offset_ms": -1e300, "max_offset_ms": 1e300},
                 "max_offset_ms",
+                1_000_000,
             ),
             # max - min overflows to inf, which floor() could not take
-            ({"sweep": {}}, {"step_ms": 50.0}, {"min_offset_ms": -1e308, "max_offset_ms": 1e308}, "max_offset_ms"),
+            ({"sweep": {}}, {"step_ms": 50.0}, {"min_offset_ms": -1e308, "max_offset_ms": 1e308}, "max_offset_ms", 1_000_000),
+            # one satellite per GPS L1 C/A PRN
+            ({"handover": {}}, {"n_sats": 32}, {"n_sats": 33}, "n_sats", 32),
         ],
         ids=[
             "sample_count", "sample_count-1e12", "duration_s", "duration_s-1e15",
-            "sweep-span", "sweep-step-1e-300", "sweep-span-1e300", "sweep-span-inf",
+            "sweep-span", "sweep-step-1e-300", "sweep-span-1e300", "sweep-span-inf", "n_sats",
         ],
     )
-    def test_counts_that_size_arrays_are_capped(self, section, accepted, refused, named):
-        # the first case of each key sits exactly at the cap of 10^6 entries
+    def test_counts_that_size_arrays_are_capped(self, section, accepted, refused, named, cap):
+        # the first case of each key sits exactly at its cap
         [(name, base)] = section.items()
         cfg = config_from_dict({name: {**base, **accepted}})
         for key, value in accepted.items():
             assert getattr(getattr(cfg, name), key) == value
-        with pytest.raises(ConfigError, match=rf"{name}\.{named}.*1000000"):
+        with pytest.raises(ConfigError, match=rf"{name}\.{named}.*\b{cap}\b"):
             config_from_dict({name: {**base, **refused}})
 
     def test_sync_duration_covers_one_poll(self):

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from gpsimlab.placement import (
+    CORRIDOR_COVERAGES,
     OverlappingCoverage,
     TimingProfile,
     ZeroSpeed,
@@ -116,22 +117,24 @@ class TestFeasibility:
             assert can_update(speed, bigger, sep, PLANNING)
 
     @given(
-        st.integers(min_value=1, max_value=500),
-        st.integers(min_value=0, max_value=20_000),
+        st.floats(min_value=1.0, max_value=500.0),
+        st.floats(min_value=2.0, max_value=21_000.0),
         st.floats(min_value=0.1, max_value=80.0),
         st.sampled_from(sorted(PROFILES)),
     )
-    def test_layout_check_applies_the_same_rule(self, radius, spare, speed, receiver):
-        # integer meters make the gap lengths of both checks exact
-        separation = 2 * radius + spare
+    # the gap takes exactly t_max to cross
+    @example(149.13509104049035, 3690.097253066939, kmh_to_ms(90.44872189295889), "dedicated")
+    def test_layout_check_applies_the_same_rule(self, radius, separation, speed, receiver):
+        assume(separation >= 2 * radius)
         timing = planning_timing(PROFILES[receiver])
-        report = validate_deployment([0, separation, 2 * separation], radius, speed, timing)
+        report = validate_deployment(radius, separation, speed, timing)
         assert can_update(speed, radius, separation, timing).ok == report.ok
+        assert all(g.blockage_s == blockage_time(separation, radius, speed) for g in report.gaps)
 
 
 class TestValidateDeployment:
     def test_good_layout(self):
-        report = validate_deployment([450.0, 950.0, 1450.0], 80.0, V110, PLANNING)
+        report = validate_deployment(80.0, 500.0, V110, PLANNING)
         assert report.ok
         assert len(report.coverages) == 3
         assert len(report.gaps) == 2
@@ -141,14 +144,14 @@ class TestValidateDeployment:
     def test_bad_gap_flagged_with_suggestion(self):
         # ~4.8 km gap at highway speed: too long for t_max (135 s covers
         # about 4.1 km at 110 km/h), too fast for cold acquisition
-        report = validate_deployment([0.0, 5000.0], 80.0, V110, PLANNING)
+        report = validate_deployment(80.0, 5000.0, V110, PLANNING)
         assert not report.ok
         bad = report.gaps[0]
         assert not bad.ok
         assert report.suggested_max_gap_m == pytest.approx(PLANNING.t_max_s * V110)
 
     def test_small_radius_flagged(self):
-        report = validate_deployment([0.0, 400.0], 20.0, V110, PLANNING)
+        report = validate_deployment(20.0, 400.0, V110, PLANNING)
         assert not report.ok
         assert not report.coverages[0].ok
         assert report.suggested_min_radius_m == pytest.approx(
@@ -157,15 +160,15 @@ class TestValidateDeployment:
 
     def test_overlapping_centers_rejected(self):
         with pytest.raises(OverlappingCoverage):
-            validate_deployment([0.0, 100.0], 80.0, 10.0, PLANNING)
+            validate_deployment(80.0, 100.0, 10.0, PLANNING)
 
-    def test_unsorted_centers_rejected(self):
-        with pytest.raises(ValueError):
-            validate_deployment([500.0, 0.0], 80.0, 10.0, PLANNING)
+    def test_zero_speed_rejected(self):
+        with pytest.raises(ZeroSpeed):
+            validate_deployment(80.0, 500.0, 0.0, PLANNING)
 
     def test_report_serializes(self):
-        report = validate_deployment([0.0, 500.0], 80.0, 10.0, PLANNING)
+        report = validate_deployment(80.0, 500.0, 10.0, PLANNING)
         payload = _canonical(report)
         assert payload["ok"] is True
-        assert len(payload["coverages"]) == 2
+        assert len(payload["coverages"]) == CORRIDOR_COVERAGES
         assert "suggested_min_radius_m" in payload

@@ -392,8 +392,7 @@ class TestDynamicTraversal:
     def test_builtin_layouts_plan_warm_at_their_speed(self, make):
         dep = make().deployment
         timing = planning_timing(PROFILES[dep.receiver])
-        centers = coverage_centers(0.0, dep.separation_m)
-        report = validate_deployment(centers, dep.radius_m, kmh_to_ms(dep.max_speed_kmh), timing)
+        report = validate_deployment(dep.radius_m, dep.separation_m, kmh_to_ms(dep.max_speed_kmh), timing)
         assert report.ok
         # every gap stays within t_max, so each coverage is entered warm
         assert all(g.blockage_s <= timing.t_max_s for g in report.gaps)
@@ -527,7 +526,7 @@ class TestPlanAgreesWithTraversal:
         deployment = DeploymentConfig(radius, separation, ms_to_kmh(speed_ms), receiver)
         scenario = sc.PathScenario(deployment, sc.PRIVATE_CALIBRATED, sc.DRIVING_PR_NOISE_M)
         v, timing = kmh_to_ms(deployment.max_speed_kmh), planning_timing(PROFILES[receiver])
-        report = validate_deployment(coverage_centers(0.0, separation), radius, v, timing)
+        report = validate_deployment(radius, separation, v, timing)
         paths = [gap_path(v, radius, g.blockage_s, timing) for g in report.gaps]
 
         result = sc.run_dynamic_traversal(scenario, seed=0)
