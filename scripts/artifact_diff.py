@@ -10,8 +10,9 @@ list of quick commands at seeds 0 and 7 once under each tree's ``src/``
 ``calibrate`` run wrote at the same seed and on a few hand-written
 sample files, static handovers whose config
 blocks the receiver up to and past t_max, a strict raw public clock
-judged against a budget it misses and one it fits, and a sweep past the
-last reacquisition knot), and prints every
+judged against a budget it misses and one it fits, a sweep past the
+last reacquisition knot, and a static handover and a sweep whose config,
+not a flag, picks the smartphone receiver), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -76,6 +77,9 @@ COMMANDS = (
     ("simulate", "--scenario", "static", "--clock", "public/raw", "--strict", {"budget": {"limit_ms": 100.0}}),
     # ±400 ms lies past the reacquisition map's last knot, 250 ms
     ("sweep", {"sweep": {"min_offset_ms": -400.0, "max_offset_ms": 400.0, "step_ms": 200.0, "trials": 1}}),
+    # the receiver comes from the config alone, with no --receiver flag
+    ("simulate", "--scenario", "static", "--clock", "private/calibrated", {"deployment": {"receiver": "smartphone"}}),
+    ("sweep", "--trials", "1", {"deployment": {"receiver": "smartphone"}}),
 )
 
 

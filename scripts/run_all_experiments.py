@@ -4,8 +4,10 @@
     python3 scripts/run_all_experiments.py --out results
 
 This is a convenience wrapper over the CLI; each step is the same as
-invoking the corresponding `gpsimlab` subcommand by hand. Expect a few
-minutes of wall time at the default trial counts.
+invoking the corresponding `gpsimlab` subcommand by hand. At the default
+trial counts the ten steps take about 5 s of wall time in all (4.6-5.1 s
+over three runs on 2 cores, Python 3.11, numpy 2.4); the static and
+driving matrices take most of it.
 """
 
 import argparse

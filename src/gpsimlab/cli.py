@@ -66,10 +66,16 @@ SCENARIOS = ("static", "driving", "pedestrian", "outdoor")
 
 
 def _load(args: argparse.Namespace) -> Config:
+    """The run's whole config: the file's or the defaults, with ``--receiver`` and ``--trials`` folded in."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        return load_config(path)
-    return DEFAULTS
+    cfg = load_config(path) if path else DEFAULTS
+    overrides = {}
+    if getattr(args, "receiver", None):
+        overrides["deployment"] = dataclasses.replace(cfg.deployment, receiver=args.receiver)
+    if getattr(args, "trials", None) is not None:
+        section = "sweep" if args.command == "sweep" else "handover"
+        overrides[section] = dataclasses.replace(getattr(cfg, section), trials=args.trials)
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _write_run_artifacts(out: Path, name: str, result: sc.ScenarioResult) -> list[Path]:
@@ -221,11 +227,8 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
     seed = args.seed
 
     if args.scenario == "static":
-        profile = rcv.PROFILES[cfg.deployment.receiver]
         if args.clock == "all":
-            matrix = sc.run_static_handover_matrix(
-                trials=args.trials, seed=seed, profile=profile, cfg=cfg
-            )
+            matrix = sc.run_static_handover_matrix(seed=seed, cfg=cfg)
             _write_matrix(out, "handover_matrix", matrix, ("median_p95_m", "median_avg_m", "max_m"))
             print(
                 format_table(
@@ -235,8 +238,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
                 end="",
             )
             return EXIT_OK if matrix.ordering_ok_every_trial else EXIT_INFEASIBLE
-        config = sc.CLOCK_CONFIGS_BY_LABEL[args.clock]
-        result = sc.run_static_handover(config, profile, seed, cfg)
+        result = sc.run_static_handover(sc.CLOCK_CONFIGS_BY_LABEL[args.clock], seed, cfg)
         _announce(_write_run_artifacts(out, "handover", result))
         return _check_draws(result, args.strict)
 
@@ -247,7 +249,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
             else sc.default_pedestrian_scenario()
         )
         if args.clock == "all" and args.scenario == "driving":
-            matrix = sc.run_traversal_matrix(base, trials=args.trials, seed=seed, cfg=cfg)
+            matrix = sc.run_traversal_matrix(base, seed=seed, cfg=cfg)
             _write_matrix(out, "traversal_matrix", matrix, ("median_avg_m", "handover_success_all"))
             ok = matrix.ordering_ok_every_trial and all(c.handover_success_all for c in matrix.cells)
             return EXIT_OK if ok else EXIT_INFEASIBLE
@@ -271,8 +273,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
-    profile = rcv.PROFILES[args.receiver or cfg.deployment.receiver]
-    result = sc.run_offset_sweep(profile=profile, trials=args.trials, seed=args.seed, cfg=cfg)
+    result = sc.run_offset_sweep(seed=args.seed, cfg=cfg)
     out = Path(args.out)
     write_json(out / "sweep.json", result)
     write_csv(
@@ -407,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="clock pipeline (default: all applicable)",
     )
     sim.add_argument(
-        "--trials", type=_int_at_least(1), default=None, help="override trial count of a --clock all matrix"
+        "--trials", type=_int_at_least(1), default=None, help="override handover.trials of a --clock all matrix"
     )
 
     sw = sub.add_parser("sweep", parents=[common], help="reacquisition vs controlled clock offset")
-    sw.add_argument("--receiver", choices=tuple(rcv.PROFILES), default=None)
-    sw.add_argument("--trials", type=_int_at_least(1), default=None, help="override trial count")
+    sw.add_argument("--receiver", choices=tuple(rcv.PROFILES), default=None, help="override deployment.receiver")
+    sw.add_argument("--trials", type=_int_at_least(1), default=None, help="override sweep.trials")
 
     cal = sub.add_parser("calibrate", parents=[common], help="delay calibration statistics")
     cal.add_argument("--samples-csv", default=None, help="calibrate from an existing sample CSV")

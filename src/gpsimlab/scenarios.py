@@ -1,8 +1,10 @@
 """Handover scenario engine.
 
-Every scenario is one timeline: a list of segments of live-sky
+Every scenario is one timeline: a plan of segments of live-sky
 reception, blockage, and simulator coverage that ``run_timeline``
-advances the receiver through a segment at a time, and one builder,
+advances the receiver through a segment at a time, with the clock
+offset of each coverage taken from one ``{coverage: offset_ns}`` map,
+and one builder,
 ``_handover``, that solves its fixes against a trial's sky and noise
 (``draw_sky``) and turns them into statistics. The static
 handover, the offset sweep and the outdoor comparison hand it live sky,
@@ -18,16 +20,19 @@ Comparisons between clock configurations are paired: random draws that do
 not depend on the configuration (sky plot, pseudorange noise, the delay
 process, the sync run of a given server type) come from streams keyed
 only by seed and role, so two configurations under the same seed differ
-exactly where the configuration differs. ``draw_clock`` realizes every
-configuration of one host in one call and ``draw_sky`` draws the sky and
-noise once for all of them, so the matrices and the sweep compute each
-shared piece once per trial and host. Pseudorange noise is indexed by
-simulator step, not by fix count, which keeps the pairing aligned even
-when reacquisition delays the first fix.
+exactly where the configuration differs. A segment plan holds no offset,
+so each scenario builds one plan for every configuration and every sweep
+offset. ``_paired_runs`` pairs the static handover, the traversal and the
+outdoor comparison: ``draw_clock`` realizes every configuration of one
+host in one call and ``draw_sky`` draws the sky and noise once for all of
+them, so each shared piece is computed once per trial and host.
+Pseudorange noise is indexed by simulator step, not by fix count, which
+keeps the pairing aligned even when reacquisition delays the first fix.
 
-Default parameters come from ``config.DEFAULTS``; every runner takes the
-whole ``Config`` so the CLI passes the loaded one straight through.
-Everything is deterministic given (scenario, seed, config).
+Default parameters come from ``config.DEFAULTS``. A runner takes a seed
+and the whole ``Config`` and nothing that overrides it: trial counts and
+the receiver are read from the config, into which the CLI folds its
+flags. Everything is deterministic given (scenario, seed, config).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -287,27 +292,33 @@ class ScenarioResult:
 class Segment:
     """A stretch of constant reception: ``steps`` quanta of DT_S.
 
-    ``offset_ns`` is the clock offset the receiver is handed during the
-    stretch and that its transition rows record; ``coverage`` is the
-    simulator it comes from, None for live sky and blockage.
+    ``coverage`` is the simulator the signal comes from, None for live sky
+    and blockage. A segment carries no clock offset: one segment plan
+    serves every clock configuration, and the offset of a simulator
+    segment comes from the map of offsets per coverage the plan is run
+    with. Live sky and blockage run with offset 0.
     """
 
     steps: int
     signal: bool
-    offset_ns: int = 0
     coverage: int | None = None
 
 
 def run_timeline(
-    segments: Sequence[Segment], profile: rcv.ReceiverProfile, state: rcv.ReceiverState
+    segments: Sequence[Segment],
+    offsets_ns: Mapping[int, int],
+    profile: rcv.ReceiverProfile,
+    state: rcv.ReceiverState,
 ) -> tuple[np.ndarray, np.ndarray, list[TransitionRow]]:
     """Advance the receiver through ``segments`` in order, a segment at a time.
 
-    Returns, per step of the whole timeline, the time the step ends at
-    and whether it ends in TRACKING, i.e. makes a fix; and the transition
-    rows, one per mode change, stamped at the end of the step that made
-    it. The end times are one cumulative sum of DT_S, which adds step by
-    step, so every t is the same float however the timeline is cut.
+    A simulator segment transmits with ``offsets_ns[seg.coverage]``, which
+    its transition rows record. Returns, per step of the whole timeline,
+    the time the step ends at and whether it ends in TRACKING, i.e. makes
+    a fix; and the transition rows, one per mode change, stamped at the
+    end of the step that made it. The end times are one cumulative sum of
+    DT_S, which adds step by step, so every t is the same float however
+    the timeline is cut.
     """
     t = np.cumsum(np.full(sum(seg.steps for seg in segments), DT_S))
     tracking = np.zeros(t.size, dtype=bool)
@@ -317,12 +328,13 @@ def run_timeline(
     for seg in segments:
         if seg.steps == 0:
             continue
-        state, runs = rcv.advance(state, profile, seg.signal, seg.offset_ns, seg.steps)
+        offset_ns = 0 if seg.coverage is None else offsets_ns[seg.coverage]
+        state, runs = rcv.advance(state, profile, seg.signal, offset_ns, seg.steps)
         for i, mode in runs:
             if mode is not last_mode:
                 end = float(t[start + i])
                 transitions.append(
-                    TransitionRow(end, mode.value, seg.signal, seg.offset_ns / NS_PER_MS, seg.coverage)
+                    TransitionRow(end, mode.value, seg.signal, offset_ns / NS_PER_MS, seg.coverage)
                 )
                 last_mode = mode
         # TRACKING, when reached, is the segment's last run
@@ -376,6 +388,7 @@ def draw_sky(scope: str, seed: int, segments: Sequence[Segment], pr_noise_m: flo
 
 def _handover(
     segments: Sequence[Segment],
+    offsets_ns: Mapping[int, int],
     centers_m: Sequence[float],
     speed_ms: float,
     profile: rcv.ReceiverProfile,
@@ -386,21 +399,18 @@ def _handover(
     """Advance the receiver through ``segments`` and solve every fix against ``drawn``.
 
     Coverage k is a simulator at ``(centers_m[k], 0, 0)`` transmitting with
-    its segments' offset; live-sky fixes scatter around the receiver, which
+    ``offsets_ns[k]``; live-sky fixes scatter around the receiver, which
     moves along x at ``speed_ms``. Pseudorange noise rows are indexed by
     simulator step and live-sky rows by live step, both counted across the
     timeline, so one coverage reads what its windows use.
     """
     sky = drawn.sky
     centers = np.array([[center, 0.0, 0.0] for center in centers_m])
-    # a coverage no segment enters keeps the zero offset; no fix reads its row
-    offsets_ns = {seg.coverage: seg.offset_ns for seg in segments if seg.coverage is not None}
     base_pr = np.array(
-        [np.linalg.norm(sky.advanced(offsets_ns.get(k, 0)).positions - c, axis=1)
-         for k, c in enumerate(centers)]
+        [np.linalg.norm(sky.advanced(offsets_ns[k]).positions - c, axis=1) for k, c in enumerate(centers)]
     )
 
-    t, tracking, transitions = run_timeline(segments, profile, start)
+    t, tracking, transitions = run_timeline(segments, offsets_ns, profile, start)
     step_coverage, simulated, live = _step_kinds(segments)
     # a step's noise row counts the steps of its kind before it
     noise_row = np.where(simulated, np.cumsum(simulated), np.cumsum(live)) - 1
@@ -441,44 +451,64 @@ def _handover(
     )
 
 
-def _live_blocked_simulator(offset_ns: int, steps: tuple[int, int, int]) -> tuple[Segment, ...]:
-    """Live sky, blockage, then simulator 0 transmitting with ``offset_ns``, lengths in DT_S."""
-    live_steps, blocked_steps, sim_steps = steps
+def _live_blocked_simulator(live_s: float, blocked_s: float, sim_s: float) -> tuple[Segment, ...]:
+    """Live sky, blockage, then simulator 0, each rounded to whole steps of DT_S."""
     return (
-        Segment(live_steps, True),
-        Segment(blocked_steps, False, offset_ns),
-        Segment(sim_steps, True, offset_ns, 0),
+        Segment(round(live_s / DT_S), True),
+        Segment(round(blocked_s / DT_S), False),
+        Segment(round(sim_s / DT_S), True, 0),
     )
+
+
+def _paired_runs(
+    scope: str,
+    seed: int,
+    configs: Sequence[ClockConfig],
+    segments: Sequence[Segment],
+    centers_m: Sequence[float],
+    speed_ms: float,
+    profile: rcv.ReceiverProfile,
+    pr_noise_m: float,
+    cfg: Config,
+) -> Iterator[ScenarioResult]:
+    """One segment plan under each of ``configs``, starting from tracking.
+
+    Host k, the simulator at ``centers_m[k]``, draws its clock chain once
+    for all configurations under (seed, scope, k); the sky and noise are
+    drawn once under (seed, scope). A configuration's run reads only its
+    draws' offsets. Results come one at a time, so a matrix holds one
+    configuration's fixes.
+    """
+    host_draws = [draw_clock(seed, scope, k, configs, cfg) for k in range(len(centers_m))]
+    drawn = draw_sky(scope, seed, segments, pr_noise_m, cfg)
+    tracking = rcv.ReceiverState.tracking()
+    for draws in zip(*host_draws):
+        offsets_ns = {k: draw.error_ns for k, draw in enumerate(draws)}
+        clock_draws = dict(enumerate(draws))
+        yield _handover(segments, offsets_ns, centers_m, speed_ms, profile, tracking, drawn, clock_draws)
 
 
 # ------------------------------------------------------------ static handover
 
 
-def run_static_handover(
-    config: ClockConfig,
-    profile: rcv.ReceiverProfile = rcv.DEDICATED,
-    seed: int = 0,
-    cfg: Config = DEFAULTS,
-) -> ScenarioResult:
+def run_static_handover(config: ClockConfig, seed: int = 0, cfg: Config = DEFAULTS) -> ScenarioResult:
     """Live-sky reception, full blockage, then one simulator coverage.
 
     The receiver starts tracking live sky at a fixed position. After the
     blockage it reacquires the simulated signal, whose clock error is
     drawn through the configured pipeline, and the fixes over the
     simulator window form the reported statistics (coverage index 0).
-    Segment lengths come from ``cfg.handover``.
+    Segment lengths come from ``cfg.handover``, the receiver from
+    ``cfg.deployment``.
     """
-    return next(_static_handovers((config,), profile, seed, cfg))
+    return next(_static_handovers((config,), seed, cfg))
 
 
-def _static_handovers(
-    configs: Sequence[ClockConfig], profile: rcv.ReceiverProfile, seed: int, cfg: Config
-) -> Iterator[ScenarioResult]:
-    """The static handover under each of ``configs``, from one draw of the host's clock chain.
+def _static_handovers(configs: Sequence[ClockConfig], seed: int, cfg: Config) -> Iterator[ScenarioResult]:
+    """The static handover under each of ``configs``, paired by ``_paired_runs``.
 
-    The sky and noise are drawn once too. Results come one at a time, so a
-    matrix holds one configuration's fixes. A handover of more than
-    MAX_TIMELINE_STEPS steps is refused before anything is drawn.
+    A handover of more than MAX_TIMELINE_STEPS steps is refused before
+    anything is drawn.
     """
     h = cfg.handover
     if (h.live_s + h.blocked_s + h.sim_s) / DT_S > MAX_TIMELINE_STEPS:
@@ -486,15 +516,9 @@ def _static_handovers(
             f"handover.live_s, handover.blocked_s, handover.sim_s: {h.live_s} + {h.blocked_s} + "
             f"{h.sim_s} s takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s"
         )
-    steps = (round(h.live_s / DT_S), round(h.blocked_s / DT_S), round(h.sim_s / DT_S))
-    tracking = rcv.ReceiverState.tracking()
-    draws = draw_clock(seed, "static", 0, configs, cfg)
-    timelines = [_live_blocked_simulator(draw.error_ns, steps) for draw in draws]
-    drawn = draw_sky("static", seed, timelines[0], h.pr_noise_m, cfg)
-    return (
-        _handover(segments, (0.0,), 0.0, profile, tracking, drawn, {0: draw})
-        for segments, draw in zip(timelines, draws)
-    )
+    segments = _live_blocked_simulator(h.live_s, h.blocked_s, h.sim_s)
+    profile = rcv.PROFILES[cfg.deployment.receiver]
+    return _paired_runs("static", seed, configs, segments, (0.0,), 0.0, profile, h.pr_noise_m, cfg)
 
 
 @dataclass(frozen=True)
@@ -520,26 +544,19 @@ def _ordered_every_trial(per_config: dict[str, list[float]]) -> bool:
     return not any(a <= b for trial in zip(*per_config.values()) for a, b in zip(trial, trial[1:]))
 
 
-def run_static_handover_matrix(
-    trials: int | None = None,
-    seed: int = 0,
-    profile: rcv.ReceiverProfile = rcv.DEDICATED,
-    cfg: Config = DEFAULTS,
-) -> MatrixResult:
-    """All clock configurations over paired trial seeds.
+def run_static_handover_matrix(seed: int = 0, cfg: Config = DEFAULTS) -> MatrixResult:
+    """All clock configurations over ``cfg.handover.trials`` paired trial seeds.
 
-    ``trials`` defaults to ``cfg.handover.trials``. The ordering flag
-    records whether every trial kept strictly decreasing p95 along
-    ALL_CLOCK_CONFIGS, which runs worst-first.
+    The ordering flag records whether every trial kept strictly decreasing
+    p95 along ALL_CLOCK_CONFIGS, which runs worst-first.
     """
-    if trials is None:
-        trials = cfg.handover.trials
+    trials = cfg.handover.trials
     p95s: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
     avgs: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
     maxes: dict[str, float] = {c.label: 0.0 for c in ALL_CLOCK_CONFIGS}
     for trial in range(trials):
         trial_seed = derive_seed(seed, "handover_matrix", trial)
-        results = _static_handovers(ALL_CLOCK_CONFIGS, profile, trial_seed, cfg)
+        results = _static_handovers(ALL_CLOCK_CONFIGS, trial_seed, cfg)
         for config, result in zip(ALL_CLOCK_CONFIGS, results):
             stats = result.coverage_stats.get(0)
             if stats is None:
@@ -580,12 +597,7 @@ class SweepResult:
     trials: int
 
 
-def run_offset_sweep(
-    profile: rcv.ReceiverProfile = rcv.DEDICATED,
-    trials: int | None = None,
-    seed: int = 0,
-    cfg: Config = DEFAULTS,
-) -> SweepResult:
+def run_offset_sweep(seed: int = 0, cfg: Config = DEFAULTS) -> SweepResult:
     """Controlled clock-offset sweep.
 
     Per trial and offset: transmit with zero offset, block, then transmit
@@ -593,22 +605,22 @@ def run_offset_sweep(
     the gap from signal restoration to the first fix; position errors
     cover the fixes of the final window. Sky plots and noise are drawn per
     trial only, so every offset within a trial sees identical randomness
-    and rows are directly comparable across the grid. The offset grid
-    comes from ``cfg.sweep``, and so does ``trials`` unless given.
+    and rows are directly comparable across the grid. The offset grid and
+    the trial count come from ``cfg.sweep``, the receiver from
+    ``cfg.deployment``.
     """
+    profile = rcv.PROFILES[cfg.deployment.receiver]
     offsets_ns = [ns_from_millis(ms) for ms in cfg.sweep.offsets_ms()]
-    if trials is None:
-        trials = cfg.sweep.trials
-    window = round(SWEEP_WINDOW_S / DT_S)
+    trials = cfg.sweep.trials
     cold = rcv.ReceiverState.cold(profile)
-    grid = [_live_blocked_simulator(offset_ns, (window,) * 3) for offset_ns in offsets_ns]
+    segments = _live_blocked_simulator(SWEEP_WINDOW_S, SWEEP_WINDOW_S, SWEEP_WINDOW_S)
     reacq: list[list[float]] = [[] for _ in offsets_ns]
     errors: list[list[float]] = [[] for _ in offsets_ns]
     # trials outside offsets: one trial's sky and noise serve its whole grid
     for trial in range(trials):
-        drawn = draw_sky("sweep", derive_seed(seed, "sweep", trial), grid[0], cfg.handover.pr_noise_m, cfg)
-        for offset_ns, segments, offset_reacq, offset_errors in zip(offsets_ns, grid, reacq, errors):
-            result = _handover(segments, (0.0,), 0.0, profile, cold, drawn, {})
+        drawn = draw_sky("sweep", derive_seed(seed, "sweep", trial), segments, cfg.handover.pr_noise_m, cfg)
+        for offset_ns, offset_reacq, offset_errors in zip(offsets_ns, reacq, errors):
+            result = _handover(segments, {0: offset_ns}, (0.0,), 0.0, profile, cold, drawn, {})
             if 0 not in result.coverage_stats:
                 raise EmptyFixSet(f"no reacquisition at offset {offset_ns / NS_PER_MS} ms")
             offset_reacq.append(result.first_fix_latency_s[0])
@@ -658,11 +670,7 @@ def run_dynamic_traversal(
 def _traversals(
     scenario: PathScenario, configs: Sequence[ClockConfig], seed: int, cfg: Config
 ) -> Iterator[ScenarioResult]:
-    """The traversal under each of ``configs`` in place of ``scenario.clock``.
-
-    Each coverage's host draws its clock chain once for all configurations.
-    Results come one at a time, so a matrix holds one configuration's fixes.
-    """
+    """The traversal under each of ``configs`` in place of ``scenario.clock``, via ``_paired_runs``."""
     dep = scenario.deployment
     layout = corridor_layout(dep.radius_m, dep.separation_m)
     v = kmh_to_ms(dep.max_speed_kmh)
@@ -678,23 +686,13 @@ def _traversals(
     while s < layout.length_m:
         s += v * DT_S
         sources.append(layout.source_at(s))
-    runs = [(source, k, sum(1 for _ in run)) for (source, k), run in itertools.groupby(sources)]
-
-    host_draws = [draw_clock(seed, "dynamic", k, configs, cfg) for k in range(len(layout.centers_m))]
-    profile, tracking = rcv.PROFILES[dep.receiver], rcv.ReceiverState.tracking()
-    config_draws = list(zip(*host_draws))
-    timelines = [
-        [
-            Segment(steps, True, draws[k].error_ns, k)
-            if source == "simulator"
-            else Segment(steps, source == "live_sky")
-            for source, k, steps in runs
-        ]
-        for draws in config_draws
+    # source_at gives live sky and blockage the coverage None
+    segments = [
+        Segment(sum(1 for _ in run), source != "blocked", k)
+        for (source, k), run in itertools.groupby(sources)
     ]
-    drawn = draw_sky("dynamic", seed, timelines[0], scenario.pr_noise_m, cfg)
-    for segments, draws in zip(timelines, config_draws):
-        yield _handover(segments, layout.centers_m, v, profile, tracking, drawn, dict(enumerate(draws)))
+    profile, noise_m = rcv.PROFILES[dep.receiver], scenario.pr_noise_m
+    return _paired_runs("dynamic", seed, configs, segments, layout.centers_m, v, profile, noise_m, cfg)
 
 
 def default_driving_scenario(cfg: Config = DEFAULTS) -> PathScenario:
@@ -720,18 +718,9 @@ class TraversalCell:
     handover_success_all: bool
 
 
-def run_traversal_matrix(
-    scenario: PathScenario,
-    trials: int | None = None,
-    seed: int = 0,
-    cfg: Config = DEFAULTS,
-) -> MatrixResult:
-    """The traversal under TRAVERSAL_CLOCK_CONFIGS, paired per trial.
-
-    ``trials`` defaults to ``cfg.handover.trials``.
-    """
-    if trials is None:
-        trials = cfg.handover.trials
+def run_traversal_matrix(scenario: PathScenario, seed: int = 0, cfg: Config = DEFAULTS) -> MatrixResult:
+    """The traversal under TRAVERSAL_CLOCK_CONFIGS over ``cfg.handover.trials`` paired trial seeds."""
+    trials = cfg.handover.trials
     avgs: dict[str, list[float]] = {c.label: [] for c in TRAVERSAL_CLOCK_CONFIGS}
     success: dict[str, bool] = {c.label: True for c in TRAVERSAL_CLOCK_CONFIGS}
     for trial in range(trials):
@@ -778,11 +767,11 @@ def run_outdoor_comparison(seed: int = 0, cfg: Config = DEFAULTS) -> OutdoorComp
     simulator reception is positionally indistinguishable from open sky
     at the scale the deployment cares about.
     """
-    draw = draw_clock(seed, "outdoor", 0, PRIVATE_CALIBRATED, cfg)
-    window = round(OUTDOOR_WINDOW_S / DT_S)
-    segments = _live_blocked_simulator(draw.error_ns, (window, 0, window))
-    drawn = draw_sky("outdoor", seed, segments, cfg.handover.pr_noise_m, cfg)
-    result = _handover(segments, (0.0,), 0.0, rcv.DEDICATED, rcv.ReceiverState.tracking(), drawn, {0: draw})
+    segments = _live_blocked_simulator(OUTDOOR_WINDOW_S, 0.0, OUTDOOR_WINDOW_S)
+    noise_m = cfg.handover.pr_noise_m
+    (result,) = _paired_runs(
+        "outdoor", seed, (PRIVATE_CALIBRATED,), segments, (0.0,), 0.0, rcv.DEDICATED, noise_m, cfg
+    )
     live_stats = compute_error_stats(
         horizontal_distances(result.positions[result.coverage < 0], np.zeros(3))
     )

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpsimlab import scenarios as sc
 from gpsimlab.cli import EXIT_OK, main
+from gpsimlab.config import Config, DeploymentConfig, HandoverConfig, SweepConfig
 from gpsimlab.ntp import run_sync_comparison
 from gpsimlab.placement import TimingProfile, kmh_to_ms, max_separation, min_coverage_radius, min_radius_for_separation, ms_to_kmh, slow_path_speed_bound
 from gpsimlab.receiver import DEDICATED, SMARTPHONE
@@ -154,7 +155,8 @@ def test_criterion_4_offset_sweep_shape(criterion):
     with criterion(4, "offset sweep shape"):
         start = time.monotonic()
         for profile in (DEDICATED, SMARTPHONE):
-            result = sc.run_offset_sweep(profile=profile, trials=3, seed=0)
+            cfg = Config(deployment=DeploymentConfig(receiver=profile.name), sweep=SweepConfig(trials=3))
+            result = sc.run_offset_sweep(seed=0, cfg=cfg)
             rows = {round(r.offset_ms): r for r in result.rows}
             assert len(rows) == 11
             base = profile.t_reacq_base_s
@@ -173,7 +175,7 @@ def test_criterion_4_offset_sweep_shape(criterion):
 def test_criterion_5_static_handover_matrix(criterion):
     with criterion(5, "static handover matrix"):
         start = time.monotonic()
-        matrix = sc.run_static_handover_matrix(trials=MATRIX_TRIALS, seed=0)
+        matrix = sc.run_static_handover_matrix(seed=0, cfg=Config(handover=HandoverConfig(trials=MATRIX_TRIALS)))
         elapsed = time.monotonic() - start
         assert elapsed < MATRIX_TIME_LIMIT_S, f"matrix took {elapsed:.1f} s"
         assert matrix.trials >= 50
@@ -192,9 +194,8 @@ def test_criterion_5_static_handover_matrix(criterion):
 def test_criterion_6_dynamic_traversals(criterion):
     with criterion(6, "dynamic traversals"):
         start = time.monotonic()
-        matrix = sc.run_traversal_matrix(
-            sc.default_driving_scenario(), trials=TRAVERSAL_TRIALS, seed=0
-        )
+        cfg = Config(handover=HandoverConfig(trials=TRAVERSAL_TRIALS))
+        matrix = sc.run_traversal_matrix(sc.default_driving_scenario(cfg), seed=0, cfg=cfg)
         assert matrix.ordering_ok_every_trial
         assert all(cell.handover_success_all for cell in matrix.cells)
         best = {c.label: c for c in matrix.cells}["private/calibrated"]

@@ -9,8 +9,11 @@ from gpsimlab.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    _load,
+    build_parser,
     main,
 )
+from gpsimlab.config import Config, DeploymentConfig, HandoverConfig, SweepConfig
 from gpsimlab.reports import write_json
 
 
@@ -526,6 +529,33 @@ class TestConfigInput:
             "--config", str(cfg), "--out", str(tmp_path / "o"),
         )
         assert code == EXIT_CONFIG
+
+
+class TestFoldedFlags:
+    """``--trials`` and ``--receiver`` land in the config the run reads, over the file's values."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["sweep"], Config(deployment=DeploymentConfig(receiver="smartphone"), sweep=SweepConfig(trials=1))),
+            (
+                ["sweep", "--receiver", "dedicated", "--trials", "2"],
+                Config(deployment=DeploymentConfig(receiver="dedicated"), sweep=SweepConfig(trials=2)),
+            ),
+            (
+                ["simulate", "--scenario", "static", "--trials", "2"],
+                Config(
+                    deployment=DeploymentConfig(receiver="smartphone"),
+                    handover=HandoverConfig(trials=2),
+                    sweep=SweepConfig(trials=1),
+                ),
+            ),
+        ],
+    )
+    def test_resolved_config(self, tmp_path, argv, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deployment": {"receiver": "smartphone"}, "sweep": {"trials": 1}}))
+        assert _load(build_parser().parse_args([*argv, "--config", str(cfg)])) == expected
 
 
 class TestCounts:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpsimlab import scenarios as sc
-from gpsimlab.config import Config, ConfigError, DeploymentConfig, SweepConfig
+from gpsimlab.config import Config, ConfigError, DeploymentConfig, HandoverConfig, SweepConfig
 from gpsimlab.placement import (
     COLD,
     WARM,
@@ -90,23 +90,24 @@ class TestErrorStats:
         assert sc.horizontal_distances(positions, intended).tolist() == per_row
 
 
-def stepped_timeline(segments, profile, state):
+def stepped_timeline(segments, offsets_ns, profile, state):
     """``run_timeline``'s result from one ``step`` per quantum and a running sum of DT_S."""
     ends, tracking, rows = [], [], []
     running, last_mode = 0.0, None
     for seg in (seg for seg in segments for _ in range(seg.steps)):
-        state = step(state, profile, seg.signal, seg.offset_ns)
+        offset_ns = offsets_ns.get(seg.coverage, 0)
+        state = step(state, profile, seg.signal, offset_ns)
         running += sc.DT_S
         if state.mode is not last_mode:
-            rows.append((running, state.mode.value, seg.signal, seg.offset_ns / NS_PER_MS, seg.coverage))
+            rows.append((running, state.mode.value, seg.signal, offset_ns / NS_PER_MS, seg.coverage))
             last_mode = state.mode
         ends.append(running)
         tracking.append(state.mode is Mode.TRACKING)
     return ends, tracking, rows
 
 
-def jumped_timeline(segments, profile, state):
-    t, tracking, transitions = sc.run_timeline(segments, profile, state)
+def jumped_timeline(segments, offsets_ns, profile, state):
+    t, tracking, transitions = sc.run_timeline(segments, offsets_ns, profile, state)
     return t.tolist(), tracking.tolist(), [dataclasses.astuple(r) for r in transitions]
 
 
@@ -122,17 +123,18 @@ def part_way(state, profile, quanta, offset_ns):
 
 @st.composite
 def timelines(draw):
-    """Segments, a profile and a start state, cold, warm, at the t_max edge or part-way."""
+    """Segments, their offset map, a profile and a start state, cold, warm, at the t_max edge or part-way."""
     profile = draw(st.sampled_from(sorted(PROFILES.values(), key=lambda p: p.name)))
     # offsets run past the last knot of the reacquisition map, 250 ms
     offsets = st.floats(min_value=0.0, max_value=300.0).map(ns_from_millis)
     segments = draw(
         st.lists(
-            st.builds(sc.Segment, st.integers(0, 400), st.booleans(), offsets, st.sampled_from([None, 0, 1])),
+            st.builds(sc.Segment, st.integers(0, 400), st.booleans(), st.sampled_from([None, 0, 1])),
             min_size=1,
             max_size=6,
         )
     )
+    offsets_ns = {0: draw(offsets), 1: draw(offsets)}
     cold = ReceiverState.cold(profile)
     blocked = ReceiverState(Mode.BLOCKED, quanta=1)
     state = draw(
@@ -146,7 +148,7 @@ def timelines(draw):
             ),
         )
     )
-    return segments, profile, state
+    return segments, offsets_ns, profile, state
 
 
 class TestTimeline:
@@ -157,26 +159,27 @@ class TestTimeline:
 
     def test_blockage_split_across_segments_reaching_t_max_enters_warm(self):
         # 700 + 650 quanta of blockage is t_max of the dedicated profile exactly
-        offset = ns_from_millis(20.0)
+        offsets_ns = {0: ns_from_millis(20.0)}
         segments = (
             sc.Segment(10, True),
             sc.Segment(700, False),
-            sc.Segment(650, False, offset),
-            sc.Segment(30, True, offset, 0),
+            sc.Segment(650, False),
+            sc.Segment(30, True, 0),
         )
         assert 1350 * sc.DT_S == pytest.approx(DEDICATED.t_max_s)
-        result = jumped_timeline(segments, DEDICATED, ReceiverState.tracking())
-        assert result == stepped_timeline(segments, DEDICATED, ReceiverState.tracking())
+        result = jumped_timeline(segments, offsets_ns, DEDICATED, ReceiverState.tracking())
+        assert result == stepped_timeline(segments, offsets_ns, DEDICATED, ReceiverState.tracking())
         assert [row[1] for row in result[2]] == ["TRACKING", "BLOCKED", "REACQUISITION", "TRACKING"]
 
     def test_zero_step_segment_leaves_a_tracking_receiver_tracking(self):
-        offset = ns_from_millis(20.0)
         segments = (
             sc.Segment(3, True),
-            sc.Segment(0, False, offset),
-            sc.Segment(4, True, offset, 0),
+            sc.Segment(0, False),
+            sc.Segment(4, True, 0),
         )
-        t, tracking, transitions = sc.run_timeline(segments, DEDICATED, ReceiverState.tracking())
+        t, tracking, transitions = sc.run_timeline(
+            segments, {0: ns_from_millis(20.0)}, DEDICATED, ReceiverState.tracking()
+        )
         # the zero-step segment adds no step: the simulator starts at 3 DT_S
         assert t.tolist() == pytest.approx([(i + 1) * sc.DT_S for i in range(7)])
         assert tracking.tolist() == [True] * 7
@@ -185,13 +188,28 @@ class TestTimeline:
 
     def test_step_times_repeat_the_running_sum_bit_for_bit(self):
         steps = 100_000
-        t, tracking, _ = sc.run_timeline((sc.Segment(steps, True),), DEDICATED, ReceiverState.tracking())
+        t, tracking, _ = sc.run_timeline((sc.Segment(steps, True),), {}, DEDICATED, ReceiverState.tracking())
         expected, running = [], 0.0
         for _ in range(steps):
             running += sc.DT_S
             expected.append(running)
         assert t.tolist() == expected
         assert tracking.all()
+
+
+class TestTransitionRows:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_blocked_rows_record_no_offset(self, seed):
+        static = sc.run_static_handover(sc.PRIVATE_CALIBRATED, seed=seed)
+        traversal = sc.run_dynamic_traversal(sc.default_driving_scenario(), seed=seed)
+        for result in (static, traversal):
+            blocked = [r for r in result.transitions if r.mode == "BLOCKED"]
+            assert blocked and all(r.offset_ms == 0.0 for r in blocked)
+            # a simulator's offset shows where the receiver latches it
+            reacquired = [r for r in result.transitions if r.mode == "REACQUISITION" and r.coverage is not None]
+            assert reacquired
+            for row in reacquired:
+                assert row.offset_ms == result.clock_draws[row.coverage].error_ns / NS_PER_MS != 0.0
 
 
 class TestClockDraw:
@@ -246,7 +264,7 @@ class TestClockDraw:
 
 class TestStaticHandover:
     def test_timeline_and_fix_attribution(self):
-        result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, DEDICATED, seed=0)
+        result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, seed=0)
         live, simulated = result.t_s[result.coverage < 0], result.t_s[result.coverage >= 0]
         assert live.size and simulated.size
         assert set(result.coverage.tolist()) == {-1, 0}
@@ -258,38 +276,44 @@ class TestStaticHandover:
         assert not ((30.0 + 1e-9 < result.t_s) & (result.t_s < 60.0 + 0.35)).any()
 
     def test_first_fix_latency_matches_quantized_target(self):
-        result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, DEDICATED, seed=1)
+        result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, seed=1)
         # small offset: base 0.4 s target, fixes every 0.1 s step
         latency = result.first_fix_latency_s[0]
         assert latency == pytest.approx(0.4, abs=0.1 + 1e-6)
 
     def test_handover_succeeds_and_stats_populated(self):
-        result = sc.run_static_handover(sc.PRIVATE_RAW, DEDICATED, seed=2)
+        result = sc.run_static_handover(sc.PRIVATE_RAW, seed=2)
         assert result.handover_success[0]
         stats = result.coverage_stats[0]
         assert stats.count == np.count_nonzero(result.coverage == 0)
         assert stats.p95_m >= stats.avg_m > 0.0
 
     def test_deterministic(self):
-        a = sc.run_static_handover(sc.PUBLIC_RAW, DEDICATED, seed=5)
-        b = sc.run_static_handover(sc.PUBLIC_RAW, DEDICATED, seed=5)
+        a = sc.run_static_handover(sc.PUBLIC_RAW, seed=5)
+        b = sc.run_static_handover(sc.PUBLIC_RAW, seed=5)
         assert a.to_dict() == b.to_dict()
         for column in ("t_s", "positions", "clock_bias_s", "coverage"):
             assert getattr(a, column).tolist() == getattr(b, column).tolist()
 
     def test_transitions_logged_in_order(self):
-        result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, DEDICATED, seed=3)
+        result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, seed=3)
         times = [r.t_s for r in result.transitions]
         assert times == sorted(times)
         modes = [r.mode for r in result.transitions]
         assert "BLOCKED" in modes
         assert "REACQUISITION" in modes
 
+    def test_reacquires_with_the_configured_receiver(self):
+        cfg = Config(deployment=DeploymentConfig(receiver="smartphone"))
+        result = sc.run_static_handover(sc.PRIVATE_CALIBRATED, seed=0, cfg=cfg)
+        # the smartphone's 4 s base reacquisition, not the dedicated 0.4 s
+        assert result.first_fix_latency_s[0] == pytest.approx(SMARTPHONE.t_reacq_base_s, abs=0.1 + 1e-6)
+
     @pytest.mark.parametrize("seed", [0, 11, 23])
     def test_per_trial_p95_ordering(self, seed):
         p95 = {}
         for config in sc.ALL_CLOCK_CONFIGS:
-            result = sc.run_static_handover(config, DEDICATED, seed=seed)
+            result = sc.run_static_handover(config, seed=seed)
             p95[config.label] = result.coverage_stats[0].p95_m
         assert (
             p95["public/raw"]
@@ -299,7 +323,7 @@ class TestStaticHandover:
         )
 
     def test_matrix_aggregates(self):
-        matrix = sc.run_static_handover_matrix(trials=4, seed=0)
+        matrix = sc.run_static_handover_matrix(seed=0, cfg=Config(handover=HandoverConfig(trials=4)))
         assert matrix.trials == 4
         assert [c.label for c in matrix.cells] == [c.label for c in sc.ALL_CLOCK_CONFIGS]
         for cell in matrix.cells:
@@ -323,8 +347,8 @@ class TestStaticHandover:
 
 class TestOffsetSweep:
     def test_shape_and_symmetry(self):
-        cfg = Config(sweep=SweepConfig(min_offset_ms=-100.0, max_offset_ms=100.0, step_ms=50.0))
-        result = sc.run_offset_sweep(DEDICATED, trials=2, seed=0, cfg=cfg)
+        cfg = Config(sweep=SweepConfig(min_offset_ms=-100.0, max_offset_ms=100.0, step_ms=50.0, trials=2))
+        result = sc.run_offset_sweep(seed=0, cfg=cfg)
         rows = {r.offset_ms: r for r in result.rows}
         assert len(result.rows) == 5
         # reacquisition depends on |offset| only
@@ -344,9 +368,10 @@ class TestOffsetSweep:
         assert offsets[-1] == 250.0
 
     def test_smartphone_reacquires_slower(self):
-        cfg = Config(sweep=SweepConfig(min_offset_ms=0.0, max_offset_ms=0.0))
-        fast = sc.run_offset_sweep(DEDICATED, trials=1, seed=1, cfg=cfg)
-        slow = sc.run_offset_sweep(SMARTPHONE, trials=1, seed=1, cfg=cfg)
+        cfg = Config(sweep=SweepConfig(min_offset_ms=0.0, max_offset_ms=0.0, trials=1))
+        fast = sc.run_offset_sweep(seed=1, cfg=cfg)
+        phone = dataclasses.replace(cfg, deployment=DeploymentConfig(receiver="smartphone"))
+        slow = sc.run_offset_sweep(seed=1, cfg=phone)
         assert slow.rows[0].mean_reacq_s > fast.rows[0].mean_reacq_s
 
 
@@ -490,7 +515,8 @@ class TestDynamicTraversal:
         assert avgs[0] > avgs[1] > avgs[2]
 
     def test_matrix_runs_paired_trials(self):
-        matrix = sc.run_traversal_matrix(sc.default_driving_scenario(), trials=3, seed=0)
+        cfg = Config(handover=HandoverConfig(trials=3))
+        matrix = sc.run_traversal_matrix(sc.default_driving_scenario(cfg), seed=0, cfg=cfg)
         assert matrix.trials == 3
         assert matrix.ordering_ok_every_trial
         labels = [c.label for c in matrix.cells]
@@ -576,8 +602,8 @@ class TestSeedDerivation:
     def test_trial_seeds_are_paired_across_configs(self):
         # the matrix derives one seed per trial, shared by every config
         seed_a = derive_seed(0, "handover_matrix", 0)
-        raw = sc.run_static_handover(sc.PRIVATE_RAW, DEDICATED, seed_a)
-        cal = sc.run_static_handover(sc.PRIVATE_CALIBRATED, DEDICATED, seed_a)
+        raw = sc.run_static_handover(sc.PRIVATE_RAW, seed_a)
+        cal = sc.run_static_handover(sc.PRIVATE_CALIBRATED, seed_a)
         # identical live segments prove the shared noise streams
         live_raw, live_cal = raw.coverage < 0, cal.coverage < 0
         assert live_raw.any()
