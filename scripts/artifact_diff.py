@@ -11,8 +11,9 @@ list of quick commands at seeds 0 and 7 once under each tree's ``src/``
 sample files, static handovers whose config
 blocks the receiver up to and past t_max, a strict raw public clock
 judged against a budget it misses and one it fits, a sweep past the
-last reacquisition knot, and a static handover and a sweep whose config,
-not a flag, picks the smartphone receiver), and prints every
+last reacquisition knot, a static handover and a sweep whose config,
+not a flag, picks the smartphone receiver, and static handover matrices
+over 4 and over 32 satellites, the ends of the schema), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -80,6 +81,10 @@ COMMANDS = (
     # the receiver comes from the config alone, with no --receiver flag
     ("simulate", "--scenario", "static", "--clock", "private/calibrated", {"deployment": {"receiver": "smartphone"}}),
     ("sweep", "--trials", "1", {"deployment": {"receiver": "smartphone"}}),
+    # the ends of the schema's satellite count: a square 4-satellite system,
+    # the worst conditioned, and the largest sky
+    ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"n_sats": 4}}),
+    ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"n_sats": 32}}),
 )
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .config import DEFAULTS
 from .timebase import NS_PER_S
@@ -23,11 +22,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 MAX_ITERATIONS = 20
 CONVERGENCE_M = 1e-4
-
-# LAPACK's gelsd over a stack of systems: the kernel behind np.linalg.lstsq,
-# whose wrapper takes one 2-D system per call. Each row comes out bit for bit
-# as that call gives it, rank included. None where numpy names it otherwise.
-_STACKED_LSTSQ = getattr(_umath_linalg, "lstsq", None)
 
 # random_sky_geometry's constellation
 SAT_RANGE_M = 2.02e7
@@ -101,15 +95,24 @@ def _design_matrix(positions: np.ndarray, points: np.ndarray) -> tuple[np.ndarra
     return np.concatenate([-units, np.ones(ranges.shape + (1,))], axis=-1), ranges
 
 
-def _lstsq_rows(h: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares steps (F, 4) and ranks (F,) of F sight-line systems, as np.linalg.lstsq."""
-    rcond = np.finfo(float).eps * max(h.shape[-2:])
-    if _STACKED_LSTSQ is None:
-        solved = [np.linalg.lstsq(a, b, rcond=rcond) for a, b in zip(h, dy)]
-        return np.array([dx for dx, _, _, _ in solved]), np.array([rank for _, _, rank, _ in solved])
-    with np.errstate(invalid="ignore"):  # a failed SVD leaves NaN, caught by the caller
-        dx, _, rank, _ = _STACKED_LSTSQ(h, dy[..., None], rcond, signature="ddd->ddid")
-    return dx[..., 0], rank
+def _normal_inverse(h: np.ndarray) -> np.ndarray:
+    """(HᵀH)⁻¹ of sight-line matrices ``h``, (N, 4) or (F, N, 4): the step operator and DOP matrix.
+
+    Raises SingularGeometry where a system is exactly singular or where
+    κ = ‖HᵀH‖_F·‖(HᵀH)⁻¹‖_F meets κ·eps·N ≥ 1, gelsd's rcond rule applied
+    to HᵀH. Since κ ≥ cond(H)², this refuses cond(H) above about 10⁷
+    (2.4e7 for N = 8); gelsd on H refused only above 1/(eps·N), 5.6e14.
+    """
+    normal = h.swapaxes(-1, -2) @ h
+    try:
+        q = np.linalg.inv(normal)
+    except np.linalg.LinAlgError:
+        raise SingularGeometry("sight lines do not span the solution space") from None
+    kappa = np.linalg.norm(normal, axis=(-2, -1)) * np.linalg.norm(q, axis=(-2, -1))
+    # written so that a NaN κ, from an inverse that overflowed, is refused too
+    if not np.all(kappa * (np.finfo(float).eps * h.shape[-2]) < 1.0):
+        raise SingularGeometry(f"sight lines do not span the solution space (kappa {np.max(kappa):.3g})")
+    return q
 
 
 def solve_position(
@@ -120,11 +123,13 @@ def solve_position(
 ) -> PvtSolution:
     """Solve position and clock bias from pseudoranges by Gauss-Newton.
 
-    A stack of F pseudorange rows is solved at once: each iteration solves
-    the linearized systems of every row still moving in one LAPACK call,
-    and a row leaves the active set once its position step falls below
-    CONVERGENCE_M. Every row takes the steps, and so reaches the fix, that
-    a one-row solve takes.
+    A stack of F pseudorange rows is solved at once: each iteration takes
+    the step of every row still moving from its 4×4 normal equations,
+    dx = (HᵀH)⁻¹·Hᵀdy, batched over the rows, and a row leaves the active
+    set once its position step falls below CONVERGENCE_M. Every row takes
+    the steps, and so reaches the fix, bit for bit, that a one-row solve
+    takes. The normal equations lose accuracy as cond(H)², not cond(H);
+    the rank rule of ``_normal_inverse`` bounds that loss.
 
     Args:
         pseudoranges: Measured ranges in meters, (N,) for one fix or
@@ -141,7 +146,7 @@ def solve_position(
 
     Raises:
         SingularGeometry: fewer than four satellites, or sight lines of any
-            row that do not span the solution space at any iteration.
+            row that fail ``_normal_inverse``'s rank rule at any iteration.
         NoConvergence: a row's position step never fell below the
             tolerance, or its iterate left the finite range.
     """
@@ -168,11 +173,9 @@ def solve_position(
         dy = prs[active] - (ranges + bias_m[active, None])
         if not (np.isfinite(h).all() and np.isfinite(dy).all()):
             raise NoConvergence(f"iterate left the finite range at iteration {iteration}")
-        dx, rank = _lstsq_rows(h, dy)
+        dx = (_normal_inverse(h) @ (h.swapaxes(-1, -2) @ dy[..., None]))[..., 0]
         if not np.isfinite(dx).all():
             raise NoConvergence(f"least-squares step failed at iteration {iteration}")
-        if np.any(rank < 4):
-            raise SingularGeometry(f"sight-line matrix rank {rank.min()} < 4 at iteration {iteration}")
         x[active] += dx[:, :3]
         bias_m[active] += dx[:, 3]
         done = np.linalg.norm(dx[:, :3], axis=1) < CONVERGENCE_M
@@ -194,11 +197,7 @@ def dilution_of_precision(geometry: SatGeometry, position: np.ndarray) -> DopVal
     if len(geometry) < 4:
         raise SingularGeometry(f"need at least 4 satellites, got {len(geometry)}")
     h, _ = _design_matrix(geometry.positions, np.asarray(position, dtype=float))
-    normal = h.T @ h
-    if np.linalg.matrix_rank(h) < 4:
-        raise SingularGeometry("sight lines do not span the solution space")
-    q = np.linalg.inv(normal)
-    diag = np.diag(q)
+    diag = np.diag(_normal_inverse(h))
     return DopValues(
         gdop=float(np.sqrt(diag.sum())),
         pdop=float(np.sqrt(diag[:3].sum())),
