@@ -5,13 +5,14 @@
 
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
 list of quick commands at seeds 0 and 7 once under each tree's ``src/``
-(among them ``plan`` on a deployment whose gap takes exactly t_max,
+(among them ``plan`` on a deployment whose gap takes exactly t_max and,
+with and without ``--strict``, for the smartphone receiver,
 ``calibrate --samples-csv`` on the samples that tree's own
 ``calibrate`` run wrote at the same seed and on a few hand-written
 sample files, static handovers whose config
 blocks the receiver up to and past t_max, a strict raw public clock
 judged against a budget it misses and one it fits, a sweep past the
-last reacquisition knot, a static handover and a sweep whose config,
+reacquisition map's slow offset, a static handover and a sweep whose config,
 not a flag, picks the smartphone receiver, and static handover matrices
 over 4 and over 32 satellites, the ends of the schema), and prints every
 artifact file that differs, exists on one side only, or comes with a
@@ -54,6 +55,9 @@ COMMANDS = (
     ("plan", {"deployment": {
         "radius_m": 149.13509104049035, "separation_m": 3690.097253066939, "max_speed_kmh": 90.44872189295889,
     }}),
+    # the smartphone's planning bound, 15 s, against the dedicated 5 s
+    ("plan", {"deployment": {"receiver": "smartphone"}}),
+    ("plan", "--strict", {"deployment": {"receiver": "smartphone"}}),
     ("sync-compare",),
     ("calibrate",),
     ("calibrate", "--samples-csv", "{calibrate}/delay_samples.csv"),
@@ -76,7 +80,7 @@ COMMANDS = (
     # --strict) and fits a 100 ms one, so both budget flags are written
     ("simulate", "--scenario", "static", "--clock", "public/raw", "--strict"),
     ("simulate", "--scenario", "static", "--clock", "public/raw", "--strict", {"budget": {"limit_ms": 100.0}}),
-    # ±400 ms lies past the reacquisition map's last knot, 250 ms
+    # ±400 ms lies past SLOW_OFFSET_S, 250 ms, where reacquisition reaches its slow time
     ("sweep", {"sweep": {"min_offset_ms": -400.0, "max_offset_ms": 400.0, "step_ms": 200.0, "trials": 1}}),
     # the receiver comes from the config alone, with no --receiver flag
     ("simulate", "--scenario", "static", "--clock", "private/calibrated", {"deployment": {"receiver": "smartphone"}}),

@@ -30,7 +30,7 @@ from . import __version__
 from . import receiver as rcv
 from . import scenarios as sc
 from .calibration import calibrate, export_samples_csv, import_samples_csv, measure_sim_delay
-from .config import DEFAULTS, Config, ConfigError, DeploymentConfig, load_config
+from .config import DEFAULTS, Config, ConfigError, DeploymentConfig, config_from_dict, config_to_dict, load_config
 from .ntp import run_sync_comparison
 from .placement import (
     WARM,
@@ -66,16 +66,14 @@ SCENARIOS = ("static", "driving", "pedestrian", "outdoor")
 
 
 def _load(args: argparse.Namespace) -> Config:
-    """The run's whole config: the file's or the defaults, with ``--receiver`` and ``--trials`` folded in."""
+    """The run's whole config, checked: the file's or the defaults, with ``--receiver`` and ``--trials`` folded in."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    cfg = load_config(path) if path else DEFAULTS
-    overrides = {}
+    data = config_to_dict(load_config(path) if path else DEFAULTS)
     if getattr(args, "receiver", None):
-        overrides["deployment"] = dataclasses.replace(cfg.deployment, receiver=args.receiver)
+        data["deployment"]["receiver"] = args.receiver
     if getattr(args, "trials", None) is not None:
-        section = "sweep" if args.command == "sweep" else "handover"
-        overrides[section] = dataclasses.replace(getattr(cfg, section), trials=args.trials)
-    return dataclasses.replace(cfg, **overrides)
+        data["sweep" if args.command == "sweep" else "handover"]["trials"] = args.trials
+    return config_from_dict(data)
 
 
 def _write_run_artifacts(out: Path, name: str, result: sc.ScenarioResult) -> list[Path]:
@@ -120,8 +118,7 @@ def _check_plan_range(dep: DeploymentConfig, v: float, t_max_s: float) -> None:
 
 def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     dep = cfg.deployment
-    profile = rcv.PROFILES[dep.receiver]
-    timing = rcv.planning_timing(profile)
+    timing = rcv.PROFILES[dep.receiver]
     v = kmh_to_ms(dep.max_speed_kmh)
     _check_plan_range(dep, v, timing.t_max_s)
 
@@ -437,12 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "simulate" and (problem := _ignored_simulate_flag(args)):
         parser.error(problem)
     try:
-        cfg = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](_load(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

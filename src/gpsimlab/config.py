@@ -15,6 +15,7 @@ import dataclasses
 import difflib
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -30,9 +31,14 @@ from dataclasses import dataclass
 DEVIATION_SIGMAS = 20.0
 
 # The most entries a count from the config may give an array or a loop: a
-# timeline's DT_S steps, a delay-sample run, a sync run's polls or a sweep's
-# offsets. A config that asks for more is refused.
+# timeline's DT_S steps, a delay-sample run or a sync run's polls. A config
+# that asks for more is refused.
 MAX_TIMELINE_STEPS = 1_000_000
+
+# The most trials a config may ask for: handover.trials, or sweep.trials times
+# the sweep grid's offsets. Trials run one after another and each costs
+# milliseconds, so this bounds a command's total work to minutes.
+MAX_TRIAL_RUNS = 10_000
 
 # GPS L1 C/A has 32 PRNs, so a simulated sky holds at most that many satellites
 MAX_SATELLITES = 32
@@ -80,10 +86,13 @@ class SweepConfig:
     step_ms: float = 50.0
     trials: int = 3
 
+    def grid_size(self) -> int:
+        """Offsets in the sweep grid, min to max inclusive in steps of ``step_ms``."""
+        return math.floor((self.max_offset_ms - self.min_offset_ms) / self.step_ms + 1e-9) + 1
+
     def offsets_ms(self) -> list[float]:
         """The sweep grid, min to max inclusive in steps of ``step_ms``."""
-        n = math.floor((self.max_offset_ms - self.min_offset_ms) / self.step_ms + 1e-9) + 1
-        return [self.min_offset_ms + i * self.step_ms for i in range(n)]
+        return [self.min_offset_ms + i * self.step_ms for i in range(self.grid_size())]
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,8 @@ def _coerce_scalar(expected: type, value: object, path: str) -> object:
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
-        if not math.isfinite(value):
+        # compared, not passed to isfinite: an int past float range overflows there
+        if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if expected is int:
@@ -170,7 +180,9 @@ def _validate(cfg: Config) -> Config:
             f"deployment.receiver: unknown profile {cfg.deployment.receiver!r}, "
             f"expected one of {sorted(PROFILES)}"
         )
-    _positive(cfg.delay_model.mean_delay_ms, "delay_model.mean_delay_ms")
+    mean_ms = cfg.delay_model.mean_delay_ms
+    if not (mean_ms > 0 and math.isfinite(mean_ms * NS_PER_MS)):
+        raise ConfigError(f"delay_model.mean_delay_ms: must be positive and finite in ns, got {mean_ms}")
     if cfg.delay_model.wander_sigma_ms < 0:
         raise ConfigError("delay_model.wander_sigma_ms: must be non-negative")
     if cfg.delay_model.noise_sigma_ms < 0:
@@ -195,8 +207,8 @@ def _validate(cfg: Config) -> Config:
     limit_ms = cfg.budget.limit_ms
     if not math.isfinite(limit_ms * NS_PER_MS) or ns_from_millis(limit_ms) < 1:
         raise ConfigError(f"budget.limit_ms: must be at least 1 ns and finite in ns, got {limit_ms}")
-    if cfg.handover.trials < 1:
-        raise ConfigError("handover.trials: must be at least 1")
+    if not 1 <= cfg.handover.trials <= MAX_TRIAL_RUNS:
+        raise ConfigError(f"handover.trials: must be 1 to {MAX_TRIAL_RUNS}, got {cfg.handover.trials}")
     if not 4 <= cfg.handover.n_sats <= MAX_SATELLITES:
         raise ConfigError(
             f"handover.n_sats: need 4 satellites to solve and at most {MAX_SATELLITES} PRNs, "
@@ -208,14 +220,15 @@ def _validate(cfg: Config) -> Config:
         raise ConfigError("sweep.step_ms: must be positive")
     if cfg.sweep.min_offset_ms > cfg.sweep.max_offset_ms:
         raise ConfigError("sweep.min_offset_ms: must not exceed sweep.max_offset_ms")
-    # compared as floats: the span may overflow to inf, which floor() refuses
-    if (cfg.sweep.max_offset_ms - cfg.sweep.min_offset_ms) / cfg.sweep.step_ms + 1 > MAX_TIMELINE_STEPS:
-        raise ConfigError(
-            "sweep.min_offset_ms, sweep.max_offset_ms, sweep.step_ms: the grid holds more than "
-            f"{MAX_TIMELINE_STEPS} offsets"
-        )
     if cfg.sweep.trials < 1:
         raise ConfigError("sweep.trials: must be at least 1")
+    # the grid compared as floats first: the span may overflow to inf, which floor() refuses
+    grid = (cfg.sweep.max_offset_ms - cfg.sweep.min_offset_ms) / cfg.sweep.step_ms + 1
+    if grid > MAX_TRIAL_RUNS or cfg.sweep.trials * cfg.sweep.grid_size() > MAX_TRIAL_RUNS:
+        raise ConfigError(
+            "sweep.trials, sweep.min_offset_ms, sweep.max_offset_ms, sweep.step_ms: trials times grid "
+            f"offsets must not exceed {MAX_TRIAL_RUNS}, got {cfg.sweep.trials} trials"
+        )
     if not POLL_INTERVAL_S <= cfg.sync.duration_s <= MAX_TIMELINE_STEPS * POLL_INTERVAL_S:
         raise ConfigError(
             f"sync.duration_s: must cover 1 to {MAX_TIMELINE_STEPS} polls of {POLL_INTERVAL_S} s, "
@@ -247,4 +260,8 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    # a directory, bytes that are not UTF-8, an integer past Python's digit
+    # limit or nesting past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}")
     return config_from_dict(data)

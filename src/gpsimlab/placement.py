@@ -13,6 +13,9 @@ reacquisition time (t_reacq <= t_rcp). The slow path drops the blockage
 condition but must fit a cold acquisition into the crossing (v <= 2r/t_acq).
 Boundary equalities count as feasible throughout.
 
+The rules read a receiver's planning triple from its ReceiverProfile:
+t_reacq_s, the bound on warm reacquisition, t_max_s and t_acq_s.
+
 Speeds are meters per second internally. Configuration speeds given in
 km/h convert with the exact factor 1000/3600.
 """
@@ -20,6 +23,8 @@ km/h convert with the exact factor 1000/3600.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .receiver import ReceiverProfile
 
 KMH_TO_MS = 1000.0 / 3600.0
 
@@ -47,29 +52,6 @@ def kmh_to_ms(speed_kmh: float) -> float:
 def ms_to_kmh(speed_ms: float) -> float:
     # multiply by 3.6 rather than divide by the inexact 1000/3600
     return speed_ms * 3.6
-
-
-@dataclass(frozen=True)
-class TimingProfile:
-    """Receiver timing margins used for planning.
-
-    t_reacq_s bounds the warm reacquisition time, t_max_s is the longest
-    blockage after which warm reacquisition still works, t_acq_s bounds a
-    cold acquisition.
-    """
-
-    t_reacq_s: float
-    t_max_s: float
-    t_acq_s: float
-
-    def __post_init__(self) -> None:
-        for name in ("t_reacq_s", "t_max_s", "t_acq_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.t_reacq_s > self.t_acq_s:
-            raise ValueError(
-                f"t_reacq_s ({self.t_reacq_s}) must not exceed t_acq_s ({self.t_acq_s})"
-            )
 
 
 def reception_time(radius_m: float, speed_ms: float) -> float:
@@ -143,7 +125,7 @@ def slow_path_speed_bound(radius_m: float, t_acq_s: float) -> float:
     return 2.0 * radius_m / t_acq_s
 
 
-def max_separation(radius_m: float, timing: TimingProfile) -> float:
+def max_separation(radius_m: float, timing: ReceiverProfile) -> float:
     """Largest separation with a position update in every coverage.
 
     Independent of speed: d = 2r (1 + t_max / t_acq). Faster crossings
@@ -152,13 +134,13 @@ def max_separation(radius_m: float, timing: TimingProfile) -> float:
     return 2.0 * radius_m * (1.0 + timing.t_max_s / timing.t_acq_s)
 
 
-def separation_radius_floor(separation_m: float, timing: TimingProfile) -> float:
+def separation_radius_floor(separation_m: float, timing: ReceiverProfile) -> float:
     """Smallest radius whose max_separation reaches d: r = d / (2 (1 + t_max/t_acq))."""
     return separation_m / (2.0 * (1.0 + timing.t_max_s / timing.t_acq_s))
 
 
 def min_radius_for_separation(
-    separation_m: float, timing: TimingProfile, v_max_ms: float
+    separation_m: float, timing: ReceiverProfile, v_max_ms: float
 ) -> float:
     """Smallest radius serving a given separation at speeds up to v_max.
 
@@ -174,7 +156,7 @@ COLD = "cold acquisition"
 
 
 def gap_path(
-    speed_ms: float, radius_m: float, blockage_s: float, timing: TimingProfile
+    speed_ms: float, radius_m: float, blockage_s: float, timing: ReceiverProfile
 ) -> str | None:
     """How fixes resume after a gap: WARM, COLD, or None when neither fits.
 
@@ -200,7 +182,7 @@ class FeasibilityResult:
 
 
 def can_update(
-    speed_ms: float, radius_m: float, separation_m: float, timing: TimingProfile
+    speed_ms: float, radius_m: float, separation_m: float, timing: ReceiverProfile
 ) -> FeasibilityResult:
     """Whether a receiver crossing at ``speed_ms`` gets a fix in each coverage.
 
@@ -259,7 +241,7 @@ class ValidationReport:
 
 
 def validate_deployment(
-    radius_m: float, separation_m: float, speed_ms: float, timing: TimingProfile
+    radius_m: float, separation_m: float, speed_ms: float, timing: ReceiverProfile
 ) -> ValidationReport:
     """Check every coverage and every gap of the corridor ``coverage_centers(0.0, separation_m)`` lays out.
 

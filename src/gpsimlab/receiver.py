@@ -7,7 +7,7 @@ within t_max (boundary inclusive), otherwise it falls back to a cold
 acquisition. The warm reacquisition time depends on how far the new
 signal's clock is from the receiver's expectation: flat at the base time
 while the offset stays inside the handover budget, then growing
-piecewise-linearly, clamped at the last knot.
+linearly to a slow time and clamped there.
 
 The reacquisition target is latched once, from the clock offset seen at
 the moment the signal returns; later offset changes during the same
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .placement import TimingProfile
 from .timebase import NS_PER_S
 
 DT_S = 0.1
 FLAT_REGION_S = 0.050
+SLOW_OFFSET_S = 0.250
 _EPS_S = 1e-9
 
 
@@ -48,89 +48,47 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class ReceiverProfile:
-    """Timing behavior of one receiver class.
+    """Timing of one receiver class, for stepping and for planning.
 
-    ``reacq_knots`` maps absolute clock offset (seconds) to warm
-    reacquisition time (seconds) with linear interpolation between knots
-    and clamping past the last one.
+    Warm reacquisition takes ``t_reacq_base_s`` while the clock offset
+    stays within FLAT_REGION_S, rises linearly to ``t_reacq_slow_s`` at
+    SLOW_OFFSET_S and stays there. ``t_reacq_s`` bounds it for planning,
+    above the map's worst value to leave margin for lock-in effects the
+    map does not model. ``t_max_s`` is the longest blockage after which
+    warm reacquisition still works, ``t_acq_s`` a cold acquisition.
     """
 
     name: str
     t_reacq_base_s: float
+    t_reacq_slow_s: float
+    t_reacq_s: float
     t_max_s: float
     t_acq_s: float
-    reacq_knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if self.t_max_s <= 0:
+        if not 0 < self.t_reacq_base_s <= self.t_reacq_slow_s <= self.t_reacq_s <= self.t_acq_s:
+            raise ValueError(
+                "need 0 < t_reacq_base_s <= t_reacq_slow_s <= t_reacq_s <= t_acq_s, got "
+                f"{self.t_reacq_base_s}, {self.t_reacq_slow_s}, {self.t_reacq_s}, {self.t_acq_s}"
+            )
+        if not self.t_max_s > 0:
             raise ValueError(f"t_max_s must be positive, got {self.t_max_s}")
-        if self.t_reacq_base_s <= 0 or self.t_acq_s <= 0:
-            raise ValueError("reacquisition and acquisition times must be positive")
-        if self.t_reacq_base_s > self.t_acq_s:
-            raise ValueError(
-                f"t_reacq_base_s ({self.t_reacq_base_s}) must not exceed t_acq_s ({self.t_acq_s})"
-            )
-        knots = self.reacq_knots
-        if not knots or knots[0][0] != 0.0:
-            raise ValueError("reacq_knots must start at offset 0")
-        if knots[0][1] != self.t_reacq_base_s:
-            raise ValueError(
-                f"reacq_knots at offset 0 must equal t_reacq_base_s ({self.t_reacq_base_s})"
-            )
-        offsets = [k[0] for k in knots]
-        values = [k[1] for k in knots]
-        if offsets != sorted(set(offsets)):
-            raise ValueError("knot offsets must be strictly ascending")
-        if any(b < a for a, b in zip(values, values[1:])):
-            raise ValueError("reacquisition time must be non-decreasing in offset")
-        if self._interp(FLAT_REGION_S) != self.t_reacq_base_s:
-            raise ValueError(
-                f"reacquisition must stay at the base time through {FLAT_REGION_S} s"
-            )
-
-    def _interp(self, abs_offset_s: float) -> float:
-        xs = [k[0] for k in self.reacq_knots]
-        ys = [k[1] for k in self.reacq_knots]
-        return float(np.interp(abs_offset_s, xs, ys))
 
 
 def reacquisition_time(profile: ReceiverProfile, offset_ns: int) -> float:
     """Warm reacquisition time for a signal with the given clock offset."""
-    return profile._interp(abs(offset_ns) / NS_PER_S)
+    base, slow = profile.t_reacq_base_s, profile.t_reacq_slow_s
+    return float(np.interp(abs(offset_ns) / NS_PER_S, (0.0, FLAT_REGION_S, SLOW_OFFSET_S), (base, base, slow)))
 
 
 DEDICATED = ReceiverProfile(
-    name="dedicated",
-    t_reacq_base_s=0.4,
-    t_max_s=135.0,
-    t_acq_s=30.0,
-    reacq_knots=((0.0, 0.4), (FLAT_REGION_S, 0.4), (0.25, 2.0)),
+    "dedicated", t_reacq_base_s=0.4, t_reacq_slow_s=2.0, t_reacq_s=5.0, t_max_s=135.0, t_acq_s=30.0
 )
-
 SMARTPHONE = ReceiverProfile(
-    name="smartphone",
-    t_reacq_base_s=4.0,
-    t_max_s=135.0,
-    t_acq_s=30.0,
-    reacq_knots=((0.0, 4.0), (FLAT_REGION_S, 4.0), (0.25, 12.0)),
+    "smartphone", t_reacq_base_s=4.0, t_reacq_slow_s=12.0, t_reacq_s=15.0, t_max_s=135.0, t_acq_s=30.0
 )
 
 PROFILES = {p.name: p for p in (DEDICATED, SMARTPHONE)}
-
-# Conservative per-profile reacquisition bounds for deployment planning.
-# Planning should not assume the base-time fast path; these sit above the
-# worst value of the reacquisition map to leave margin for lock-in
-# effects the map does not model.
-PLANNING_REACQ_BOUND_S = {"dedicated": 5.0, "smartphone": 15.0}
-
-
-def planning_timing(profile: ReceiverProfile) -> TimingProfile:
-    """Planning margins for a profile: bounded reacquisition, t_max, t_acq."""
-    return TimingProfile(
-        t_reacq_s=PLANNING_REACQ_BOUND_S[profile.name],
-        t_max_s=profile.t_max_s,
-        t_acq_s=profile.t_acq_s,
-    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from gpsimlab import scenarios as sc
 from gpsimlab.cli import EXIT_OK, main
 from gpsimlab.config import Config, DeploymentConfig, HandoverConfig, SweepConfig
 from gpsimlab.ntp import run_sync_comparison
-from gpsimlab.placement import TimingProfile, kmh_to_ms, max_separation, min_coverage_radius, min_radius_for_separation, ms_to_kmh, slow_path_speed_bound
+from gpsimlab.placement import kmh_to_ms, max_separation, min_coverage_radius, min_radius_for_separation, ms_to_kmh, slow_path_speed_bound
 from gpsimlab.receiver import DEDICATED, SMARTPHONE
 from gpsimlab.rng import stream
 from gpsimlab.solver import SatGeometry, _design_matrix, position_error_from_clock_offset, random_sky_geometry, solve_position
@@ -89,7 +89,8 @@ def criterion(capfd):
 
 def test_criterion_1_placement_closed_forms(criterion):
     with criterion(1, "placement closed forms"):
-        timing = TimingProfile(t_reacq_s=5.0, t_max_s=135.0, t_acq_s=30.0)
+        timing = DEDICATED
+        assert (timing.t_reacq_s, timing.t_max_s, timing.t_acq_s) == (5.0, 135.0, 30.0)
         v = kmh_to_ms(110.0)
         assert min_coverage_radius(v, timing.t_reacq_s) == pytest.approx(76.39, abs=GOLDEN_ABS_M)
         assert max_separation(80.0, timing) == 880.0

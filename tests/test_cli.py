@@ -1,24 +1,57 @@
+import csv
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gpsimlab import cli
 from gpsimlab.calibration import import_samples_csv
 from gpsimlab.cli import (
     CONFIG_ENV_VAR,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_RUNTIME,
     _load,
     build_parser,
     main,
 )
-from gpsimlab.config import Config, DeploymentConfig, HandoverConfig, SweepConfig
+from gpsimlab.config import (
+    MAX_TIMELINE_STEPS,
+    MAX_TRIAL_RUNS,
+    Config,
+    DeploymentConfig,
+    HandoverConfig,
+    SweepConfig,
+)
 from gpsimlab.reports import write_json
 
 
 def run(*argv):
     return main(list(argv))
+
+
+# config files that do not read as a JSON object of schema values: the bytes
+# each holds, or None for a directory
+UNREADABLE_CONFIGS = {
+    "directory": None,
+    "non-utf8": b'{"deployment": {"receiver": "\xff"}}',
+    "400-digit-float": b'{"deployment": {"radius_m": 1' + b"0" * 399 + b"}}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def write_unreadable_config(directory, kind):
+    path = directory / f"{kind}.json"
+    if UNREADABLE_CONFIGS[kind] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(UNREADABLE_CONFIGS[kind])
+    return path
 
 
 class TestPlan:
@@ -530,6 +563,43 @@ class TestConfigInput:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["calibrate"], ["simulate", "--scenario", "static", "--trials", "1"], ["simulate", "--scenario", "outdoor"]],
+        ids=["calibrate", "static-matrix", "outdoor"],
+    )
+    def test_mean_delay_past_float_range_in_ns_exits_two(self, tmp_path, capsys, argv):
+        # found by TestFuzz: 1e308 ms is finite, but not in ns
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delay_model": {"mean_delay_ms": 1e308}}))
+        assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert "delay_model.mean_delay_ms" in capsys.readouterr().err
+
+
+class TestUnreadableConfig:
+    @pytest.mark.parametrize("via", ["--config", CONFIG_ENV_VAR])
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_CONFIGS))
+    def test_exits_two_naming_the_file_or_key(self, tmp_path, capsys, monkeypatch, kind, via):
+        path = write_unreadable_config(tmp_path, kind)
+        argv = ["plan", "--out", str(tmp_path / "o")]
+        if via == CONFIG_ENV_VAR:
+            monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
+        else:
+            argv += ["--config", str(path)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert ("deployment.radius_m" if kind == "400-digit-float" else str(path)) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_other_failure_while_loading_exits_three(self, tmp_path, capsys, monkeypatch):
+        def broken(path):
+            raise RuntimeError("loader broke")
+
+        monkeypatch.setattr(cli, "load_config", broken)
+        assert run("plan", "--config", "cfg.json", "--out", str(tmp_path / "o")) == EXIT_RUNTIME
+        assert "loader broke" in capsys.readouterr().err
+
 
 class TestFoldedFlags:
     """``--trials`` and ``--receiver`` land in the config the run reads, over the file's values."""
@@ -574,6 +644,22 @@ class TestCounts:
         cfg.write_text(json.dumps(config))
         assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["simulate", "--scenario", "static", "--trials", "10001"], "handover.trials"),
+            (["simulate", "--scenario", "driving", "--trials", "10001"], "handover.trials"),
+            (["simulate", "--scenario", "static", "--trials", "1" + "0" * 400], "handover.trials"),
+            # 910 trials of the default 11-offset grid: 10,010 runs
+            (["sweep", "--trials", "910"], "sweep.trials"),
+        ],
+        ids=["static", "driving", "static-400-digit", "sweep"],
+    )
+    def test_trials_past_the_work_bound_exit_two(self, tmp_path, capsys, argv, named):
+        assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestUnwritableOut:
@@ -670,3 +756,114 @@ class TestParser:
         with pytest.raises(ValueError):
             write_json(path, {"x": float("nan")})
         assert not path.exists()
+
+
+# Per key, values at and just past each boundary the validator draws, and a
+# range of ordinary values small enough that an accepted run takes milliseconds.
+_PAST = (-1.0, 0.0, 5e-324, 1e308, math.inf, math.nan)
+SCHEMA = {
+    "deployment": {
+        "radius_m": ((*_PAST, 149.13509104049035), st.floats(1.0, 300.0)),
+        "separation_m": ((*_PAST, 3690.097253066939), st.floats(2.0, 3000.0)),
+        "max_speed_kmh": ((*_PAST, 1e-3, 1e5, 90.44872189295889), st.floats(5.0, 300.0)),
+        "receiver": (("nokia", 1), st.sampled_from(("dedicated", "smartphone"))),
+    },
+    "delay_model": {
+        "mean_delay_ms": (_PAST, st.floats(0.1, 100.0)),
+        "wander_sigma_ms": ((*_PAST, 1e150), st.floats(0.0, 1.0)),
+        "noise_sigma_ms": ((*_PAST, 1e150), st.floats(0.0, 5.0)),
+        "sample_count": ((0, 1, MAX_TIMELINE_STEPS + 1, 10**400, 2.5), st.integers(1, 3000)),
+    },
+    "budget": {"limit_ms": ((*_PAST, 4e-7, 1e-6), st.floats(0.001, 1000.0))},
+    "handover": {
+        "trials": ((0, MAX_TRIAL_RUNS + 1, 10**400), st.integers(1, 2)),
+        "live_s": ((*_PAST, 0.01, 1e12), st.floats(0.1, 60.0)),
+        "blocked_s": ((*_PAST, 0.01, 135.0, 140.0, 1e12), st.floats(0.1, 200.0)),
+        "sim_s": ((*_PAST, 0.01, 1e12), st.floats(0.1, 60.0)),
+        "pr_noise_m": ((*_PAST, 1e6), st.floats(0.1, 50.0)),
+        "n_sats": ((3, 4, 32, 33, 10**12), st.integers(4, 12)),
+    },
+    "sweep": {
+        "min_offset_ms": ((*_PAST, -1e308, -400.0), st.floats(-500.0, 0.0)),
+        "max_offset_ms": ((*_PAST, 400.0), st.floats(0.0, 500.0)),
+        "step_ms": ((*_PAST, 1e-300), st.floats(50.0, 1000.0)),
+        "trials": ((0, MAX_TRIAL_RUNS + 1, 10**400), st.integers(1, 2)),
+    },
+    "sync": {"duration_s": ((*_PAST, 15.9, 16.0, 16e6 + 16.0, 1e15), st.floats(16.0, 3600.0))},
+}
+
+
+@st.composite
+def configs(draw):
+    """A schema-shaped config of ordinary values, with at most one key at a boundary."""
+    config = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                section: st.fixed_dictionaries({}, optional={key: ordinary for key, (_, ordinary) in keys.items()})
+                for section, keys in SCHEMA.items()
+            },
+        )
+    )
+    if draw(st.booleans()):
+        section = draw(st.sampled_from(sorted(SCHEMA)))
+        key = draw(st.sampled_from(sorted(SCHEMA[section])))
+        config.setdefault(section, {})[key] = draw(st.sampled_from(SCHEMA[section][key][0]))
+    return config
+
+
+COMMANDS = (
+    ("plan",),
+    ("calibrate",),
+    ("sync-compare",),
+    ("sweep",),
+    ("simulate", "--scenario", "static", "--trials", "1"),
+    ("simulate", "--scenario", "driving", "--trials", "1"),
+    ("simulate", "--scenario", "pedestrian"),
+    ("simulate", "--scenario", "outdoor"),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON")
+
+
+def check_artifacts(out):
+    """Every JSON artifact under ``out`` parses without NaN or infinity, and no CSV cell is non-finite."""
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    for path in out.rglob("*.csv"):
+        with path.open(newline="") as fh:
+            for row in csv.reader(fh):
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), f"{path.name}: {cell!r}"
+
+
+class TestFuzz:
+    """Any config on any command ends in exit 0, 1 or 2 with well-formed artifacts, never a crash."""
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.sampled_from(COMMANDS), st.one_of(configs(), st.sampled_from(sorted(UNREADABLE_CONFIGS))))
+    def test_every_config_exits_cleanly(self, command, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if isinstance(config, str):
+                path = write_unreadable_config(tmp, config)
+            else:
+                path = tmp / "cfg.json"
+                path.write_text(json.dumps(config))
+            out = tmp / "out"
+            code = main([*command, "--config", str(path), "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG)
+            if isinstance(config, str):
+                assert code == EXIT_CONFIG
+            check_artifacts(out)

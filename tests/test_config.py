@@ -4,8 +4,10 @@ import pytest
 
 from gpsimlab.config import (
     DEFAULTS,
+    MAX_TRIAL_RUNS,
     Config,
     ConfigError,
+    SweepConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -128,24 +130,24 @@ class TestValidation:
             # 16 s polls
             ({"sync": {}}, {"duration_s": 16e6}, {"duration_s": 16e6 + 16.0}, "duration_s", 1_000_000),
             ({"sync": {}}, {"duration_s": 16e6}, {"duration_s": 1e15}, "duration_s", 1_000_000),
-            # the grid holds (max - min) / step + 1 offsets
+            # the grid holds (max - min) / step + 1 offsets, each run once per trial
             (
-                {"sweep": {"min_offset_ms": 0.0}},
-                {"max_offset_ms": 999_999.0, "step_ms": 1.0},
-                {"max_offset_ms": 1_000_000.0, "step_ms": 1.0},
+                {"sweep": {"min_offset_ms": 0.0, "trials": 1}},
+                {"max_offset_ms": 9_999.0, "step_ms": 1.0},
+                {"max_offset_ms": 10_000.0, "step_ms": 1.0},
                 "step_ms",
-                1_000_000,
+                10_000,
             ),
-            ({"sweep": {}}, {"step_ms": 1e-3}, {"step_ms": 1e-300}, "step_ms", 1_000_000),
+            ({"sweep": {"trials": 1}}, {"step_ms": 0.1}, {"step_ms": 1e-300}, "step_ms", 10_000),
             (
-                {"sweep": {}},
+                {"sweep": {"trials": 1}},
                 {"min_offset_ms": -250.0, "max_offset_ms": 250.0},
                 {"min_offset_ms": -1e300, "max_offset_ms": 1e300},
                 "max_offset_ms",
-                1_000_000,
+                10_000,
             ),
             # max - min overflows to inf, which floor() could not take
-            ({"sweep": {}}, {"step_ms": 50.0}, {"min_offset_ms": -1e308, "max_offset_ms": 1e308}, "max_offset_ms", 1_000_000),
+            ({"sweep": {"trials": 1}}, {"step_ms": 50.0}, {"min_offset_ms": -1e308, "max_offset_ms": 1e308}, "max_offset_ms", 10_000),
             # one satellite per GPS L1 C/A PRN
             ({"handover": {}}, {"n_sats": 32}, {"n_sats": 33}, "n_sats", 32),
         ],
@@ -169,6 +171,36 @@ class TestValidation:
         assert config_from_dict({"sync": {"duration_s": 16.0}}).sync.duration_s == 16.0
 
 
+class TestWorkBound:
+    def test_handover_trials_capped(self):
+        assert config_from_dict({"handover": {"trials": MAX_TRIAL_RUNS}}).handover.trials == MAX_TRIAL_RUNS
+        for trials in (MAX_TRIAL_RUNS + 1, 10**400):
+            with pytest.raises(ConfigError, match=rf"handover\.trials.*\b{MAX_TRIAL_RUNS}\b"):
+                config_from_dict({"handover": {"trials": trials}})
+
+    def test_sweep_runs_capped(self):
+        # 1,000 offsets: 0 to 999 ms in 1 ms steps
+        grid = {"min_offset_ms": 0.0, "max_offset_ms": 999.0, "step_ms": 1.0}
+        trials = MAX_TRIAL_RUNS // 1000
+        assert config_from_dict({"sweep": {**grid, "trials": trials}}).sweep.trials == trials
+        for refused in ({**grid, "trials": trials + 1}, {**grid, "max_offset_ms": 1000.0, "trials": trials}):
+            with pytest.raises(ConfigError, match=rf"sweep\.trials.*\b{MAX_TRIAL_RUNS}\b"):
+                config_from_dict({"sweep": refused})
+
+    @pytest.mark.parametrize("offsets", [42_700, 76_600])
+    def test_fuzz_found_sweep_grids_refused(self, offsets):
+        # grids a fuzzer found the validator accepting: at the default 3 trials and about 6 ms per
+        # offset and trial, each would run for over ten minutes
+        sweep = {"min_offset_ms": 0.0, "max_offset_ms": float(offsets - 1), "step_ms": 1.0}
+        assert SweepConfig(**sweep).trials == 3
+        with pytest.raises(ConfigError, match=r"sweep\.trials.*sweep\.step_ms"):
+            config_from_dict({"sweep": sweep})
+
+    def test_defaults_sit_far_below_the_bound(self):
+        assert DEFAULTS.handover.trials * 100 <= MAX_TRIAL_RUNS
+        assert DEFAULTS.sweep.trials * len(DEFAULTS.sweep.offsets_ms()) * 100 <= MAX_TRIAL_RUNS
+
+
 class TestFileLoading:
     def test_load_valid_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -185,6 +217,30 @@ class TestFileLoading:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot be read"),
+            (b'{"deployment": {"receiver": "\xff"}}', "cannot be read"),
+            (b"[" * 100_000 + b"]" * 100_000, "cannot be read"),
+            (b"1" * 5000, "cannot be read"),
+        ],
+        ids=["directory", "non-utf8", "deep-nesting", "5000-digit-integer"],
+    )
+    def test_unreadable_file_names_its_path(self, tmp_path, content, message):
+        path = tmp_path / "cfg.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message) as excinfo:
+            load_config(str(path))
+        assert str(path) in str(excinfo.value)
+
+    def test_integer_past_float_range_for_float_field(self):
+        with pytest.raises(ConfigError, match=r"deployment\.radius_m: expected a finite number"):
+            config_from_dict({"deployment": {"radius_m": 10**400}})
 
     def test_config_is_frozen(self):
         cfg = DEFAULTS

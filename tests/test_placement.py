@@ -4,7 +4,6 @@ from hypothesis import assume, example, given, strategies as st
 from gpsimlab.placement import (
     CORRIDOR_COVERAGES,
     OverlappingCoverage,
-    TimingProfile,
     ZeroSpeed,
     blockage_time,
     can_update,
@@ -17,10 +16,11 @@ from gpsimlab.placement import (
     slow_path_speed_bound,
     validate_deployment,
 )
-from gpsimlab.receiver import PROFILES, planning_timing
+from gpsimlab.receiver import DEDICATED, PROFILES
 from gpsimlab.reports import _canonical
 
-PLANNING = TimingProfile(t_reacq_s=5.0, t_max_s=135.0, t_acq_s=30.0)
+# the paper's planning triple: t_reacq 5 s, t_max 135 s, t_acq 30 s
+PLANNING = DEDICATED
 V110 = kmh_to_ms(110.0)
 
 
@@ -126,7 +126,7 @@ class TestFeasibility:
     @example(149.13509104049035, 3690.097253066939, kmh_to_ms(90.44872189295889), "dedicated")
     def test_layout_check_applies_the_same_rule(self, radius, separation, speed, receiver):
         assume(separation >= 2 * radius)
-        timing = planning_timing(PROFILES[receiver])
+        timing = PROFILES[receiver]
         report = validate_deployment(radius, separation, speed, timing)
         assert can_update(speed, radius, separation, timing).ok == report.ok
         assert all(g.blockage_s == blockage_time(separation, radius, speed) for g in report.gaps)

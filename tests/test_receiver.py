@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,13 +14,13 @@ from gpsimlab.receiver import (
     PROFILES,
     ReceiverProfile,
     ReceiverState,
+    SLOW_OFFSET_S,
     SMARTPHONE,
     advance,
-    planning_timing,
     reacquisition_time,
     step,
 )
-from gpsimlab.timebase import ns_from_millis, ns_from_seconds
+from gpsimlab.timebase import NS_PER_S, ns_from_millis, ns_from_seconds
 
 DT = DT_S
 
@@ -79,44 +80,62 @@ class TestReacquisitionMap:
         assert reacquisition_time(DEDICATED, a) <= reacquisition_time(DEDICATED, b)
 
     def test_clamps_past_last_knot(self):
-        last_offset, last_value = DEDICATED.reacq_knots[-1]
         for factor in (1.0, 2.0, 10.0):
-            off = ns_from_seconds(last_offset * factor)
-            assert reacquisition_time(DEDICATED, off) == last_value
+            off = ns_from_seconds(SLOW_OFFSET_S * factor)
+            assert reacquisition_time(DEDICATED, off) == DEDICATED.t_reacq_slow_s
 
     def test_interpolates_between_knots(self):
         # dedicated map: 0.4 s at 50 ms rising to 2.0 s at 250 ms
         mid = ns_from_millis(150)
         assert reacquisition_time(DEDICATED, mid) == pytest.approx(1.2)
 
+    @given(st.sampled_from(sorted(PROFILES)), st.integers(min_value=-NS_PER_S, max_value=NS_PER_S))
+    @example("dedicated", ns_from_seconds(FLAT_REGION_S))
+    @example("smartphone", -ns_from_seconds(SLOW_OFFSET_S))
+    def test_equals_the_former_knot_tables(self, name, offset_ns):
+        # the (offset s, time s) knots each profile carried before the map had fixed offsets
+        knots = {
+            "dedicated": ((0.0, 0.4), (0.05, 0.4), (0.25, 2.0)),
+            "smartphone": ((0.0, 4.0), (0.05, 4.0), (0.25, 12.0)),
+        }[name]
+        xs, ys = [k[0] for k in knots], [k[1] for k in knots]
+        expected = float(np.interp(abs(offset_ns) / NS_PER_S, xs, ys))
+        assert reacquisition_time(PROFILES[name], offset_ns).hex() == expected.hex()
+
+
+def profile(base=1.0, slow=2.0, bound=5.0, t_max=10.0, t_acq=5.0):
+    return ReceiverProfile("x", base, slow, bound, t_max, t_acq)
+
 
 class TestProfileValidation:
-    def test_knots_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            ReceiverProfile("x", 1.0, 10.0, 5.0, ((0.1, 1.0),))
-
-    def test_knots_must_cover_flat_region(self):
-        with pytest.raises(ValueError):
-            ReceiverProfile("x", 1.0, 10.0, 5.0, ((0.0, 1.0), (0.01, 2.0)))
-
     def test_values_must_be_monotone(self):
+        # the map may not fall from the base time to the slow one
+        profile(base=1.0, slow=1.0)
         with pytest.raises(ValueError):
-            ReceiverProfile("x", 1.0, 10.0, 5.0, ((0.0, 1.0), (0.05, 1.0), (0.1, 0.5)))
+            profile(base=1.0, slow=0.5)
 
     def test_reacq_cannot_exceed_acq(self):
+        profile(base=5.0, slow=5.0, bound=5.0, t_acq=5.0)
         with pytest.raises(ValueError):
-            ReceiverProfile("x", 6.0, 10.0, 5.0, ((0.0, 6.0), (0.05, 6.0)))
+            profile(base=6.0, slow=6.0, bound=6.0, t_acq=5.0)
+        with pytest.raises(ValueError):
+            profile(bound=6.0, t_acq=5.0)
+
+    @pytest.mark.parametrize("field", ["base", "t_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_times_must_be_positive(self, field, value):
+        with pytest.raises(ValueError):
+            profile(**{field: value})
 
     def test_registry(self):
         assert set(PROFILES) == {"dedicated", "smartphone"}
 
-    def test_planning_timing_bounds_the_map(self):
-        for profile in PROFILES.values():
-            timing = planning_timing(profile)
-            worst = max(v for _, v in profile.reacq_knots)
-            assert timing.t_reacq_s >= worst
-            assert timing.t_max_s == profile.t_max_s
-            assert timing.t_acq_s == profile.t_acq_s
+    def test_planning_bound_dominates_the_map(self):
+        for p in PROFILES.values():
+            worst = max(reacquisition_time(p, ns_from_seconds(x)) for x in (0.0, FLAT_REGION_S, SLOW_OFFSET_S, 1.0))
+            assert worst == p.t_reacq_slow_s <= p.t_reacq_s
+        with pytest.raises(ValueError):
+            profile(slow=3.0, bound=2.5)
 
 
 class TestStateMachine:

@@ -27,7 +27,6 @@ from gpsimlab.receiver import (
     SMARTPHONE,
     Mode,
     ReceiverState,
-    planning_timing,
     step,
 )
 from gpsimlab.reports import write_json
@@ -125,7 +124,7 @@ def part_way(state, profile, quanta, offset_ns):
 def timelines(draw):
     """Segments, their offset map, a profile and a start state, cold, warm, at the t_max edge or part-way."""
     profile = draw(st.sampled_from(sorted(PROFILES.values(), key=lambda p: p.name)))
-    # offsets run past the last knot of the reacquisition map, 250 ms
+    # offsets run past SLOW_OFFSET_S, 250 ms, where the reacquisition map stops rising
     offsets = st.floats(min_value=0.0, max_value=300.0).map(ns_from_millis)
     segments = draw(
         st.lists(
@@ -416,7 +415,7 @@ class TestDynamicTraversal:
     @pytest.mark.parametrize("make", [sc.default_driving_scenario, sc.default_pedestrian_scenario])
     def test_builtin_layouts_plan_warm_at_their_speed(self, make):
         dep = make().deployment
-        timing = planning_timing(PROFILES[dep.receiver])
+        timing = PROFILES[dep.receiver]
         report = validate_deployment(dep.radius_m, dep.separation_m, kmh_to_ms(dep.max_speed_kmh), timing)
         assert report.ok
         # every gap stays within t_max, so each coverage is entered warm
@@ -551,7 +550,7 @@ class TestPlanAgreesWithTraversal:
         separation = 2.0 * radius + speed_ms * blockage_s
         deployment = DeploymentConfig(radius, separation, ms_to_kmh(speed_ms), receiver)
         scenario = sc.PathScenario(deployment, sc.PRIVATE_CALIBRATED, sc.DRIVING_PR_NOISE_M)
-        v, timing = kmh_to_ms(deployment.max_speed_kmh), planning_timing(PROFILES[receiver])
+        v, timing = kmh_to_ms(deployment.max_speed_kmh), PROFILES[receiver]
         report = validate_deployment(radius, separation, v, timing)
         paths = [gap_path(v, radius, g.blockage_s, timing) for g in report.gaps]
 
