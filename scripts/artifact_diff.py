@@ -13,8 +13,10 @@ sample files, static handovers whose config
 blocks the receiver up to and past t_max, a strict raw public clock
 judged against a budget it misses and one it fits, a sweep past the
 reacquisition map's slow offset, a static handover and a sweep whose config,
-not a flag, picks the smartphone receiver, and static handover matrices
-over 4 and over 32 satellites, the ends of the schema), and prints every
+not a flag, picks the smartphone receiver, static handover matrices
+over 4 and over 32 satellites, the ends of the schema, and one whose
+2,000 s simulator window gives each trial's stacked solve about 80,000
+rows, many solver blocks), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -89,6 +91,8 @@ COMMANDS = (
     # the worst conditioned, and the largest sky
     ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"n_sats": 4}}),
     ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"n_sats": 32}}),
+    # four configurations of ~20,000 simulator fixes each: one trial's solve spans many blocks
+    ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"sim_s": 2000.0}}),
 )
 
 

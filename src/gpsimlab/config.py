@@ -40,6 +40,12 @@ MAX_TIMELINE_STEPS = 1_000_000
 # milliseconds, so this bounds a command's total work to minutes.
 MAX_TRIAL_RUNS = 10_000
 
+# The most timeline steps a static or driving matrix may advance over all its
+# trials: handover.trials times the DT_S steps of one trial's timeline, which
+# the timeline's lengths, the corridor and the speed set. The default matrices
+# take 40,000 and 31,100; MAX_TRIAL_RUNS of either fits at the default timeline.
+MAX_MATRIX_STEPS = 10_000_000
+
 # GPS L1 C/A has 32 PRNs, so a simulated sky holds at most that many satellites
 MAX_SATELLITES = 32
 

@@ -3,10 +3,10 @@
 Every scenario is one timeline: a plan of segments of live-sky
 reception, blockage, and simulator coverage that ``run_timeline``
 advances the receiver through a segment at a time, with the clock
-offset of each coverage taken from one ``{coverage: offset_ns}`` map,
-and one builder,
-``_handover``, that solves its fixes against a trial's sky and noise
-(``draw_sky``) and turns them into statistics. The static
+offset of each coverage taken from a ``{coverage: offset_ns}`` map,
+and one builder, ``_handover``, that runs it under each map it is
+given, solves the fixes of all of them against a trial's sky and noise
+(``draw_sky``) and turns them into statistics per map. The static
 handover, the offset sweep and the outdoor comparison hand it live sky,
 blockage and one simulator at the origin; a traversal cuts its path
 through the corridor ``placement.corridor_layout`` lays out for a
@@ -24,10 +24,14 @@ exactly where the configuration differs. A segment plan holds no offset,
 so each scenario builds one plan for every configuration and every sweep
 offset. ``_paired_runs`` pairs the static handover, the traversal and the
 outdoor comparison: ``draw_clock`` realizes every configuration of one
-host in one call and ``draw_sky`` draws the sky and noise once for all of
-them, so each shared piece is computed once per trial and host.
-Pseudorange noise is indexed by simulator step, not by fix count, which
-keeps the pairing aligned even when reacquisition delays the first fix.
+host in one call, ``draw_sky`` draws the sky and noise once for all of
+them, and ``_handover`` runs each configuration's timeline and solves the
+simulator fixes of all of them in one stacked call, so each shared piece
+is computed once per trial and host. The sweep keeps one offset per
+call: its grid of up to MAX_TRIAL_RUNS runs would stack that many
+timelines of fixes. Pseudorange noise is indexed by simulator step, not
+by fix count, which keeps the pairing aligned even when reacquisition
+delays the first fix.
 
 Default parameters come from ``config.DEFAULTS``. A runner takes a seed
 and the whole ``Config`` and nothing that overrides it: trial counts and
@@ -40,13 +44,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import receiver as rcv
 from .calibration import calibrate, measure_sim_delay, true_delay_series
-from .config import DEFAULTS, MAX_TIMELINE_STEPS, Config, ConfigError, DeploymentConfig
+from .config import DEFAULTS, MAX_MATRIX_STEPS, MAX_TIMELINE_STEPS, Config, ConfigError, DeploymentConfig
 from .ntp import default_topology, run_disciplined_sync
 from .placement import ZeroSpeed, corridor_layout, kmh_to_ms
 from .rng import derive_seed, stream
@@ -388,67 +392,91 @@ def draw_sky(scope: str, seed: int, segments: Sequence[Segment], pr_noise_m: flo
 
 def _handover(
     segments: Sequence[Segment],
-    offsets_ns: Mapping[int, int],
+    offset_maps: Sequence[Mapping[int, int]],
     centers_m: Sequence[float],
     speed_ms: float,
     profile: rcv.ReceiverProfile,
     start: rcv.ReceiverState,
     drawn: SkyDraw,
-    clock_draws: dict[int, ClockDraw],
-) -> ScenarioResult:
-    """Advance the receiver through ``segments`` and solve every fix against ``drawn``.
+    clock_draws: Sequence[dict[int, ClockDraw]],
+) -> list[ScenarioResult]:
+    """Advance the receiver through ``segments`` once per offset map and solve every fix against ``drawn``.
 
-    Coverage k is a simulator at ``(centers_m[k], 0, 0)`` transmitting with
-    ``offsets_ns[k]``; live-sky fixes scatter around the receiver, which
-    moves along x at ``speed_ms``. Pseudorange noise rows are indexed by
-    simulator step and live-sky rows by live step, both counted across the
-    timeline, so one coverage reads what its windows use.
+    Under each of ``offset_maps``, coverage k is a simulator at
+    ``(centers_m[k], 0, 0)`` transmitting with that map's offset of k;
+    live-sky fixes scatter around the receiver, which moves along x at
+    ``speed_ms``. Pseudorange noise rows are indexed by simulator step and
+    live-sky rows by live step, both counted across the timeline, so one
+    coverage reads what its windows use under every map. The simulator
+    fixes of all maps are solved in one stacked call and split back; a row
+    solves to the same bits alone or in any stack. Returns one result per
+    map, carrying the matching entry of ``clock_draws``.
     """
     sky = drawn.sky
     centers = np.array([[center, 0.0, 0.0] for center in centers_m])
-    base_pr = np.array(
-        [np.linalg.norm(sky.advanced(offsets_ns[k]).positions - c, axis=1) for k, c in enumerate(centers)]
-    )
-
-    t, tracking, transitions = run_timeline(segments, offsets_ns, profile, start)
     step_coverage, simulated, live = _step_kinds(segments)
     # a step's noise row counts the steps of its kind before it
     noise_row = np.where(simulated, np.cumsum(simulated), np.cumsum(live)) - 1
 
-    fix = np.flatnonzero(tracking)
-    t_s, coverage, row = t[fix], step_coverage[fix], noise_row[fix]
-    sim = coverage >= 0
-    hosts = coverage[sim]
-    # every simulator fix of the timeline in one stacked solve
-    solved = solve_position(base_pr[hosts] + drawn.pr_noise[row[sim]], sky, initial_guess=centers[hosts])
-    positions, clock_bias_s = np.zeros((fix.size, 3)), np.zeros(fix.size)
-    positions[sim], clock_bias_s[sim] = solved.position, solved.clock_bias_s
-    positions[~sim, :2] = drawn.live_noise[row[~sim]]
-    positions[~sim, 0] += speed_ms * t_s[~sim]
+    runs = []
+    for offsets_ns in offset_maps:
+        # the step end times ``t`` are the same under every map
+        t, tracking, transitions = run_timeline(segments, offsets_ns, profile, start)
+        fix = np.flatnonzero(tracking)
+        runs.append((fix, transitions))
+    # the simulator fixes of every map in one stacked solve, a map's rows after the previous map's
+    sim_fixes = [fix[simulated[fix]] for fix, _ in runs]
+    pr = np.empty((sum(steps.size for steps in sim_fixes), len(sky)))
+    guess = np.empty((pr.shape[0], 3))
+    end = 0
+    for offsets_ns, steps in zip(offset_maps, sim_fixes):
+        base_pr = np.array(
+            [np.linalg.norm(sky.advanced(offsets_ns[k]).positions - c, axis=1) for k, c in enumerate(centers)]
+        )
+        rows, hosts = slice(end, end + steps.size), step_coverage[steps]
+        np.take(base_pr, hosts, axis=0, out=pr[rows])
+        pr[rows] += drawn.pr_noise[noise_row[steps]]
+        guess[rows] = centers[hosts]
+        end = rows.stop
+    solved = solve_position(pr, sky, initial_guess=guess)
 
     # a coverage is entered when the step before its first step ends
     step_start = np.concatenate(([0.0], t[:-1]))
-    stats: dict[int, ErrorStats] = {}
-    latency: dict[int, float | None] = dict.fromkeys(range(len(centers)))
-    errors = []
-    for k, center in enumerate(centers):
-        mine = coverage == k
-        if mine.any():
-            errors.append(horizontal_distances(positions[mine], center))
-            stats[k] = compute_error_stats(errors[-1])
-            latency[k] = float(t_s[mine][0] - step_start[np.argmax(step_coverage == k)])
-    return ScenarioResult(
-        t_s=t_s,
-        positions=positions,
-        clock_bias_s=clock_bias_s,
-        coverage=coverage,
-        coverage_stats=stats,
-        handover_success={k: k in stats for k in latency},
-        first_fix_latency_s=latency,
-        overall=compute_error_stats(np.concatenate(errors)) if errors else None,
-        clock_draws=clock_draws,
-        transitions=tuple(transitions),
-    )
+    results = []
+    end = 0
+    for (fix, transitions), draws in zip(runs, clock_draws):
+        t_s, coverage, row = t[fix], step_coverage[fix], noise_row[fix]
+        sim = coverage >= 0
+        rows = slice(end, end + np.count_nonzero(sim))
+        end = rows.stop
+        positions, clock_bias_s = np.zeros((fix.size, 3)), np.zeros(fix.size)
+        positions[sim], clock_bias_s[sim] = solved.position[rows], solved.clock_bias_s[rows]
+        positions[~sim, :2] = drawn.live_noise[row[~sim]]
+        positions[~sim, 0] += speed_ms * t_s[~sim]
+        stats: dict[int, ErrorStats] = {}
+        latency: dict[int, float | None] = dict.fromkeys(range(len(centers)))
+        errors = []
+        for k, center in enumerate(centers):
+            mine = coverage == k
+            if mine.any():
+                errors.append(horizontal_distances(positions[mine], center))
+                stats[k] = compute_error_stats(errors[-1])
+                latency[k] = float(t_s[mine][0] - step_start[np.argmax(step_coverage == k)])
+        results.append(
+            ScenarioResult(
+                t_s=t_s,
+                positions=positions,
+                clock_bias_s=clock_bias_s,
+                coverage=coverage,
+                coverage_stats=stats,
+                handover_success={k: k in stats for k in latency},
+                first_fix_latency_s=latency,
+                overall=compute_error_stats(np.concatenate(errors)) if errors else None,
+                clock_draws=draws,
+                transitions=tuple(transitions),
+            )
+        )
+    return results
 
 
 def _live_blocked_simulator(live_s: float, blocked_s: float, sim_s: float) -> tuple[Segment, ...]:
@@ -470,22 +498,22 @@ def _paired_runs(
     profile: rcv.ReceiverProfile,
     pr_noise_m: float,
     cfg: Config,
-) -> Iterator[ScenarioResult]:
+) -> list[ScenarioResult]:
     """One segment plan under each of ``configs``, starting from tracking.
 
     Host k, the simulator at ``centers_m[k]``, draws its clock chain once
     for all configurations under (seed, scope, k); the sky and noise are
     drawn once under (seed, scope). A configuration's run reads only its
-    draws' offsets. Results come one at a time, so a matrix holds one
-    configuration's fixes.
+    draws' offsets, and one ``_handover`` call solves the fixes of every
+    configuration in one stack, so a matrix holds one trial's fixes of all
+    its configurations at a time. Returns one result per configuration.
     """
     host_draws = [draw_clock(seed, scope, k, configs, cfg) for k in range(len(centers_m))]
     drawn = draw_sky(scope, seed, segments, pr_noise_m, cfg)
+    clock_draws = [dict(enumerate(draws)) for draws in zip(*host_draws)]
+    offset_maps = [{k: draw.error_ns for k, draw in draws.items()} for draws in clock_draws]
     tracking = rcv.ReceiverState.tracking()
-    for draws in zip(*host_draws):
-        offsets_ns = {k: draw.error_ns for k, draw in enumerate(draws)}
-        clock_draws = dict(enumerate(draws))
-        yield _handover(segments, offsets_ns, centers_m, speed_ms, profile, tracking, drawn, clock_draws)
+    return _handover(segments, offset_maps, centers_m, speed_ms, profile, tracking, drawn, clock_draws)
 
 
 # ------------------------------------------------------------ static handover
@@ -501,24 +529,35 @@ def run_static_handover(config: ClockConfig, seed: int = 0, cfg: Config = DEFAUL
     Segment lengths come from ``cfg.handover``, the receiver from
     ``cfg.deployment``.
     """
-    return next(_static_handovers((config,), seed, cfg))
+    return _static_handovers((config,), seed, cfg)[0]
 
 
-def _static_handovers(configs: Sequence[ClockConfig], seed: int, cfg: Config) -> Iterator[ScenarioResult]:
-    """The static handover under each of ``configs``, paired by ``_paired_runs``.
+def _static_handovers(configs: Sequence[ClockConfig], seed: int, cfg: Config) -> list[ScenarioResult]:
+    """The static handover under each of ``configs``, paired by ``_paired_runs``."""
+    profile = rcv.PROFILES[cfg.deployment.receiver]
+    noise_m = cfg.handover.pr_noise_m
+    return _paired_runs("static", seed, configs, _static_plan(cfg), (0.0,), 0.0, profile, noise_m, cfg)
 
-    A handover of more than MAX_TIMELINE_STEPS steps is refused before
-    anything is drawn.
-    """
+
+def _static_plan(cfg: Config) -> tuple[Segment, ...]:
+    """The static handover's segments, refused past MAX_TIMELINE_STEPS steps before anything is drawn."""
     h = cfg.handover
     if (h.live_s + h.blocked_s + h.sim_s) / DT_S > MAX_TIMELINE_STEPS:
         raise ConfigError(
             f"handover.live_s, handover.blocked_s, handover.sim_s: {h.live_s} + {h.blocked_s} + "
             f"{h.sim_s} s takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s"
         )
-    segments = _live_blocked_simulator(h.live_s, h.blocked_s, h.sim_s)
-    profile = rcv.PROFILES[cfg.deployment.receiver]
-    return _paired_runs("static", seed, configs, segments, (0.0,), 0.0, profile, h.pr_noise_m, cfg)
+    return _live_blocked_simulator(h.live_s, h.blocked_s, h.sim_s)
+
+
+def _check_matrix_steps(trials: int, segments: Sequence[Segment], keys: str) -> None:
+    """Refuse a matrix of more than MAX_MATRIX_STEPS timeline steps over all its trials."""
+    steps = sum(seg.steps for seg in segments)
+    if trials * steps > MAX_MATRIX_STEPS:
+        raise ConfigError(
+            f"handover.trials, {keys}: {trials} trials of {steps} steps of {DT_S} s exceed "
+            f"{MAX_MATRIX_STEPS} steps"
+        )
 
 
 @dataclass(frozen=True)
@@ -551,14 +590,15 @@ def run_static_handover_matrix(seed: int = 0, cfg: Config = DEFAULTS) -> MatrixR
     p95 along ALL_CLOCK_CONFIGS, which runs worst-first.
     """
     trials = cfg.handover.trials
+    _check_matrix_steps(trials, _static_plan(cfg), "handover.live_s, handover.blocked_s, handover.sim_s")
     p95s: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
     avgs: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
     maxes: dict[str, float] = {c.label: 0.0 for c in ALL_CLOCK_CONFIGS}
     for trial in range(trials):
         trial_seed = derive_seed(seed, "handover_matrix", trial)
-        results = _static_handovers(ALL_CLOCK_CONFIGS, trial_seed, cfg)
-        for config, result in zip(ALL_CLOCK_CONFIGS, results):
-            stats = result.coverage_stats.get(0)
+        # only the statistics outlive the trial, not its fixes
+        trial_stats = [r.coverage_stats.get(0) for r in _static_handovers(ALL_CLOCK_CONFIGS, trial_seed, cfg)]
+        for config, stats in zip(ALL_CLOCK_CONFIGS, trial_stats):
             if stats is None:
                 raise EmptyFixSet(f"no fixes for {config.label} in trial {trial}")
             p95s[config.label].append(stats.p95_m)
@@ -620,7 +660,7 @@ def run_offset_sweep(seed: int = 0, cfg: Config = DEFAULTS) -> SweepResult:
     for trial in range(trials):
         drawn = draw_sky("sweep", derive_seed(seed, "sweep", trial), segments, cfg.handover.pr_noise_m, cfg)
         for offset_ns, offset_reacq, offset_errors in zip(offsets_ns, reacq, errors):
-            result = _handover(segments, {0: offset_ns}, (0.0,), 0.0, profile, cold, drawn, {})
+            (result,) = _handover(segments, ({0: offset_ns},), (0.0,), 0.0, profile, cold, drawn, ({},))
             if 0 not in result.coverage_stats:
                 raise EmptyFixSet(f"no reacquisition at offset {offset_ns / NS_PER_MS} ms")
             offset_reacq.append(result.first_fix_latency_s[0])
@@ -664,14 +704,28 @@ def run_dynamic_traversal(
     signal at. The satellite count comes from ``cfg.handover``. A crossing
     of more than MAX_TIMELINE_STEPS steps is refused before it starts.
     """
-    return next(_traversals(scenario, (scenario.clock,), seed, cfg))
+    return _traversals(scenario, _traversal_plan(scenario.deployment), (scenario.clock,), seed, cfg)[0]
 
 
 def _traversals(
-    scenario: PathScenario, configs: Sequence[ClockConfig], seed: int, cfg: Config
-) -> Iterator[ScenarioResult]:
-    """The traversal under each of ``configs`` in place of ``scenario.clock``, via ``_paired_runs``."""
-    dep = scenario.deployment
+    scenario: PathScenario,
+    plan: tuple[list[Segment], Sequence[float], float],
+    configs: Sequence[ClockConfig],
+    seed: int,
+    cfg: Config,
+) -> list[ScenarioResult]:
+    """The traversal along ``plan``, its deployment's ``_traversal_plan``, under each of
+    ``configs`` in place of ``scenario.clock``, via ``_paired_runs``."""
+    segments, centers_m, v = plan
+    profile, noise_m = rcv.PROFILES[scenario.deployment.receiver], scenario.pr_noise_m
+    return _paired_runs("dynamic", seed, configs, segments, centers_m, v, profile, noise_m, cfg)
+
+
+def _traversal_plan(dep: DeploymentConfig) -> tuple[list[Segment], Sequence[float], float]:
+    """The segments of a crossing of ``dep``'s corridor, its coverage centers and its speed.
+
+    A crossing of more than MAX_TIMELINE_STEPS steps is refused before it is cut.
+    """
     layout = corridor_layout(dep.radius_m, dep.separation_m)
     v = kmh_to_ms(dep.max_speed_kmh)
     if v <= 0:
@@ -691,8 +745,7 @@ def _traversals(
         Segment(sum(1 for _ in run), source != "blocked", k)
         for (source, k), run in itertools.groupby(sources)
     ]
-    profile, noise_m = rcv.PROFILES[dep.receiver], scenario.pr_noise_m
-    return _paired_runs("dynamic", seed, configs, segments, layout.centers_m, v, profile, noise_m, cfg)
+    return segments, layout.centers_m, v
 
 
 def default_driving_scenario(cfg: Config = DEFAULTS) -> PathScenario:
@@ -721,16 +774,23 @@ class TraversalCell:
 def run_traversal_matrix(scenario: PathScenario, seed: int = 0, cfg: Config = DEFAULTS) -> MatrixResult:
     """The traversal under TRAVERSAL_CLOCK_CONFIGS over ``cfg.handover.trials`` paired trial seeds."""
     trials = cfg.handover.trials
+    # one plan for every trial: cutting a crossing steps through it in Python
+    plan = _traversal_plan(scenario.deployment)
+    _check_matrix_steps(trials, plan[0], "deployment.max_speed_kmh, deployment.separation_m")
     avgs: dict[str, list[float]] = {c.label: [] for c in TRAVERSAL_CLOCK_CONFIGS}
     success: dict[str, bool] = {c.label: True for c in TRAVERSAL_CLOCK_CONFIGS}
     for trial in range(trials):
         trial_seed = derive_seed(seed, "traversal_matrix", trial)
-        results = _traversals(scenario, TRAVERSAL_CLOCK_CONFIGS, trial_seed, cfg)
-        for config, result in zip(TRAVERSAL_CLOCK_CONFIGS, results):
-            if result.overall is None:
+        # only the statistics outlive the trial, not its fixes
+        trial_stats = [
+            (r.overall, all(r.handover_success.values()))
+            for r in _traversals(scenario, plan, TRAVERSAL_CLOCK_CONFIGS, trial_seed, cfg)
+        ]
+        for config, (overall, handed_over) in zip(TRAVERSAL_CLOCK_CONFIGS, trial_stats):
+            if overall is None:
                 raise EmptyFixSet(f"no in-coverage fixes for {config.label} in trial {trial}")
-            avgs[config.label].append(result.overall.avg_m)
-            success[config.label] &= all(result.handover_success.values())
+            avgs[config.label].append(overall.avg_m)
+            success[config.label] &= handed_over
     cells = tuple(
         TraversalCell(
             label=c.label,

@@ -22,6 +22,9 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 MAX_ITERATIONS = 20
 CONVERGENCE_M = 1e-4
+# rows a solve iterates together; a longer stack is solved a block at a time,
+# which bounds the iterations' temporaries
+SOLVE_BLOCK_ROWS = 4096
 
 # random_sky_geometry's constellation
 SAT_RANGE_M = 2.02e7
@@ -123,13 +126,16 @@ def solve_position(
 ) -> PvtSolution:
     """Solve position and clock bias from pseudoranges by Gauss-Newton.
 
-    A stack of F pseudorange rows is solved at once: each iteration takes
-    the step of every row still moving from its 4×4 normal equations,
-    dx = (HᵀH)⁻¹·Hᵀdy, batched over the rows, and a row leaves the active
-    set once its position step falls below CONVERGENCE_M. Every row takes
-    the steps, and so reaches the fix, bit for bit, that a one-row solve
-    takes. The normal equations lose accuracy as cond(H)², not cond(H);
-    the rank rule of ``_normal_inverse`` bounds that loss.
+    A stack of F pseudorange rows is solved SOLVE_BLOCK_ROWS rows at a
+    time. Each iteration takes the step of every row of a block still
+    moving from its 4×4 normal equations, dx = (HᵀH)⁻¹·Hᵀdy, batched over
+    the rows, and a row leaves the active set once its position step
+    falls below CONVERGENCE_M. Where every row of a block starts from one
+    point, its first iteration forms that point's H and (HᵀH)⁻¹ once for
+    all of them. Every row takes the steps, and so reaches the fix, bit
+    for bit, that a one-row solve takes, whatever stack or block it comes
+    in. The normal equations lose accuracy as cond(H)², not cond(H); the
+    rank rule of ``_normal_inverse`` bounds that loss.
 
     Args:
         pseudoranges: Measured ranges in meters, (N,) for one fix or
@@ -163,33 +169,40 @@ def solve_position(
     x = np.array(np.broadcast_to(guess, (rows, 3)))
     bias_m = np.zeros(rows)
     residual = np.empty(rows)
-    active = np.arange(rows)
-    iteration = 0
-    while active.size:
-        if iteration == max_iterations:
-            raise NoConvergence(f"no convergence after {max_iterations} iterations")
-        iteration += 1
-        h, ranges = _design_matrix(geometry.positions, x[active])
-        dy = prs[active] - (ranges + bias_m[active, None])
-        if not (np.isfinite(h).all() and np.isfinite(dy).all()):
-            raise NoConvergence(f"iterate left the finite range at iteration {iteration}")
-        dx = (_normal_inverse(h) @ (h.swapaxes(-1, -2) @ dy[..., None]))[..., 0]
-        if not np.isfinite(dx).all():
-            raise NoConvergence(f"least-squares step failed at iteration {iteration}")
-        x[active] += dx[:, :3]
-        bias_m[active] += dx[:, 3]
-        done = np.linalg.norm(dx[:, :3], axis=1) < CONVERGENCE_M
-        settled = active[done]
-        _, ranges = _design_matrix(geometry.positions, x[settled])
-        residual[settled] = np.linalg.norm(prs[settled] - (ranges + bias_m[settled, None]), axis=1)
-        active = active[~done]
+    iterations = 0
+    for start in range(0, rows, SOLVE_BLOCK_ROWS):
+        active = np.arange(start, min(start + SOLVE_BLOCK_ROWS, rows))
+        # every row from one point: the first step's H and (HᵀH)⁻¹ are that point's, formed once
+        shared = bool((x[active] == x[start]).all())
+        iteration = 0
+        while active.size:
+            if iteration == max_iterations:
+                raise NoConvergence(f"no convergence after {max_iterations} iterations")
+            iteration += 1
+            h, ranges = _design_matrix(geometry.positions, x[start] if shared else x[active])
+            shared = False
+            dy = prs[active] - (ranges + bias_m[active, None])
+            if not (np.isfinite(h).all() and np.isfinite(dy).all()):
+                raise NoConvergence(f"iterate left the finite range at iteration {iteration}")
+            dx = (_normal_inverse(h) @ (h.swapaxes(-1, -2) @ dy[..., None]))[..., 0]
+            if not np.isfinite(dx).all():
+                raise NoConvergence(f"least-squares step failed at iteration {iteration}")
+            x[active] += dx[:, :3]
+            bias_m[active] += dx[:, 3]
+            done = np.linalg.norm(dx[:, :3], axis=1) < CONVERGENCE_M
+            settled = active[done]
+            # a settled row's residual needs its ranges only, not its sight lines
+            ranges = np.linalg.norm(geometry.positions - x[settled, None, :], axis=-1)
+            residual[settled] = np.linalg.norm(prs[settled] - (ranges + bias_m[settled, None]), axis=1)
+            active = active[~done]
+        iterations = max(iterations, iteration)
 
     # whole nanoseconds, rounded half-even exactly as timebase.ns_from_seconds;
     # adding 0.0 turns the -0.0 that rint leaves for small negatives into 0.0
     clock_bias_s = (np.rint(bias_m / SPEED_OF_LIGHT * NS_PER_S) + 0.0) / NS_PER_S
     if stacked:
-        return PvtSolution(x, clock_bias_s, residual, iteration)
-    return PvtSolution(x[0], float(clock_bias_s[0]), float(residual[0]), iteration)
+        return PvtSolution(x, clock_bias_s, residual, iterations)
+    return PvtSolution(x[0], float(clock_bias_s[0]), float(residual[0]), iterations)
 
 
 def dilution_of_precision(geometry: SatGeometry, position: np.ndarray) -> DopValues:
@@ -243,15 +256,15 @@ def random_sky_geometry(rng: np.random.Generator, n_sats: int = DEFAULTS.handove
     positions = units * SAT_RANGE_M
 
     los_rate = rng.uniform(-MAX_LOS_RATE_MS, MAX_LOS_RATE_MS, n_sats)
-    velocities = np.empty_like(positions)
-    for i, u in enumerate(units):
-        # pick a tangent direction in the plane orthogonal to the sight line
-        probe = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        t1 = np.cross(u, probe)
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(u, t1)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        tangent = np.cos(phase) * t1 + np.sin(phase) * t2
-        cross_speed = np.sqrt(max(SAT_SPEED_MS**2 - los_rate[i] ** 2, 0.0))
-        velocities[i] = los_rate[i] * u + cross_speed * tangent
+    # a tangent direction in the plane orthogonal to each sight line
+    probes = np.where((np.abs(units[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    t1 = np.cross(units, probes)
+    # one dot product per row, rounding as np.linalg.norm of that row does
+    t1 /= np.sqrt((t1[:, None, :] @ t1[:, :, None])[:, 0])
+    t2 = np.cross(units, t1)
+    phase = rng.uniform(0.0, 2.0 * np.pi, n_sats)
+    tangents = np.cos(phase)[:, None] * t1 + np.sin(phase)[:, None] * t2
+    # squared per satellite: the whole array squared rounds differently in rare skies
+    cross_speed = np.sqrt([max(SAT_SPEED_MS**2 - r**2, 0.0) for r in los_rate])
+    velocities = los_rate[:, None] * units + cross_speed[:, None] * tangents
     return SatGeometry(positions, velocities)

@@ -20,13 +20,16 @@ from gpsimlab.cli import (
     build_parser,
     main,
 )
+from gpsimlab import scenarios as sc
 from gpsimlab.config import (
+    MAX_MATRIX_STEPS,
     MAX_TIMELINE_STEPS,
     MAX_TRIAL_RUNS,
     Config,
     DeploymentConfig,
     HandoverConfig,
     SweepConfig,
+    config_from_dict,
 )
 from gpsimlab.reports import write_json
 
@@ -657,6 +660,28 @@ class TestCounts:
         ids=["static", "driving", "static-400-digit", "sweep"],
     )
     def test_trials_past_the_work_bound_exit_two(self, tmp_path, capsys, argv, named):
+        assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize(
+        "scenario, config, named",
+        [
+            # 100,000 steps a trial
+            ("static", {"handover": {"sim_s": 9940.0}}, "handover.trials, handover.live_s"),
+            # a crossing at 11 km/h, about 6,200 steps
+            ("driving", {"deployment": {"max_speed_kmh": 11.0}}, "handover.trials, deployment.max_speed_kmh"),
+        ],
+        ids=["static", "driving"],
+    )
+    def test_matrix_steps_past_the_bound_exit_two(self, tmp_path, capsys, scenario, config, named):
+        cfg = config_from_dict(config)
+        plan = sc._static_plan(cfg) if scenario == "static" else sc._traversal_plan(cfg.deployment)[0]
+        trials = MAX_MATRIX_STEPS // sum(seg.steps for seg in plan) + 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["simulate", "--scenario", scenario, "--trials", str(trials), "--config", str(path)]
         assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpsimlab import scenarios as sc
-from gpsimlab.config import Config, ConfigError, DeploymentConfig, HandoverConfig, SweepConfig
+from gpsimlab.config import MAX_MATRIX_STEPS, Config, ConfigError, DeploymentConfig, HandoverConfig, SweepConfig
 from gpsimlab.placement import (
     COLD,
     WARM,
@@ -595,6 +595,83 @@ class TestOutdoorComparison:
             "threshold_m",
             "fit_for_outdoor_use",
         }
+
+
+def assert_same_result(alone: sc.ScenarioResult, batched: sc.ScenarioResult) -> None:
+    """Bit for bit: every fix column, every statistic, latency and transition."""
+    for column in ("t_s", "positions", "clock_bias_s", "coverage"):
+        a, b = getattr(alone, column), getattr(batched, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), column
+    assert alone.coverage_stats == batched.coverage_stats
+    assert alone.overall == batched.overall
+    assert alone.first_fix_latency_s == batched.first_fix_latency_s
+    assert alone.handover_success == batched.handover_success
+    assert alone.clock_draws == batched.clock_draws
+    assert alone.transitions == batched.transitions
+
+
+class TestBatchedConfigurations:
+    """One stacked solve over a trial's configurations is invisible in every result."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 29])
+    def test_static_handover_equals_its_entry_of_the_batch(self, seed):
+        batched = sc._static_handovers(sc.ALL_CLOCK_CONFIGS, seed, Config())
+        assert len(batched) == len(sc.ALL_CLOCK_CONFIGS)
+        for config, result in zip(sc.ALL_CLOCK_CONFIGS, batched):
+            assert_same_result(sc.run_static_handover(config, seed), result)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_traversal_equals_its_entry_of_the_batch(self, seed):
+        scenario = sc.default_driving_scenario()
+        plan = sc._traversal_plan(scenario.deployment)
+        batched = sc._traversals(scenario, plan, sc.TRAVERSAL_CLOCK_CONFIGS, seed, Config())
+        assert len(batched) == len(sc.TRAVERSAL_CLOCK_CONFIGS)
+        for config, result in zip(sc.TRAVERSAL_CLOCK_CONFIGS, batched):
+            alone = sc.run_dynamic_traversal(dataclasses.replace(scenario, clock=config), seed)
+            assert_same_result(alone, result)
+
+
+class Drawn(Exception):
+    """A matrix got past its checks to its first clock draw."""
+
+
+class TestMatrixStepBound:
+    """trials x timeline steps is refused past MAX_MATRIX_STEPS before anything is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def drawn(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(sc, "draw_clock", drawn)
+
+    def test_static_matrix(self):
+        # 30 s live, 30 s blocked, 9,940 s simulator: 100,000 steps a trial
+        handover = HandoverConfig(sim_s=9940.0)
+        assert sum(seg.steps for seg in sc._static_plan(Config(handover=handover))) == 100_000
+        at_cap = MAX_MATRIX_STEPS // 100_000
+        with pytest.raises(Drawn):
+            sc.run_static_handover_matrix(0, Config(handover=dataclasses.replace(handover, trials=at_cap)))
+        past = Config(handover=dataclasses.replace(handover, trials=at_cap + 1))
+        with pytest.raises(ConfigError, match=r"handover\.trials, handover\.live_s.*handover\.sim_s"):
+            sc.run_static_handover_matrix(0, past)
+
+    def test_driving_matrix(self):
+        deployment = DeploymentConfig(max_speed_kmh=11.0)
+        steps = sum(seg.steps for seg in sc._traversal_plan(deployment)[0])
+        at_cap = MAX_MATRIX_STEPS // steps
+        scenario = sc.default_driving_scenario(Config(deployment=deployment))
+        with pytest.raises(Drawn):
+            sc.run_traversal_matrix(scenario, 0, Config(deployment=deployment, handover=HandoverConfig(trials=at_cap)))
+        past = Config(deployment=deployment, handover=HandoverConfig(trials=at_cap + 1))
+        assert (at_cap + 1) * steps > MAX_MATRIX_STEPS
+        with pytest.raises(ConfigError, match=r"handover\.trials, deployment\.max_speed_kmh"):
+            sc.run_traversal_matrix(scenario, 0, past)
+
+    def test_default_matrices_sit_far_below_the_bound(self):
+        static_steps = sum(seg.steps for seg in sc._static_plan(Config()))
+        driving_steps = sum(seg.steps for seg in sc._traversal_plan(DeploymentConfig())[0])
+        assert Config().handover.trials * max(static_steps, driving_steps) * 200 <= MAX_MATRIX_STEPS
 
 
 class TestSeedDerivation:

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpsimlab import solver
 from gpsimlab.rng import stream
 from gpsimlab.solver import (
     CONVERGENCE_M,
+    SOLVE_BLOCK_ROWS,
     SPEED_OF_LIGHT,
     NoConvergence,
     SatGeometry,
@@ -133,13 +137,14 @@ class TestStackedSolve:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n_sats=st.integers(min_value=4, max_value=32),
-        rows=st.integers(min_value=1, max_value=6),
+        rows=st.integers(min_value=1, max_value=9),
         noise_m=st.floats(min_value=0.0, max_value=10.0),
-        per_row_guess=st.booleans(),
+        guess_kind=st.sampled_from(["origin", "equal-rows", "per-row"]),
+        block_rows=st.sampled_from([1, 2, 4, SOLVE_BLOCK_ROWS]),
     )
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(derandomize=True, max_examples=90, deadline=None)
     def test_every_row_matches_the_oracle_and_a_one_row_solve(
-        self, seed, n_sats, rows, noise_m, per_row_guess
+        self, seed, n_sats, rows, noise_m, guess_kind, block_rows
     ):
         rng = np.random.default_rng(seed)
         geometry = random_sky_geometry(rng, n_sats=n_sats)
@@ -147,13 +152,20 @@ class TestStackedSolve:
         bias_m = rng.uniform(-1e3, 1e3, rows)
         ranges = np.linalg.norm(geometry.positions - truth[:, None, :], axis=2)
         prs = ranges + bias_m[:, None] + rng.normal(0.0, noise_m, (rows, n_sats))
-        guess = truth + rng.uniform(-20.0, 20.0, (rows, 3)) if per_row_guess else np.zeros(3)
+        # (3,) and equal (F, 3) rows share their first iteration; per-row guesses do not
+        guess = {
+            "origin": np.zeros(3),
+            "equal-rows": np.tile(rng.uniform(-20.0, 20.0, 3), (rows, 1)),
+            "per-row": truth + rng.uniform(-20.0, 20.0, (rows, 3)),
+        }[guess_kind]
 
-        stacked = solve_position(prs, geometry, initial_guess=guess)
+        # blocks of fewer rows than the stack: every row count spans several
+        with mock.patch.object(solver, "SOLVE_BLOCK_ROWS", block_rows):
+            stacked = solve_position(prs, geometry, initial_guess=guess)
         assert stacked.position.shape == (rows, 3)
         assert type(stacked.iterations) is int
         for i in range(rows):
-            x0 = guess[i] if per_row_guess else guess
+            x0 = guess if guess.ndim == 1 else guess[i]
             ref = reference_solve(prs[i], geometry.positions, x0)
             # a 2e7 m range rounds to 3.7e-9 m, so two Gauss-Newton solvers
             # settle up to DOP times that apart (~1e-7 m seen at 5-12
@@ -173,6 +185,45 @@ class TestStackedSolve:
             assert stacked.clock_bias_s[i] == one.clock_bias_s
             assert stacked.residual_norm[i] == pytest.approx(one.residual_norm, abs=1e-9)
             assert one.iterations <= stacked.iterations
+
+    def test_rows_past_one_block_solve_as_one_block(self):
+        # two and a half blocks of rows, half of them from one shared guess:
+        # blocking changes which rows iterate together, never a row's bits
+        geometry, true_pos, bias_m, pr = random_case(3)
+        rows = SOLVE_BLOCK_ROWS * 5 // 2
+        prs = pr + stream(3, "solver", "blocks").normal(0.0, 3.0, (rows, len(pr)))
+        guess = np.zeros((rows, 3))
+        guess[rows // 2 :] = stream(3, "solver", "guess").uniform(-20.0, 20.0, (rows - rows // 2, 3))
+        blocked = solve_position(prs, geometry, initial_guess=guess)
+        with mock.patch.object(solver, "SOLVE_BLOCK_ROWS", rows):
+            whole = solve_position(prs, geometry, initial_guess=guess)
+        assert np.array_equal(blocked.position, whole.position)
+        assert np.array_equal(blocked.clock_bias_s, whole.clock_bias_s)
+        assert np.array_equal(blocked.residual_norm, whole.residual_norm)
+        assert blocked.iterations == whole.iterations
+        for i in (0, SOLVE_BLOCK_ROWS - 1, SOLVE_BLOCK_ROWS, rows // 2, rows - 1):
+            one = solve_position(prs[i], geometry, initial_guess=guess[i])
+            assert np.array_equal(blocked.position[i], one.position)
+            assert blocked.clock_bias_s[i] == one.clock_bias_s
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # 100,000 rows of 8 satellites: solved as one unblocked stack they
+        # peaked at ~1.4 kB a row; blocked, a row costs its own outputs and a
+        # block's working set stays the same whatever the row count
+        geometry, _, _, pr = random_case(4)
+        rows = 100_000
+        assert rows >= 4 * SOLVE_BLOCK_ROWS
+        prs = pr + stream(4, "solver", "peak").normal(0.0, 3.0, (rows, len(pr)))
+        tracemalloc.start()
+        try:
+            solve_position(prs, geometry)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # per row: eight float64 of position, bias, residual, clock bias and
+        # their temporaries; per row and satellite of a block: 24 float64
+        bound = rows * 8 * 8 + SOLVE_BLOCK_ROWS * len(pr) * 24 * 8
+        assert peak < bound
 
     def test_clock_bias_rounds_like_a_time_offset(self):
         # biases within a few ns of zero: no row may keep a negative zero,
@@ -330,7 +381,36 @@ class TestClockOffsetError:
         np.testing.assert_allclose(plus, -minus, atol=0.05 * np.linalg.norm(plus))
 
 
+def per_satellite_sky(rng, n_sats):
+    """random_sky_geometry's draw with each satellite's velocity built in turn."""
+    az = rng.uniform(0.0, 2.0 * np.pi, n_sats)
+    el = rng.uniform(np.radians(15.0), np.radians(75.0), n_sats)
+    units = np.column_stack([np.cos(el) * np.sin(az), np.cos(el) * np.cos(az), np.sin(el)])
+    los_rate = rng.uniform(-350.0, 350.0, n_sats)
+    velocities = np.empty_like(units)
+    for i, u in enumerate(units):
+        probe = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        t1 = np.cross(u, probe)
+        t1 /= np.linalg.norm(t1)
+        t2 = np.cross(u, t1)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        tangent = np.cos(phase) * t1 + np.sin(phase) * t2
+        cross_speed = np.sqrt(max(3900.0**2 - los_rate[i] ** 2, 0.0))
+        velocities[i] = los_rate[i] * u + cross_speed * tangent
+    return units * RANGE_M, velocities
+
+
 class TestRandomSky:
+    @pytest.mark.parametrize("n_sats", [4, 8, 32])
+    def test_equals_the_per_satellite_draw(self, n_sats):
+        # seed 1252 at 8 satellites: squaring the line-of-sight rates as one
+        # array, not one rate at a time, rounds one cross speed differently
+        for seed in (*range(300), 1252):
+            geometry = random_sky_geometry(np.random.default_rng(seed), n_sats=n_sats)
+            positions, velocities = per_satellite_sky(np.random.default_rng(seed), n_sats)
+            assert np.array_equal(geometry.positions, positions), seed
+            assert np.array_equal(geometry.velocities, velocities), seed
+
     @pytest.mark.parametrize("seed", range(4))
     def test_elevation_band_and_speeds(self, seed):
         geometry = random_sky_geometry(stream(seed, "sky"))
