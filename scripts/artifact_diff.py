@@ -8,8 +8,9 @@ list of quick commands at seeds 0 and 7 once under each tree's ``src/``
 (among them ``plan`` on a deployment whose gap takes exactly t_max and,
 with and without ``--strict``, for the smartphone receiver,
 ``calibrate --samples-csv`` on the samples that tree's own
-``calibrate`` run wrote at the same seed and on a few hand-written
-sample files, static handovers whose config
+``calibrate`` runs wrote at the same seed and on a few hand-written
+sample files, a ``calibrate`` of 1,800 samples near 1e14 ns, whose
+sum is past 2**53, static handovers whose config
 blocks the receiver up to and past t_max, a strict raw public clock
 judged against a budget it misses and one it fits, a sweep past the
 reacquisition map's slow offset, a static handover and a sweep whose config,
@@ -61,8 +62,12 @@ COMMANDS = (
     ("plan", {"deployment": {"receiver": "smartphone"}}),
     ("plan", "--strict", {"deployment": {"receiver": "smartphone"}}),
     ("sync-compare",),
+    # "{previous}" in an argument is the run directory of the command before, at the same seed
     ("calibrate",),
-    ("calibrate", "--samples-csv", "{calibrate}/delay_samples.csv"),
+    ("calibrate", "--samples-csv", "{previous}/delay_samples.csv"),
+    # n·max|ns| = 1,800 · 1e14 ns, past 2**53: the exact integer sum, not the float64 one
+    ("calibrate", {"delay_model": {"mean_delay_ms": 1e8}}),
+    ("calibrate", "--samples-csv", "{previous}/delay_samples.csv"),
     *(("calibrate", "--samples-csv", f"{{samples}}/{name}.csv") for name in SAMPLES),
     ("sweep", "--trials", "1"),
     ("sweep", "--receiver", "smartphone", "--trials", "1"),
@@ -102,12 +107,12 @@ def run_commands(tree: Path, out: Path, samples: Path) -> dict[str, int]:
     env["PYTHONPATH"] = str(tree / "src")
     codes = {}
     for seed in SEEDS:
-        # "{calibrate}" in an argument is the run directory of this seed's plain calibrate
-        calibrate = out / f"seed{seed}/{COMMANDS.index(('calibrate',))}-calibrate"
+        previous = None
         for i, command in enumerate(COMMANDS):
             *command, config = command if isinstance(command[-1], dict) else (*command, None)
             name = f"seed{seed}/{i}-{'_'.join(command).replace('/', '-')}"
-            args = [part.format(calibrate=calibrate, samples=samples) for part in command]
+            args = [part.format(previous=previous, samples=samples) for part in command]
+            previous = out / name
             if config is not None:
                 path = out / f"configs/{i}.json"
                 path.parent.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -55,8 +54,9 @@ def true_delay_series(model: DelayModelConfig, count: int, rng: np.random.Genera
     return np.maximum(ns_from_millis(model.mean_delay_ms) / NS_PER_S + walk, 0.0)
 
 
-def measure_sim_delay(model: DelayModelConfig, count: int, rng: np.random.Generator) -> list[TimeOffset]:
-    """Measured delay samples: true process delay plus measurement noise."""
+def measured_delays_ns(model: DelayModelConfig, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Measured delay samples, true process delay plus measurement noise, as a float64
+    array of whole nanoseconds."""
     true = true_delay_series(model, count, rng)
     noise_s = ns_from_millis(model.noise_sigma_ms) / NS_PER_S
     measured = np.maximum(true + rng.normal(0.0, noise_s, count), 0.0)
@@ -65,46 +65,61 @@ def measure_sim_delay(model: DelayModelConfig, count: int, rng: np.random.Genera
     # no int64 cast, a sample of the widest accepted spread may exceed it
     measured *= NS_PER_S
     np.rint(measured, out=measured)
-    return [TimeOffset(int(v)) for v in measured]
+    return measured
 
 
-def calibrate(ns: Sequence[int]) -> DelayCalibration:
+def measure_sim_delay(model: DelayModelConfig, count: int, rng: np.random.Generator) -> list[TimeOffset]:
+    """The samples of ``measured_delays_ns``, one TimeOffset each; kept only for the benchmark
+    tracer, which wraps it by name, until ROADMAP item 2 retires it."""
+    return [TimeOffset(int(v)) for v in measured_delays_ns(model, count, rng)]
+
+
+def calibrate(ns: np.ndarray) -> DelayCalibration:
     """Mean correction with unbiased spread and worst-case residual.
 
-    ``ns`` holds the delay samples as integer nanosecond counts. The
-    correction is the exact integer-nanosecond rounding of the sample
-    mean, so shifting every sample by a constant shifts the correction by
-    exactly that constant.
+    ``ns`` is a float64 array of whole nanoseconds, as ``measured_delays_ns``
+    and ``import_samples_csv`` return. The correction is the exact
+    integer-nanosecond rounding of the sample mean, so shifting every sample
+    by a constant shifts the correction by exactly that constant.
     """
-    if not ns:
+    n = ns.size
+    if n == 0:
         raise EmptySampleSet("cannot calibrate from zero samples")
-    n = len(ns)
-    total = sum(ns)
+    lo, hi = int(ns.min()), int(ns.max())
+    # every partial sum of whole floats is exact while n·max|v| < 2**53; past
+    # that the samples are summed as Python ints
+    total = int(ns.sum()) if n * max(hi, -lo) < 2**53 else sum(map(int, ns.tolist()))
     # floor(mean + 1/2) in exact integers: half-up rounding keeps integer
     # shifts exact, which half-even would break at half-nanosecond means
     correction_ns = (2 * total + n) // (2 * n)
     if n > 1:
-        mean = total / n
-        stddev_ns = round(float(np.sqrt(sum((v - mean) ** 2 for v in ns) / (n - 1))))
+        # squared with libm's pow, as ``(v - mean) ** 2`` squares, which is not always the
+        # correctly rounded ``d * d``, and summed by ``sum`` in sample order
+        squares = map(math.pow, (ns - total / n).tolist(), itertools.repeat(2.0))
+        stddev_ns = round(float(np.sqrt(sum(squares) / (n - 1))))
     else:
         stddev_ns = 0
     # the correction lies between the extremes, so they hold the largest |v - correction|
-    residual_ns = max(max(ns) - correction_ns, correction_ns - min(ns))
+    residual_ns = max(hi - correction_ns, correction_ns - lo)
     return DelayCalibration(correction_ns, stddev_ns, residual_ns, n)
 
 
-def export_samples_csv(path: str | Path, ns: Sequence[int]) -> None:
-    """One row per nanosecond sample, in ms, stamped SAMPLE_INTERVAL_S apart.
+def export_samples_csv(path: str | Path, ns: np.ndarray) -> None:
+    """One row per sample of the whole-nanosecond array ``ns``, in ms, stamped SAMPLE_INTERVAL_S apart.
 
-    The bytes of ``csv.writer`` rows of ``repr`` floats, which never need quoting.
+    The bytes of ``csv.writer`` rows of ``repr`` floats, which never need quoting. A float64
+    division rounds as the division of the sample's integer does.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.writelines(f"{i * SAMPLE_INTERVAL_S!r},{v / NS_PER_MS!r}\r\n" for i, v in enumerate(ns))
+        fh.writelines(
+            f"{i * SAMPLE_INTERVAL_S!r},{ms!r}\r\n" for i, ms in enumerate((ns / NS_PER_MS).tolist())
+        )
 
 
-def import_samples_csv(path: str | Path) -> list[int]:
-    """Read delay samples back in integer ns; a ValueError names the line of a bad header or row.
+def import_samples_csv(path: str | Path) -> np.ndarray:
+    """Read delay samples back as a float64 array of whole ns; a ValueError names the line of a
+    bad header or row.
 
     After the header each line is one row of 2 columns, a finite timestamp and a delay finite
     in ns, and n·(2·max|ns|)² must be finite too: it bounds ``calibrate``'s sum of squared
@@ -145,7 +160,7 @@ def import_samples_csv(path: str | Path) -> list[int]:
     # ns_from_millis for every row in one pass: rint rounds half to even as
     # round() does; no int64 cast, a sample may exceed it
     np.rint(ns, out=ns)
-    return list(map(int, ns.tolist()))
+    return ns
 
 
 def _refusal(path: str | Path) -> ValueError:

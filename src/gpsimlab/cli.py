@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from . import receiver as rcv
 from . import scenarios as sc
-from .calibration import calibrate, export_samples_csv, import_samples_csv, measure_sim_delay
+from .calibration import calibrate, export_samples_csv, import_samples_csv, measured_delays_ns
 from .config import DEFAULTS, Config, ConfigError, DeploymentConfig, config_from_dict, config_to_dict, load_config
 from .ntp import run_sync_comparison
 from .placement import (
@@ -307,7 +307,7 @@ def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
     else:
         out.mkdir(parents=True, exist_ok=True)
         model = cfg.delay_model
-        samples = [s.ns for s in measure_sim_delay(model, model.sample_count, stream(args.seed, "cli", "calibrate"))]
+        samples = measured_delays_ns(model, model.sample_count, stream(args.seed, "cli", "calibrate"))
         export_samples_csv(out / "delay_samples.csv", samples)
     result = calibrate(samples)
     payload = {

@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import receiver as rcv
-from .calibration import calibrate, measure_sim_delay, true_delay_series
+from .calibration import calibrate, measured_delays_ns, true_delay_series
 from .config import DEFAULTS, MAX_MATRIX_STEPS, MAX_TIMELINE_STEPS, Config, ConfigError, DeploymentConfig
 from .ntp import default_topology, run_disciplined_sync
 from .placement import ZeroSpeed, corridor_layout, kmh_to_ms
@@ -234,8 +234,7 @@ def draw_clock(
     correction_ns = 0
     if any(c.calibrated for c in wanted):
         meas_rng = stream(seed, scope, "calmeas", coverage)
-        samples = measure_sim_delay(delay, delay.sample_count, meas_rng)
-        correction_ns = calibrate([s.ns for s in samples]).correction_ns
+        correction_ns = calibrate(measured_delays_ns(delay, delay.sample_count, meas_rng)).correction_ns
     limit_ns = ns_from_millis(cfg.budget.limit_ms)
 
     draws = []
@@ -462,6 +461,11 @@ def _handover(
                 errors.append(horizontal_distances(positions[mine], center))
                 stats[k] = compute_error_stats(errors[-1])
                 latency[k] = float(t_s[mine][0] - step_start[np.argmax(step_coverage == k)])
+        if len(errors) > 1:
+            overall = compute_error_stats(np.concatenate(errors))
+        else:
+            # one coverage's errors are all the errors, so its stats are the overall stats
+            overall = next(iter(stats.values()), None)
         results.append(
             ScenarioResult(
                 t_s=t_s,
@@ -471,7 +475,7 @@ def _handover(
                 coverage_stats=stats,
                 handover_success={k: k in stats for k in latency},
                 first_fix_latency_s=latency,
-                overall=compute_error_stats(np.concatenate(errors)) if errors else None,
+                overall=overall,
                 clock_draws=draws,
                 transitions=tuple(transitions),
             )

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import re
 import sys
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpsimlab.calibration import (
     CSV_HEADER,
@@ -16,6 +17,7 @@ from gpsimlab.calibration import (
     export_samples_csv,
     import_samples_csv,
     measure_sim_delay,
+    measured_delays_ns,
     true_delay_series,
 )
 from gpsimlab.config import DEFAULTS, DEVIATION_SIGMAS, ConfigError, DelayModelConfig, config_from_dict
@@ -29,39 +31,81 @@ SAMPLE_COUNT = 1800
 sample_lists = st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=60)
 
 
-def _ns(samples):
-    return [s.ns for s in samples]
+def _rounded_half_up_mean(ints):
+    """floor(mean + 1/2) of the rational mean of ``ints``."""
+    return (Fraction(sum(ints), len(ints)) + Fraction(1, 2)).__floor__()
+
+
+def _reference_stddev_ns(ints):
+    """``sample_stddev_ns`` computed one sample at a time over Python ints: the mean as a
+    correctly rounded float, each squared deviation by ``** 2``, summed in sample order."""
+    n = len(ints)
+    if n == 1:
+        return 0
+    mean = sum(ints) / n
+    return round(float(np.sqrt(sum((v - mean) ** 2 for v in ints) / (n - 1))))
+
+
+# whole-ns float64 samples: below EXACT_SUM_NS the float64 sum of 60 of them is exact;
+# wide ones reach far past 2**63, while 60·(2·max)² stays finite
+EXACT_SUM_NS = 2**53 // 60
+exact_sum_samples = st.integers(min_value=-EXACT_SUM_NS, max_value=EXACT_SUM_NS).map(float)
+wide_samples = st.one_of(
+    st.floats(min_value=-1e150, max_value=1e150).map(lambda x: float(round(x))),
+    st.sampled_from([2.0**53, -(2.0**53) - 2, 2.0**63, -(2.0**63) - 2048, 2.0**63 + 2**20, 3.0 * 2**70]),
+    exact_sum_samples,
+)
 
 
 class TestCalibrate:
     @given(sample_lists)
     def test_correction_is_rounded_exact_mean(self, samples):
-        # oracle: rational mean rounded half-up, floor(mean + 1/2)
-        mean = Fraction(sum(samples), len(samples))
-        expected = (mean + Fraction(1, 2)).__floor__()
-        assert calibrate(samples).correction_ns == expected
+        assert calibrate(np.array(samples, dtype=float)).correction_ns == _rounded_half_up_mean(samples)
 
     @given(sample_lists, st.integers(min_value=-10**6, max_value=10**6))
     def test_shift_equivariance(self, samples, shift_ns):
         # shifting every sample by a constant shifts the correction by
         # exactly that constant; float averaging would not guarantee this
-        shifted = [s + shift_ns for s in samples]
-        assert calibrate(shifted).correction_ns == calibrate(samples).correction_ns + shift_ns
+        shifted = np.array([s + shift_ns for s in samples], dtype=float)
+        assert calibrate(shifted).correction_ns == calibrate(np.array(samples, dtype=float)).correction_ns + shift_ns
 
     @given(sample_lists)
     def test_residual_bound_is_max_abs_deviation(self, samples):
-        result = calibrate(samples)
+        result = calibrate(np.array(samples, dtype=float))
         brute = max(abs(s - result.correction_ns) for s in samples)
         assert result.residual_bound_ns == brute
 
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=2, max_size=60))
     def test_stddev_matches_unbiased_estimator(self, samples):
-        result = calibrate(samples)
+        result = calibrate(np.array(samples, dtype=float))
         expected = float(np.std(samples, ddof=1))
         assert result.sample_stddev_ns == pytest.approx(expected, rel=1e-9, abs=1.0)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(exact_sum_samples, min_size=1, max_size=60),
+            st.lists(wide_samples, min_size=1, max_size=60).filter(
+                lambda v: len(v) * max(map(abs, v)) >= 2**53
+            ),
+        )
+    )
+    # glibc's pow squares a deviation of this pair one ulp away from the correctly rounded
+    # product, which moves the stddev by 1 ns
+    @example([-5065082199251209216.0, 367541798831473600.0])
+    def test_exact_on_whole_ns_arrays(self, samples):
+        # both sides of n·max|v| = 2**53, where the float64 sum stops being exact
+        ns = np.array(samples)
+        ints = [int(v) for v in samples]
+        result = calibrate(ns)
+        assert result.correction_ns == _rounded_half_up_mean(ints)
+        assert result.residual_bound_ns == max(abs(v - result.correction_ns) for v in ints)
+        assert result.sample_stddev_ns == _reference_stddev_ns(ints)
+        assert result.sample_count == len(ints)
+        assert all(type(v) is int for v in dataclasses.astuple(result))
+
     def test_single_sample(self):
-        result = calibrate([ns_from_millis(31)])
+        result = calibrate(np.array([ns_from_millis(31)], dtype=float))
         assert result.correction_ns == ns_from_millis(31)
         assert result.sample_stddev_ns == 0
         assert result.residual_bound_ns == 0
@@ -69,7 +113,7 @@ class TestCalibrate:
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySampleSet):
-            calibrate([])
+            calibrate(np.array([]))
 
 
 class TestMeasurement:
@@ -80,9 +124,9 @@ class TestMeasurement:
         assert (series >= 0.0).all()
 
     def test_measurement_deterministic(self):
-        a = measure_sim_delay(MODEL, 100, stream(3, "cal"))
-        b = measure_sim_delay(MODEL, 100, stream(3, "cal"))
-        assert a == b
+        a = measured_delays_ns(MODEL, 100, stream(3, "cal"))
+        b = measured_delays_ns(MODEL, 100, stream(3, "cal"))
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("widest", [False, True])
@@ -98,15 +142,18 @@ class TestMeasurement:
         true = true_delay_series(model, count, rng)
         noise_s = ns_from_millis(model.noise_sigma_ms) / NS_PER_S
         measured = np.maximum(true + rng.normal(0.0, noise_s, count), 0.0)
-        samples = measure_sim_delay(model, count, stream(seed, "cal", "round"))
-        assert samples == [TimeOffset(ns_from_seconds(s)) for s in measured]
-        assert all(type(s.ns) is int for s in samples)
-        assert (max(s.ns for s in samples) > 2**63) is widest
+        samples = measured_delays_ns(model, count, stream(seed, "cal", "round"))
+        assert samples.dtype == np.float64
+        assert samples.tolist() == [ns_from_seconds(s) for s in measured]
+        assert (samples.max() > 2**63) == widest
+        # the per-sample view the benchmark tracer wraps
+        view = measure_sim_delay(model, count, stream(seed, "cal", "round"))
+        assert view == [TimeOffset(ns_from_seconds(s)) for s in measured]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_correction_lands_near_process_mean(self, seed):
-        samples = measure_sim_delay(MODEL, SAMPLE_COUNT, stream(seed, "cal", "run"))
-        correction_ns = calibrate(_ns(samples)).correction_ns
+        samples = measured_delays_ns(MODEL, SAMPLE_COUNT, stream(seed, "cal", "run"))
+        correction_ns = calibrate(samples).correction_ns
         assert correction_ns / NS_PER_MS == pytest.approx(30.0, abs=1.5)
 
     def test_apply_correction_touches_only_sim_delay(self):
@@ -114,8 +161,8 @@ class TestMeasurement:
         # measurement run from the true delay and keeps the other two parts
         model = DEFAULTS.delay_model
         raw, cal = sc.draw_clock(5, "cal", 2, (sc.PRIVATE_RAW, sc.PRIVATE_CALIBRATED))
-        samples = measure_sim_delay(model, model.sample_count, stream(5, "cal", "calmeas", 2))
-        correction_ns = calibrate(_ns(samples)).correction_ns
+        samples = measured_delays_ns(model, model.sample_count, stream(5, "cal", "calmeas", 2))
+        correction_ns = calibrate(samples).correction_ns
         truth_ns = ns_from_seconds(
             float(true_delay_series(model, model.sample_count, stream(5, "cal", "simdelay", 2))[-1])
         )
@@ -128,8 +175,8 @@ class TestMeasurement:
         # after removing the correction the remaining process delay is a
         # fraction of the original 30 ms mean
         for seed in range(4):
-            samples = measure_sim_delay(MODEL, SAMPLE_COUNT, stream(seed, "meas"))
-            correction_ns = calibrate(_ns(samples)).correction_ns
+            samples = measured_delays_ns(MODEL, SAMPLE_COUNT, stream(seed, "meas"))
+            correction_ns = calibrate(samples).correction_ns
             truth_ns = ns_from_seconds(float(true_delay_series(MODEL, SAMPLE_COUNT, stream(seed, "truth"))[-1]))
             assert abs(truth_ns - correction_ns) / NS_PER_MS < 5.0
 
@@ -142,12 +189,13 @@ SQUARE_BOUND_NS = int(0.99 * math.sqrt(sys.float_info.max / ROUND_TRIP_MAX_SAMPL
 # nanosecond together; 4_303_762_013_691_171 (about 2**52) already reads back one less
 EXACT_NS = 2**51
 
+# whole-ns float64 values; past 2**53 an integer maps to its nearest float64
 round_trip_ns = st.lists(
     st.one_of(
         st.integers(min_value=-EXACT_NS, max_value=EXACT_NS),
         st.integers(min_value=-SQUARE_BOUND_NS, max_value=SQUARE_BOUND_NS),
-        st.sampled_from([2**53 + 1, -(2**53) - 3, 2**63, -(2**63) - 1, 2**63 + 2**20, SQUARE_BOUND_NS]),
-    ),
+        st.sampled_from([2**53 + 2, -(2**53) - 4, 2**63, -(2**63) - 2048, 2**63 + 2**20, SQUARE_BOUND_NS]),
+    ).map(float),
     min_size=1,
     max_size=ROUND_TRIP_MAX_SAMPLES,
 )
@@ -188,7 +236,7 @@ def _read_rows_one_at_a_time(path):
 
 def _import_outcome(path):
     try:
-        return ("ints", import_samples_csv(path))
+        return ("ints", import_samples_csv(path).tolist())
     except EmptySampleSet:
         return ("empty",)
     except ValueError as exc:
@@ -235,21 +283,22 @@ class TestCsv:
     @given(round_trip_ns)
     def test_round_trip_reads_back_rounded_millis(self, tmp_path_factory, ns):
         path = tmp_path_factory.mktemp("round-trip") / "samples.csv"
-        export_samples_csv(path, ns)
+        export_samples_csv(path, np.array(ns))
         read = import_samples_csv(path)
-        assert read == [round(v / NS_PER_MS * NS_PER_MS) for v in ns]
+        assert read.dtype == np.float64
+        assert read.tolist() == [round(int(v) / NS_PER_MS * NS_PER_MS) for v in ns]
         if all(abs(v) <= EXACT_NS for v in ns):
-            assert read == ns
+            assert read.tolist() == ns
 
     def test_round_trip_exact(self, tmp_path):
-        samples = _ns(measure_sim_delay(MODEL, 64, stream(11, "csv")))
+        samples = measured_delays_ns(MODEL, 64, stream(11, "csv"))
         path = tmp_path / "samples.csv"
         export_samples_csv(path, samples)
-        assert import_samples_csv(path) == samples
+        assert import_samples_csv(path).tobytes() == samples.tobytes()
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "samples.csv"
-        export_samples_csv(path, [ns_from_millis(30)])
+        export_samples_csv(path, np.array([ns_from_millis(30)], dtype=float))
         first = path.read_text().splitlines()[0]
         assert first.split(",") == list(CSV_HEADER)
 
@@ -258,13 +307,16 @@ class TestCsv:
         [
             [0],
             [-1, -(10**6), -30_123_456_789],
-            [2**53 + 1, -(2**53) - 3, 2**60 + 12345],
-            [2**63 + 2**20, -(2**63) - 2**20, 2**70 + 1, 10**300],
+            # float64 neighbours of 2**53 + 1, -(2**53) - 3, 2**60 + 12345, 2**70 + 1 and 10**300
+            [2**53 + 2, -(2**53) - 4, 2**60 + 12288],
+            [2**63 + 2**20, -(2**63) - 2**20, 2**70 + 2**18, int(1e300)],
             list(range(-100_000, 100_000, 1)),
         ],
         ids=["zero", "negative", "above-2^53", "above-2^63", "200000"],
     )
     def test_bytes_match_csv_writer_of_reprs(self, tmp_path, samples):
+        array = np.array(samples, dtype=float)
+        assert array.tolist() == samples
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -272,7 +324,7 @@ class TestCsv:
             for i, ns in enumerate(samples):
                 writer.writerow([repr(i * SAMPLE_INTERVAL_S), repr(ns / NS_PER_MS)])
         path = tmp_path / "samples.csv"
-        export_samples_csv(path, samples)
+        export_samples_csv(path, array)
         assert path.read_bytes() == reference.read_bytes()
 
     def test_samples_above_int64_read_back_exact(self, tmp_path):
@@ -283,9 +335,9 @@ class TestCsv:
         rows = "".join(f"{i}.0,{v / NS_PER_MS!r}\n" for i, v in enumerate(samples))
         path.write_text(",".join(CSV_HEADER) + "\n" + rows)
         read = import_samples_csv(path)
-        assert read == [round(v / NS_PER_MS * NS_PER_MS) for v in samples]
-        assert read[:3] == samples[:3]
-        assert all(type(v) is int for v in read)
+        assert read.dtype == np.float64
+        assert read.tolist() == [round(v / NS_PER_MS * NS_PER_MS) for v in samples]
+        assert read[:3].tolist() == samples[:3]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -5,6 +5,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -524,7 +525,9 @@ class TestCalibrate:
             assert code == EXIT_OK
             payload = json.loads((out / "calibration.json").read_text())
             assert payload["sample_count"] == len(outcome)
-            assert import_samples_csv(path) == outcome
+            read = import_samples_csv(path)
+            assert read.dtype == np.float64
+            assert read.tolist() == outcome
 
 
 class TestSyncCompare:

@@ -287,6 +287,20 @@ class TestStaticHandover:
         assert stats.count == np.count_nonzero(result.coverage == 0)
         assert stats.p95_m >= stats.avg_m > 0.0
 
+    def test_one_coverage_overall_is_its_coverage_stats(self, monkeypatch):
+        # the overall stats of a one-coverage timeline are not computed a second time
+        computed = []
+
+        def counted(errors):
+            computed.append(len(errors))
+            return compute(errors)
+
+        compute = sc.compute_error_stats
+        monkeypatch.setattr(sc, "compute_error_stats", counted)
+        result = sc.run_static_handover(sc.PRIVATE_RAW, seed=2)
+        assert result.overall == result.coverage_stats[0]
+        assert computed == [result.coverage_stats[0].count]
+
     def test_deterministic(self):
         a = sc.run_static_handover(sc.PUBLIC_RAW, seed=5)
         b = sc.run_static_handover(sc.PUBLIC_RAW, seed=5)
@@ -453,6 +467,19 @@ class TestDynamicTraversal:
         assert all(result.handover_success.values())
         assert result.overall is not None
         assert result.overall.count > 100
+
+    def test_overall_pools_every_coverage(self):
+        scenario = sc.default_driving_scenario()
+        result = sc.run_dynamic_traversal(scenario, seed=0)
+        dep = scenario.deployment
+        centers_m = corridor_layout(dep.radius_m, dep.separation_m).centers_m
+        errors = [
+            sc.horizontal_distances(result.positions[result.coverage == k], np.array([c, 0.0, 0.0]))
+            for k, c in enumerate(centers_m)
+        ]
+        assert [e.size for e in errors] == [result.coverage_stats[k].count for k in range(len(centers_m))]
+        assert result.overall == sc.compute_error_stats(np.concatenate(errors))
+        assert result.overall.count == sum(e.size for e in errors)
 
     def test_fixes_only_inside_their_coverage(self):
         scenario = sc.default_driving_scenario()
