@@ -5,8 +5,9 @@
 
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
 list of quick commands at seeds 0 and 7 once under each tree's ``src/``
-(among them ``plan`` on a deployment whose gap takes exactly t_max and,
-with and without ``--strict``, for the smartphone receiver,
+(among them ``sync-compare`` over one poll and over a day, ``plan`` on a
+deployment whose gap takes exactly t_max and, with and without
+``--strict``, for the smartphone receiver,
 ``calibrate --samples-csv`` on the samples that tree's own
 ``calibrate`` runs wrote at the same seed and on a few hand-written
 sample files, a ``calibrate`` of 1,800 samples near 1e14 ns, whose
@@ -62,6 +63,9 @@ COMMANDS = (
     ("plan", {"deployment": {"receiver": "smartphone"}}),
     ("plan", "--strict", {"deployment": {"receiver": "smartphone"}}),
     ("sync-compare",),
+    # one poll, fewer than WARMUP_POLLS, so the maxima cover every poll; and the benchmark's day
+    ("sync-compare", {"sync": {"duration_s": 16.0}}),
+    ("sync-compare", {"sync": {"duration_s": 86400.0}}),
     # "{previous}" in an argument is the run directory of the command before, at the same seed
     ("calibrate",),
     ("calibrate", "--samples-csv", "{previous}/delay_samples.csv"),

@@ -108,13 +108,13 @@ def export_samples_csv(path: str | Path, ns: np.ndarray) -> None:
     """One row per sample of the whole-nanosecond array ``ns``, in ms, stamped SAMPLE_INTERVAL_S apart.
 
     The bytes of ``csv.writer`` rows of ``repr`` floats, which never need quoting. A float64
-    division rounds as the division of the sample's integer does.
+    division rounds as the division of the sample's integer does. With the 1 s interval the
+    timestamp ``f"{i}.0"`` is the text of ``repr(i * SAMPLE_INTERVAL_S)`` for every count up
+    to the 10^6 cap.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.writelines(
-            f"{i * SAMPLE_INTERVAL_S!r},{ms!r}\r\n" for i, ms in enumerate((ns / NS_PER_MS).tolist())
-        )
+        fh.writelines(f"{i}.0,{ms!r}\r\n" for i, ms in enumerate((ns / NS_PER_MS).tolist()))
 
 
 def import_samples_csv(path: str | Path) -> np.ndarray:

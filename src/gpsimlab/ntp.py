@@ -85,23 +85,9 @@ class LinkModel:
         up, down = ns.T.tolist()
         return list(map(int, up)), list(map(int, down))
 
-    def mean_one_way(self) -> tuple[float, float]:
-        """Expected (up, down) delays; log-normal mean is median*exp(sigma^2/2)."""
-        jitter = self.jitter_median_s * np.exp(self.jitter_sigma**2 / 2.0)
-        return self.base_delay_up_s + self.asymmetry_bias_s + jitter, self.base_delay_down_s + jitter
 
-
-@dataclass(frozen=True)
-class OffsetEstimate:
-    """Result of one exchange."""
-
-    offset_ns: int
-    round_trip_s: float
-    root_dispersion_s: float
-
-
-def ntp_exchange(client_offset_ns: int, server_offset_ns: int, up: int, down: int) -> OffsetEstimate:
-    """One four-timestamp exchange between two clocks' true offsets.
+def ntp_exchange(client_offset_ns: int, server_offset_ns: int, up: int, down: int) -> tuple[int, float]:
+    """One four-timestamp exchange between two clocks' true offsets: ``(offset_ns, root_dispersion_s)``.
 
     ``up`` and ``down`` are the exchange's sampled one-way delays in
     nanoseconds (``LinkModel.delays_ns``). The server responds instantly
@@ -114,54 +100,33 @@ def ntp_exchange(client_offset_ns: int, server_offset_ns: int, up: int, down: in
     t3 = t2
     t4 = up + down + client_offset_ns
     round_trip_s = ((t4 - t1) - (t3 - t2)) / NS_PER_S
-    return OffsetEstimate(
-        offset_ns=round(((t2 - t1) + (t3 - t4)) * 0.5),
-        round_trip_s=round_trip_s,
-        root_dispersion_s=abs(server_offset_ns) / NS_PER_S + round_trip_s / 2.0,
-    )
+    return round(((t2 - t1) + (t3 - t4)) * 0.5), abs(server_offset_ns) / NS_PER_S + round_trip_s / 2.0
 
 
-@dataclass(frozen=True)
-class DisciplinedClock:
-    """Client clock state under periodic correction."""
-
-    offset_truth_ns: int
-    estimated_max_error_s: float
-    last_estimate_offset_ns: int | None = None
-    dispersion_s: float = 0.0
-
-    @classmethod
-    def start(cls, initial_offset_ns: int) -> "DisciplinedClock":
-        return cls(initial_offset_ns, abs(initial_offset_ns) / NS_PER_S + ERROR_FLOOR_S)
+# A client clock, (offset_truth_ns, last_estimate_ns, dispersion_s); (offset_ns, None, 0.0) before any poll.
+Clock = tuple[int, int | None, float]
 
 
-def discipline_step(clock: DisciplinedClock, estimate: OffsetEstimate) -> DisciplinedClock:
-    """Apply one estimate to the clock.
+def discipline_step(clock: Clock, offset_ns: int, root_dispersion_s: float) -> tuple[Clock, float]:
+    """Apply one ``ntp_exchange`` estimate to the clock: ``(clock, estimated_max_error_s)``.
 
     The clock slews toward the estimate by GAIN, clipped to the slew
     limit. The estimated maximum error is rebuilt from the unapplied
     remainder, the estimate's root dispersion, and the tracked spread of
     successive estimates, so it stays above the true offset.
     """
-    offset_ns = estimate.offset_ns
+    offset_truth_ns, last_estimate_ns, dispersion_s = clock
     correction_ns = min(max(round(offset_ns * GAIN), -SLEW_LIMIT_NS), SLEW_LIMIT_NS)
     residual_s = abs(offset_ns - correction_ns) / NS_PER_S
 
-    if clock.last_estimate_offset_ns is not None:
-        jump_s = abs(offset_ns - clock.last_estimate_offset_ns) / NS_PER_S
-        dispersion_s = 0.5 * clock.dispersion_s + 0.5 * jump_s
+    if last_estimate_ns is not None:
+        jump_s = abs(offset_ns - last_estimate_ns) / NS_PER_S
+        dispersion_s = 0.5 * dispersion_s + 0.5 * jump_s
     else:
         dispersion_s = 0.0
 
-    return DisciplinedClock(
-        offset_truth_ns=clock.offset_truth_ns + correction_ns,
-        estimated_max_error_s=ERROR_FLOOR_S + residual_s + estimate.root_dispersion_s + dispersion_s,
-        last_estimate_offset_ns=offset_ns,
-        dispersion_s=dispersion_s,
-    )
-
-
-# Topologies for the connection/server comparison matrix.
+    bound_s = ERROR_FLOOR_S + residual_s + root_dispersion_s + dispersion_s
+    return (offset_truth_ns + correction_ns, offset_ns, dispersion_s), bound_s
 
 
 @dataclass(frozen=True)
@@ -181,16 +146,8 @@ class SyncTopology:
 
 
 @dataclass(frozen=True)
-class SyncSample:
-    at_s: float
-    offset_truth_ns: int
-    estimated_max_error_s: float
-
-
-@dataclass(frozen=True)
 class SyncRunResult:
-    samples: tuple[SyncSample, ...]
-    final: DisciplinedClock
+    samples: tuple[tuple[int, float], ...]
     max_estimated_error_s: float
     max_abs_offset_s: float
     bound_held: bool
@@ -203,11 +160,12 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
     poll each hop synchronizes fully to the node above it, inheriting its
     offset plus half of its own link's sampled asymmetry. The client
     starts INITIAL_OFFSET_NS off and polls the last hop (or the root) every
-    POLL_INTERVAL_S. The result records, per poll, the true client offset
-    and the estimated maximum error, plus whether the bound held at every
-    poll. The reported maxima skip the first WARMUP_POLLS polls so they
-    describe the settled clock rather than the initial convergence
-    transient; the bound check still covers every poll.
+    POLL_INTERVAL_S. The result's ``samples`` hold one
+    ``(offset_truth_ns, estimated_max_error_s)`` pair per poll, and
+    ``bound_held`` whether the bound held at every poll. The reported
+    maxima skip the first WARMUP_POLLS polls so they describe the settled
+    clock rather than the initial convergence transient; the bound check
+    still covers every poll.
     """
     polls = int(duration_s // POLL_INTERVAL_S)
     if polls < 1:
@@ -238,7 +196,7 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
 
     root_offset_ns = 0
     hop_offsets_ns = [0] * hops
-    clock = DisciplinedClock.start(INITIAL_OFFSET_NS)
+    clock = (INITIAL_OFFSET_NS, None, 0.0)
     samples = []
     for k, (root_step, *hop_steps) in enumerate(steps.tolist(), start=1):
         root_offset_ns += int(root_step)
@@ -247,21 +205,20 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
         if hops and k % HOP_SYNC_EVERY == 1:
             upstream_ns = root_offset_ns
             for j, delay in enumerate(hop_delays):
-                hop_offsets_ns[j] += ntp_exchange(hop_offsets_ns[j], upstream_ns, *next(delay)).offset_ns
+                hop_offsets_ns[j] += ntp_exchange(hop_offsets_ns[j], upstream_ns, *next(delay))[0]
                 upstream_ns = hop_offsets_ns[j]
 
         server_ns = hop_offsets_ns[-1] if hops else root_offset_ns
-        estimate = ntp_exchange(clock.offset_truth_ns, server_ns, *next(client_delays))
-        clock = discipline_step(clock, estimate)
-        samples.append(SyncSample(k * POLL_INTERVAL_S, clock.offset_truth_ns, clock.estimated_max_error_s))
+        clock, bound_s = discipline_step(clock, *ntp_exchange(clock[0], server_ns, *next(client_delays)))
+        samples.append((clock[0], bound_s))
 
     settled = samples[WARMUP_POLLS:] if len(samples) > WARMUP_POLLS else samples
+    truths_ns, bounds_s = zip(*settled)
     return SyncRunResult(
         samples=tuple(samples),
-        final=clock,
-        max_estimated_error_s=max(s.estimated_max_error_s for s in settled),
-        max_abs_offset_s=max(abs(s.offset_truth_ns) for s in settled) / NS_PER_S,
-        bound_held=all(abs(s.offset_truth_ns) / NS_PER_S <= s.estimated_max_error_s for s in samples),
+        max_estimated_error_s=max(bounds_s),
+        max_abs_offset_s=max(map(abs, truths_ns)) / NS_PER_S,
+        bound_held=all(abs(truth_ns) / NS_PER_S <= bound_s for truth_ns, bound_s in samples),
     )
 
 
@@ -270,39 +227,38 @@ def run_disciplined_sync(topology: SyncTopology, duration_s: float, seed: int) -
 # picked so each cell's estimated maximum error lands near values commonly
 # observed for that combination. A private server one wired hop away is
 # nearly ideal; a public pool reached over a cellular uplink is dominated
-# by the large, persistent asymmetry of that path.
-
-WIRED_PRIVATE_LINK = LinkModel(
-    base_delay_up_s=0.0004,
-    base_delay_down_s=0.0004,
-    asymmetry_bias_s=0.0002,
-    jitter_median_s=0.00005,
-    jitter_sigma=0.5,
-)
-
-WIRED_PUBLIC_CLIENT_LINK = LinkModel(
-    base_delay_up_s=0.0035,
-    base_delay_down_s=0.0035,
-    asymmetry_bias_s=0.006,
-    jitter_median_s=0.0008,
-    jitter_sigma=0.6,
-)
-
-LTE_PRIVATE_LINK = LinkModel(
-    base_delay_up_s=0.012,
-    base_delay_down_s=0.010,
-    asymmetry_bias_s=0.005,
-    jitter_median_s=0.0015,
-    jitter_sigma=0.5,
-)
-
-LTE_PUBLIC_CLIENT_LINK = LinkModel(
-    base_delay_up_s=0.018,
-    base_delay_down_s=0.014,
-    asymmetry_bias_s=0.090,
-    jitter_median_s=0.0025,
-    jitter_sigma=0.6,
-)
+# by the large, persistent asymmetry of that path. CLIENT_LINKS holds each
+# cell's client link, keyed (connection, server type).
+CLIENT_LINKS = {
+    ("wired", "private"): LinkModel(
+        base_delay_up_s=0.0004,
+        base_delay_down_s=0.0004,
+        asymmetry_bias_s=0.0002,
+        jitter_median_s=0.00005,
+        jitter_sigma=0.5,
+    ),
+    ("wired", "public"): LinkModel(
+        base_delay_up_s=0.0035,
+        base_delay_down_s=0.0035,
+        asymmetry_bias_s=0.006,
+        jitter_median_s=0.0008,
+        jitter_sigma=0.6,
+    ),
+    ("wireless", "private"): LinkModel(
+        base_delay_up_s=0.012,
+        base_delay_down_s=0.010,
+        asymmetry_bias_s=0.005,
+        jitter_median_s=0.0015,
+        jitter_sigma=0.5,
+    ),
+    ("wireless", "public"): LinkModel(
+        base_delay_up_s=0.018,
+        base_delay_down_s=0.014,
+        asymmetry_bias_s=0.090,
+        jitter_median_s=0.0025,
+        jitter_sigma=0.6,
+    ),
+}
 
 POOL_HOP_LINK = LinkModel(
     base_delay_up_s=0.0025,
@@ -323,20 +279,14 @@ SERVER_TYPES = ("public", "private")
 def default_topology(connection: str, server_type: str) -> SyncTopology:
     """A private server one hop away, or a public pool POOL_DEPTH hops deep."""
     key = (connection, server_type)
-    links = {
-        ("wired", "private"): WIRED_PRIVATE_LINK,
-        ("wired", "public"): WIRED_PUBLIC_CLIENT_LINK,
-        ("wireless", "private"): LTE_PRIVATE_LINK,
-        ("wireless", "public"): LTE_PUBLIC_CLIENT_LINK,
-    }
-    if key not in links:
+    if key not in CLIENT_LINKS:
         raise ValueError(f"unknown matrix cell {key}")
     name = f"{connection}_{server_type}"
     if server_type == "private":
-        return SyncTopology(name=name, client_link=links[key])
+        return SyncTopology(name=name, client_link=CLIENT_LINKS[key])
     return SyncTopology(
         name=name,
-        client_link=links[key],
+        client_link=CLIENT_LINKS[key],
         hop_links=(POOL_HOP_LINK,) * POOL_DEPTH,
         hop_wander_sigma_s=POOL_HOP_WANDER_S,
         root_wander_sigma_s=POOL_ROOT_WANDER_S,

@@ -224,7 +224,7 @@ def draw_clock(
             default_topology("wireless", server),
             NTP_WARMUP_S,
             derive_seed(seed, scope, "ntp", server, coverage),
-        ).final
+        ).samples[-1]
         for server in dict.fromkeys(c.server_type for c in wanted)
     }
     delay_rng = stream(seed, scope, "simdelay", coverage)
@@ -239,10 +239,10 @@ def draw_clock(
 
     draws = []
     for config in wanted:
-        sync = syncs[config.server_type]
+        ntp_error_ns, ntp_bound_s = syncs[config.server_type]
         sim_delay_ns = true_delay_ns - correction_ns if config.calibrated else true_delay_ns
-        parts = (sim_delay_ns, sync.offset_truth_ns, ref_error_ns)
-        draws.append(ClockDraw(*parts, sync.estimated_max_error_s, within_budget(sum(parts), limit_ns)))
+        parts = (sim_delay_ns, ntp_error_ns, ref_error_ns)
+        draws.append(ClockDraw(*parts, ntp_bound_s, within_budget(sum(parts), limit_ns)))
     return draws[0] if single else tuple(draws)
 
 

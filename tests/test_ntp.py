@@ -4,15 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from gpsimlab.ntp import (
     CONNECTIONS,
-    DisciplinedClock,
     HOP_SYNC_EVERY,
     INITIAL_OFFSET_NS,
     LinkModel,
-    OffsetEstimate,
     POLL_INTERVAL_S,
     SERVER_TYPES,
     SyncRunResult,
-    SyncSample,
     SyncTopology,
     WARMUP_POLLS,
     default_topology,
@@ -40,27 +37,28 @@ def _delays(link, rng):
 class TestExchange:
     def test_symmetric_link_true_server_is_exact(self):
         client_ns = 12 * NS_PER_MS
-        est = ntp_exchange(client_ns, 0, *_delays(SYMMETRIC, _rng()))
-        assert est.offset_ns == -client_ns
+        offset_ns, _ = ntp_exchange(client_ns, 0, *_delays(SYMMETRIC, _rng()))
+        assert offset_ns == -client_ns
 
     def test_round_trip_equals_sampled_path(self):
         link = LinkModel(base_delay_up_s=0.010, base_delay_down_s=0.003, asymmetry_bias_s=0.001)
-        est = ntp_exchange(-4 * NS_PER_MS, 2 * NS_PER_MS, *_delays(link, _rng()))
-        assert est.round_trip_s == pytest.approx(0.014, abs=1e-12)
+        _, root_dispersion_s = ntp_exchange(-4 * NS_PER_MS, 2 * NS_PER_MS, *_delays(link, _rng()))
+        # the server's 2 ms plus half the 14 ms round trip
+        assert root_dispersion_s == pytest.approx(2 * NS_PER_MS / NS_PER_S + 0.014 / 2.0, abs=1e-12)
 
     def test_error_is_server_offset_plus_half_asymmetry(self):
         # deterministic link: up = 8 ms, down = 2 ms, so the estimator is
         # wrong by exactly theta_server + 3 ms no matter the client offset
         client_ns = -7 * NS_PER_MS
         link = LinkModel(base_delay_up_s=0.008, base_delay_down_s=0.002)
-        est = ntp_exchange(client_ns, 5 * NS_PER_MS, *_delays(link, _rng()))
+        offset_ns, _ = ntp_exchange(client_ns, 5 * NS_PER_MS, *_delays(link, _rng()))
         ideal_ns = -client_ns
-        error_ns = est.offset_ns - ideal_ns
+        error_ns = offset_ns - ideal_ns
         assert error_ns == 8 * NS_PER_MS
 
     def test_mean_error_matches_link_expectation(self):
         # Monte Carlo over the lognormal jitter; the persistent bias must
-        # survive averaging and match mean_one_way to CLT accuracy
+        # survive averaging and match the expected delays to CLT accuracy
         server_ns = 1 * NS_PER_MS
         link = LinkModel(
             base_delay_up_s=0.004,
@@ -70,14 +68,18 @@ class TestExchange:
             jitter_sigma=0.5,
         )
         ups, downs = link.delays_ns(_rng(1).standard_normal((4000, 2)))
-        errors = [ntp_exchange(0, server_ns, up, down).offset_ns / NS_PER_S for up, down in zip(ups, downs)]
-        up, down = link.mean_one_way()
+        errors = [ntp_exchange(0, server_ns, up, down)[0] / NS_PER_S for up, down in zip(ups, downs)]
+        # the log-normal mean is median * exp(sigma^2 / 2)
+        jitter = link.jitter_median_s * np.exp(link.jitter_sigma**2 / 2.0)
+        up = link.base_delay_up_s + link.asymmetry_bias_s + jitter
+        down = link.base_delay_down_s + jitter
         predicted = server_ns / NS_PER_S + (up - down) / 2.0
         assert np.mean(errors) == pytest.approx(predicted, abs=1e-4)
 
     def test_dispersion_defaults_to_true_offset_plus_half_rtt(self):
-        est = ntp_exchange(0, -3 * NS_PER_MS, *_delays(SYMMETRIC, _rng()))
-        assert est.root_dispersion_s == pytest.approx(0.003 + est.round_trip_s / 2.0)
+        # 4 ms each way: an 8 ms round trip
+        _, root_dispersion_s = ntp_exchange(0, -3 * NS_PER_MS, *_delays(SYMMETRIC, _rng()))
+        assert root_dispersion_s == pytest.approx(0.003 + 0.008 / 2.0)
 
 
 class TestChain:
@@ -89,7 +91,8 @@ class TestChain:
         for depth in (1, 2, 3):
             topology = SyncTopology("chain", SYMMETRIC, hop_links=(hop_link,) * depth)
             result = run_disciplined_sync(topology, 64 * POLL_INTERVAL_S, seed=0)
-            assert result.final.offset_truth_ns / NS_PER_S == pytest.approx(depth * 1e-3, abs=1e-9)
+            offset_truth_ns, _ = result.samples[-1]
+            assert offset_truth_ns / NS_PER_S == pytest.approx(depth * 1e-3, abs=1e-9)
 
     def test_deeper_chain_is_noisier(self):
         # same seeds, one vs three asymmetric, jittery hops: more hops, more error
@@ -104,7 +107,7 @@ class TestChain:
             topology = SyncTopology("depth", SYMMETRIC, hop_links=(hop_link,) * depth)
             errors[depth] = np.mean(
                 [
-                    abs(run_disciplined_sync(topology, 10 * POLL_INTERVAL_S, trial).final.offset_truth_ns)
+                    abs(run_disciplined_sync(topology, 10 * POLL_INTERVAL_S, trial).samples[-1][0])
                     / NS_PER_S
                     for trial in range(40)
                 ]
@@ -113,41 +116,41 @@ class TestChain:
 
 
 class TestDiscipline:
-    def _poll(self, clock, polls, link=SYMMETRIC, server_offset_ns=0):
+    def _poll(self, start_ns, polls, link=SYMMETRIC, server_offset_ns=0):
+        """(offset_truth_ns, estimated_max_error_s) after each poll of a clock started ``start_ns`` off."""
+        clock = (start_ns, None, 0.0)
         states = []
         rng = _rng(3)
         for _ in range(polls):
-            estimate = ntp_exchange(clock.offset_truth_ns, server_offset_ns, *_delays(link, rng))
-            clock = discipline_step(clock, estimate)
-            states.append(clock)
+            estimate = ntp_exchange(clock[0], server_offset_ns, *_delays(link, rng))
+            clock, bound_s = discipline_step(clock, *estimate)
+            states.append((clock[0], bound_s))
         return states
 
     def test_settles_within_five_polls(self):
-        clock = DisciplinedClock.start(10 * NS_PER_MS)
-        states = self._poll(clock, 5)
+        states = self._poll(10 * NS_PER_MS, 5)
         # gain 0.5 halves the offset per poll: 10 ms -> ~0.31 ms
-        assert abs(states[-1].offset_truth_ns) / NS_PER_S < 0.05 * 0.010
-        assert abs(states[-1].offset_truth_ns) == pytest.approx(10e6 / 32, rel=0.01)
+        offset_truth_ns, _ = states[-1]
+        assert abs(offset_truth_ns) / NS_PER_S < 0.05 * 0.010
+        assert abs(offset_truth_ns) == pytest.approx(10e6 / 32, rel=0.01)
 
     def test_slew_limit_caps_correction(self):
         # a 1 s offset wants a 0.5 s correction; the 0.25 s limit clamps it
         # from above for a clock behind, from below for one ahead
         for start_ns, after_ns in ((NS_PER_S, 750_000_000), (-NS_PER_S, -750_000_000)):
-            states = self._poll(DisciplinedClock.start(start_ns), 1)
-            assert states[0].offset_truth_ns == after_ns
+            [(offset_truth_ns, _)] = self._poll(start_ns, 1)
+            assert offset_truth_ns == after_ns
 
     def test_bound_dominates_truth_during_convergence(self):
-        clock = DisciplinedClock.start(40 * NS_PER_MS)
-        for state in self._poll(clock, 12):
-            assert state.estimated_max_error_s >= abs(state.offset_truth_ns) / NS_PER_S
+        for offset_truth_ns, bound_s in self._poll(40 * NS_PER_MS, 12):
+            assert bound_s >= abs(offset_truth_ns) / NS_PER_S
 
     def test_bound_dominates_truth_with_lying_server(self):
         # a wrong upstream plus asymmetry: bound must still hold because
         # the server advertises its own absolute offset
         link = LinkModel(base_delay_up_s=0.009, base_delay_down_s=0.002)
-        clock = DisciplinedClock.start(10 * NS_PER_MS)
-        for state in self._poll(clock, 12, link, 6 * NS_PER_MS):
-            assert state.estimated_max_error_s >= abs(state.offset_truth_ns) / NS_PER_S
+        for offset_truth_ns, bound_s in self._poll(10 * NS_PER_MS, 12, link, 6 * NS_PER_MS):
+            assert bound_s >= abs(offset_truth_ns) / NS_PER_S
 
 
 class TestTopologyRuns:
@@ -156,21 +159,22 @@ class TestTopologyRuns:
     def test_bound_holds_every_poll(self, connection, server_type):
         result = run_disciplined_sync(default_topology(connection, server_type), 480.0, seed=5)
         assert result.bound_held
-        for sample in result.samples:
-            assert sample.estimated_max_error_s >= abs(sample.offset_truth_ns) / NS_PER_S
+        for offset_truth_ns, bound_s in result.samples:
+            assert bound_s >= abs(offset_truth_ns) / NS_PER_S
 
     def test_run_is_deterministic(self):
         a = run_disciplined_sync(default_topology("wireless", "public"), 320.0, seed=9)
         b = run_disciplined_sync(default_topology("wireless", "public"), 320.0, seed=9)
         assert a.samples == b.samples
-        assert a.final == b.final
+        assert a == b
 
     def test_pinned_run(self):
         # one long chain run, bit for bit: any change to the rounding inside
         # the poll loop moves at least one of these figures
         result = run_disciplined_sync(default_topology("wireless", "public"), 3200.0, seed=9)
-        assert result.final.offset_truth_ns == 45245601
-        assert result.final.estimated_max_error_s == 0.06536912553454664
+        offset_truth_ns, bound_s = result.samples[-1]
+        assert offset_truth_ns == 45245601
+        assert bound_s == 0.06536912553454664
         assert result.max_abs_offset_s == 0.049924888
         assert result.max_estimated_error_s == 0.0732416991681549
         assert len(result.samples) == 200
@@ -217,11 +221,7 @@ def _reference_exchange(client_offset_ns, server_offset_ns, link, rng):
     t3 = t2
     t4 = up + down + client_offset_ns
     round_trip_s = ((t4 - t1) - (t3 - t2)) / NS_PER_S
-    return OffsetEstimate(
-        offset_ns=round(((t2 - t1) + (t3 - t4)) * 0.5),
-        round_trip_s=round_trip_s,
-        root_dispersion_s=abs(server_offset_ns) / NS_PER_S + round_trip_s / 2.0,
-    )
+    return round(((t2 - t1) + (t3 - t4)) * 0.5), abs(server_offset_ns) / NS_PER_S + round_trip_s / 2.0
 
 
 def _reference_sync(topology, duration_s, seed):
@@ -229,7 +229,7 @@ def _reference_sync(topology, duration_s, seed):
     wander_rng = stream(seed, "ntp", topology.name, "wander")
     root_offset_ns = 0
     hop_offsets_ns = [0] * len(topology.hop_links)
-    clock = DisciplinedClock.start(INITIAL_OFFSET_NS)
+    clock = (INITIAL_OFFSET_NS, None, 0.0)
     samples = []
     polls = int(duration_s // POLL_INTERVAL_S)
     for k in range(1, polls + 1):
@@ -243,19 +243,18 @@ def _reference_sync(topology, duration_s, seed):
         if topology.hop_links and k % HOP_SYNC_EVERY == 1:
             upstream_ns = root_offset_ns
             for j, link in enumerate(topology.hop_links):
-                hop_offsets_ns[j] += _reference_exchange(hop_offsets_ns[j], upstream_ns, link, link_rng).offset_ns
+                hop_offsets_ns[j] += _reference_exchange(hop_offsets_ns[j], upstream_ns, link, link_rng)[0]
                 upstream_ns = hop_offsets_ns[j]
         server_ns = hop_offsets_ns[-1] if topology.hop_links else root_offset_ns
-        estimate = _reference_exchange(clock.offset_truth_ns, server_ns, topology.client_link, link_rng)
-        clock = discipline_step(clock, estimate)
-        samples.append(SyncSample(k * POLL_INTERVAL_S, clock.offset_truth_ns, clock.estimated_max_error_s))
+        estimate = _reference_exchange(clock[0], server_ns, topology.client_link, link_rng)
+        clock, bound_s = discipline_step(clock, *estimate)
+        samples.append((clock[0], bound_s))
     settled = samples[WARMUP_POLLS:] if len(samples) > WARMUP_POLLS else samples
     return SyncRunResult(
         samples=tuple(samples),
-        final=clock,
-        max_estimated_error_s=max(s.estimated_max_error_s for s in settled),
-        max_abs_offset_s=max(abs(s.offset_truth_ns) for s in settled) / NS_PER_S,
-        bound_held=all(abs(s.offset_truth_ns) / NS_PER_S <= s.estimated_max_error_s for s in samples),
+        max_estimated_error_s=max(bound_s for _, bound_s in settled),
+        max_abs_offset_s=max(abs(offset_truth_ns) for offset_truth_ns, _ in settled) / NS_PER_S,
+        bound_held=all(abs(offset_truth_ns) / NS_PER_S <= bound_s for offset_truth_ns, bound_s in samples),
     )
 
 
@@ -294,10 +293,25 @@ class TestPreDrawnRun:
         result = run_disciplined_sync(topology, duration_s, seed)
         reference = _reference_sync(topology, duration_s, seed)
         assert result.samples == reference.samples
-        assert result.final == reference.final
         assert result == reference
 
     @pytest.mark.parametrize("duration_s", [0.0, POLL_INTERVAL_S - 1e-9])
     def test_duration_below_one_poll_names_duration(self, duration_s):
         with pytest.raises(ValueError, match="duration_s"):
             run_disciplined_sync(default_topology("wired", "private"), duration_s, seed=0)
+
+
+class TestBoundInvariant:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        topologies,
+        st.floats(POLL_INTERVAL_S, 3600.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bound_held_on_random_topologies(self, topology, duration_s, seed):
+        # the estimated maximum error dominates the true offset at every poll
+        result = run_disciplined_sync(topology, duration_s, seed)
+        assert len(result.samples) == int(duration_s // POLL_INTERVAL_S)
+        assert result.bound_held
+        for offset_truth_ns, bound_s in result.samples:
+            assert abs(offset_truth_ns) / NS_PER_S <= bound_s
