@@ -11,7 +11,8 @@ deployment whose gap takes exactly t_max and, with and without
 ``calibrate --samples-csv`` on the samples that tree's own
 ``calibrate`` runs wrote at the same seed and on a few hand-written
 sample files, a ``calibrate`` of 1,800 samples near 1e14 ns, whose
-sum is past 2**53, static handovers whose config
+sum is past 2**53, two whose samples of 50 ns and about 1e16 ns are
+written by ``repr`` rather than from digits, static handovers whose config
 blocks the receiver up to and past t_max, a strict raw public clock
 judged against a budget it misses and one it fits, a sweep past the
 reacquisition map's slow offset, a static handover and a sweep whose config,
@@ -71,6 +72,12 @@ COMMANDS = (
     ("calibrate", "--samples-csv", "{previous}/delay_samples.csv"),
     # n·max|ns| = 1,800 · 1e14 ns, past 2**53: the exact integer sum, not the float64 one
     ("calibrate", {"delay_model": {"mean_delay_ms": 1e8}}),
+    ("calibrate", "--samples-csv", "{previous}/delay_samples.csv"),
+    # samples outside [100, 10**15) ns, which the export writes row by row with repr: 50 ns,
+    # written "5e-05", and about 10**16 ns
+    ("calibrate", {"delay_model": {"mean_delay_ms": 5e-5, "wander_sigma_ms": 0, "noise_sigma_ms": 0}}),
+    ("calibrate", "--samples-csv", "{previous}/delay_samples.csv"),
+    ("calibrate", {"delay_model": {"mean_delay_ms": 1e10}}),
     ("calibrate", "--samples-csv", "{previous}/delay_samples.csv"),
     *(("calibrate", "--samples-csv", f"{{samples}}/{name}.csv") for name in SAMPLES),
     ("sweep", "--trials", "1"),

@@ -28,6 +28,12 @@ SAMPLE_INTERVAL_S = 1.0
 
 CSV_HEADER = ("timestamp_s", "delay_ms")
 
+# the export writes a sample of +0 or of whole ns within [DIGIT_MIN_NS, DIGIT_END_NS) from its
+# digits; it writes EXPORT_BLOCK_ROWS rows at a time, so one block's digit matrix stays under a MiB
+DIGIT_MIN_NS = 100
+DIGIT_END_NS = 10**15
+EXPORT_BLOCK_ROWS = 16384
+
 
 class EmptySampleSet(ValueError):
     """Calibration needs at least one delay sample."""
@@ -70,7 +76,7 @@ def measured_delays_ns(model: DelayModelConfig, count: int, rng: np.random.Gener
 
 def measure_sim_delay(model: DelayModelConfig, count: int, rng: np.random.Generator) -> list[TimeOffset]:
     """The samples of ``measured_delays_ns``, one TimeOffset each; kept only for the benchmark
-    tracer, which wraps it by name, until ROADMAP item 2 retires it."""
+    tracer, which wraps it by name, until ROADMAP item 1's recorder retires it."""
     return [TimeOffset(int(v)) for v in measured_delays_ns(model, count, rng)]
 
 
@@ -107,14 +113,66 @@ def calibrate(ns: np.ndarray) -> DelayCalibration:
 def export_samples_csv(path: str | Path, ns: np.ndarray) -> None:
     """One row per sample of the whole-nanosecond array ``ns``, in ms, stamped SAMPLE_INTERVAL_S apart.
 
-    The bytes of ``csv.writer`` rows of ``repr`` floats, which never need quoting. A float64
-    division rounds as the division of the sample's integer does. With the 1 s interval the
-    timestamp ``f"{i}.0"`` is the text of ``repr(i * SAMPLE_INTERVAL_S)`` for every count up
-    to the 10^6 cap.
+    The bytes of ``csv.writer`` rows of ``repr`` floats, which never need quoting; with the 1 s
+    interval the timestamp ``f"{i}.0"`` is the text of ``repr(i * SAMPLE_INTERVAL_S)`` for any
+    count below 2**53. The rows are written EXPORT_BLOCK_ROWS at a time. When every sample is
+    +0 or a whole n in [DIGIT_MIN_NS, DIGIT_END_NS) they are written from their digits, for
+    ``repr(n / NS_PER_MS)`` is then the decimal n·10⁻⁶: ``n // 10**6``, ``.``, and
+    ``n % 10**6`` as 6 digits with its trailing zeros dropped, keeping the first (``0.0`` for
+    +0). That decimal rounds to the double, since n is exact below 2**53 and float64 division
+    rounds correctly. Below 2**33 ms doubles are under 10⁻⁶ ms apart, so no other decimal of
+    at most 6 fractional digits rounds to the same double, and any that does has more
+    significant digits; from 10⁻⁴ ms on ``repr`` writes no exponent. Any other array (−0.0,
+    1 to 99 ns, negatives, 10**15 ns and up, not whole or not finite) is written with ``repr``.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        fh.writelines(f"{i}.0,{ms!r}\r\n" for i, ms in enumerate((ns / NS_PER_MS).tolist()))
+    with open(path, "wb") as fh:
+        fh.write(",".join(CSV_HEADER).encode() + b"\r\n")
+        # signbit sends -0.0 and negatives to repr; a NaN fails the max test
+        if ns.size and not np.signbit(ns).any() and ns.max() < DIGIT_END_NS:
+            whole = ns.astype(np.int64)
+            if (whole == ns).all() and ((whole == 0) | (whole >= DIGIT_MIN_NS)).all():
+                for start in range(0, whole.size, EXPORT_BLOCK_ROWS):
+                    fh.write(_digit_rows(whole[start : start + EXPORT_BLOCK_ROWS], start))
+                return
+        millis = (ns / NS_PER_MS).tolist()
+        for start in range(0, len(millis), EXPORT_BLOCK_ROWS):
+            block = enumerate(millis[start : start + EXPORT_BLOCK_ROWS], start)
+            fh.write("".join(f"{i}.0,{ms!r}\r\n" for i, ms in block).encode())
+
+
+def _digit_rows(ns: np.ndarray, first: int) -> bytes:
+    """The rows ``f"{first + k}.0,{ns[k] / NS_PER_MS!r}\\r\\n"`` of int64 samples, each 0 or in
+    [DIGIT_MIN_NS, DIGIT_END_NS), as bytes: a matrix of one row per sample and one column
+    per character, its leading zeros and the fraction's trailing ones dropped by a mask."""
+    millis, fraction = np.divmod(ns, NS_PER_MS)
+    fields = (
+        (np.arange(first, first + ns.size, dtype=np.int64), len(str(first + ns.size - 1)), b".0,"),
+        (millis, len(str(int(millis.max()))), b"."),
+    )
+    width = sum(digits + len(tail) for _, digits, tail in fields) + 6 + 2
+    rows = np.empty((ns.size, width), dtype=np.uint8)
+    keep = np.ones((ns.size, width), dtype=bool)
+    col = 0
+    for value, digits, tail in fields:
+        for k in range(digits - 1):
+            keep[:, col + k] = value >= 10 ** (digits - 1 - k)
+        for k in reversed(range(digits)):
+            rows[:, col + k] = value % 10 + 48
+            value //= 10
+        col += digits
+        rows[:, col : col + len(tail)] = np.frombuffer(tail, dtype=np.uint8)
+        col += len(tail)
+    # the 6 fraction digits, last first; a zero stays once a later digit is not zero, the first always
+    nonzero = np.zeros(ns.size, dtype=bool)
+    for k in reversed(range(6)):
+        digit = fraction % 10
+        rows[:, col + k] = digit + 48
+        if k:
+            nonzero |= digit != 0
+            keep[:, col + k] = nonzero
+        fraction //= 10
+    rows[:, col + 6 :] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return rows[keep].tobytes()
 
 
 def import_samples_csv(path: str | Path) -> np.ndarray:

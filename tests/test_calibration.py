@@ -11,6 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from gpsimlab.calibration import (
     CSV_HEADER,
+    DIGIT_END_NS,
+    DIGIT_MIN_NS,
+    EXPORT_BLOCK_ROWS,
     EmptySampleSet,
     SAMPLE_INTERVAL_S,
     calibrate,
@@ -267,6 +270,44 @@ csv_rows = st.lists(st.tuples(csv_numbers, csv_numbers).map(",".join), max_size=
 csv_odd_line = st.one_of(st.none(), st.just(""), st.lists(csv_fields, min_size=1, max_size=3).map(",".join))
 
 
+# samples the export writes from their digits (0 and the whole ns in [DIGIT_MIN_NS, DIGIT_END_NS)),
+# and the values at and around that range's ends, which all but the in-range ones send to repr
+digit_path_ns = st.one_of(
+    st.integers(DIGIT_MIN_NS, DIGIT_END_NS - 1),
+    st.integers(DIGIT_MIN_NS, 10**7),
+    # whole ms and whole ms plus a few ns: the fraction's trailing and inner zeros
+    st.builds(lambda ms, ns: ms * NS_PER_MS + ns, st.integers(0, DIGIT_END_NS // NS_PER_MS - 1), st.integers(0, 120)),
+    st.sampled_from([0, DIGIT_MIN_NS, DIGIT_END_NS - 1, 10**6, 10**14, 2**33]),
+).filter(lambda ns: ns == 0 or DIGIT_MIN_NS <= ns < DIGIT_END_NS).map(float)
+edge_ns = st.one_of(
+    digit_path_ns,
+    st.integers(1, DIGIT_MIN_NS - 1).map(float),
+    st.integers(-(10**16), -1).map(float),
+    st.integers(DIGIT_END_NS - 50, DIGIT_END_NS + 50).map(float),
+    # in range but mostly not whole
+    st.floats(DIGIT_MIN_NS, DIGIT_END_NS, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 2.0**53, 2.0**53 + 2, 1e300, -1e300, math.inf, -math.inf, math.nan, 150.5]),
+)
+# digit samples with one edge value among them, which alone decides the path
+one_edge = st.builds(
+    lambda samples, edge, at: samples[:at] + [edge] + samples[at:],
+    st.lists(digit_path_ns, max_size=7),
+    edge_ns,
+    st.integers(0, 7),
+)
+
+
+def _csv_writer_of_reprs(path, samples):
+    """The bytes of a ``csv.writer`` file of the header and ``repr`` rows of ``samples``, written
+    at ``path``: the per-row reference for ``export_samples_csv``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for i, ns in enumerate(samples.tolist()):
+            writer.writerow([repr(i * SAMPLE_INTERVAL_S), repr(ns / NS_PER_MS)])
+    return path.read_bytes()
+
+
 class TestCsv:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(csv_rows, csv_odd_line, st.integers(0, 6), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
@@ -291,7 +332,8 @@ class TestCsv:
             assert read.tolist() == ns
 
     def test_round_trip_exact(self, tmp_path):
-        samples = measured_delays_ns(MODEL, 64, stream(11, "csv"))
+        # written from digits, several blocks and a part block
+        samples = measured_delays_ns(MODEL, 3 * EXPORT_BLOCK_ROWS + 5, stream(11, "csv"))
         path = tmp_path / "samples.csv"
         export_samples_csv(path, samples)
         assert import_samples_csv(path).tobytes() == samples.tobytes()
@@ -317,15 +359,28 @@ class TestCsv:
     def test_bytes_match_csv_writer_of_reprs(self, tmp_path, samples):
         array = np.array(samples, dtype=float)
         assert array.tolist() == samples
-        reference = tmp_path / "reference.csv"
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for i, ns in enumerate(samples):
-                writer.writerow([repr(i * SAMPLE_INTERVAL_S), repr(ns / NS_PER_MS)])
         path = tmp_path / "samples.csv"
         export_samples_csv(path, array)
-        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes() == _csv_writer_of_reprs(tmp_path / "reference.csv", array)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(digit_path_ns, min_size=1, max_size=8), one_edge, st.lists(edge_ns, min_size=1, max_size=8)
+        ),
+        st.sampled_from([0, 1, 2, EXPORT_BLOCK_ROWS - 1, EXPORT_BLOCK_ROWS, EXPORT_BLOCK_ROWS + 1]),
+    )
+    # a clamped +0 among digit samples is written "0.0"; -0.0, 99 ns and 150.5 ns among them keep
+    # repr's "-0.0", "9.9e-05" and "0.0001505"
+    @example([0.0, 1e6, 150.0], EXPORT_BLOCK_ROWS + 1)
+    @example([1e6, -0.0, 150.0], 3)
+    @example([1e6, 150.0, 99.0], 3)
+    @example([1e6, 150.5], 2)
+    def test_digit_rows_match_csv_writer_of_reprs(self, tmp_path_factory, samples, rows):
+        array = np.resize(np.array(samples), rows)
+        folder = tmp_path_factory.mktemp("digits")
+        export_samples_csv(folder / "samples.csv", array)
+        assert (folder / "samples.csv").read_bytes() == _csv_writer_of_reprs(folder / "reference.csv", array)
 
     def test_samples_above_int64_read_back_exact(self, tmp_path):
         # the first three are whole ms counts a double holds exactly, so they come back unchanged;
