@@ -5,9 +5,10 @@
 
 This is a convenience wrapper over the CLI; each step is the same as
 invoking the corresponding `gpsimlab` subcommand by hand. At the default
-trial counts the ten steps take about 5 s of wall time in all (4.6-5.1 s
-over three runs on 2 cores, Python 3.11, numpy 2.4); the static and
-driving matrices take most of it.
+trial counts the ten steps take about 1 s of wall time in all (1.0-1.2 s
+over three runs on 2 cores, Python 3.11.7, numpy 2.4.6; the whole script,
+imports included, 1.35-1.45 s); the static and driving matrices take most
+of it.
 """
 
 import argparse

@@ -16,7 +16,8 @@ byte-identical artifacts.
 
 Exit codes: 0 success, 1 the deployment or scenario failed its own
 feasibility or success checks, 2 bad configuration or arguments or an
-``--out`` that cannot be written, 3 unexpected runtime failure.
+``--out`` that cannot be written, 3 unexpected runtime failure (its
+traceback printed to stderr).
 """
 
 import argparse
@@ -35,7 +36,6 @@ from .ntp import run_sync_comparison
 from .placement import (
     WARM,
     blockage_time,
-    can_update,
     gap_path,
     kmh_to_ms,
     max_separation,
@@ -135,7 +135,6 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
             slow_path_speed_bound(dep.radius_m, timing.t_acq_s)
         ),
     }
-    update = can_update(v, dep.radius_m, dep.separation_m, timing)
     report = validate_deployment(dep.radius_m, dep.separation_m, v, timing)
 
     out = Path(args.out)
@@ -150,13 +149,11 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
             "t_acq_s": timing.t_acq_s,
         },
         "derived": derived,
-        "update_check": {"ok": update.ok, "reason": update.reason},
         "layout_report": report,
     }
     write_json(out / "plan.json", payload)
 
     rows = [(k, f"{v_:.3f}" if isinstance(v_, float) else v_) for k, v_ in sorted(derived.items())]
-    rows.append(("update_ok", update.ok))
     rows.append(("layout_ok", report.ok))
     table = format_table(("quantity", "value"), rows)
     (out / "plan.txt").write_text(table)
@@ -447,6 +444,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive
+        import traceback  # imported here so a normal start does not pay for it
+
+        traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

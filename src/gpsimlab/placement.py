@@ -171,45 +171,6 @@ def gap_path(
 
 
 @dataclass(frozen=True)
-class FeasibilityResult:
-    """Outcome of one update-feasibility check with the binding reason."""
-
-    ok: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def can_update(
-    speed_ms: float, radius_m: float, separation_m: float, timing: ReceiverProfile
-) -> FeasibilityResult:
-    """Whether a receiver crossing at ``speed_ms`` gets a fix in each coverage.
-
-    Feasible iff gap_path finds a path and t_reacq <= t_rcp, with
-    boundary equalities feasible. Overlapping coverages raise
-    OverlappingCoverage, a non-positive speed ZeroSpeed.
-    """
-    t_rcp = reception_time(radius_m, speed_ms)
-    t_blk = blockage_time(separation_m, radius_m, speed_ms)
-    path = gap_path(speed_ms, radius_m, t_blk, timing)
-    if path is None:
-        return FeasibilityResult(
-            False,
-            f"blockage {t_blk:.2f} s exceeds t_max {timing.t_max_s:.2f} s and speed "
-            f"{speed_ms:.2f} m/s exceeds the cold-acquisition bound "
-            f"{slow_path_speed_bound(radius_m, timing.t_acq_s):.2f} m/s",
-        )
-    if timing.t_reacq_s > t_rcp:
-        return FeasibilityResult(
-            False,
-            f"reacquisition {timing.t_reacq_s:.2f} s does not fit the crossing "
-            f"time {t_rcp:.2f} s",
-        )
-    return FeasibilityResult(True, f"update feasible via {path}")
-
-
-@dataclass(frozen=True)
 class CoverageCheck:
     index: int
     center_m: float
@@ -247,9 +208,11 @@ def validate_deployment(
 
     One speed crosses equal coverages and equal gaps, so every coverage
     shares one crossing and every gap one blockage_time and gap_path
-    verdict, the numbers can_update judges. Suggestions give the radius
-    that would fix all reception failures and the gap length that would
-    fix all blockage failures at that speed.
+    verdict. The deployment is feasible iff gap_path finds a path and
+    t_reacq <= t_rcp, with boundary equalities feasible; overlapping
+    coverages raise OverlappingCoverage, a non-positive speed ZeroSpeed.
+    Suggestions give the radius that would fix all reception failures and
+    the gap length that would fix all blockage failures at that speed.
     """
     if radius_m <= 0:
         raise ValueError(f"radius_m must be positive, got {radius_m}")

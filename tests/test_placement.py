@@ -6,7 +6,6 @@ from gpsimlab.placement import (
     OverlappingCoverage,
     ZeroSpeed,
     blockage_time,
-    can_update,
     kmh_to_ms,
     max_separation,
     min_coverage_radius,
@@ -70,39 +69,38 @@ class TestClosedForms:
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingCoverage):
             blockage_time(100.0, 80.0, V110)
-        with pytest.raises(OverlappingCoverage):
-            can_update(V110, 80.0, 100.0, PLANNING)
 
 
 class TestFeasibility:
     def test_default_corridor_is_feasible(self):
-        result = can_update(V110, 80.0, 500.0, PLANNING)
-        assert result
-        assert "warm" in result.reason
+        report = validate_deployment(80.0, 500.0, V110, PLANNING)
+        assert report.ok
+        assert all("within t_max" in g.reason for g in report.gaps)
 
     def test_blockage_boundary_inclusive(self):
         # choose a separation whose gap takes exactly t_max to cross
         v = 10.0
         gap = PLANNING.t_max_s * v
-        assert can_update(v, 80.0, gap + 160.0, PLANNING)
-        result = can_update(v, 80.0, gap + 160.0 + v * 0.5, PLANNING)
-        assert not result
-        assert "exceeds" in result.reason
+        assert validate_deployment(80.0, gap + 160.0, v, PLANNING).ok
+        report = validate_deployment(80.0, gap + 160.0 + v * 0.5, v, PLANNING)
+        assert not report.ok
+        assert all("exceeds" in g.reason for g in report.gaps)
 
     def test_slow_path_boundary_inclusive(self):
         # gap too long for t_max but crossing at exactly 2r/t_acq allows
         # a cold acquisition inside the coverage
         r = 80.0
         v = slow_path_speed_bound(r, PLANNING.t_acq_s)
-        assert can_update(v, r, 10_000.0, PLANNING)
-        assert not can_update(v * 1.01, r, 10_000.0, PLANNING)
+        assert validate_deployment(r, 10_000.0, v, PLANNING).ok
+        assert not validate_deployment(r, 10_000.0, v * 1.01, PLANNING).ok
 
     def test_reacquisition_must_fit_crossing(self):
         # fast crossing of a small coverage: blockage fine, dwell too short
         r = 10.0
-        result = can_update(20.0, r, 2.0 * r + 1.0, PLANNING)
-        assert not result
-        assert "fit" in result.reason
+        report = validate_deployment(r, 2.0 * r + 1.0, 20.0, PLANNING)
+        assert not report.ok
+        assert all(g.ok for g in report.gaps)
+        assert all("exceeds" in c.reason and "crossing" in c.reason for c in report.coverages)
 
     @given(
         st.floats(min_value=20.0, max_value=200.0),
@@ -113,8 +111,8 @@ class TestFeasibility:
         # radius shortens the gap and lengthens the dwell
         bigger = radius * 1.5
         sep = 2.0 * bigger + 50.0
-        if can_update(speed, radius, sep, PLANNING):
-            assert can_update(speed, bigger, sep, PLANNING)
+        if validate_deployment(radius, sep, speed, PLANNING).ok:
+            assert validate_deployment(bigger, sep, speed, PLANNING).ok
 
     @given(
         st.floats(min_value=1.0, max_value=500.0),
@@ -126,9 +124,7 @@ class TestFeasibility:
     @example(149.13509104049035, 3690.097253066939, kmh_to_ms(90.44872189295889), "dedicated")
     def test_layout_check_applies_the_same_rule(self, radius, separation, speed, receiver):
         assume(separation >= 2 * radius)
-        timing = PROFILES[receiver]
-        report = validate_deployment(radius, separation, speed, timing)
-        assert can_update(speed, radius, separation, timing).ok == report.ok
+        report = validate_deployment(radius, separation, speed, PROFILES[receiver])
         assert all(g.blockage_s == blockage_time(separation, radius, speed) for g in report.gaps)
 
 

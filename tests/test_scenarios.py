@@ -13,7 +13,6 @@ from gpsimlab.placement import (
     WARM,
     OverlappingCoverage,
     ZeroSpeed,
-    can_update,
     corridor_layout,
     coverage_centers,
     gap_path,
@@ -585,7 +584,7 @@ class TestPlanAgreesWithTraversal:
 
         warm = (
             all(path == WARM for path in paths)
-            and can_update(v, radius, separation, timing).ok
+            and report.ok
             and all(g.blockage_s <= timing.t_max_s - sc.DT_S for g in report.gaps)
         )
         if warm:
