@@ -5,7 +5,8 @@
 
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
 list of quick commands at seeds 0 and 7 once under each tree's ``src/``
-(among them ``sync-compare`` over one poll and over a day, ``plan`` on a
+(among them ``sync-compare`` over one poll, over nine polls that end
+just past the warm-up on a pool re-sync, and over a day, ``plan`` on a
 deployment whose gap takes exactly t_max and, with and without
 ``--strict``, for the smartphone receiver,
 ``calibrate --samples-csv`` on the samples that tree's own
@@ -64,8 +65,10 @@ COMMANDS = (
     ("plan", {"deployment": {"receiver": "smartphone"}}),
     ("plan", "--strict", {"deployment": {"receiver": "smartphone"}}),
     ("sync-compare",),
-    # one poll, fewer than WARMUP_POLLS, so the maxima cover every poll; and the benchmark's day
+    # one poll, fewer than WARMUP_POLLS, so the maxima cover every poll; nine polls, one past
+    # WARMUP_POLLS, with pool re-syncs at polls 1, 5 and 9; and the benchmark's day
     ("sync-compare", {"sync": {"duration_s": 16.0}}),
+    ("sync-compare", {"sync": {"duration_s": 144.0}}),
     ("sync-compare", {"sync": {"duration_s": 86400.0}}),
     # "{previous}" in an argument is the run directory of the command before, at the same seed
     ("calibrate",),

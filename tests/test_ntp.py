@@ -4,17 +4,20 @@ from hypothesis import given, settings, strategies as st
 
 from gpsimlab.ntp import (
     CONNECTIONS,
+    ERROR_FLOOR_S,
+    GAIN,
     HOP_SYNC_EVERY,
     INITIAL_OFFSET_NS,
     LinkModel,
     POLL_INTERVAL_S,
     SERVER_TYPES,
+    SLEW_LIMIT_NS,
     SyncRunResult,
     SyncTopology,
     WARMUP_POLLS,
     default_topology,
-    discipline_step,
     ntp_exchange,
+    root_dispersion_s,
     run_disciplined_sync,
     run_sync_comparison,
 )
@@ -31,27 +34,27 @@ def _rng(seed=0):
 def _delays(link, rng):
     """One exchange's (up, down) delays in ns, from two fresh standard normals."""
     up, down = link.delays_ns(rng.standard_normal((1, 2)))
-    return up[0], down[0]
+    return up.item(), down.item()
 
 
 class TestExchange:
     def test_symmetric_link_true_server_is_exact(self):
         client_ns = 12 * NS_PER_MS
-        offset_ns, _ = ntp_exchange(client_ns, 0, *_delays(SYMMETRIC, _rng()))
+        offset_ns = ntp_exchange(client_ns, 0, *_delays(SYMMETRIC, _rng()))
         assert offset_ns == -client_ns
 
     def test_round_trip_equals_sampled_path(self):
         link = LinkModel(base_delay_up_s=0.010, base_delay_down_s=0.003, asymmetry_bias_s=0.001)
-        _, root_dispersion_s = ntp_exchange(-4 * NS_PER_MS, 2 * NS_PER_MS, *_delays(link, _rng()))
+        dispersion_s = root_dispersion_s(2 * NS_PER_MS, *_delays(link, _rng()))
         # the server's 2 ms plus half the 14 ms round trip
-        assert root_dispersion_s == pytest.approx(2 * NS_PER_MS / NS_PER_S + 0.014 / 2.0, abs=1e-12)
+        assert dispersion_s == pytest.approx(2 * NS_PER_MS / NS_PER_S + 0.014 / 2.0, abs=1e-12)
 
     def test_error_is_server_offset_plus_half_asymmetry(self):
         # deterministic link: up = 8 ms, down = 2 ms, so the estimator is
         # wrong by exactly theta_server + 3 ms no matter the client offset
         client_ns = -7 * NS_PER_MS
         link = LinkModel(base_delay_up_s=0.008, base_delay_down_s=0.002)
-        offset_ns, _ = ntp_exchange(client_ns, 5 * NS_PER_MS, *_delays(link, _rng()))
+        offset_ns = ntp_exchange(client_ns, 5 * NS_PER_MS, *_delays(link, _rng()))
         ideal_ns = -client_ns
         error_ns = offset_ns - ideal_ns
         assert error_ns == 8 * NS_PER_MS
@@ -68,7 +71,8 @@ class TestExchange:
             jitter_sigma=0.5,
         )
         ups, downs = link.delays_ns(_rng(1).standard_normal((4000, 2)))
-        errors = [ntp_exchange(0, server_ns, up, down)[0] / NS_PER_S for up, down in zip(ups, downs)]
+        delays = zip(ups.tolist(), downs.tolist())
+        errors = [ntp_exchange(0, server_ns, up, down) / NS_PER_S for up, down in delays]
         # the log-normal mean is median * exp(sigma^2 / 2)
         jitter = link.jitter_median_s * np.exp(link.jitter_sigma**2 / 2.0)
         up = link.base_delay_up_s + link.asymmetry_bias_s + jitter
@@ -78,8 +82,18 @@ class TestExchange:
 
     def test_dispersion_defaults_to_true_offset_plus_half_rtt(self):
         # 4 ms each way: an 8 ms round trip
-        _, root_dispersion_s = ntp_exchange(0, -3 * NS_PER_MS, *_delays(SYMMETRIC, _rng()))
-        assert root_dispersion_s == pytest.approx(0.003 + 0.008 / 2.0)
+        dispersion_s = root_dispersion_s(-3 * NS_PER_MS, *_delays(SYMMETRIC, _rng()))
+        assert dispersion_s == pytest.approx(0.003 + 0.008 / 2.0)
+
+    def test_dispersion_is_elementwise_on_arrays(self):
+        # the run applies it once to its int64 arrays: each element as the int call
+        link = LinkModel(
+            base_delay_up_s=0.010, base_delay_down_s=0.003, jitter_median_s=0.002, jitter_sigma=0.5
+        )
+        ups, downs = link.delays_ns(_rng(2).standard_normal((50, 2)))
+        servers = np.arange(-25, 25) * 123_457
+        expected = [root_dispersion_s(*row) for row in zip(servers.tolist(), ups.tolist(), downs.tolist())]
+        assert root_dispersion_s(servers, ups, downs).tolist() == expected
 
 
 class TestChain:
@@ -115,20 +129,25 @@ class TestChain:
         assert errors[3] > errors[1]
 
 
+def _still_server(server_ns):
+    """A pool hop that its first re-sync puts exactly ``server_ns`` off the still root, where it stays.
+
+    Its fixed delays differ by twice ``server_ns``, so every estimate it
+    makes of the root is off by exactly ``server_ns``.
+    """
+    up_s, down_s = max(2 * server_ns, 0) / NS_PER_S, max(-2 * server_ns, 0) / NS_PER_S
+    return (LinkModel(base_delay_up_s=up_s, base_delay_down_s=down_s),)
+
+
 class TestDiscipline:
-    def _poll(self, start_ns, polls, link=SYMMETRIC, server_offset_ns=0):
-        """(offset_truth_ns, estimated_max_error_s) after each poll of a clock started ``start_ns`` off."""
-        clock = (start_ns, None, 0.0)
-        states = []
-        rng = _rng(3)
-        for _ in range(polls):
-            estimate = ntp_exchange(clock[0], server_offset_ns, *_delays(link, rng))
-            clock, bound_s = discipline_step(clock, *estimate)
-            states.append((clock[0], bound_s))
-        return states
+    def _poll(self, server_ns, polls, link=SYMMETRIC):
+        """``samples`` of a run whose client, INITIAL_OFFSET_NS off, polls a server still at ``server_ns``."""
+        topology = SyncTopology("still", link, hop_links=_still_server(server_ns) if server_ns else ())
+        return run_disciplined_sync(topology, polls * POLL_INTERVAL_S, seed=3).samples
 
     def test_settles_within_five_polls(self):
-        states = self._poll(10 * NS_PER_MS, 5)
+        assert INITIAL_OFFSET_NS == 10 * NS_PER_MS
+        states = self._poll(0, 5)
         # gain 0.5 halves the offset per poll: 10 ms -> ~0.31 ms
         offset_truth_ns, _ = states[-1]
         assert abs(offset_truth_ns) / NS_PER_S < 0.05 * 0.010
@@ -138,18 +157,20 @@ class TestDiscipline:
         # a 1 s offset wants a 0.5 s correction; the 0.25 s limit clamps it
         # from above for a clock behind, from below for one ahead
         for start_ns, after_ns in ((NS_PER_S, 750_000_000), (-NS_PER_S, -750_000_000)):
-            [(offset_truth_ns, _)] = self._poll(start_ns, 1)
-            assert offset_truth_ns == after_ns
+            server_ns = INITIAL_OFFSET_NS - start_ns
+            [(offset_truth_ns, _)] = self._poll(server_ns, 1)
+            assert offset_truth_ns - server_ns == after_ns
 
     def test_bound_dominates_truth_during_convergence(self):
-        for offset_truth_ns, bound_s in self._poll(40 * NS_PER_MS, 12):
+        # the client starts 40 ms off the server
+        for offset_truth_ns, bound_s in self._poll(INITIAL_OFFSET_NS - 40 * NS_PER_MS, 12):
             assert bound_s >= abs(offset_truth_ns) / NS_PER_S
 
     def test_bound_dominates_truth_with_lying_server(self):
         # a wrong upstream plus asymmetry: bound must still hold because
         # the server advertises its own absolute offset
         link = LinkModel(base_delay_up_s=0.009, base_delay_down_s=0.002)
-        for offset_truth_ns, bound_s in self._poll(10 * NS_PER_MS, 12, link, 6 * NS_PER_MS):
+        for offset_truth_ns, bound_s in self._poll(6 * NS_PER_MS, 12, link):
             assert bound_s >= abs(offset_truth_ns) / NS_PER_S
 
 
@@ -200,8 +221,9 @@ class TestTopologyRuns:
             assert cell.est_max_ntp_error_ms > 0.0
 
 
-# The per-poll loop as it was before the run drew its normals up front:
-# scalar draws in poll order, and delays rounded one at a time.
+# The per-poll loop as it was before the run drew its normals up front and
+# advanced its servers and its bound on arrays: scalar draws in poll order,
+# delays rounded one at a time, every hop walked and every bound built per poll.
 
 
 def _reference_delays(link, rng):
@@ -222,6 +244,19 @@ def _reference_exchange(client_offset_ns, server_offset_ns, link, rng):
     t4 = up + down + client_offset_ns
     round_trip_s = ((t4 - t1) - (t3 - t2)) / NS_PER_S
     return round(((t2 - t1) + (t3 - t4)) * 0.5), abs(server_offset_ns) / NS_PER_S + round_trip_s / 2.0
+
+
+def _reference_discipline_step(clock, offset_ns, root_dispersion_s):
+    offset_truth_ns, last_estimate_ns, dispersion_s = clock
+    correction_ns = min(max(round(offset_ns * GAIN), -SLEW_LIMIT_NS), SLEW_LIMIT_NS)
+    residual_s = abs(offset_ns - correction_ns) / NS_PER_S
+    if last_estimate_ns is not None:
+        jump_s = abs(offset_ns - last_estimate_ns) / NS_PER_S
+        dispersion_s = 0.5 * dispersion_s + 0.5 * jump_s
+    else:
+        dispersion_s = 0.0
+    bound_s = ERROR_FLOOR_S + residual_s + root_dispersion_s + dispersion_s
+    return (offset_truth_ns + correction_ns, offset_ns, dispersion_s), bound_s
 
 
 def _reference_sync(topology, duration_s, seed):
@@ -247,7 +282,7 @@ def _reference_sync(topology, duration_s, seed):
                 upstream_ns = hop_offsets_ns[j]
         server_ns = hop_offsets_ns[-1] if topology.hop_links else root_offset_ns
         estimate = _reference_exchange(clock[0], server_ns, topology.client_link, link_rng)
-        clock, bound_s = discipline_step(clock, *estimate)
+        clock, bound_s = _reference_discipline_step(clock, *estimate)
         samples.append((clock[0], bound_s))
     settled = samples[WARMUP_POLLS:] if len(samples) > WARMUP_POLLS else samples
     return SyncRunResult(
@@ -294,6 +329,17 @@ class TestPreDrawnRun:
         reference = _reference_sync(topology, duration_s, seed)
         assert result.samples == reference.samples
         assert result == reference
+
+    # a day, the benchmark's horizon, and the first polls around
+    # HOP_SYNC_EVERY and WARMUP_POLLS, with 9 ending on a re-sync poll
+    @pytest.mark.parametrize("duration_s", [polls * POLL_INTERVAL_S for polls in (1, 4, 5, 8, 9)] + [86400.0])
+    @pytest.mark.parametrize("seed", [0, 29])
+    @pytest.mark.parametrize("connection", CONNECTIONS)
+    @pytest.mark.parametrize("server_type", SERVER_TYPES)
+    def test_default_cells_match_per_poll_scalar_draws(self, server_type, connection, seed, duration_s):
+        topology = default_topology(connection, server_type)
+        result = run_disciplined_sync(topology, duration_s, seed)
+        assert result == _reference_sync(topology, duration_s, seed)
 
     @pytest.mark.parametrize("duration_s", [0.0, POLL_INTERVAL_S - 1e-9])
     def test_duration_below_one_poll_names_duration(self, duration_s):
