@@ -18,9 +18,12 @@ blocks the receiver up to and past t_max, a strict raw public clock
 judged against a budget it misses and one it fits, a sweep past the
 reacquisition map's slow offset, a static handover and a sweep whose config,
 not a flag, picks the smartphone receiver, static handover matrices
-over 4 and over 32 satellites, the ends of the schema, and one whose
+over 4 and over 32 satellites, the ends of the schema, one whose
 2,000 s simulator window gives each trial's stacked solve about 80,000
-rows, many solver blocks), and prints every
+rows, many solver blocks, a driving run on a clock other than the
+default, a pedestrian run on a named clock, a driving matrix whose config
+picks the smartphone receiver, and a static and a driving matrix past
+the matrix step bound, which exit 2), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -112,6 +115,12 @@ COMMANDS = (
     ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"n_sats": 32}}),
     # four configurations of ~20,000 simulator fixes each: one trial's solve spans many blocks
     ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"sim_s": 2000.0}}),
+    ("simulate", "--scenario", "driving", "--clock", "public/raw"),
+    ("simulate", "--scenario", "pedestrian", "--clock", "private/raw"),
+    ("simulate", "--scenario", "driving", "--trials", "1", {"deployment": {"receiver": "smartphone"}}),
+    # trials times timeline steps past MAX_MATRIX_STEPS, refused with exit 2 before anything runs
+    ("simulate", "--scenario", "static", "--trials", "101", {"handover": {"sim_s": 9940.0}}),
+    ("simulate", "--scenario", "driving", "--trials", "2000", {"deployment": {"max_speed_kmh": 11.0}}),
 )
 
 

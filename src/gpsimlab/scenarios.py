@@ -1,37 +1,34 @@
 """Handover scenario engine.
 
-Every scenario is one timeline: a plan of segments of live-sky
-reception, blockage, and simulator coverage that ``run_timeline``
-advances the receiver through a segment at a time, with the clock
-offset of each coverage taken from a ``{coverage: offset_ns}`` map,
-and one builder, ``_handover``, that runs it under each map it is
-given, solves the fixes of all of them against a trial's sky and noise
-(``draw_sky``) and turns them into statistics per map. The static
-handover, the offset sweep and the outdoor comparison hand it live sky,
-blockage and one simulator at the origin; a traversal cuts its path
-through the corridor ``placement.corridor_layout`` lays out for a
-deployment into segments, one coverage per simulator. The moving parts
-come from the other modules: the composed transmit-clock error decides
-the receiver's reacquisition time and, through satellite motion, the fix
-bias inside a coverage; the solver turns noisy pseudoranges into fixes;
-the placement layout decides where signal exists along a path.
+Every scenario is one ``Plan``: the scope that keys its random streams,
+the segments of live sky, blockage and simulator coverage its receiver
+steps through, the simulators' positions, the receiver's speed and
+profile, and the pseudorange noise. The static handover, the offset
+sweep and the outdoor comparison plan live sky, blockage and one
+simulator at the origin; a traversal cuts its crossing of the corridor
+``placement.corridor_layout`` lays out for a deployment into segments,
+one coverage per simulator. A plan holds no clock offset, so one plan
+serves every clock configuration and every sweep offset:
+``run_timeline`` advances the receiver through it a segment at a time,
+taking each coverage's offset from a ``{coverage: offset_ns}`` map. The
+composed transmit-clock error decides the reacquisition time and,
+through satellite motion, the fix bias inside a coverage.
 
 Comparisons between clock configurations are paired: random draws that do
 not depend on the configuration (sky plot, pseudorange noise, the delay
 process, the sync run of a given server type) come from streams keyed
-only by seed and role, so two configurations under the same seed differ
-exactly where the configuration differs. A segment plan holds no offset,
-so each scenario builds one plan for every configuration and every sweep
-offset. ``_paired_runs`` pairs the static handover, the traversal and the
-outdoor comparison: ``draw_clock`` realizes every configuration of one
-host in one call, ``draw_sky`` draws the sky and noise once for all of
-them, and ``_handover`` runs each configuration's timeline and solves the
-simulator fixes of all of them in one stacked call, so each shared piece
-is computed once per trial and host. The sweep keeps one offset per
-call: its grid of up to MAX_TRIAL_RUNS runs would stack that many
-timelines of fixes. Pseudorange noise is indexed by simulator step, not
-by fix count, which keeps the pairing aligned even when reacquisition
-delays the first fix.
+only by seed, scope and role. ``_paired_runs(plan, configs, seed, cfg)``
+runs the static handover, the traversal and the outdoor comparison:
+``draw_clock`` realizes every configuration of one host in one call,
+``draw_sky`` draws the sky and noise once for all of them, and
+``_handover`` runs each configuration's timeline and solves the simulator
+fixes of all of them in one stacked call. The sweep calls ``draw_sky``
+and ``_handover`` itself with one offset per call: its grid of up to
+MAX_TRIAL_RUNS runs would stack that many timelines of fixes.
+Pseudorange noise is indexed by simulator step, not by fix count, which
+keeps the pairing aligned even when reacquisition delays the first fix.
+A plan's steps, ``plan.steps``, are what MAX_TIMELINE_STEPS caps, and
+trials times them what MAX_MATRIX_STEPS caps, before anything is drawn.
 
 Default parameters come from ``config.DEFAULTS``. A runner takes a seed
 and the whole ``Config`` and nothing that overrides it: trial counts and
@@ -361,6 +358,28 @@ def _step_kinds(segments: Sequence[Segment]) -> tuple[np.ndarray, np.ndarray, np
 
 
 @dataclass(frozen=True)
+class Plan:
+    """What defines a run under any clock configuration.
+
+    ``scope`` keys its random streams. Coverage k of ``segments`` is a
+    simulator at ``(centers_m[k], 0, 0)``; live-sky fixes scatter around the
+    receiver, which moves along x at ``speed_ms``.
+    """
+
+    scope: str
+    segments: tuple[Segment, ...]
+    centers_m: tuple[float, ...]
+    speed_ms: float
+    profile: rcv.ReceiverProfile
+    pr_noise_m: float
+
+    @property
+    def steps(self) -> int:
+        """The timeline's DT_S steps, the count both step caps read."""
+        return sum(seg.steps for seg in self.segments)
+
+
+@dataclass(frozen=True)
 class SkyDraw:
     """The sky and noise of one trial, which every clock configuration shares.
 
@@ -373,38 +392,33 @@ class SkyDraw:
     live_noise: np.ndarray
 
 
-def draw_sky(scope: str, seed: int, segments: Sequence[Segment], pr_noise_m: float, cfg: Config) -> SkyDraw:
-    """Draw the sky plot and noise rows of ``segments`` under (seed, scope).
+def draw_sky(plan: Plan, seed: int, cfg: Config) -> SkyDraw:
+    """Draw the sky plot and noise rows of ``plan`` under (seed, plan.scope).
 
     Only the segments' lengths and kinds are read, so one draw serves
     every clock configuration of a trial. The satellite count comes from
     ``cfg.handover``.
     """
     n_sats = cfg.handover.n_sats
-    _, simulated, live = _step_kinds(segments)
+    _, simulated, live = _step_kinds(plan.segments)
     return SkyDraw(
-        random_sky_geometry(stream(seed, scope, "sky"), n_sats=n_sats),
-        stream(seed, scope, "prnoise").normal(0.0, pr_noise_m, (simulated.sum(), n_sats)),
-        stream(seed, scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live.sum(), 2)),
+        random_sky_geometry(stream(seed, plan.scope, "sky"), n_sats=n_sats),
+        stream(seed, plan.scope, "prnoise").normal(0.0, plan.pr_noise_m, (simulated.sum(), n_sats)),
+        stream(seed, plan.scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live.sum(), 2)),
     )
 
 
 def _handover(
-    segments: Sequence[Segment],
+    plan: Plan,
     offset_maps: Sequence[Mapping[int, int]],
-    centers_m: Sequence[float],
-    speed_ms: float,
-    profile: rcv.ReceiverProfile,
     start: rcv.ReceiverState,
     drawn: SkyDraw,
     clock_draws: Sequence[dict[int, ClockDraw]],
 ) -> list[ScenarioResult]:
-    """Advance the receiver through ``segments`` once per offset map and solve every fix against ``drawn``.
+    """Advance the receiver through ``plan`` once per offset map and solve every fix against ``drawn``.
 
-    Under each of ``offset_maps``, coverage k is a simulator at
-    ``(centers_m[k], 0, 0)`` transmitting with that map's offset of k;
-    live-sky fixes scatter around the receiver, which moves along x at
-    ``speed_ms``. Pseudorange noise rows are indexed by simulator step and
+    Under each of ``offset_maps``, coverage k transmits with that map's
+    offset of k. Pseudorange noise rows are indexed by simulator step and
     live-sky rows by live step, both counted across the timeline, so one
     coverage reads what its windows use under every map. The simulator
     fixes of all maps are solved in one stacked call and split back; a row
@@ -412,15 +426,15 @@ def _handover(
     map, carrying the matching entry of ``clock_draws``.
     """
     sky = drawn.sky
-    centers = np.array([[center, 0.0, 0.0] for center in centers_m])
-    step_coverage, simulated, live = _step_kinds(segments)
+    centers = np.array([[center, 0.0, 0.0] for center in plan.centers_m])
+    step_coverage, simulated, live = _step_kinds(plan.segments)
     # a step's noise row counts the steps of its kind before it
     noise_row = np.where(simulated, np.cumsum(simulated), np.cumsum(live)) - 1
 
     runs = []
     for offsets_ns in offset_maps:
         # the step end times ``t`` are the same under every map
-        t, tracking, transitions = run_timeline(segments, offsets_ns, profile, start)
+        t, tracking, transitions = run_timeline(plan.segments, offsets_ns, plan.profile, start)
         fix = np.flatnonzero(tracking)
         runs.append((fix, transitions))
     # the simulator fixes of every map in one stacked solve, a map's rows after the previous map's
@@ -451,7 +465,7 @@ def _handover(
         positions, clock_bias_s = np.zeros((fix.size, 3)), np.zeros(fix.size)
         positions[sim], clock_bias_s[sim] = solved.position[rows], solved.clock_bias_s[rows]
         positions[~sim, :2] = drawn.live_noise[row[~sim]]
-        positions[~sim, 0] += speed_ms * t_s[~sim]
+        positions[~sim, 0] += plan.speed_ms * t_s[~sim]
         stats: dict[int, ErrorStats] = {}
         latency: dict[int, float | None] = dict.fromkeys(range(len(centers)))
         errors = []
@@ -483,41 +497,43 @@ def _handover(
     return results
 
 
-def _live_blocked_simulator(live_s: float, blocked_s: float, sim_s: float) -> tuple[Segment, ...]:
-    """Live sky, blockage, then simulator 0, each rounded to whole steps of DT_S."""
-    return (
-        Segment(round(live_s / DT_S), True),
-        Segment(round(blocked_s / DT_S), False),
-        Segment(round(sim_s / DT_S), True, 0),
-    )
+def _one_simulator_plan(
+    scope: str, windows_s: tuple[float, float, float], profile: rcv.ReceiverProfile, pr_noise_m: float
+) -> Plan:
+    """Live sky, blockage, then simulator 0 at the origin, standing still.
 
-
-def _paired_runs(
-    scope: str,
-    seed: int,
-    configs: Sequence[ClockConfig],
-    segments: Sequence[Segment],
-    centers_m: Sequence[float],
-    speed_ms: float,
-    profile: rcv.ReceiverProfile,
-    pr_noise_m: float,
-    cfg: Config,
-) -> list[ScenarioResult]:
-    """One segment plan under each of ``configs``, starting from tracking.
-
-    Host k, the simulator at ``centers_m[k]``, draws its clock chain once
-    for all configurations under (seed, scope, k); the sky and noise are
-    drawn once under (seed, scope). A configuration's run reads only its
-    draws' offsets, and one ``_handover`` call solves the fixes of every
-    configuration in one stack, so a matrix holds one trial's fixes of all
-    its configurations at a time. Returns one result per configuration.
+    ``windows_s`` holds the three windows' seconds, each rounded to whole
+    steps of DT_S. A window longer than MAX_TIMELINE_STEPS counts one step
+    past it, which keeps any finite length countable and refused.
     """
-    host_draws = [draw_clock(seed, scope, k, configs, cfg) for k in range(len(centers_m))]
-    drawn = draw_sky(scope, seed, segments, pr_noise_m, cfg)
+    live, blocked, sim = (round(min(w / DT_S, MAX_TIMELINE_STEPS + 1)) for w in windows_s)
+    segments = (Segment(live, True), Segment(blocked, False), Segment(sim, True, 0))
+    return Plan(scope, segments, (0.0,), 0.0, profile, pr_noise_m)
+
+
+def _capped(plan: Plan, what: str) -> Plan:
+    """``plan``, refused past MAX_TIMELINE_STEPS steps; ``what`` names the keys and length that set it."""
+    if plan.steps > MAX_TIMELINE_STEPS:
+        raise ConfigError(f"{what} takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s")
+    return plan
+
+
+def _paired_runs(plan: Plan, configs: Sequence[ClockConfig], seed: int, cfg: Config) -> list[ScenarioResult]:
+    """``plan`` under each of ``configs``, starting from tracking.
+
+    Host k, the simulator at ``plan.centers_m[k]``, draws its clock chain
+    once for all configurations under (seed, plan.scope, k); the sky and
+    noise are drawn once under (seed, plan.scope). A configuration's run
+    reads only its draws' offsets, and one ``_handover`` call solves the
+    fixes of every configuration in one stack, so a matrix holds one
+    trial's fixes of all its configurations at a time. Returns one result
+    per configuration.
+    """
+    host_draws = [draw_clock(seed, plan.scope, k, configs, cfg) for k in range(len(plan.centers_m))]
+    drawn = draw_sky(plan, seed, cfg)
     clock_draws = [dict(enumerate(draws)) for draws in zip(*host_draws)]
     offset_maps = [{k: draw.error_ns for k, draw in draws.items()} for draws in clock_draws]
-    tracking = rcv.ReceiverState.tracking()
-    return _handover(segments, offset_maps, centers_m, speed_ms, profile, tracking, drawn, clock_draws)
+    return _handover(plan, offset_maps, rcv.ReceiverState.tracking(), drawn, clock_draws)
 
 
 # ------------------------------------------------------------ static handover
@@ -533,33 +549,23 @@ def run_static_handover(config: ClockConfig, seed: int = 0, cfg: Config = DEFAUL
     Segment lengths come from ``cfg.handover``, the receiver from
     ``cfg.deployment``.
     """
-    return _static_handovers((config,), seed, cfg)[0]
+    return _paired_runs(_static_plan(cfg), (config,), seed, cfg)[0]
 
 
-def _static_handovers(configs: Sequence[ClockConfig], seed: int, cfg: Config) -> list[ScenarioResult]:
-    """The static handover under each of ``configs``, paired by ``_paired_runs``."""
-    profile = rcv.PROFILES[cfg.deployment.receiver]
-    noise_m = cfg.handover.pr_noise_m
-    return _paired_runs("static", seed, configs, _static_plan(cfg), (0.0,), 0.0, profile, noise_m, cfg)
-
-
-def _static_plan(cfg: Config) -> tuple[Segment, ...]:
-    """The static handover's segments, refused past MAX_TIMELINE_STEPS steps before anything is drawn."""
+def _static_plan(cfg: Config) -> Plan:
+    """The static handover's plan, refused past MAX_TIMELINE_STEPS steps before anything is drawn."""
     h = cfg.handover
-    if (h.live_s + h.blocked_s + h.sim_s) / DT_S > MAX_TIMELINE_STEPS:
-        raise ConfigError(
-            f"handover.live_s, handover.blocked_s, handover.sim_s: {h.live_s} + {h.blocked_s} + "
-            f"{h.sim_s} s takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s"
-        )
-    return _live_blocked_simulator(h.live_s, h.blocked_s, h.sim_s)
+    profile = rcv.PROFILES[cfg.deployment.receiver]
+    plan = _one_simulator_plan("static", (h.live_s, h.blocked_s, h.sim_s), profile, h.pr_noise_m)
+    keys = "handover.live_s, handover.blocked_s, handover.sim_s"
+    return _capped(plan, f"{keys}: {h.live_s} + {h.blocked_s} + {h.sim_s} s")
 
 
-def _check_matrix_steps(trials: int, segments: Sequence[Segment], keys: str) -> None:
+def _check_matrix_steps(trials: int, plan: Plan, keys: str) -> None:
     """Refuse a matrix of more than MAX_MATRIX_STEPS timeline steps over all its trials."""
-    steps = sum(seg.steps for seg in segments)
-    if trials * steps > MAX_MATRIX_STEPS:
+    if trials * plan.steps > MAX_MATRIX_STEPS:
         raise ConfigError(
-            f"handover.trials, {keys}: {trials} trials of {steps} steps of {DT_S} s exceed "
+            f"handover.trials, {keys}: {trials} trials of {plan.steps} steps of {DT_S} s exceed "
             f"{MAX_MATRIX_STEPS} steps"
         )
 
@@ -594,14 +600,15 @@ def run_static_handover_matrix(seed: int = 0, cfg: Config = DEFAULTS) -> MatrixR
     p95 along ALL_CLOCK_CONFIGS, which runs worst-first.
     """
     trials = cfg.handover.trials
-    _check_matrix_steps(trials, _static_plan(cfg), "handover.live_s, handover.blocked_s, handover.sim_s")
+    plan = _static_plan(cfg)
+    _check_matrix_steps(trials, plan, "handover.live_s, handover.blocked_s, handover.sim_s")
     p95s: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
     avgs: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
     maxes: dict[str, float] = {c.label: 0.0 for c in ALL_CLOCK_CONFIGS}
     for trial in range(trials):
         trial_seed = derive_seed(seed, "handover_matrix", trial)
         # only the statistics outlive the trial, not its fixes
-        trial_stats = [r.coverage_stats.get(0) for r in _static_handovers(ALL_CLOCK_CONFIGS, trial_seed, cfg)]
+        trial_stats = [r.coverage_stats.get(0) for r in _paired_runs(plan, ALL_CLOCK_CONFIGS, trial_seed, cfg)]
         for config, stats in zip(ALL_CLOCK_CONFIGS, trial_stats):
             if stats is None:
                 raise EmptyFixSet(f"no fixes for {config.label} in trial {trial}")
@@ -657,14 +664,14 @@ def run_offset_sweep(seed: int = 0, cfg: Config = DEFAULTS) -> SweepResult:
     offsets_ns = [ns_from_millis(ms) for ms in cfg.sweep.offsets_ms()]
     trials = cfg.sweep.trials
     cold = rcv.ReceiverState.cold(profile)
-    segments = _live_blocked_simulator(SWEEP_WINDOW_S, SWEEP_WINDOW_S, SWEEP_WINDOW_S)
+    plan = _one_simulator_plan("sweep", (SWEEP_WINDOW_S,) * 3, profile, cfg.handover.pr_noise_m)
     reacq: list[list[float]] = [[] for _ in offsets_ns]
     errors: list[list[float]] = [[] for _ in offsets_ns]
     # trials outside offsets: one trial's sky and noise serve its whole grid
     for trial in range(trials):
-        drawn = draw_sky("sweep", derive_seed(seed, "sweep", trial), segments, cfg.handover.pr_noise_m, cfg)
+        drawn = draw_sky(plan, derive_seed(seed, "sweep", trial), cfg)
         for offset_ns, offset_reacq, offset_errors in zip(offsets_ns, reacq, errors):
-            (result,) = _handover(segments, ({0: offset_ns},), (0.0,), 0.0, profile, cold, drawn, ({},))
+            (result,) = _handover(plan, ({0: offset_ns},), cold, drawn, ({},))
             if 0 not in result.coverage_stats:
                 raise EmptyFixSet(f"no reacquisition at offset {offset_ns / NS_PER_MS} ms")
             offset_reacq.append(result.first_fix_latency_s[0])
@@ -708,48 +715,33 @@ def run_dynamic_traversal(
     signal at. The satellite count comes from ``cfg.handover``. A crossing
     of more than MAX_TIMELINE_STEPS steps is refused before it starts.
     """
-    return _traversals(scenario, _traversal_plan(scenario.deployment), (scenario.clock,), seed, cfg)[0]
+    plan = _traversal_plan(scenario.deployment, scenario.pr_noise_m)
+    return _paired_runs(plan, (scenario.clock,), seed, cfg)[0]
 
 
-def _traversals(
-    scenario: PathScenario,
-    plan: tuple[list[Segment], Sequence[float], float],
-    configs: Sequence[ClockConfig],
-    seed: int,
-    cfg: Config,
-) -> list[ScenarioResult]:
-    """The traversal along ``plan``, its deployment's ``_traversal_plan``, under each of
-    ``configs`` in place of ``scenario.clock``, via ``_paired_runs``."""
-    segments, centers_m, v = plan
-    profile, noise_m = rcv.PROFILES[scenario.deployment.receiver], scenario.pr_noise_m
-    return _paired_runs("dynamic", seed, configs, segments, centers_m, v, profile, noise_m, cfg)
+def _traversal_plan(dep: DeploymentConfig, pr_noise_m: float) -> Plan:
+    """A crossing of ``dep``'s corridor at its max speed with its receiver.
 
-
-def _traversal_plan(dep: DeploymentConfig) -> tuple[list[Segment], Sequence[float], float]:
-    """The segments of a crossing of ``dep``'s corridor, its coverage centers and its speed.
-
-    A crossing of more than MAX_TIMELINE_STEPS steps is refused before it is cut.
+    The cut stops one step past MAX_TIMELINE_STEPS, so a longer crossing,
+    however slow, is refused once that many steps are cut.
     """
     layout = corridor_layout(dep.radius_m, dep.separation_m)
     v = kmh_to_ms(dep.max_speed_kmh)
     if v <= 0:
         raise ZeroSpeed(f"speed must be positive, got {v} m/s")
-    if layout.length_m / DT_S > MAX_TIMELINE_STEPS * v:
-        raise ConfigError(
-            f"deployment.max_speed_kmh, deployment.separation_m: crossing {layout.length_m} m "
-            f"at {v} m/s takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s"
-        )
     sources = []
     s = 0.0
-    while s < layout.length_m:
+    while s < layout.length_m and len(sources) <= MAX_TIMELINE_STEPS:
         s += v * DT_S
         sources.append(layout.source_at(s))
     # source_at gives live sky and blockage the coverage None
-    segments = [
+    segments = tuple(
         Segment(sum(1 for _ in run), source != "blocked", k)
         for (source, k), run in itertools.groupby(sources)
-    ]
-    return segments, layout.centers_m, v
+    )
+    plan = Plan("dynamic", segments, layout.centers_m, v, rcv.PROFILES[dep.receiver], pr_noise_m)
+    keys = "deployment.max_speed_kmh, deployment.separation_m"
+    return _capped(plan, f"{keys}: crossing {layout.length_m} m at {v} m/s")
 
 
 def default_driving_scenario(cfg: Config = DEFAULTS) -> PathScenario:
@@ -779,8 +771,8 @@ def run_traversal_matrix(scenario: PathScenario, seed: int = 0, cfg: Config = DE
     """The traversal under TRAVERSAL_CLOCK_CONFIGS over ``cfg.handover.trials`` paired trial seeds."""
     trials = cfg.handover.trials
     # one plan for every trial: cutting a crossing steps through it in Python
-    plan = _traversal_plan(scenario.deployment)
-    _check_matrix_steps(trials, plan[0], "deployment.max_speed_kmh, deployment.separation_m")
+    plan = _traversal_plan(scenario.deployment, scenario.pr_noise_m)
+    _check_matrix_steps(trials, plan, "deployment.max_speed_kmh, deployment.separation_m")
     avgs: dict[str, list[float]] = {c.label: [] for c in TRAVERSAL_CLOCK_CONFIGS}
     success: dict[str, bool] = {c.label: True for c in TRAVERSAL_CLOCK_CONFIGS}
     for trial in range(trials):
@@ -788,7 +780,7 @@ def run_traversal_matrix(scenario: PathScenario, seed: int = 0, cfg: Config = DE
         # only the statistics outlive the trial, not its fixes
         trial_stats = [
             (r.overall, all(r.handover_success.values()))
-            for r in _traversals(scenario, plan, TRAVERSAL_CLOCK_CONFIGS, trial_seed, cfg)
+            for r in _paired_runs(plan, TRAVERSAL_CLOCK_CONFIGS, trial_seed, cfg)
         ]
         for config, (overall, handed_over) in zip(TRAVERSAL_CLOCK_CONFIGS, trial_stats):
             if overall is None:
@@ -831,11 +823,9 @@ def run_outdoor_comparison(seed: int = 0, cfg: Config = DEFAULTS) -> OutdoorComp
     simulator reception is positionally indistinguishable from open sky
     at the scale the deployment cares about.
     """
-    segments = _live_blocked_simulator(OUTDOOR_WINDOW_S, 0.0, OUTDOOR_WINDOW_S)
-    noise_m = cfg.handover.pr_noise_m
-    (result,) = _paired_runs(
-        "outdoor", seed, (PRIVATE_CALIBRATED,), segments, (0.0,), 0.0, rcv.DEDICATED, noise_m, cfg
-    )
+    windows_s = (OUTDOOR_WINDOW_S, 0.0, OUTDOOR_WINDOW_S)
+    plan = _one_simulator_plan("outdoor", windows_s, rcv.DEDICATED, cfg.handover.pr_noise_m)
+    (result,) = _paired_runs(plan, (PRIVATE_CALIBRATED,), seed, cfg)
     live_stats = compute_error_stats(
         horizontal_distances(result.positions[result.coverage < 0], np.zeros(3))
     )

@@ -682,14 +682,45 @@ class TestCounts:
     )
     def test_matrix_steps_past_the_bound_exit_two(self, tmp_path, capsys, scenario, config, named):
         cfg = config_from_dict(config)
-        plan = sc._static_plan(cfg) if scenario == "static" else sc._traversal_plan(cfg.deployment)[0]
-        trials = MAX_MATRIX_STEPS // sum(seg.steps for seg in plan) + 1
+        if scenario == "static":
+            plan = sc._static_plan(cfg)
+        else:
+            plan = sc._traversal_plan(cfg.deployment, sc.DRIVING_PR_NOISE_M)
+        trials = MAX_MATRIX_STEPS // sum(seg.steps for seg in plan.segments) + 1
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         argv = ["simulate", "--scenario", scenario, "--trials", str(trials), "--config", str(path)]
         assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize(
+        "scenario, config, named",
+        [
+            # windows of exactly 1,000,000 steps in seconds, which round to 1 + 14 + 999,986
+            ("static", {"handover": {"live_s": 0.06, "blocked_s": 1.35, "sim_s": 99998.59}},
+             "handover.live_s, handover.blocked_s, handover.sim_s: 0.06 + 1.35 + 99998.59 s takes more"),
+            # a crossing whose float-accumulating cut takes 1,000,001 steps
+            ("driving", {"deployment": {"max_speed_kmh": 0.0684}},
+             "deployment.max_speed_kmh, deployment.separation_m: crossing"),
+        ],
+        ids=["static", "driving"],
+    )
+    def test_timeline_one_step_past_the_cap_exits_two(self, tmp_path, capsys, monkeypatch, scenario, config, named):
+        def drawn(*args, **kwargs):
+            raise AssertionError("a clock was drawn")
+
+        monkeypatch.setattr(sc, "draw_clock", drawn)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        # one trial keeps the matrix under MAX_MATRIX_STEPS
+        for name, flags in (("matrix", ["--clock", "all", "--trials", "1"]), ("single", ["--clock", "public/raw"])):
+            out = tmp_path / name
+            argv = ["simulate", "--scenario", scenario, *flags, "--config", str(path)]
+            assert run(*argv, "--out", str(out)) == EXIT_CONFIG
+            assert named in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestUnwritableOut:

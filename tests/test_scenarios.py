@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpsimlab import scenarios as sc
-from gpsimlab.config import MAX_MATRIX_STEPS, Config, ConfigError, DeploymentConfig, HandoverConfig, SweepConfig
+from gpsimlab.config import (
+    MAX_MATRIX_STEPS,
+    MAX_TIMELINE_STEPS,
+    Config,
+    ConfigError,
+    DeploymentConfig,
+    HandoverConfig,
+    SweepConfig,
+)
 from gpsimlab.placement import (
     COLD,
     WARM,
@@ -446,7 +454,7 @@ class TestDynamicTraversal:
             sc.run_dynamic_traversal(self._at_speed(0.0))
 
     def test_crossing_above_the_step_cap_rejected_before_stepping(self):
-        # 1900 m at 1 mm/s would be 1.9e7 steps; refused before the first
+        # 1900 m at 1 mm/s would be 1.9e7 steps; refused before the receiver steps
         with pytest.raises(ConfigError, match="deployment.max_speed_kmh"):
             sc.run_dynamic_traversal(self._at_speed(ms_to_kmh(1e-3)))
 
@@ -641,7 +649,7 @@ class TestBatchedConfigurations:
 
     @pytest.mark.parametrize("seed", [0, 7, 29])
     def test_static_handover_equals_its_entry_of_the_batch(self, seed):
-        batched = sc._static_handovers(sc.ALL_CLOCK_CONFIGS, seed, Config())
+        batched = sc._paired_runs(sc._static_plan(Config()), sc.ALL_CLOCK_CONFIGS, seed, Config())
         assert len(batched) == len(sc.ALL_CLOCK_CONFIGS)
         for config, result in zip(sc.ALL_CLOCK_CONFIGS, batched):
             assert_same_result(sc.run_static_handover(config, seed), result)
@@ -649,8 +657,8 @@ class TestBatchedConfigurations:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_traversal_equals_its_entry_of_the_batch(self, seed):
         scenario = sc.default_driving_scenario()
-        plan = sc._traversal_plan(scenario.deployment)
-        batched = sc._traversals(scenario, plan, sc.TRAVERSAL_CLOCK_CONFIGS, seed, Config())
+        plan = sc._traversal_plan(scenario.deployment, scenario.pr_noise_m)
+        batched = sc._paired_runs(plan, sc.TRAVERSAL_CLOCK_CONFIGS, seed, Config())
         assert len(batched) == len(sc.TRAVERSAL_CLOCK_CONFIGS)
         for config, result in zip(sc.TRAVERSAL_CLOCK_CONFIGS, batched):
             alone = sc.run_dynamic_traversal(dataclasses.replace(scenario, clock=config), seed)
@@ -674,7 +682,7 @@ class TestMatrixStepBound:
     def test_static_matrix(self):
         # 30 s live, 30 s blocked, 9,940 s simulator: 100,000 steps a trial
         handover = HandoverConfig(sim_s=9940.0)
-        assert sum(seg.steps for seg in sc._static_plan(Config(handover=handover))) == 100_000
+        assert sum(seg.steps for seg in sc._static_plan(Config(handover=handover)).segments) == 100_000
         at_cap = MAX_MATRIX_STEPS // 100_000
         with pytest.raises(Drawn):
             sc.run_static_handover_matrix(0, Config(handover=dataclasses.replace(handover, trials=at_cap)))
@@ -684,7 +692,7 @@ class TestMatrixStepBound:
 
     def test_driving_matrix(self):
         deployment = DeploymentConfig(max_speed_kmh=11.0)
-        steps = sum(seg.steps for seg in sc._traversal_plan(deployment)[0])
+        steps = sum(seg.steps for seg in sc._traversal_plan(deployment, sc.DRIVING_PR_NOISE_M).segments)
         at_cap = MAX_MATRIX_STEPS // steps
         scenario = sc.default_driving_scenario(Config(deployment=deployment))
         with pytest.raises(Drawn):
@@ -694,9 +702,34 @@ class TestMatrixStepBound:
         with pytest.raises(ConfigError, match=r"handover\.trials, deployment\.max_speed_kmh"):
             sc.run_traversal_matrix(scenario, 0, past)
 
+    @pytest.mark.parametrize("run", [
+        lambda cfg: sc.run_static_handover(sc.PRIVATE_CALIBRATED, 0, cfg),
+        lambda cfg: sc.run_static_handover_matrix(0, cfg),
+    ], ids=["single", "matrix"])
+    def test_static_timeline_one_step_past_the_cap(self, run):
+        # the windows sum to exactly 1,000,000 steps, but round to 1 + 14 + 999,986;
+        # one trial keeps the matrix under MAX_MATRIX_STEPS
+        handover = HandoverConfig(live_s=0.06, blocked_s=1.35, sim_s=99998.59, trials=1)
+        assert (handover.live_s + handover.blocked_s + handover.sim_s) / sc.DT_S == MAX_TIMELINE_STEPS
+        with pytest.raises(ConfigError, match=r"^handover\.live_s, handover\.blocked_s, handover\.sim_s: "):
+            run(Config(handover=handover))
+
+    @pytest.mark.parametrize("run", [
+        lambda scenario, cfg: sc.run_dynamic_traversal(scenario, 0, cfg),
+        lambda scenario, cfg: sc.run_traversal_matrix(scenario, 0, cfg),
+    ], ids=["single", "matrix"])
+    def test_driving_timeline_one_step_past_the_cap(self, run):
+        # length / (v DT_S) is under 1,000,000, but the float-accumulating cut takes 1,000,001 steps
+        deployment = DeploymentConfig(max_speed_kmh=0.0684)
+        layout = corridor_layout(deployment.radius_m, deployment.separation_m)
+        assert layout.length_m / sc.DT_S <= MAX_TIMELINE_STEPS * kmh_to_ms(deployment.max_speed_kmh)
+        cfg = Config(deployment=deployment, handover=HandoverConfig(trials=1))
+        with pytest.raises(ConfigError, match=r"^deployment\.max_speed_kmh, deployment\.separation_m: "):
+            run(sc.default_driving_scenario(cfg), cfg)
+
     def test_default_matrices_sit_far_below_the_bound(self):
-        static_steps = sum(seg.steps for seg in sc._static_plan(Config()))
-        driving_steps = sum(seg.steps for seg in sc._traversal_plan(DeploymentConfig())[0])
+        static_steps = sum(seg.steps for seg in sc._static_plan(Config()).segments)
+        driving_steps = sum(seg.steps for seg in sc._traversal_plan(DeploymentConfig(), sc.DRIVING_PR_NOISE_M).segments)
         assert Config().handover.trials * max(static_steps, driving_steps) * 200 <= MAX_MATRIX_STEPS
 
 
@@ -711,3 +744,34 @@ class TestSeedDerivation:
         assert live_raw.any()
         assert raw.t_s[live_raw].tolist() == cal.t_s[live_cal].tolist()
         np.testing.assert_array_equal(raw.positions[live_raw], cal.positions[live_cal])
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_static_matrix_trials_are_single_runs_at_the_trial_seeds(self, seed):
+        cfg = Config(handover=HandoverConfig(trials=3))
+        matrix = sc.run_static_handover_matrix(seed, cfg)
+        for config, cell in zip(sc.ALL_CLOCK_CONFIGS, matrix.cells, strict=True):
+            assert cell.label == config.label
+            singles = [
+                sc.run_static_handover(config, derive_seed(seed, "handover_matrix", i), cfg).coverage_stats[0]
+                for i in range(3)
+            ]
+            assert cell.per_trial_p95_m == tuple(stats.p95_m for stats in singles)
+            assert cell.median_avg_m == float(np.median([stats.avg_m for stats in singles]))
+            assert cell.max_m == max(stats.max_m for stats in singles)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_traversal_matrix_trials_are_single_runs_at_the_trial_seeds(self, seed):
+        cfg = Config(handover=HandoverConfig(trials=3))
+        scenario = sc.default_driving_scenario(cfg)
+        matrix = sc.run_traversal_matrix(scenario, seed, cfg)
+        for config, cell in zip(sc.TRAVERSAL_CLOCK_CONFIGS, matrix.cells, strict=True):
+            assert cell.label == config.label
+            singles = [
+                sc.run_dynamic_traversal(
+                    dataclasses.replace(scenario, clock=config), derive_seed(seed, "traversal_matrix", i), cfg
+                )
+                for i in range(3)
+            ]
+            assert cell.per_trial_avg_m == tuple(result.overall.avg_m for result in singles)
+            assert cell.median_avg_m == float(np.median(cell.per_trial_avg_m))
+            assert cell.handover_success_all == all(all(r.handover_success.values()) for r in singles)
