@@ -22,8 +22,10 @@ over 4 and over 32 satellites, the ends of the schema, one whose
 2,000 s simulator window gives each trial's stacked solve about 80,000
 rows, many solver blocks, a driving run on a clock other than the
 default, a pedestrian run on a named clock, a driving matrix whose config
-picks the smartphone receiver, and a static and a driving matrix past
-the matrix step bound, which exit 2), and prints every
+picks the smartphone receiver, a static and a driving matrix past
+the matrix step bound, which exit 2, a driving run at 1 m a step, whose
+step ends fall on every corridor edge, and a crossing one step past the
+timeline step cap, which exits 2), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -121,6 +123,10 @@ COMMANDS = (
     # trials times timeline steps past MAX_MATRIX_STEPS, refused with exit 2 before anything runs
     ("simulate", "--scenario", "static", "--trials", "101", {"handover": {"sim_s": 9940.0}}),
     ("simulate", "--scenario", "driving", "--trials", "2000", {"deployment": {"max_speed_kmh": 11.0}}),
+    # 1 m a step, so every portal and coverage edge of the corridor is the end of a step
+    ("simulate", "--scenario", "driving", "--clock", "private/calibrated", {"deployment": {"max_speed_kmh": 36.0}}),
+    # a crossing of 1,000,001 steps, one past MAX_TIMELINE_STEPS, refused with exit 2
+    ("simulate", "--scenario", "driving", "--clock", "private/calibrated", {"deployment": {"max_speed_kmh": 0.06839996}}),
 )
 
 

@@ -4,7 +4,8 @@ The deployment model is one-dimensional: circular coverages of radius r
 are centered on the travel path with center-to-center separation d, the
 user crosses each coverage on a chord through the center at speed v, the
 signal is continuous inside a coverage and absent in the gaps between
-them. All rules below are exact closed forms in those quantities.
+them. All rules below are exact closed forms in those quantities; a
+``Corridor`` cuts a crossing into whole steps from its edges alone.
 
 Two regimes let a receiver produce a fix inside a coverage. The fast path
 requires the blockage between coverages to stay short enough for
@@ -22,6 +23,7 @@ km/h convert with the exact factor 1000/3600.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .receiver import ReceiverProfile
@@ -89,14 +91,25 @@ class Corridor:
     def length_m(self) -> float:
         return self.portal_out_m + LIVE_LEAD_M
 
-    def source_at(self, s_m: float) -> tuple[str, int | None]:
-        """What the receiver hears at path position ``s_m``; portals and coverage edges are inside."""
-        if not LIVE_LEAD_M <= s_m <= self.portal_out_m:
-            return "live_sky", None
+    def crossing_runs(self, step_m: float) -> list[tuple[int, bool, int | None]]:
+        """A crossing in steps of ``step_m``: (steps, signal, coverage) per stretch, in path order.
+
+        Step k, counted from 1, ends at k * step_m and hears that point: live sky before the entry
+        portal and after the exit portal, coverage k within radius_m of its center, blockage
+        elsewhere; portals and edges are inside. A stretch no step ends in has 0 steps.
+        """
+        # each stretch up to the exit portal, its far edge, and whether a step ending on that edge is in it
+        stretches = [(True, None, LIVE_LEAD_M, False)]
         for k, center in enumerate(self.centers_m):
-            if abs(s_m - center) <= self.radius_m:
-                return "simulator", k
-        return "blocked", None
+            stretches += [(False, None, center - self.radius_m, False), (True, k, center + self.radius_m, True)]
+        stretches.append((False, None, self.portal_out_m, True))
+        runs, done = [], 0
+        for signal, k, edge_m, inside in stretches:
+            end = math.floor(edge_m / step_m) if inside else math.ceil(edge_m / step_m) - 1
+            runs.append((max(end - done, 0), signal, k))
+            done = max(done, end)
+        # live sky again, up to the first step that ends at or past length_m
+        return runs + [(math.ceil(self.length_m / step_m) - done, True, None)]
 
 
 def corridor_layout(radius_m: float, separation_m: float) -> Corridor:

@@ -12,10 +12,10 @@ linearly to a slow time and clamped there.
 The reacquisition target is latched once, from the clock offset seen at
 the moment the signal returns; later offset changes during the same
 reacquisition do not move it. Stepping is pure: the next state depends
-only on the arguments. Time advances in whole DT_S quanta and the state
-counts them as an integer: a blockage of k quanta is within t_max when
-k * DT_S <= t_max + ε, and a target of t s completes after
-max(1, ⌈(t − ε)/DT_S⌉) quanta of signal.
+only on the arguments. Time advances in whole quanta of
+DT_S = 1/STEPS_PER_S s and the state counts them as an integer: a
+blockage of k quanta is within t_max when k * DT_S <= t_max + ε, and a
+target of t s completes after max(1, ⌈(t − ε)/DT_S⌉) quanta of signal.
 
 ``advance`` moves through a stretch of unchanged signal at once: it
 steps the first quantum, where every decision of the state machine is
@@ -33,7 +33,8 @@ import numpy as np
 
 from .timebase import NS_PER_S
 
-DT_S = 0.1
+STEPS_PER_S = 10
+DT_S = 1 / STEPS_PER_S
 FLAT_REGION_S = 0.050
 SLOW_OFFSET_S = 0.250
 _EPS_S = 1e-9

@@ -6,13 +6,14 @@ steps through, the simulators' positions, the receiver's speed and
 profile, and the pseudorange noise. The static handover, the offset
 sweep and the outdoor comparison plan live sky, blockage and one
 simulator at the origin; a traversal cuts its crossing of the corridor
-``placement.corridor_layout`` lays out for a deployment into segments,
-one coverage per simulator. A plan holds no clock offset, so one plan
-serves every clock configuration and every sweep offset:
-``run_timeline`` advances the receiver through it a segment at a time,
-taking each coverage's offset from a ``{coverage: offset_ns}`` map. The
-composed transmit-clock error decides the reacquisition time and,
-through satellite motion, the fix bias inside a coverage.
+``placement.corridor_layout`` lays out at its edges, one coverage per
+simulator. A plan holds no clock offset: ``run_timeline`` advances the
+receiver through it a segment at a time under a ``{coverage: offset_ns}``
+map, one per clock configuration or sweep offset. The composed
+transmit-clock error decides the reacquisition time and, through
+satellite motion, the fix bias inside a coverage. Time is a count of
+DT_S steps, stamped in seconds only on a result: step k, counted from
+0, ends at (k + 1) / STEPS_PER_S s.
 
 Comparisons between clock configurations are paired: random draws that do
 not depend on the configuration (sky plot, pseudorange noise, the delay
@@ -27,8 +28,8 @@ and ``_handover`` itself with one offset per call: its grid of up to
 MAX_TRIAL_RUNS runs would stack that many timelines of fixes.
 Pseudorange noise is indexed by simulator step, not by fix count, which
 keeps the pairing aligned even when reacquisition delays the first fix.
-A plan's steps, ``plan.steps``, are what MAX_TIMELINE_STEPS caps, and
-trials times them what MAX_MATRIX_STEPS caps, before anything is drawn.
+MAX_TIMELINE_STEPS caps a plan's steps, and MAX_MATRIX_STEPS trials
+times them, before anything is drawn.
 
 Default parameters come from ``config.DEFAULTS``. A runner takes a seed
 and the whole ``Config`` and nothing that overrides it: trial counts and
@@ -38,7 +39,6 @@ flags. Everything is deterministic given (scenario, seed, config).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -260,7 +260,8 @@ class ScenarioResult:
     """Per-coverage statistics over the fixes, four columns in time order.
 
     ``coverage`` holds the simulator each fix was solved against, -1 for a
-    live-sky fix, whose ``clock_bias_s`` is 0.
+    live-sky fix, whose ``clock_bias_s`` is 0. ``first_fix_steps`` counts
+    each coverage's steps from its entry through its first fix.
     """
 
     t_s: np.ndarray
@@ -269,10 +270,14 @@ class ScenarioResult:
     coverage: np.ndarray
     coverage_stats: dict[int, ErrorStats]
     handover_success: dict[int, bool]
-    first_fix_latency_s: dict[int, float | None]
+    first_fix_steps: dict[int, int | None]
     overall: ErrorStats | None
     clock_draws: dict[int, ClockDraw]
     transitions: tuple[TransitionRow, ...]
+
+    @property
+    def first_fix_latency_s(self) -> dict[int, float | None]:
+        return {k: None if n is None else n / rcv.STEPS_PER_S for k, n in self.first_fix_steps.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -290,13 +295,11 @@ class ScenarioResult:
 
 @dataclass(frozen=True)
 class Segment:
-    """A stretch of constant reception: ``steps`` quanta of DT_S.
+    """A stretch of constant reception: ``steps`` quanta of DT_S, possibly none.
 
     ``coverage`` is the simulator the signal comes from, None for live sky
-    and blockage. A segment carries no clock offset: one segment plan
-    serves every clock configuration, and the offset of a simulator
-    segment comes from the map of offsets per coverage the plan is run
-    with. Live sky and blockage run with offset 0.
+    and blockage, which run with offset 0. A segment carries no offset: a
+    simulator segment takes its coverage's from the map the plan runs with.
     """
 
     steps: int
@@ -309,19 +312,15 @@ def run_timeline(
     offsets_ns: Mapping[int, int],
     profile: rcv.ReceiverProfile,
     state: rcv.ReceiverState,
-) -> tuple[np.ndarray, np.ndarray, list[TransitionRow]]:
+) -> tuple[np.ndarray, list[TransitionRow]]:
     """Advance the receiver through ``segments`` in order, a segment at a time.
 
     A simulator segment transmits with ``offsets_ns[seg.coverage]``, which
     its transition rows record. Returns, per step of the whole timeline,
-    the time the step ends at and whether it ends in TRACKING, i.e. makes
-    a fix; and the transition rows, one per mode change, stamped at the
-    end of the step that made it. The end times are one cumulative sum of
-    DT_S, which adds step by step, so every t is the same float however
-    the timeline is cut.
+    whether it ends in TRACKING, i.e. makes a fix; and the transition
+    rows, one per mode change, stamped at the end of the step that made it.
     """
-    t = np.cumsum(np.full(sum(seg.steps for seg in segments), DT_S))
-    tracking = np.zeros(t.size, dtype=bool)
+    tracking = np.zeros(sum(seg.steps for seg in segments), dtype=bool)
     transitions: list[TransitionRow] = []
     last_mode = None
     start = 0
@@ -332,16 +331,14 @@ def run_timeline(
         state, runs = rcv.advance(state, profile, seg.signal, offset_ns, seg.steps)
         for i, mode in runs:
             if mode is not last_mode:
-                end = float(t[start + i])
-                transitions.append(
-                    TransitionRow(end, mode.value, seg.signal, offset_ns / NS_PER_MS, seg.coverage)
-                )
+                end_s = (start + i + 1) / rcv.STEPS_PER_S
+                transitions.append(TransitionRow(end_s, mode.value, seg.signal, offset_ns / NS_PER_MS, seg.coverage))
                 last_mode = mode
         # TRACKING, when reached, is the segment's last run
         first, mode = runs[-1]
         tracking[start + first : start + seg.steps] = mode is rcv.Mode.TRACKING
         start += seg.steps
-    return t, tracking, transitions
+    return tracking, transitions
 
 
 # ------------------------------------------------------------ scenario builder
@@ -431,12 +428,8 @@ def _handover(
     # a step's noise row counts the steps of its kind before it
     noise_row = np.where(simulated, np.cumsum(simulated), np.cumsum(live)) - 1
 
-    runs = []
-    for offsets_ns in offset_maps:
-        # the step end times ``t`` are the same under every map
-        t, tracking, transitions = run_timeline(plan.segments, offsets_ns, plan.profile, start)
-        fix = np.flatnonzero(tracking)
-        runs.append((fix, transitions))
+    timelines = (run_timeline(plan.segments, offsets_ns, plan.profile, start) for offsets_ns in offset_maps)
+    runs = [(np.flatnonzero(tracking), transitions) for tracking, transitions in timelines]
     # the simulator fixes of every map in one stacked solve, a map's rows after the previous map's
     sim_fixes = [fix[simulated[fix]] for fix, _ in runs]
     pr = np.empty((sum(steps.size for steps in sim_fixes), len(sky)))
@@ -453,12 +446,10 @@ def _handover(
         end = rows.stop
     solved = solve_position(pr, sky, initial_guess=guess)
 
-    # a coverage is entered when the step before its first step ends
-    step_start = np.concatenate(([0.0], t[:-1]))
     results = []
     end = 0
     for (fix, transitions), draws in zip(runs, clock_draws):
-        t_s, coverage, row = t[fix], step_coverage[fix], noise_row[fix]
+        t_s, coverage, row = (fix + 1) / rcv.STEPS_PER_S, step_coverage[fix], noise_row[fix]
         sim = coverage >= 0
         rows = slice(end, end + np.count_nonzero(sim))
         end = rows.stop
@@ -467,14 +458,15 @@ def _handover(
         positions[~sim, :2] = drawn.live_noise[row[~sim]]
         positions[~sim, 0] += plan.speed_ms * t_s[~sim]
         stats: dict[int, ErrorStats] = {}
-        latency: dict[int, float | None] = dict.fromkeys(range(len(centers)))
+        latency: dict[int, int | None] = dict.fromkeys(range(len(centers)))
         errors = []
         for k, center in enumerate(centers):
             mine = coverage == k
             if mine.any():
                 errors.append(horizontal_distances(positions[mine], center))
                 stats[k] = compute_error_stats(errors[-1])
-                latency[k] = float(t_s[mine][0] - step_start[np.argmax(step_coverage == k)])
+                # a coverage is entered when the step before its first step ends
+                latency[k] = int(fix[mine][0] + 1 - np.argmax(step_coverage == k))
         if len(errors) > 1:
             overall = compute_error_stats(np.concatenate(errors))
         else:
@@ -488,7 +480,7 @@ def _handover(
                 coverage=coverage,
                 coverage_stats=stats,
                 handover_success={k: k in stats for k in latency},
-                first_fix_latency_s=latency,
+                first_fix_steps=latency,
                 overall=overall,
                 clock_draws=draws,
                 transitions=tuple(transitions),
@@ -511,11 +503,10 @@ def _one_simulator_plan(
     return Plan(scope, segments, (0.0,), 0.0, profile, pr_noise_m)
 
 
-def _capped(plan: Plan, what: str) -> Plan:
-    """``plan``, refused past MAX_TIMELINE_STEPS steps; ``what`` names the keys and length that set it."""
-    if plan.steps > MAX_TIMELINE_STEPS:
+def _check_timeline_steps(steps: float, what: str) -> None:
+    """Refuse a timeline of more than MAX_TIMELINE_STEPS steps; ``what`` names the keys and length that set it."""
+    if steps > MAX_TIMELINE_STEPS:
         raise ConfigError(f"{what} takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s")
-    return plan
 
 
 def _paired_runs(plan: Plan, configs: Sequence[ClockConfig], seed: int, cfg: Config) -> list[ScenarioResult]:
@@ -558,7 +549,8 @@ def _static_plan(cfg: Config) -> Plan:
     profile = rcv.PROFILES[cfg.deployment.receiver]
     plan = _one_simulator_plan("static", (h.live_s, h.blocked_s, h.sim_s), profile, h.pr_noise_m)
     keys = "handover.live_s, handover.blocked_s, handover.sim_s"
-    return _capped(plan, f"{keys}: {h.live_s} + {h.blocked_s} + {h.sim_s} s")
+    _check_timeline_steps(plan.steps, f"{keys}: {h.live_s} + {h.blocked_s} + {h.sim_s} s")
+    return plan
 
 
 def _check_matrix_steps(trials: int, plan: Plan, keys: str) -> None:
@@ -665,7 +657,7 @@ def run_offset_sweep(seed: int = 0, cfg: Config = DEFAULTS) -> SweepResult:
     trials = cfg.sweep.trials
     cold = rcv.ReceiverState.cold(profile)
     plan = _one_simulator_plan("sweep", (SWEEP_WINDOW_S,) * 3, profile, cfg.handover.pr_noise_m)
-    reacq: list[list[float]] = [[] for _ in offsets_ns]
+    reacq: list[list[int]] = [[] for _ in offsets_ns]
     errors: list[list[float]] = [[] for _ in offsets_ns]
     # trials outside offsets: one trial's sky and noise serve its whole grid
     for trial in range(trials):
@@ -674,13 +666,14 @@ def run_offset_sweep(seed: int = 0, cfg: Config = DEFAULTS) -> SweepResult:
             (result,) = _handover(plan, ({0: offset_ns},), cold, drawn, ({},))
             if 0 not in result.coverage_stats:
                 raise EmptyFixSet(f"no reacquisition at offset {offset_ns / NS_PER_MS} ms")
-            offset_reacq.append(result.first_fix_latency_s[0])
+            offset_reacq.append(result.first_fix_steps[0])
             offset_errors.append(result.coverage_stats[0].avg_m)
     rows = [
         SweepRow(
             offset_ms=offset_ns / NS_PER_MS,
-            mean_reacq_s=float(np.mean(offset_reacq)),
-            std_reacq_s=float(np.std(offset_reacq)),
+            # over whole steps, so equal reacquisitions average to their own time
+            mean_reacq_s=float(np.mean(offset_reacq)) / rcv.STEPS_PER_S,
+            std_reacq_s=float(np.std(offset_reacq)) / rcv.STEPS_PER_S,
             mean_error_m=float(np.mean(offset_errors)),
             std_error_m=float(np.std(offset_errors)),
         )
@@ -720,28 +713,21 @@ def run_dynamic_traversal(
 
 
 def _traversal_plan(dep: DeploymentConfig, pr_noise_m: float) -> Plan:
-    """A crossing of ``dep``'s corridor at its max speed with its receiver.
+    """A crossing of ``dep``'s corridor at its max speed with its receiver, in steps of v DT_S.
 
-    The cut stops one step past MAX_TIMELINE_STEPS, so a longer crossing,
-    however slow, is refused once that many steps are cut.
+    Its ceil(length_m / (v DT_S)) steps are checked against MAX_TIMELINE_STEPS before
+    ``Corridor.crossing_runs`` cuts it at its edges, so no crossing is too slow to refuse at once.
     """
     layout = corridor_layout(dep.radius_m, dep.separation_m)
     v = kmh_to_ms(dep.max_speed_kmh)
     if v <= 0:
         raise ZeroSpeed(f"speed must be positive, got {v} m/s")
-    sources = []
-    s = 0.0
-    while s < layout.length_m and len(sources) <= MAX_TIMELINE_STEPS:
-        s += v * DT_S
-        sources.append(layout.source_at(s))
-    # source_at gives live sky and blockage the coverage None
-    segments = tuple(
-        Segment(sum(1 for _ in run), source != "blocked", k)
-        for (source, k), run in itertools.groupby(sources)
-    )
-    plan = Plan("dynamic", segments, layout.centers_m, v, rcv.PROFILES[dep.receiver], pr_noise_m)
+    step_m = v * DT_S
     keys = "deployment.max_speed_kmh, deployment.separation_m"
-    return _capped(plan, f"{keys}: crossing {layout.length_m} m at {v} m/s")
+    steps = layout.length_m / step_m if step_m else math.inf  # a step rounded to 0 m never ends it
+    _check_timeline_steps(steps, f"{keys}: crossing {layout.length_m} m at {v} m/s")
+    segments = tuple(Segment(*run) for run in layout.crossing_runs(step_m))
+    return Plan("dynamic", segments, layout.centers_m, v, rcv.PROFILES[dep.receiver], pr_noise_m)
 
 
 def default_driving_scenario(cfg: Config = DEFAULTS) -> PathScenario:
@@ -770,7 +756,6 @@ class TraversalCell:
 def run_traversal_matrix(scenario: PathScenario, seed: int = 0, cfg: Config = DEFAULTS) -> MatrixResult:
     """The traversal under TRAVERSAL_CLOCK_CONFIGS over ``cfg.handover.trials`` paired trial seeds."""
     trials = cfg.handover.trials
-    # one plan for every trial: cutting a crossing steps through it in Python
     plan = _traversal_plan(scenario.deployment, scenario.pr_noise_m)
     _check_matrix_steps(trials, plan, "deployment.max_speed_kmh, deployment.separation_m")
     avgs: dict[str, list[float]] = {c.label: [] for c in TRAVERSAL_CLOCK_CONFIGS}

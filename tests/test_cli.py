@@ -238,6 +238,7 @@ class TestSimulate:
             ("max_speed_kmh", 1e-3),  # ~7e7 steps
             ("max_speed_kmh", 1e-320),
             ("max_speed_kmh", 5e-324),  # 0 m/s
+            ("max_speed_kmh", 1e-323),  # 5e-324 m/s, whose step of DT_S rounds to 0 m
             ("separation_m", 1e308),  # a corridor of infinite length
         ],
     )
@@ -386,6 +387,39 @@ class TestSweep:
         payload = json.loads((out / "sweep.json").read_text())
         assert payload["receiver"] == "smartphone"
         assert payload["rows"][0]["mean_reacq_s"] == pytest.approx(4.0)
+
+
+class TestTimeAxis:
+    """Every time an artifact holds is a whole number of DT_S steps, written as its shortest decimal."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--scenario", "static", "--clock", "private/calibrated"),
+            ("simulate", "--scenario", "driving", "--clock", "private/calibrated"),
+            ("simulate", "--scenario", "pedestrian"),
+            ("sweep",),
+        ],
+        ids=["static", "driving", "pedestrian", "sweep"],
+    )
+    def test_times_are_tenths_of_a_second(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == EXIT_OK
+        cells = []
+        for path in sorted(out.glob("*_fixes.csv")) + sorted(out.glob("*_transitions.csv")):
+            with open(path, newline="") as fh:
+                cells += [row["t_s"] for row in csv.DictReader(fh)]
+        for path in sorted(out.glob("*.json")):
+            payload = json.loads(path.read_text())
+            cells += [repr(v) for v in payload.get("first_fix_latency_s", {}).values()]
+            cells += [repr(row["mean_reacq_s"]) for row in payload.get("rows", [])]
+        if argv[0] == "sweep":
+            with open(out / "sweep.csv", newline="") as fh:
+                cells += [row["mean_reacq_s"] for row in csv.DictReader(fh)]
+        assert len(cells) > 10
+        for cell in cells:
+            # the repr of k / 10, as one division of whole numbers writes it
+            assert cell == repr(round(float(cell) * 10) / 10), cell
 
 
 class TestCalibrate:
@@ -701,8 +735,8 @@ class TestCounts:
             # windows of exactly 1,000,000 steps in seconds, which round to 1 + 14 + 999,986
             ("static", {"handover": {"live_s": 0.06, "blocked_s": 1.35, "sim_s": 99998.59}},
              "handover.live_s, handover.blocked_s, handover.sim_s: 0.06 + 1.35 + 99998.59 s takes more"),
-            # a crossing whose float-accumulating cut takes 1,000,001 steps
-            ("driving", {"deployment": {"max_speed_kmh": 0.0684}},
+            # a crossing of 1,900 m in 1,000,001 steps of 1.9 mm
+            ("driving", {"deployment": {"max_speed_kmh": 0.06839996}},
              "deployment.max_speed_kmh, deployment.separation_m: crossing"),
         ],
         ids=["static", "driving"],

@@ -18,6 +18,7 @@ from gpsimlab.config import (
 )
 from gpsimlab.placement import (
     COLD,
+    LIVE_LEAD_M,
     WARM,
     OverlappingCoverage,
     ZeroSpeed,
@@ -32,6 +33,7 @@ from gpsimlab.receiver import (
     DEDICATED,
     PROFILES,
     SMARTPHONE,
+    STEPS_PER_S,
     Mode,
     ReceiverState,
     step,
@@ -97,24 +99,23 @@ class TestErrorStats:
 
 
 def stepped_timeline(segments, offsets_ns, profile, state):
-    """``run_timeline``'s result from one ``step`` per quantum and a running sum of DT_S."""
-    ends, tracking, rows = [], [], []
-    running, last_mode = 0.0, None
-    for seg in (seg for seg in segments for _ in range(seg.steps)):
+    """``run_timeline``'s result from one ``step`` per quantum, counted from 0 as an integer."""
+    tracking, rows = [], []
+    last_mode = None
+    for count, seg in enumerate(seg for seg in segments for _ in range(seg.steps)):
         offset_ns = offsets_ns.get(seg.coverage, 0)
         state = step(state, profile, seg.signal, offset_ns)
-        running += sc.DT_S
         if state.mode is not last_mode:
-            rows.append((running, state.mode.value, seg.signal, offset_ns / NS_PER_MS, seg.coverage))
+            end_s = (count + 1) / STEPS_PER_S
+            rows.append((end_s, state.mode.value, seg.signal, offset_ns / NS_PER_MS, seg.coverage))
             last_mode = state.mode
-        ends.append(running)
         tracking.append(state.mode is Mode.TRACKING)
-    return ends, tracking, rows
+    return tracking, rows
 
 
 def jumped_timeline(segments, offsets_ns, profile, state):
-    t, tracking, transitions = sc.run_timeline(segments, offsets_ns, profile, state)
-    return t.tolist(), tracking.tolist(), [dataclasses.astuple(r) for r in transitions]
+    tracking, transitions = sc.run_timeline(segments, offsets_ns, profile, state)
+    return tracking.tolist(), [dataclasses.astuple(r) for r in transitions]
 
 
 def part_way(state, profile, quanta, offset_ns):
@@ -175,7 +176,7 @@ class TestTimeline:
         assert 1350 * sc.DT_S == pytest.approx(DEDICATED.t_max_s)
         result = jumped_timeline(segments, offsets_ns, DEDICATED, ReceiverState.tracking())
         assert result == stepped_timeline(segments, offsets_ns, DEDICATED, ReceiverState.tracking())
-        assert [row[1] for row in result[2]] == ["TRACKING", "BLOCKED", "REACQUISITION", "TRACKING"]
+        assert [row[1] for row in result[1]] == ["TRACKING", "BLOCKED", "REACQUISITION", "TRACKING"]
 
     def test_zero_step_segment_leaves_a_tracking_receiver_tracking(self):
         segments = (
@@ -183,24 +184,23 @@ class TestTimeline:
             sc.Segment(0, False),
             sc.Segment(4, True, 0),
         )
-        t, tracking, transitions = sc.run_timeline(
+        tracking, transitions = sc.run_timeline(
             segments, {0: ns_from_millis(20.0)}, DEDICATED, ReceiverState.tracking()
         )
-        # the zero-step segment adds no step: the simulator starts at 3 DT_S
-        assert t.tolist() == pytest.approx([(i + 1) * sc.DT_S for i in range(7)])
+        # the zero-step segment adds no step: the simulator starts at step 3
         assert tracking.tolist() == [True] * 7
         # the only row is the first step's; nothing logs BLOCKED
-        assert [r.mode for r in transitions] == ["TRACKING"]
+        assert [(r.t_s, r.mode) for r in transitions] == [(0.1, "TRACKING")]
 
-    def test_step_times_repeat_the_running_sum_bit_for_bit(self):
-        steps = 100_000
-        t, tracking, _ = sc.run_timeline((sc.Segment(steps, True),), {}, DEDICATED, ReceiverState.tracking())
-        expected, running = [], 0.0
-        for _ in range(steps):
-            running += sc.DT_S
-            expected.append(running)
-        assert t.tolist() == expected
-        assert tracking.all()
+    def test_every_step_ends_at_its_count_over_steps_per_s(self):
+        # 100,000 steps of live sky and one simulator step, all tracked, so every step is a fix
+        plan = sc._one_simulator_plan("static", (10_000.0, 0.0, 0.1), DEDICATED, 2.5)
+        (result,) = sc._paired_runs(plan, (sc.PRIVATE_CALIBRATED,), 0, Config())
+        expected = [(k + 1) / STEPS_PER_S for k in range(100_001)]
+        assert result.t_s.tolist() == expected
+        assert [r.t_s for r in result.transitions] == [0.1]
+        # one division of whole numbers: the shortest decimal of each count of tenths
+        assert all(t == round(t, 1) for t in expected)
 
 
 class TestTransitionRows:
@@ -410,18 +410,64 @@ class TestTunnelLayout:
         assert planned == (0.0, 500.0, 1000.0)
         assert self.LAYOUT.centers_m == tuple(450.0 + c for c in planned)
 
+    def test_crossing_runs_in_one_metre_steps(self):
+        # 36 km/h is 1 m a step, so every portal and coverage edge is the end of a step
+        assert kmh_to_ms(36.0) * sc.DT_S == 1.0
+        assert self.LAYOUT.crossing_runs(1.0) == [
+            (199, True, None),
+            (170, False, None),
+            (161, True, 0),
+            (339, False, None),
+            (161, True, 1),
+            (339, False, None),
+            (161, True, 2),
+            (170, False, None),
+            (200, True, None),
+        ]
+
     def test_source_mapping(self):
-        assert self.LAYOUT.source_at(0.0) == ("live_sky", None)
-        assert self.LAYOUT.source_at(1900.0) == ("live_sky", None)
-        assert self.LAYOUT.source_at(199.9) == ("live_sky", None)
-        assert self.LAYOUT.source_at(200.0) == ("blocked", None)  # portal inclusive
-        assert self.LAYOUT.source_at(300.0) == ("blocked", None)
-        assert self.LAYOUT.source_at(450.0) == ("simulator", 0)
-        assert self.LAYOUT.source_at(530.0) == ("simulator", 0)  # boundary inclusive
-        assert self.LAYOUT.source_at(531.0) == ("blocked", None)
-        assert self.LAYOUT.source_at(1450.0) == ("simulator", 2)
-        assert self.LAYOUT.source_at(1700.0) == ("blocked", None)
-        assert self.LAYOUT.source_at(1700.1) == ("live_sky", None)
+        # steps of 0.1 m: every edge over the step is a whole number, so a step ends on each edge
+        runs = self.LAYOUT.crossing_runs(0.1)
+        heard = [(signal, k) for steps, signal, k in runs for _ in range(steps)]
+        assert len(heard) == 19_000
+
+        def at(s_m):
+            return heard[round(s_m / 0.1) - 1]
+
+        live, blocked = (True, None), (False, None)
+        assert at(0.1) == live
+        assert at(1900.0) == live
+        assert at(199.9) == live
+        assert at(200.0) == blocked  # portal inclusive
+        assert at(300.0) == blocked
+        assert at(450.0) == (True, 0)
+        assert at(530.0) == (True, 0)  # boundary inclusive
+        assert at(531.0) == blocked
+        assert at(1450.0) == (True, 2)
+        assert at(1700.0) == blocked
+        assert at(1700.1) == live
+
+    @given(
+        radius=st.integers(1, 50),
+        gap=st.integers(0, 100),
+        # multiples of these dyadic steps are exact floats, so the reference's k * step_m has no rounding
+        step_m=st.sampled_from([0.25, 0.75, 1.5, 2.5, 4.0, 12.5, 300.0, 5000.0]),
+    )
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_runs_match_the_inclusive_rule_at_every_step_end(self, radius, gap, step_m):
+        layout = corridor_layout(float(radius), 2.0 * radius + gap)
+        expected = []
+        while not expected or expected[-1][0] < layout.length_m:
+            s_m = (len(expected) + 1) * step_m
+            if not LIVE_LEAD_M <= s_m <= layout.portal_out_m:
+                expected.append((s_m, True, None))
+            else:
+                inside = [k for k, c in enumerate(layout.centers_m) if abs(s_m - c) <= layout.radius_m]
+                expected.append((s_m, bool(inside), inside[0] if inside else None))
+        runs = layout.crossing_runs(step_m)
+        assert min(steps for steps, _, _ in runs) >= 0
+        heard = [(signal, k) for steps, signal, k in runs for _ in range(steps)]
+        assert heard == [(signal, k) for _, signal, k in expected]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -524,11 +570,12 @@ class TestDynamicTraversal:
     def test_first_fix_latency_counts_from_signal_restoration(self):
         # latency runs from the end of the last step outside a coverage, as
         # in the static handover, so it cannot undercut the base
-        # reacquisition time; the slack only absorbs float rounding of t
+        # reacquisition time, and counts whole steps
         for scenario in (sc.default_pedestrian_scenario(), sc.default_driving_scenario()):
             result = sc.run_dynamic_traversal(scenario, seed=0)
             for latency in result.first_fix_latency_s.values():
-                assert latency >= PROFILES[scenario.deployment.receiver].t_reacq_base_s - 1e-9
+                assert latency >= PROFILES[scenario.deployment.receiver].t_reacq_base_s
+                assert latency == round(latency, 1)
 
     def test_pedestrian_blockages_stay_warm(self):
         # gaps of 90 m at 1.4 m/s: about 64 s of blockage, well under
@@ -602,6 +649,28 @@ class TestPlanAgreesWithTraversal:
         for gap, path in zip(report.gaps, paths):
             if path == COLD and gap.blockage_s > timing.t_max_s + sc.DT_S:
                 assert _first_mode_in(result.transitions, gap.index + 1) == "ACQUISITION"
+
+    @given(
+        receiver=st.sampled_from(["dedicated", "smartphone"]),
+        speed_ms=st.floats(2.0, 40.0),
+        # radius and separation by crossing time 2r/v and gap blockage (d - 2r)/v, each
+        # running past its planning bound: t_reacq and t_acq, t_max
+        crossing_s=st.floats(1.0, 40.0),
+        blockage_s=st.floats(0.0, 200.0),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_feasible_plans_hand_over_in_every_coverage(self, receiver, speed_ms, crossing_s, blockage_s):
+        # a corridor of at most 400 + 3 * 240 v m in steps of v / 10 m: under 10,000 steps
+        radius = speed_ms * crossing_s / 2.0
+        separation = 2.0 * radius + speed_ms * blockage_s
+        deployment = DeploymentConfig(radius, separation, ms_to_kmh(speed_ms), receiver)
+        v = kmh_to_ms(deployment.max_speed_kmh)
+        if not validate_deployment(radius, separation, v, PROFILES[receiver]).ok:
+            return
+        scenario = sc.PathScenario(deployment, sc.PRIVATE_CALIBRATED, sc.DRIVING_PR_NOISE_M)
+        for config in sc.TRAVERSAL_CLOCK_CONFIGS:
+            result = sc.run_dynamic_traversal(dataclasses.replace(scenario, clock=config), seed=0)
+            assert all(result.handover_success.values()), config.label
 
 
 class TestOutdoorComparison:
@@ -719,12 +788,25 @@ class TestMatrixStepBound:
         lambda scenario, cfg: sc.run_traversal_matrix(scenario, 0, cfg),
     ], ids=["single", "matrix"])
     def test_driving_timeline_one_step_past_the_cap(self, run):
-        # length / (v DT_S) is under 1,000,000, but the float-accumulating cut takes 1,000,001 steps
-        deployment = DeploymentConfig(max_speed_kmh=0.0684)
+        # 1,900 m in steps of a hair over 1.9 mm: 1,000,000.58 steps, so the crossing takes 1,000,001
+        deployment = DeploymentConfig(max_speed_kmh=0.06839996)
         layout = corridor_layout(deployment.radius_m, deployment.separation_m)
-        assert layout.length_m / sc.DT_S <= MAX_TIMELINE_STEPS * kmh_to_ms(deployment.max_speed_kmh)
+        steps = layout.length_m / (kmh_to_ms(deployment.max_speed_kmh) * sc.DT_S)
+        assert MAX_TIMELINE_STEPS < steps <= MAX_TIMELINE_STEPS + 1
         cfg = Config(deployment=deployment, handover=HandoverConfig(trials=1))
         with pytest.raises(ConfigError, match=r"^deployment\.max_speed_kmh, deployment\.separation_m: "):
+            run(sc.default_driving_scenario(cfg), cfg)
+
+    @pytest.mark.parametrize("run", [
+        lambda scenario, cfg: sc.run_dynamic_traversal(scenario, 0, cfg),
+        lambda scenario, cfg: sc.run_traversal_matrix(scenario, 0, cfg),
+    ], ids=["single", "matrix"])
+    def test_driving_timeline_at_the_cap_is_drawn(self, run):
+        # 1,900 m in steps of 1.9 mm: exactly MAX_TIMELINE_STEPS steps
+        deployment = DeploymentConfig(max_speed_kmh=0.0684)
+        assert sc._traversal_plan(deployment, sc.DRIVING_PR_NOISE_M).steps == MAX_TIMELINE_STEPS
+        cfg = Config(deployment=deployment, handover=HandoverConfig(trials=1))
+        with pytest.raises(Drawn):
             run(sc.default_driving_scenario(cfg), cfg)
 
     def test_default_matrices_sit_far_below_the_bound(self):
