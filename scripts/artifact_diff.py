@@ -24,8 +24,10 @@ rows, many solver blocks, a driving run on a clock other than the
 default, a pedestrian run on a named clock, a driving matrix whose config
 picks the smartphone receiver, a static and a driving matrix past
 the matrix step bound, which exit 2, a driving run at 1 m a step, whose
-step ends fall on every corridor edge, and a crossing one step past the
-timeline step cap, which exits 2), and prints every
+step ends fall on every corridor edge, a crossing one step past the
+timeline step cap, which exits 2, a static handover whose 0.45 s
+simulator window is an exact half step, and a static and a driving
+matrix whose trial makes no in-coverage fix, which exit 1), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -127,6 +129,12 @@ COMMANDS = (
     ("simulate", "--scenario", "driving", "--clock", "private/calibrated", {"deployment": {"max_speed_kmh": 36.0}}),
     # a crossing of 1,000,001 steps, one past MAX_TIMELINE_STEPS, refused with exit 2
     ("simulate", "--scenario", "driving", "--clock", "private/calibrated", {"deployment": {"max_speed_kmh": 0.06839996}}),
+    # 4.5 steps of simulator window, which count as 5
+    ("simulate", "--scenario", "static", "--clock", "private/calibrated", {"handover": {"sim_s": 0.45}}),
+    # a trial without in-coverage fixes, refused with exit 1: a cold acquisition that outlasts
+    # the simulator window, and coverages of 1 m radius
+    ("simulate", "--scenario", "static", "--trials", "1", {"handover": {"blocked_s": 140.0}}),
+    ("simulate", "--scenario", "driving", "--trials", "1", {"deployment": {"radius_m": 1.0}}),
 )
 
 

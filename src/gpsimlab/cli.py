@@ -21,7 +21,6 @@ traceback printed to stderr).
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -237,19 +236,18 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
         return _check_draws(result, args.strict)
 
     if args.scenario in ("driving", "pedestrian"):
-        base = (
-            sc.default_driving_scenario(cfg)
-            if args.scenario == "driving"
-            else sc.default_pedestrian_scenario()
-        )
+        if args.scenario == "driving":
+            plan = sc.traversal_plan(cfg.deployment, sc.DRIVING_PR_NOISE_M)
+        else:
+            plan = sc.traversal_plan(sc.PEDESTRIAN_DEPLOYMENT, sc.PEDESTRIAN_PR_NOISE_M)
         if args.clock == "all" and args.scenario == "driving":
-            matrix = sc.run_traversal_matrix(base, seed=seed, cfg=cfg)
+            matrix = sc.run_traversal_matrix(plan, seed=seed, cfg=cfg)
             _write_matrix(out, "traversal_matrix", matrix, ("median_avg_m", "handover_success_all"))
             ok = matrix.ordering_ok_every_trial and all(c.handover_success_all for c in matrix.cells)
             return EXIT_OK if ok else EXIT_INFEASIBLE
-        if args.clock != "all":
-            base = dataclasses.replace(base, clock=sc.CLOCK_CONFIGS_BY_LABEL[args.clock])
-        result = sc.run_dynamic_traversal(base, seed, cfg)
+        # the pedestrian run of --clock all crosses on the best clock
+        clock = sc.PRIVATE_CALIBRATED if args.clock == "all" else sc.CLOCK_CONFIGS_BY_LABEL[args.clock]
+        result = sc.run_dynamic_traversal(plan, clock, seed, cfg)
         _announce(_write_run_artifacts(out, args.scenario, result))
         return _check_draws(result, args.strict)
 

@@ -5,15 +5,16 @@ the segments of live sky, blockage and simulator coverage its receiver
 steps through, the simulators' positions, the receiver's speed and
 profile, and the pseudorange noise. The static handover, the offset
 sweep and the outdoor comparison plan live sky, blockage and one
-simulator at the origin; a traversal cuts its crossing of the corridor
-``placement.corridor_layout`` lays out at its edges, one coverage per
-simulator. A plan holds no clock offset: ``run_timeline`` advances the
-receiver through it a segment at a time under a ``{coverage: offset_ns}``
-map, one per clock configuration or sweep offset. The composed
-transmit-clock error decides the reacquisition time and, through
-satellite motion, the fix bias inside a coverage. Time is a count of
-DT_S steps, stamped in seconds only on a result: step k, counted from
-0, ends at (k + 1) / STEPS_PER_S s.
+simulator at the origin. ``traversal_plan`` cuts a crossing of the
+corridor ``placement.corridor_layout`` lays out at its edges, one
+coverage per simulator: the driving run crosses ``cfg.deployment``, the
+pedestrian run PEDESTRIAN_DEPLOYMENT. A plan holds no clock offset:
+``run_timeline`` advances the receiver through it a segment at a time
+under a ``{coverage: offset_ns}`` map, one per clock configuration or
+sweep offset. The composed transmit-clock error decides the
+reacquisition time and, through satellite motion, the fix bias inside a
+coverage. Time is a count of DT_S steps, stamped in seconds only on a
+result: step k, counted from 0, ends at (k + 1) / STEPS_PER_S s.
 
 Comparisons between clock configurations are paired: random draws that do
 not depend on the configuration (sky plot, pseudorange noise, the delay
@@ -23,13 +24,14 @@ runs the static handover, the traversal and the outdoor comparison:
 ``draw_clock`` realizes every configuration of one host in one call,
 ``draw_sky`` draws the sky and noise once for all of them, and
 ``_handover`` runs each configuration's timeline and solves the simulator
-fixes of all of them in one stacked call. The sweep calls ``draw_sky``
-and ``_handover`` itself with one offset per call: its grid of up to
-MAX_TRIAL_RUNS runs would stack that many timelines of fixes.
-Pseudorange noise is indexed by simulator step, not by fix count, which
-keeps the pairing aligned even when reacquisition delays the first fix.
-MAX_TIMELINE_STEPS caps a plan's steps, and MAX_MATRIX_STEPS trials
-times them, before anything is drawn.
+fixes of all of them in one stacked call. The static and the traversal
+matrix run their paired trials through one loop, ``_trial_stats``. The
+sweep calls ``draw_sky`` and ``_handover`` itself with one offset per
+call: its grid of up to MAX_TRIAL_RUNS runs would stack that many
+timelines of fixes. Pseudorange noise is indexed by simulator step, not
+by fix count, which keeps the pairing aligned even when reacquisition
+delays the first fix. MAX_TIMELINE_STEPS caps a plan's steps, and
+MAX_MATRIX_STEPS trials times them, before anything is drawn.
 
 Default parameters come from ``config.DEFAULTS``. A runner takes a seed
 and the whole ``Config`` and nothing that overrides it: trial counts and
@@ -66,10 +68,20 @@ REF_ERROR_BOUND_S = 200e-9
 
 # Each of the sweep's three windows: signal, blockage, signal again.
 SWEEP_WINDOW_S = 60.0
-# Pseudorange noise of a driving crossing; the pedestrian preset sees more.
+# Pseudorange noise of a driving crossing of cfg.deployment's corridor.
 DRIVING_PR_NOISE_M = 2.5
+# The pedestrian preset: walking pace through a tighter corridor with a
+# phone-grade receiver, which sees more noise. Gaps are kept short enough
+# that every blockage stays within t_max at 1.4 m/s, so each coverage is
+# entered warm.
+PEDESTRIAN_DEPLOYMENT = DeploymentConfig(radius_m=80.0, separation_m=250.0, max_speed_kmh=5.04, receiver="smartphone")
+PEDESTRIAN_PR_NOISE_M = 6.0
 OUTDOOR_WINDOW_S = 5.0
 OUTDOOR_THRESHOLD_M = 8.0
+
+# the config keys that set a static and a crossing timeline's steps, which a refusal names
+_STATIC_KEYS = "handover.live_s, handover.blocked_s, handover.sim_s"
+_CROSSING_KEYS = "deployment.max_speed_kmh, deployment.separation_m"
 
 
 class EmptyFixSet(ValueError):
@@ -494,11 +506,14 @@ def _one_simulator_plan(
 ) -> Plan:
     """Live sky, blockage, then simulator 0 at the origin, standing still.
 
-    ``windows_s`` holds the three windows' seconds, each rounded to whole
-    steps of DT_S. A window longer than MAX_TIMELINE_STEPS counts one step
-    past it, which keeps any finite length countable and refused.
+    ``windows_s`` holds the three windows' seconds, each counted as its
+    nearest whole number of DT_S steps, an exact half step rounding up. A
+    window longer than MAX_TIMELINE_STEPS counts one step past it, which
+    keeps any finite length countable and refused.
     """
-    live, blocked, sim = (round(min(w / DT_S, MAX_TIMELINE_STEPS + 1)) for w in windows_s)
+    live, blocked, sim = (
+        math.floor(min(w * rcv.STEPS_PER_S, MAX_TIMELINE_STEPS + 1) + 0.5) for w in windows_s
+    )
     segments = (Segment(live, True), Segment(blocked, False), Segment(sim, True, 0))
     return Plan(scope, segments, (0.0,), 0.0, profile, pr_noise_m)
 
@@ -548,18 +563,34 @@ def _static_plan(cfg: Config) -> Plan:
     h = cfg.handover
     profile = rcv.PROFILES[cfg.deployment.receiver]
     plan = _one_simulator_plan("static", (h.live_s, h.blocked_s, h.sim_s), profile, h.pr_noise_m)
-    keys = "handover.live_s, handover.blocked_s, handover.sim_s"
-    _check_timeline_steps(plan.steps, f"{keys}: {h.live_s} + {h.blocked_s} + {h.sim_s} s")
+    _check_timeline_steps(plan.steps, f"{_STATIC_KEYS}: {h.live_s} + {h.blocked_s} + {h.sim_s} s")
     return plan
 
 
-def _check_matrix_steps(trials: int, plan: Plan, keys: str) -> None:
-    """Refuse a matrix of more than MAX_MATRIX_STEPS timeline steps over all its trials."""
+def _trial_stats(
+    plan: Plan, configs: Sequence[ClockConfig], scope: str, keys: str, seed: int, cfg: Config
+) -> dict[str, list[tuple[ErrorStats, bool]]]:
+    """``plan`` under ``configs`` over ``cfg.handover.trials`` paired trial seeds, derived under ``scope``.
+
+    Per configuration label, each trial's overall statistics and whether it
+    handed over in every coverage. A matrix of more than MAX_MATRIX_STEPS
+    timeline steps over all its trials is refused before anything is
+    drawn; ``keys`` names the config keys that set a trial's steps.
+    """
+    trials = cfg.handover.trials
     if trials * plan.steps > MAX_MATRIX_STEPS:
         raise ConfigError(
             f"handover.trials, {keys}: {trials} trials of {plan.steps} steps of {DT_S} s exceed "
             f"{MAX_MATRIX_STEPS} steps"
         )
+    stats: dict[str, list[tuple[ErrorStats, bool]]] = {c.label: [] for c in configs}
+    for trial in range(trials):
+        # only the statistics outlive the trial, not its fixes
+        for config, r in zip(configs, _paired_runs(plan, configs, derive_seed(seed, scope, trial), cfg)):
+            if r.overall is None:
+                raise EmptyFixSet(f"no in-coverage fixes for {config.label} in trial {trial}")
+            stats[config.label].append((r.overall, all(r.handover_success.values())))
+    return stats
 
 
 @dataclass(frozen=True)
@@ -580,7 +611,7 @@ class MatrixResult:
     ordering_ok_every_trial: bool
 
 
-def _ordered_every_trial(per_config: dict[str, list[float]]) -> bool:
+def _ordered_every_trial(per_config: dict[str, Sequence[float]]) -> bool:
     """Whether each trial's values fall strictly along the configurations, in key order."""
     return not any(a <= b for trial in zip(*per_config.values()) for a, b in zip(trial, trial[1:]))
 
@@ -591,34 +622,19 @@ def run_static_handover_matrix(seed: int = 0, cfg: Config = DEFAULTS) -> MatrixR
     The ordering flag records whether every trial kept strictly decreasing
     p95 along ALL_CLOCK_CONFIGS, which runs worst-first.
     """
-    trials = cfg.handover.trials
-    plan = _static_plan(cfg)
-    _check_matrix_steps(trials, plan, "handover.live_s, handover.blocked_s, handover.sim_s")
-    p95s: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
-    avgs: dict[str, list[float]] = {c.label: [] for c in ALL_CLOCK_CONFIGS}
-    maxes: dict[str, float] = {c.label: 0.0 for c in ALL_CLOCK_CONFIGS}
-    for trial in range(trials):
-        trial_seed = derive_seed(seed, "handover_matrix", trial)
-        # only the statistics outlive the trial, not its fixes
-        trial_stats = [r.coverage_stats.get(0) for r in _paired_runs(plan, ALL_CLOCK_CONFIGS, trial_seed, cfg)]
-        for config, stats in zip(ALL_CLOCK_CONFIGS, trial_stats):
-            if stats is None:
-                raise EmptyFixSet(f"no fixes for {config.label} in trial {trial}")
-            p95s[config.label].append(stats.p95_m)
-            avgs[config.label].append(stats.avg_m)
-            maxes[config.label] = max(maxes[config.label], stats.max_m)
-
+    stats = _trial_stats(_static_plan(cfg), ALL_CLOCK_CONFIGS, "handover_matrix", _STATIC_KEYS, seed, cfg)
+    p95s = {label: tuple(s.p95_m for s, _ in per_trial) for label, per_trial in stats.items()}
     cells = tuple(
         MatrixCell(
-            label=c.label,
-            per_trial_p95_m=tuple(p95s[c.label]),
-            median_p95_m=float(np.median(p95s[c.label])),
-            median_avg_m=float(np.median(avgs[c.label])),
-            max_m=maxes[c.label],
+            label=label,
+            per_trial_p95_m=p95s[label],
+            median_p95_m=float(np.median(p95s[label])),
+            median_avg_m=float(np.median([s.avg_m for s, _ in per_trial])),
+            max_m=max(s.max_m for s, _ in per_trial),
         )
-        for c in ALL_CLOCK_CONFIGS
+        for label, per_trial in stats.items()
     )
-    return MatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=_ordered_every_trial(p95s))
+    return MatrixResult(cells=cells, trials=cfg.handover.trials, ordering_ok_every_trial=_ordered_every_trial(p95s))
 
 
 # --------------------------------------------------------------- offset sweep
@@ -685,64 +701,36 @@ def run_offset_sweep(seed: int = 0, cfg: Config = DEFAULTS) -> SweepResult:
 # ---------------------------------------------------------- dynamic traversal
 
 
-@dataclass(frozen=True)
-class PathScenario:
-    """A crossing of ``deployment``'s corridor at its max speed with its receiver."""
-
-    deployment: DeploymentConfig
-    clock: ClockConfig
-    pr_noise_m: float
-
-
-def run_dynamic_traversal(
-    scenario: PathScenario, seed: int = 0, cfg: Config = DEFAULTS
-) -> ScenarioResult:
-    """Drive or walk the path once and collect per-coverage statistics.
-
-    Each coverage has its own simulator host, so each gets an independent
-    clock draw under the scenario's configuration. Fixes inside a
-    coverage are solved against that simulator's intended position, the
-    coverage center; fixes are never attributed to a coverage the path
-    position is outside of. A coverage is entered when the last step
-    outside it ends, the same instant the static handover restores
-    signal at. The satellite count comes from ``cfg.handover``. A crossing
-    of more than MAX_TIMELINE_STEPS steps is refused before it starts.
-    """
-    plan = _traversal_plan(scenario.deployment, scenario.pr_noise_m)
-    return _paired_runs(plan, (scenario.clock,), seed, cfg)[0]
-
-
-def _traversal_plan(dep: DeploymentConfig, pr_noise_m: float) -> Plan:
+def traversal_plan(dep: DeploymentConfig, pr_noise_m: float) -> Plan:
     """A crossing of ``dep``'s corridor at its max speed with its receiver, in steps of v DT_S.
 
     Its ceil(length_m / (v DT_S)) steps are checked against MAX_TIMELINE_STEPS before
-    ``Corridor.crossing_runs`` cuts it at its edges, so no crossing is too slow to refuse at once.
+    ``Corridor.crossing_runs`` cuts it at its edges, so no crossing is too slow to refuse at once;
+    a speed that is not positive raises ZeroSpeed.
     """
     layout = corridor_layout(dep.radius_m, dep.separation_m)
     v = kmh_to_ms(dep.max_speed_kmh)
     if v <= 0:
         raise ZeroSpeed(f"speed must be positive, got {v} m/s")
     step_m = v * DT_S
-    keys = "deployment.max_speed_kmh, deployment.separation_m"
     steps = layout.length_m / step_m if step_m else math.inf  # a step rounded to 0 m never ends it
-    _check_timeline_steps(steps, f"{keys}: crossing {layout.length_m} m at {v} m/s")
+    _check_timeline_steps(steps, f"{_CROSSING_KEYS}: crossing {layout.length_m} m at {v} m/s")
     segments = tuple(Segment(*run) for run in layout.crossing_runs(step_m))
     return Plan("dynamic", segments, layout.centers_m, v, rcv.PROFILES[dep.receiver], pr_noise_m)
 
 
-def default_driving_scenario(cfg: Config = DEFAULTS) -> PathScenario:
-    """``cfg.deployment``'s corridor crossed at its max speed with its receiver."""
-    return PathScenario(cfg.deployment, PRIVATE_CALIBRATED, DRIVING_PR_NOISE_M)
+def run_dynamic_traversal(plan: Plan, clock: ClockConfig, seed: int = 0, cfg: Config = DEFAULTS) -> ScenarioResult:
+    """Cross ``plan``, a ``traversal_plan``, once under ``clock`` and collect per-coverage statistics.
 
-
-def default_pedestrian_scenario() -> PathScenario:
-    """Walking pace through a tighter corridor with a phone-grade receiver.
-
-    Gaps are kept short enough that every blockage stays within t_max at
-    1.4 m/s, so each coverage is entered warm.
+    Each coverage has its own simulator host, so each gets an independent
+    clock draw under ``clock``. Fixes inside a coverage are solved against
+    that simulator's intended position, the coverage center; fixes are
+    never attributed to a coverage the path position is outside of. A
+    coverage is entered when the last step outside it ends, the same
+    instant the static handover restores signal at. The satellite count
+    comes from ``cfg.handover``.
     """
-    walk = DeploymentConfig(radius_m=80.0, separation_m=250.0, max_speed_kmh=5.04, receiver="smartphone")
-    return PathScenario(walk, PRIVATE_CALIBRATED, 6.0)
+    return _paired_runs(plan, (clock,), seed, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -753,35 +741,20 @@ class TraversalCell:
     handover_success_all: bool
 
 
-def run_traversal_matrix(scenario: PathScenario, seed: int = 0, cfg: Config = DEFAULTS) -> MatrixResult:
-    """The traversal under TRAVERSAL_CLOCK_CONFIGS over ``cfg.handover.trials`` paired trial seeds."""
-    trials = cfg.handover.trials
-    plan = _traversal_plan(scenario.deployment, scenario.pr_noise_m)
-    _check_matrix_steps(trials, plan, "deployment.max_speed_kmh, deployment.separation_m")
-    avgs: dict[str, list[float]] = {c.label: [] for c in TRAVERSAL_CLOCK_CONFIGS}
-    success: dict[str, bool] = {c.label: True for c in TRAVERSAL_CLOCK_CONFIGS}
-    for trial in range(trials):
-        trial_seed = derive_seed(seed, "traversal_matrix", trial)
-        # only the statistics outlive the trial, not its fixes
-        trial_stats = [
-            (r.overall, all(r.handover_success.values()))
-            for r in _paired_runs(plan, TRAVERSAL_CLOCK_CONFIGS, trial_seed, cfg)
-        ]
-        for config, (overall, handed_over) in zip(TRAVERSAL_CLOCK_CONFIGS, trial_stats):
-            if overall is None:
-                raise EmptyFixSet(f"no in-coverage fixes for {config.label} in trial {trial}")
-            avgs[config.label].append(overall.avg_m)
-            success[config.label] &= handed_over
+def run_traversal_matrix(plan: Plan, seed: int = 0, cfg: Config = DEFAULTS) -> MatrixResult:
+    """``plan``, a ``traversal_plan``, under TRAVERSAL_CLOCK_CONFIGS over ``cfg.handover.trials`` paired seeds."""
+    stats = _trial_stats(plan, TRAVERSAL_CLOCK_CONFIGS, "traversal_matrix", _CROSSING_KEYS, seed, cfg)
+    avgs = {label: tuple(s.avg_m for s, _ in per_trial) for label, per_trial in stats.items()}
     cells = tuple(
         TraversalCell(
-            label=c.label,
-            per_trial_avg_m=tuple(avgs[c.label]),
-            median_avg_m=float(np.median(avgs[c.label])),
-            handover_success_all=success[c.label],
+            label=label,
+            per_trial_avg_m=avgs[label],
+            median_avg_m=float(np.median(avgs[label])),
+            handover_success_all=all(ok for _, ok in per_trial),
         )
-        for c in TRAVERSAL_CLOCK_CONFIGS
+        for label, per_trial in stats.items()
     )
-    return MatrixResult(cells=cells, trials=trials, ordering_ok_every_trial=_ordered_every_trial(avgs))
+    return MatrixResult(cells=cells, trials=cfg.handover.trials, ordering_ok_every_trial=_ordered_every_trial(avgs))
 
 
 # ---------------------------------------------------------- outdoor comparison

@@ -196,7 +196,8 @@ def test_criterion_6_dynamic_traversals(criterion):
     with criterion(6, "dynamic traversals"):
         start = time.monotonic()
         cfg = Config(handover=HandoverConfig(trials=TRAVERSAL_TRIALS))
-        matrix = sc.run_traversal_matrix(sc.default_driving_scenario(cfg), seed=0, cfg=cfg)
+        driving = sc.traversal_plan(cfg.deployment, sc.DRIVING_PR_NOISE_M)
+        matrix = sc.run_traversal_matrix(driving, seed=0, cfg=cfg)
         assert matrix.ordering_ok_every_trial
         assert all(cell.handover_success_all for cell in matrix.cells)
         best = {c.label: c for c in matrix.cells}["private/calibrated"]
@@ -207,7 +208,8 @@ def test_criterion_6_dynamic_traversals(criterion):
             f"[{low:.2f}, {high:.2f}]"
         )
 
-        pedestrian = sc.run_dynamic_traversal(sc.default_pedestrian_scenario(), seed=0)
+        walking = sc.traversal_plan(sc.PEDESTRIAN_DEPLOYMENT, sc.PEDESTRIAN_PR_NOISE_M)
+        pedestrian = sc.run_dynamic_traversal(walking, sc.PRIVATE_CALIBRATED, seed=0)
         assert all(pedestrian.handover_success.values())
         for k, latency in pedestrian.first_fix_latency_s.items():
             assert latency is not None

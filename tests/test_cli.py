@@ -219,18 +219,23 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "scenario, config",
         [
-            # a simulator window shorter than one step
+            # a simulator window shorter than half a step
             ("static", {"handover": {"sim_s": 0.01}}),
             # one step carries the receiver past the whole corridor
             ("driving", {"deployment": {"max_speed_kmh": 1e5}}),
+            # a blockage past t_max: the cold acquisition outlasts the 20 s simulator window
+            ("static", {"handover": {"blocked_s": 140.0}}),
+            # coverages of 1 m radius, crossed in a step or two at 110 km/h
+            ("driving", {"deployment": {"radius_m": 1.0}}),
         ],
     )
     def test_matrix_without_fixes_exits_one(self, tmp_path, capsys, scenario, config):
+        # both matrices' trial loop names the first configuration of a trial that made no fix
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = ("simulate", "--scenario", scenario, "--trials", "1", "--config", str(cfg))
         assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_INFEASIBLE
-        assert "no " in capsys.readouterr().err
+        assert capsys.readouterr().err == "scenario failed: no in-coverage fixes for public/raw in trial 0\n"
 
     @pytest.mark.parametrize(
         "key, value",
@@ -719,7 +724,7 @@ class TestCounts:
         if scenario == "static":
             plan = sc._static_plan(cfg)
         else:
-            plan = sc._traversal_plan(cfg.deployment, sc.DRIVING_PR_NOISE_M)
+            plan = sc.traversal_plan(cfg.deployment, sc.DRIVING_PR_NOISE_M)
         trials = MAX_MATRIX_STEPS // sum(seg.steps for seg in plan.segments) + 1
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

@@ -42,6 +42,10 @@ from gpsimlab.reports import write_json
 from gpsimlab.rng import derive_seed
 from gpsimlab.timebase import NS_PER_MS, ns_from_millis
 
+# the CLI's two crossings: the default corridor at its max speed, and the pedestrian preset
+DRIVING = sc.traversal_plan(DeploymentConfig(), sc.DRIVING_PR_NOISE_M)
+WALKING = sc.traversal_plan(sc.PEDESTRIAN_DEPLOYMENT, sc.PEDESTRIAN_PR_NOISE_M)
+
 error_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=200
 )
@@ -202,12 +206,27 @@ class TestTimeline:
         # one division of whole numbers: the shortest decimal of each count of tenths
         assert all(t == round(t, 1) for t in expected)
 
+    def test_windows_count_their_nearest_step_with_ties_up(self):
+        # an exact half step rounds up, whatever float noise w / DT_S carries
+        windows_s = (0.45, 0.55, 0.65, 0.95, 1.35, 0.06)
+        counts = [sc._one_simulator_plan("static", (w,) * 3, DEDICATED, 2.5).segments[2].steps for w in windows_s]
+        assert counts == [5, 6, 7, 10, 14, 1]
+        # windows of exactly 1,000,000 steps in seconds: one step past MAX_TIMELINE_STEPS
+        plan = sc._one_simulator_plan("static", (0.06, 1.35, 99998.59), DEDICATED, 2.5)
+        assert [seg.steps for seg in plan.segments] == [1, 14, 999_986]
+        assert plan.steps == MAX_TIMELINE_STEPS + 1
+        # the default windows: static, sweep and outdoor
+        assert [seg.steps for seg in sc._static_plan(Config()).segments] == [300, 300, 200]
+        defaults = {(sc.SWEEP_WINDOW_S,) * 3: [600] * 3, (sc.OUTDOOR_WINDOW_S, 0.0, sc.OUTDOOR_WINDOW_S): [50, 0, 50]}
+        for windows_s, steps in defaults.items():
+            assert [seg.steps for seg in sc._one_simulator_plan("x", windows_s, DEDICATED, 2.5).segments] == steps
+
 
 class TestTransitionRows:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_blocked_rows_record_no_offset(self, seed):
         static = sc.run_static_handover(sc.PRIVATE_CALIBRATED, seed=seed)
-        traversal = sc.run_dynamic_traversal(sc.default_driving_scenario(), seed=seed)
+        traversal = sc.run_dynamic_traversal(DRIVING, sc.PRIVATE_CALIBRATED, seed=seed)
         for result in (static, traversal):
             blocked = [r for r in result.transitions if r.mode == "BLOCKED"]
             assert blocked and all(r.offset_ms == 0.0 for r in blocked)
@@ -479,9 +498,10 @@ class TestTunnelLayout:
 
 
 class TestDynamicTraversal:
-    @pytest.mark.parametrize("make", [sc.default_driving_scenario, sc.default_pedestrian_scenario])
-    def test_builtin_layouts_plan_warm_at_their_speed(self, make):
-        dep = make().deployment
+    @pytest.mark.parametrize(
+        "dep", [DeploymentConfig(), sc.PEDESTRIAN_DEPLOYMENT], ids=["default_driving", "default_pedestrian"]
+    )
+    def test_builtin_layouts_plan_warm_at_their_speed(self, dep):
         timing = PROFILES[dep.receiver]
         report = validate_deployment(dep.radius_m, dep.separation_m, kmh_to_ms(dep.max_speed_kmh), timing)
         assert report.ok
@@ -490,41 +510,39 @@ class TestDynamicTraversal:
 
     @staticmethod
     def _at_speed(speed_kmh):
-        scenario = sc.default_driving_scenario()
-        return dataclasses.replace(
-            scenario, deployment=dataclasses.replace(scenario.deployment, max_speed_kmh=speed_kmh)
-        )
+        return sc.traversal_plan(DeploymentConfig(max_speed_kmh=speed_kmh), sc.DRIVING_PR_NOISE_M)
 
     def test_non_positive_speed_rejected(self):
         with pytest.raises(ZeroSpeed):
-            sc.run_dynamic_traversal(self._at_speed(0.0))
+            self._at_speed(0.0)
 
     def test_crossing_above_the_step_cap_rejected_before_stepping(self):
-        # 1900 m at 1 mm/s would be 1.9e7 steps; refused before the receiver steps
+        # 1900 m at 1 mm/s would be 1.9e7 steps; refused before there is a plan to step
         with pytest.raises(ConfigError, match="deployment.max_speed_kmh"):
-            sc.run_dynamic_traversal(self._at_speed(ms_to_kmh(1e-3)))
+            self._at_speed(ms_to_kmh(1e-3))
 
     def test_presets_cross_the_layout_plan_checks(self):
-        driving = sc.default_driving_scenario()
-        assert driving.deployment == Config().deployment
-        assert driving.pr_noise_m == 2.5
+        driving = sc.traversal_plan(Config().deployment, sc.DRIVING_PR_NOISE_M)
+        assert driving == DRIVING
+        assert driving.pr_noise_m == sc.DRIVING_PR_NOISE_M == 2.5
         # the speed the driving run always had
-        assert kmh_to_ms(110.0) == 110.0 * 1000.0 / 3600.0
-        walking = sc.default_pedestrian_scenario()
-        assert walking.deployment == DeploymentConfig(80.0, 250.0, 5.04, "smartphone")
-        assert walking.pr_noise_m == 6.0
+        assert driving.speed_ms == kmh_to_ms(110.0) == 110.0 * 1000.0 / 3600.0
+        assert driving.profile == PROFILES[Config().deployment.receiver]
+        assert sc.PEDESTRIAN_DEPLOYMENT == DeploymentConfig(80.0, 250.0, 5.04, "smartphone")
+        assert sc.PEDESTRIAN_PR_NOISE_M == 6.0
+        assert WALKING.pr_noise_m == 6.0 and WALKING.profile == SMARTPHONE
+        assert WALKING.centers_m == corridor_layout(80.0, 250.0).centers_m
 
     def test_driving_defaults_succeed(self):
-        result = sc.run_dynamic_traversal(sc.default_driving_scenario(), seed=0)
+        result = sc.run_dynamic_traversal(DRIVING, sc.PRIVATE_CALIBRATED, seed=0)
         assert set(result.handover_success) == {0, 1, 2}
         assert all(result.handover_success.values())
         assert result.overall is not None
         assert result.overall.count > 100
 
     def test_overall_pools_every_coverage(self):
-        scenario = sc.default_driving_scenario()
-        result = sc.run_dynamic_traversal(scenario, seed=0)
-        dep = scenario.deployment
+        result = sc.run_dynamic_traversal(DRIVING, sc.PRIVATE_CALIBRATED, seed=0)
+        dep = Config().deployment
         centers_m = corridor_layout(dep.radius_m, dep.separation_m).centers_m
         errors = [
             sc.horizontal_distances(result.positions[result.coverage == k], np.array([c, 0.0, 0.0]))
@@ -535,9 +553,8 @@ class TestDynamicTraversal:
         assert result.overall.count == sum(e.size for e in errors)
 
     def test_fixes_only_inside_their_coverage(self):
-        scenario = sc.default_driving_scenario()
-        result = sc.run_dynamic_traversal(scenario, seed=4)
-        dep = scenario.deployment
+        result = sc.run_dynamic_traversal(DRIVING, sc.PRIVATE_CALIBRATED, seed=4)
+        dep = Config().deployment
         v, layout = kmh_to_ms(dep.max_speed_kmh), corridor_layout(dep.radius_m, dep.separation_m)
         inside = result.coverage >= 0
         center = np.asarray(layout.centers_m)[result.coverage[inside]]
@@ -547,9 +564,8 @@ class TestDynamicTraversal:
         assert (np.abs(path_pos - center) <= layout.radius_m + v * sc.DT_S + 1e-6).all()
 
     def test_live_fixes_scatter_around_the_vehicle(self):
-        scenario = sc.default_driving_scenario()
-        v = kmh_to_ms(scenario.deployment.max_speed_kmh)
-        result = sc.run_dynamic_traversal(scenario, seed=0)
+        v = kmh_to_ms(Config().deployment.max_speed_kmh)
+        result = sc.run_dynamic_traversal(DRIVING, sc.PRIVATE_CALIBRATED, seed=0)
         live = result.coverage < 0
         along = result.positions[live, 0] - v * result.t_s[live]
         assert len(along) > 100
@@ -557,12 +573,12 @@ class TestDynamicTraversal:
         assert abs(along.mean()) < 1.0
 
     def test_coverages_have_independent_clock_draws(self):
-        result = sc.run_dynamic_traversal(sc.default_driving_scenario(), seed=0)
+        result = sc.run_dynamic_traversal(DRIVING, sc.PRIVATE_CALIBRATED, seed=0)
         errors = [d.error_ns for d in result.clock_draws.values()]
         assert len(set(errors)) == len(errors)
 
     def test_pedestrian_first_fix_near_four_seconds(self):
-        result = sc.run_dynamic_traversal(sc.default_pedestrian_scenario(), seed=0)
+        result = sc.run_dynamic_traversal(WALKING, sc.PRIVATE_CALIBRATED, seed=0)
         for k, latency in result.first_fix_latency_s.items():
             assert latency is not None, f"coverage {k} never produced a fix"
             assert 3.5 <= latency <= 4.5
@@ -571,32 +587,29 @@ class TestDynamicTraversal:
         # latency runs from the end of the last step outside a coverage, as
         # in the static handover, so it cannot undercut the base
         # reacquisition time, and counts whole steps
-        for scenario in (sc.default_pedestrian_scenario(), sc.default_driving_scenario()):
-            result = sc.run_dynamic_traversal(scenario, seed=0)
+        for plan in (WALKING, DRIVING):
+            result = sc.run_dynamic_traversal(plan, sc.PRIVATE_CALIBRATED, seed=0)
             for latency in result.first_fix_latency_s.values():
-                assert latency >= PROFILES[scenario.deployment.receiver].t_reacq_base_s
+                assert latency >= plan.profile.t_reacq_base_s
                 assert latency == round(latency, 1)
 
     def test_pedestrian_blockages_stay_warm(self):
         # gaps of 90 m at 1.4 m/s: about 64 s of blockage, well under
         # t_max, so no cold acquisition should ever appear
-        result = sc.run_dynamic_traversal(sc.default_pedestrian_scenario(), seed=2)
+        result = sc.run_dynamic_traversal(WALKING, sc.PRIVATE_CALIBRATED, seed=2)
         assert "ACQUISITION" not in [r.mode for r in result.transitions]
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_traversal_ordering_by_clock_quality(self, seed):
-        scenario = sc.default_driving_scenario()
         avgs = []
         for config in (sc.PUBLIC_RAW, sc.PRIVATE_RAW, sc.PRIVATE_CALIBRATED):
-            result = sc.run_dynamic_traversal(
-                dataclasses.replace(scenario, clock=config), seed=seed
-            )
+            result = sc.run_dynamic_traversal(DRIVING, config, seed=seed)
             avgs.append(result.overall.avg_m)
         assert avgs[0] > avgs[1] > avgs[2]
 
     def test_matrix_runs_paired_trials(self):
         cfg = Config(handover=HandoverConfig(trials=3))
-        matrix = sc.run_traversal_matrix(sc.default_driving_scenario(cfg), seed=0, cfg=cfg)
+        matrix = sc.run_traversal_matrix(DRIVING, seed=0, cfg=cfg)
         assert matrix.trials == 3
         assert matrix.ordering_ok_every_trial
         labels = [c.label for c in matrix.cells]
@@ -630,12 +643,12 @@ class TestPlanAgreesWithTraversal:
         radius = speed_ms * crossing_s / 2.0
         separation = 2.0 * radius + speed_ms * blockage_s
         deployment = DeploymentConfig(radius, separation, ms_to_kmh(speed_ms), receiver)
-        scenario = sc.PathScenario(deployment, sc.PRIVATE_CALIBRATED, sc.DRIVING_PR_NOISE_M)
+        plan = sc.traversal_plan(deployment, sc.DRIVING_PR_NOISE_M)
         v, timing = kmh_to_ms(deployment.max_speed_kmh), PROFILES[receiver]
         report = validate_deployment(radius, separation, v, timing)
         paths = [gap_path(v, radius, g.blockage_s, timing) for g in report.gaps]
 
-        result = sc.run_dynamic_traversal(scenario, seed=0)
+        result = sc.run_dynamic_traversal(plan, sc.PRIVATE_CALIBRATED, seed=0)
 
         warm = (
             all(path == WARM for path in paths)
@@ -667,9 +680,9 @@ class TestPlanAgreesWithTraversal:
         v = kmh_to_ms(deployment.max_speed_kmh)
         if not validate_deployment(radius, separation, v, PROFILES[receiver]).ok:
             return
-        scenario = sc.PathScenario(deployment, sc.PRIVATE_CALIBRATED, sc.DRIVING_PR_NOISE_M)
+        plan = sc.traversal_plan(deployment, sc.DRIVING_PR_NOISE_M)
         for config in sc.TRAVERSAL_CLOCK_CONFIGS:
-            result = sc.run_dynamic_traversal(dataclasses.replace(scenario, clock=config), seed=0)
+            result = sc.run_dynamic_traversal(plan, config, seed=0)
             assert all(result.handover_success.values()), config.label
 
 
@@ -725,12 +738,10 @@ class TestBatchedConfigurations:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_traversal_equals_its_entry_of_the_batch(self, seed):
-        scenario = sc.default_driving_scenario()
-        plan = sc._traversal_plan(scenario.deployment, scenario.pr_noise_m)
-        batched = sc._paired_runs(plan, sc.TRAVERSAL_CLOCK_CONFIGS, seed, Config())
+        batched = sc._paired_runs(DRIVING, sc.TRAVERSAL_CLOCK_CONFIGS, seed, Config())
         assert len(batched) == len(sc.TRAVERSAL_CLOCK_CONFIGS)
         for config, result in zip(sc.TRAVERSAL_CLOCK_CONFIGS, batched):
-            alone = sc.run_dynamic_traversal(dataclasses.replace(scenario, clock=config), seed)
+            alone = sc.run_dynamic_traversal(DRIVING, config, seed)
             assert_same_result(alone, result)
 
 
@@ -761,15 +772,15 @@ class TestMatrixStepBound:
 
     def test_driving_matrix(self):
         deployment = DeploymentConfig(max_speed_kmh=11.0)
-        steps = sum(seg.steps for seg in sc._traversal_plan(deployment, sc.DRIVING_PR_NOISE_M).segments)
+        plan = sc.traversal_plan(deployment, sc.DRIVING_PR_NOISE_M)
+        steps = sum(seg.steps for seg in plan.segments)
         at_cap = MAX_MATRIX_STEPS // steps
-        scenario = sc.default_driving_scenario(Config(deployment=deployment))
         with pytest.raises(Drawn):
-            sc.run_traversal_matrix(scenario, 0, Config(deployment=deployment, handover=HandoverConfig(trials=at_cap)))
+            sc.run_traversal_matrix(plan, 0, Config(deployment=deployment, handover=HandoverConfig(trials=at_cap)))
         past = Config(deployment=deployment, handover=HandoverConfig(trials=at_cap + 1))
         assert (at_cap + 1) * steps > MAX_MATRIX_STEPS
         with pytest.raises(ConfigError, match=r"handover\.trials, deployment\.max_speed_kmh"):
-            sc.run_traversal_matrix(scenario, 0, past)
+            sc.run_traversal_matrix(plan, 0, past)
 
     @pytest.mark.parametrize("run", [
         lambda cfg: sc.run_static_handover(sc.PRIVATE_CALIBRATED, 0, cfg),
@@ -784,8 +795,8 @@ class TestMatrixStepBound:
             run(Config(handover=handover))
 
     @pytest.mark.parametrize("run", [
-        lambda scenario, cfg: sc.run_dynamic_traversal(scenario, 0, cfg),
-        lambda scenario, cfg: sc.run_traversal_matrix(scenario, 0, cfg),
+        lambda plan, cfg: sc.run_dynamic_traversal(plan, sc.PRIVATE_CALIBRATED, 0, cfg),
+        lambda plan, cfg: sc.run_traversal_matrix(plan, 0, cfg),
     ], ids=["single", "matrix"])
     def test_driving_timeline_one_step_past_the_cap(self, run):
         # 1,900 m in steps of a hair over 1.9 mm: 1,000,000.58 steps, so the crossing takes 1,000,001
@@ -794,24 +805,25 @@ class TestMatrixStepBound:
         steps = layout.length_m / (kmh_to_ms(deployment.max_speed_kmh) * sc.DT_S)
         assert MAX_TIMELINE_STEPS < steps <= MAX_TIMELINE_STEPS + 1
         cfg = Config(deployment=deployment, handover=HandoverConfig(trials=1))
+        # refused by the plan, before either run is called
         with pytest.raises(ConfigError, match=r"^deployment\.max_speed_kmh, deployment\.separation_m: "):
-            run(sc.default_driving_scenario(cfg), cfg)
+            run(sc.traversal_plan(cfg.deployment, sc.DRIVING_PR_NOISE_M), cfg)
 
     @pytest.mark.parametrize("run", [
-        lambda scenario, cfg: sc.run_dynamic_traversal(scenario, 0, cfg),
-        lambda scenario, cfg: sc.run_traversal_matrix(scenario, 0, cfg),
+        lambda plan, cfg: sc.run_dynamic_traversal(plan, sc.PRIVATE_CALIBRATED, 0, cfg),
+        lambda plan, cfg: sc.run_traversal_matrix(plan, 0, cfg),
     ], ids=["single", "matrix"])
     def test_driving_timeline_at_the_cap_is_drawn(self, run):
         # 1,900 m in steps of 1.9 mm: exactly MAX_TIMELINE_STEPS steps
         deployment = DeploymentConfig(max_speed_kmh=0.0684)
-        assert sc._traversal_plan(deployment, sc.DRIVING_PR_NOISE_M).steps == MAX_TIMELINE_STEPS
-        cfg = Config(deployment=deployment, handover=HandoverConfig(trials=1))
+        plan = sc.traversal_plan(deployment, sc.DRIVING_PR_NOISE_M)
+        assert plan.steps == MAX_TIMELINE_STEPS
         with pytest.raises(Drawn):
-            run(sc.default_driving_scenario(cfg), cfg)
+            run(plan, Config(deployment=deployment, handover=HandoverConfig(trials=1)))
 
     def test_default_matrices_sit_far_below_the_bound(self):
         static_steps = sum(seg.steps for seg in sc._static_plan(Config()).segments)
-        driving_steps = sum(seg.steps for seg in sc._traversal_plan(DeploymentConfig(), sc.DRIVING_PR_NOISE_M).segments)
+        driving_steps = sum(seg.steps for seg in DRIVING.segments)
         assert Config().handover.trials * max(static_steps, driving_steps) * 200 <= MAX_MATRIX_STEPS
 
 
@@ -844,14 +856,11 @@ class TestSeedDerivation:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_traversal_matrix_trials_are_single_runs_at_the_trial_seeds(self, seed):
         cfg = Config(handover=HandoverConfig(trials=3))
-        scenario = sc.default_driving_scenario(cfg)
-        matrix = sc.run_traversal_matrix(scenario, seed, cfg)
+        matrix = sc.run_traversal_matrix(DRIVING, seed, cfg)
         for config, cell in zip(sc.TRAVERSAL_CLOCK_CONFIGS, matrix.cells, strict=True):
             assert cell.label == config.label
             singles = [
-                sc.run_dynamic_traversal(
-                    dataclasses.replace(scenario, clock=config), derive_seed(seed, "traversal_matrix", i), cfg
-                )
+                sc.run_dynamic_traversal(DRIVING, config, derive_seed(seed, "traversal_matrix", i), cfg)
                 for i in range(3)
             ]
             assert cell.per_trial_avg_m == tuple(result.overall.avg_m for result in singles)
