@@ -6,9 +6,11 @@
 Unpacks REF (``git archive``) into a temporary directory, runs a fixed
 list of quick commands at seeds 0 and 7 once under each tree's ``src/``
 (among them ``sync-compare`` over one poll, over nine polls that end
-just past the warm-up on a pool re-sync, and over a day, ``plan`` on a
-deployment whose gap takes exactly t_max and, with and without
-``--strict``, for the smartphone receiver,
+just past the warm-up on a pool re-sync, and over a day, ``plan`` on
+every verdict its layout report can state: a gap of exactly t_max, the
+smartphone receiver with and without ``--strict``, a crossing too short
+for reacquisition, gaps that resume cold, with and without ``--strict``,
+and gaps that resume by no path,
 ``calibrate --samples-csv`` on the samples that tree's own
 ``calibrate`` runs wrote at the same seed and on a few hand-written
 sample files, a ``calibrate`` of 1,800 samples near 1e14 ns, whose
@@ -71,6 +73,13 @@ COMMANDS = (
     # the smartphone's planning bound, 15 s, against the dedicated 5 s
     ("plan", {"deployment": {"receiver": "smartphone"}}),
     ("plan", "--strict", {"deployment": {"receiver": "smartphone"}}),
+    # a crossing too short for reacquisition, which exits 1
+    ("plan", {"deployment": {"radius_m": 12.0, "separation_m": 400.0, "max_speed_kmh": 200.0}}),
+    # gaps past t_max walked slowly enough to acquire cold, which only --strict refuses,
+    # and the same gaps at 110 km/h, where no path resumes fixes
+    ("plan", {"deployment": {"separation_m": 5000.0, "max_speed_kmh": 5.0}}),
+    ("plan", "--strict", {"deployment": {"separation_m": 5000.0, "max_speed_kmh": 5.0}}),
+    ("plan", {"deployment": {"separation_m": 5000.0}}),
     ("sync-compare",),
     # one poll, fewer than WARMUP_POLLS, so the maxima cover every poll; nine polls, one past
     # WARMUP_POLLS, with pool re-syncs at polls 1, 5 and 9; and the benchmark's day

@@ -35,6 +35,7 @@ from .ntp import run_sync_comparison
 from .placement import (
     WARM,
     blockage_time,
+    crossing_fits,
     gap_path,
     kmh_to_ms,
     max_separation,
@@ -107,7 +108,7 @@ def _announce(paths) -> None:
 
 
 def _check_plan_range(dep: DeploymentConfig, v: float, t_max_s: float) -> None:
-    """plan divides lengths up to the last center or curve end by v and multiplies v by t_max."""
+    """plan divides lengths up to the corridor's span, 2d, or the curve end by v and multiplies v by t_max."""
     longest_m = max(2.0 * dep.separation_m, BLOCKAGE_CURVE_END_M)
     if not math.isfinite(longest_m):
         raise ConfigError(f"deployment.separation_m: {dep.separation_m} leaves float range in plan")
@@ -161,27 +162,20 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     write_csv(
         out / "reception_curve.csv",
         ("radius_m", "reception_time_s", "reacq_fits"),
-        (
-            (r, reception_time(r, v), timing.t_reacq_s <= reception_time(r, v))
-            for r in radii
-        ),
+        ((r, reception_time(r, v), crossing_fits(r, v, timing)) for r in radii),
     )
     d0 = 2.0 * dep.radius_m
     seps = [d0 + 20.0 * i for i in range(int((BLOCKAGE_CURVE_END_M - d0) // 20.0) + 1)]
+    blockages = [blockage_time(d, dep.radius_m, v) for d in seps]
     write_csv(
         out / "blockage_curve.csv",
         ("separation_m", "blockage_time_s", "within_t_max"),
-        (
-            (d, blockage_time(d, dep.radius_m, v), blockage_time(d, dep.radius_m, v) <= timing.t_max_s)
-            for d in seps
-        ),
+        ((d, t, gap_path(v, dep.radius_m, t, timing) == WARM) for d, t in zip(seps, blockages)),
     )
     _announce([out / "plan.json", out / "plan.txt", out / "reception_curve.csv", out / "blockage_curve.csv"])
     print(table, end="")
 
-    ok = report.ok
-    if args.strict:
-        ok = ok and gap_path(v, dep.radius_m, derived["blockage_time_s"], timing) == WARM
+    ok = report.ok and (not args.strict or report.gap_path == WARM)
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 

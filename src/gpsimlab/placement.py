@@ -74,11 +74,6 @@ def blockage_time(separation_m: float, radius_m: float, speed_ms: float) -> floa
     return (separation_m - 2.0 * radius_m) / speed_ms
 
 
-def coverage_centers(first_m: float, separation_m: float) -> tuple[float, ...]:
-    """The centers ``plan`` checks and a traversal crosses: ``separation_m`` apart from ``first_m``."""
-    return tuple(first_m + i * separation_m for i in range(CORRIDOR_COVERAGES))
-
-
 @dataclass(frozen=True)
 class Corridor:
     """Coverage centers along a path; the portals sit at LIVE_LEAD_M and ``portal_out_m``."""
@@ -122,7 +117,8 @@ def corridor_layout(radius_m: float, separation_m: float) -> Corridor:
         raise ValueError(f"radius_m must be positive, got {radius_m}")
     if separation_m < 2 * radius_m:
         raise OverlappingCoverage(f"separation_m ({separation_m}) is below one diameter ({2 * radius_m})")
-    centers = coverage_centers(LIVE_LEAD_M + separation_m / 2.0, separation_m)
+    first_m = LIVE_LEAD_M + separation_m / 2.0
+    centers = tuple(first_m + i * separation_m for i in range(CORRIDOR_COVERAGES))
     return Corridor(centers, radius_m, centers[-1] + separation_m / 2.0)
 
 
@@ -183,33 +179,23 @@ def gap_path(
     return None
 
 
-@dataclass(frozen=True)
-class CoverageCheck:
-    index: int
-    center_m: float
-    speed_ms: float
-    reception_s: float
-    ok: bool
-    reason: str
-
-
-@dataclass(frozen=True)
-class GapCheck:
-    index: int
-    gap_start_m: float
-    gap_end_m: float
-    speed_ms: float
-    blockage_s: float
-    ok: bool
-    reason: str
+def crossing_fits(radius_m: float, speed_ms: float, timing: ReceiverProfile) -> bool:
+    """Whether a warm reacquisition fits one crossing: t_reacq <= t_rcp, boundary inclusive."""
+    return timing.t_reacq_s <= reception_time(radius_m, speed_ms)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """One crossing verdict and one gap verdict, each with its reason.
+
+    ``gap_path`` is how fixes resume after a gap: WARM, COLD or None.
+    """
+
     ok: bool
-    coverages: tuple[CoverageCheck, ...]
-    gaps: tuple[GapCheck, ...]
-    suggested_min_radius_m: float
+    crossing_ok: bool
+    crossing: str
+    gap_path: str | None
+    gap: str
     suggested_max_gap_m: float
     note: str = POWER_NOTE
 
@@ -217,30 +203,25 @@ class ValidationReport:
 def validate_deployment(
     radius_m: float, separation_m: float, speed_ms: float, timing: ReceiverProfile
 ) -> ValidationReport:
-    """Check every coverage and every gap of the corridor ``coverage_centers(0.0, separation_m)`` lays out.
+    """Judge a corridor of equal coverages ``separation_m`` apart, crossed at one speed.
 
-    One speed crosses equal coverages and equal gaps, so every coverage
-    shares one crossing and every gap one blockage_time and gap_path
-    verdict. The deployment is feasible iff gap_path finds a path and
-    t_reacq <= t_rcp, with boundary equalities feasible; overlapping
-    coverages raise OverlappingCoverage, a non-positive speed ZeroSpeed.
-    Suggestions give the radius that would fix all reception failures and
-    the gap length that would fix all blockage failures at that speed.
+    Every coverage shares one crossing and every gap one blockage_time, so
+    one crossing_fits and one gap_path verdict judge them all. The
+    deployment is feasible iff the crossing fits and gap_path finds a path,
+    with boundary equalities feasible; overlapping coverages raise
+    OverlappingCoverage, a non-positive speed ZeroSpeed. The suggested gap
+    is the longest a warm reacquisition spans at that speed.
     """
     if radius_m <= 0:
         raise ValueError(f"radius_m must be positive, got {radius_m}")
     t_rcp = reception_time(radius_m, speed_ms)
     t_blk = blockage_time(separation_m, radius_m, speed_ms)
-    centers = coverage_centers(0.0, separation_m)
 
-    fits = timing.t_reacq_s <= t_rcp
+    fits = crossing_fits(radius_m, speed_ms, timing)
     crossing = (
         f"reacquisition fits the {t_rcp:.2f} s crossing"
         if fits
         else f"reacquisition {timing.t_reacq_s:.2f} s exceeds the {t_rcp:.2f} s crossing"
-    )
-    coverages = tuple(
-        CoverageCheck(i, center, speed_ms, t_rcp, fits, crossing) for i, center in enumerate(centers)
     )
 
     path = gap_path(speed_ms, radius_m, t_blk, timing)
@@ -253,15 +234,12 @@ def validate_deployment(
             f"blockage {t_blk:.2f} s exceeds t_max {timing.t_max_s:.2f} s and "
             f"{speed_ms:.2f} m/s is too fast for cold acquisition"
         )
-    gaps = tuple(
-        GapCheck(i, a + radius_m, b - radius_m, speed_ms, t_blk, path is not None, gap)
-        for i, (a, b) in enumerate(zip(centers, centers[1:]))
-    )
 
     return ValidationReport(
         ok=fits and path is not None,
-        coverages=coverages,
-        gaps=gaps,
-        suggested_min_radius_m=min_coverage_radius(speed_ms, timing.t_reacq_s),
+        crossing_ok=fits,
+        crossing=crossing,
+        gap_path=path,
+        gap=gap,
         suggested_max_gap_m=timing.t_max_s * speed_ms,
     )

@@ -281,11 +281,14 @@ class ScenarioResult:
     clock_bias_s: np.ndarray
     coverage: np.ndarray
     coverage_stats: dict[int, ErrorStats]
-    handover_success: dict[int, bool]
     first_fix_steps: dict[int, int | None]
     overall: ErrorStats | None
     clock_draws: dict[int, ClockDraw]
     transitions: tuple[TransitionRow, ...]
+
+    @property
+    def handover_success(self) -> dict[int, bool]:
+        return {k: n is not None for k, n in self.first_fix_steps.items()}
 
     @property
     def first_fix_latency_s(self) -> dict[int, float | None]:
@@ -491,7 +494,6 @@ def _handover(
                 clock_bias_s=clock_bias_s,
                 coverage=coverage,
                 coverage_stats=stats,
-                handover_success={k: k in stats for k in latency},
                 first_fix_steps=latency,
                 overall=overall,
                 clock_draws=draws,

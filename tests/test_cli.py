@@ -32,6 +32,8 @@ from gpsimlab.config import (
     SweepConfig,
     config_from_dict,
 )
+from gpsimlab.placement import WARM, blockage_time, kmh_to_ms, reception_time, validate_deployment
+from gpsimlab.receiver import PROFILES
 from gpsimlab.reports import write_json
 
 
@@ -147,10 +149,64 @@ class TestPlan:
         assert run("plan", "--config", str(cfg), "--out", str(out)) == EXIT_OK
         payload = json.loads((out / "plan.json").read_text())
         assert payload["derived"]["blockage_time_s"] == payload["inputs"]["t_max_s"]
-        assert payload["layout_report"]["ok"] is True
-        for gap in payload["layout_report"]["gaps"]:
-            assert gap["blockage_s"] == payload["derived"]["blockage_time_s"]
-            assert gap["ok"] is True
+        report = payload["layout_report"]
+        assert report["ok"] is True
+        assert report["gap_path"] == WARM
+        assert "within t_max" in report["gap"]
+
+    @staticmethod
+    def _curves(out):
+        """Each curve's flag column keyed by its first column, as floats."""
+        curves = []
+        for name, flag in (("reception_curve.csv", "reacq_fits"), ("blockage_curve.csv", "within_t_max")):
+            with open(out / name, newline="") as fh:
+                curves.append({float(row[next(iter(row))]): row[flag] for row in csv.DictReader(fh)})
+        return curves
+
+    @pytest.mark.parametrize(
+        "deployment",
+        [{"max_speed_kmh": 14.4}, {"max_speed_kmh": 28.8}, {"separation_m": 5000.0, "max_speed_kmh": 5.0}, {}],
+        ids=["4-m-per-s", "8-m-per-s", "cold-gap", "default"],
+    )
+    @pytest.mark.parametrize("receiver", ["dedicated", "smartphone"])
+    def test_curve_columns_and_strict_exit_read_the_layout_verdict(self, tmp_path, deployment, receiver):
+        deployment = {**deployment, "receiver": receiver}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deployment": deployment}))
+        dep = config_from_dict({"deployment": deployment}).deployment
+        v, timing = kmh_to_ms(dep.max_speed_kmh), PROFILES[receiver]
+        report = validate_deployment(dep.radius_m, dep.separation_m, v, timing)
+        out = tmp_path / "out"
+        assert run("plan", "--config", str(cfg), "--out", str(out)) == (EXIT_OK if report.ok else EXIT_INFEASIBLE)
+        strict_ok = report.ok and report.gap_path == WARM
+        strict_code = run("plan", "--config", str(cfg), "--strict", "--out", str(tmp_path / "strict"))
+        assert strict_code == (EXIT_OK if strict_ok else EXIT_INFEASIBLE)
+
+        reception, blockage = self._curves(out)
+        for r, fits in reception.items():
+            # touching coverages, whose gap of zero length cannot fail the layout
+            assert fits == str(validate_deployment(r, 2.0 * r, v, timing).crossing_ok), r
+        for d, within in blockage.items():
+            assert within == str(validate_deployment(dep.radius_m, d, v, timing).gap_path == WARM), d
+
+    def test_curve_boundaries_are_inclusive(self, tmp_path):
+        timing = PROFILES["dedicated"]
+        curves = {}
+        for speed_kmh in (14.4, 28.8):
+            cfg = tmp_path / f"{speed_kmh}.json"
+            cfg.write_text(json.dumps({"deployment": {"max_speed_kmh": speed_kmh}}))
+            assert run("plan", "--config", str(cfg), "--out", str(tmp_path / str(speed_kmh))) == EXIT_OK
+            curves[speed_kmh] = self._curves(tmp_path / str(speed_kmh))
+        # 4 m/s: a 10 m radius is crossed in exactly t_reacq and a 700 m separation's gap in exactly t_max
+        assert reception_time(10.0, kmh_to_ms(14.4)) == timing.t_reacq_s
+        assert blockage_time(700.0, 80.0, kmh_to_ms(14.4)) == timing.t_max_s
+        reception, blockage = curves[14.4]
+        assert reception[10.0] == "True"
+        assert (blockage[680.0], blockage[700.0], blockage[720.0]) == ("True", "True", "False")
+        # 8 m/s: a 20 m radius is crossed in exactly t_reacq
+        assert reception_time(20.0, kmh_to_ms(28.8)) == timing.t_reacq_s
+        reception, _ = curves[28.8]
+        assert (reception[15.0], reception[20.0]) == ("False", "True")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

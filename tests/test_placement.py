@@ -2,10 +2,13 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from gpsimlab.placement import (
-    CORRIDOR_COVERAGES,
+    COLD,
+    WARM,
     OverlappingCoverage,
     ZeroSpeed,
     blockage_time,
+    crossing_fits,
+    gap_path,
     kmh_to_ms,
     max_separation,
     min_coverage_radius,
@@ -75,7 +78,8 @@ class TestFeasibility:
     def test_default_corridor_is_feasible(self):
         report = validate_deployment(80.0, 500.0, V110, PLANNING)
         assert report.ok
-        assert all("within t_max" in g.reason for g in report.gaps)
+        assert report.gap_path == WARM
+        assert "within t_max" in report.gap
 
     def test_blockage_boundary_inclusive(self):
         # choose a separation whose gap takes exactly t_max to cross
@@ -84,14 +88,17 @@ class TestFeasibility:
         assert validate_deployment(80.0, gap + 160.0, v, PLANNING).ok
         report = validate_deployment(80.0, gap + 160.0 + v * 0.5, v, PLANNING)
         assert not report.ok
-        assert all("exceeds" in g.reason for g in report.gaps)
+        assert report.gap_path is None
+        assert "exceeds" in report.gap
 
     def test_slow_path_boundary_inclusive(self):
         # gap too long for t_max but crossing at exactly 2r/t_acq allows
         # a cold acquisition inside the coverage
         r = 80.0
         v = slow_path_speed_bound(r, PLANNING.t_acq_s)
-        assert validate_deployment(r, 10_000.0, v, PLANNING).ok
+        report = validate_deployment(r, 10_000.0, v, PLANNING)
+        assert report.ok
+        assert report.gap_path == COLD
         assert not validate_deployment(r, 10_000.0, v * 1.01, PLANNING).ok
 
     def test_reacquisition_must_fit_crossing(self):
@@ -99,8 +106,9 @@ class TestFeasibility:
         r = 10.0
         report = validate_deployment(r, 2.0 * r + 1.0, 20.0, PLANNING)
         assert not report.ok
-        assert all(g.ok for g in report.gaps)
-        assert all("exceeds" in c.reason and "crossing" in c.reason for c in report.coverages)
+        assert not report.crossing_ok
+        assert report.gap_path is not None
+        assert "exceeds" in report.crossing and "crossing" in report.crossing
 
     @given(
         st.floats(min_value=20.0, max_value=200.0),
@@ -124,35 +132,36 @@ class TestFeasibility:
     @example(149.13509104049035, 3690.097253066939, kmh_to_ms(90.44872189295889), "dedicated")
     def test_layout_check_applies_the_same_rule(self, radius, separation, speed, receiver):
         assume(separation >= 2 * radius)
-        report = validate_deployment(radius, separation, speed, PROFILES[receiver])
-        assert all(g.blockage_s == blockage_time(separation, radius, speed) for g in report.gaps)
+        timing = PROFILES[receiver]
+        report = validate_deployment(radius, separation, speed, timing)
+        assert report.gap_path == gap_path(speed, radius, blockage_time(separation, radius, speed), timing)
+        assert report.crossing_ok == crossing_fits(radius, speed, timing)
+        assert report.ok == (report.crossing_ok and report.gap_path is not None)
 
 
 class TestValidateDeployment:
     def test_good_layout(self):
         report = validate_deployment(80.0, 500.0, V110, PLANNING)
         assert report.ok
-        assert len(report.coverages) == 3
-        assert len(report.gaps) == 2
-        assert all(c.ok for c in report.coverages)
-        assert all(g.ok for g in report.gaps)
+        assert report.crossing_ok
+        assert report.gap_path == WARM
 
     def test_bad_gap_flagged_with_suggestion(self):
         # ~4.8 km gap at highway speed: too long for t_max (135 s covers
         # about 4.1 km at 110 km/h), too fast for cold acquisition
         report = validate_deployment(80.0, 5000.0, V110, PLANNING)
         assert not report.ok
-        bad = report.gaps[0]
-        assert not bad.ok
+        assert report.crossing_ok
+        assert report.gap_path is None
         assert report.suggested_max_gap_m == pytest.approx(PLANNING.t_max_s * V110)
 
     def test_small_radius_flagged(self):
         report = validate_deployment(20.0, 400.0, V110, PLANNING)
         assert not report.ok
-        assert not report.coverages[0].ok
-        assert report.suggested_min_radius_m == pytest.approx(
-            min_coverage_radius(V110, PLANNING.t_reacq_s)
-        )
+        assert not report.crossing_ok
+        assert report.gap_path == WARM
+        # the radius plan derives as the least that fits the crossing lies above it
+        assert min_coverage_radius(V110, PLANNING.t_reacq_s) > 20.0
 
     def test_overlapping_centers_rejected(self):
         with pytest.raises(OverlappingCoverage):
@@ -166,5 +175,5 @@ class TestValidateDeployment:
         report = validate_deployment(80.0, 500.0, 10.0, PLANNING)
         payload = _canonical(report)
         assert payload["ok"] is True
-        assert len(payload["coverages"]) == CORRIDOR_COVERAGES
-        assert "suggested_min_radius_m" in payload
+        assert payload.keys() == {"ok", "crossing_ok", "crossing", "gap_path", "gap", "suggested_max_gap_m", "note"}
+        assert payload["gap_path"] == WARM

@@ -22,9 +22,8 @@ from gpsimlab.placement import (
     WARM,
     OverlappingCoverage,
     ZeroSpeed,
+    blockage_time,
     corridor_layout,
-    coverage_centers,
-    gap_path,
     kmh_to_ms,
     ms_to_kmh,
     validate_deployment,
@@ -423,12 +422,6 @@ class TestTunnelLayout:
         assert self.LAYOUT.portal_out_m == 1700.0
         assert self.LAYOUT.length_m == 1900.0
 
-    def test_centers_are_the_planned_ones_behind_the_lead(self):
-        # plan checks the same centers, counted from the first one
-        planned = coverage_centers(0.0, 500.0)
-        assert planned == (0.0, 500.0, 1000.0)
-        assert self.LAYOUT.centers_m == tuple(450.0 + c for c in planned)
-
     def test_crossing_runs_in_one_metre_steps(self):
         # 36 km/h is 1 m a step, so every portal and coverage edge is the end of a step
         assert kmh_to_ms(36.0) * sc.DT_S == 1.0
@@ -506,7 +499,7 @@ class TestDynamicTraversal:
         report = validate_deployment(dep.radius_m, dep.separation_m, kmh_to_ms(dep.max_speed_kmh), timing)
         assert report.ok
         # every gap stays within t_max, so each coverage is entered warm
-        assert all(g.blockage_s <= timing.t_max_s for g in report.gaps)
+        assert report.gap_path == WARM
 
     @staticmethod
     def _at_speed(speed_kmh):
@@ -646,22 +639,18 @@ class TestPlanAgreesWithTraversal:
         plan = sc.traversal_plan(deployment, sc.DRIVING_PR_NOISE_M)
         v, timing = kmh_to_ms(deployment.max_speed_kmh), PROFILES[receiver]
         report = validate_deployment(radius, separation, v, timing)
-        paths = [gap_path(v, radius, g.blockage_s, timing) for g in report.gaps]
+        blockage = blockage_time(separation, radius, v)
 
         result = sc.run_dynamic_traversal(plan, sc.PRIVATE_CALIBRATED, seed=0)
 
-        warm = (
-            all(path == WARM for path in paths)
-            and report.ok
-            and all(g.blockage_s <= timing.t_max_s - sc.DT_S for g in report.gaps)
-        )
-        if warm:
-            for k in range(len(report.coverages)):
+        if report.gap_path == WARM and report.ok and blockage <= timing.t_max_s - sc.DT_S:
+            for k in range(len(plan.centers_m)):
                 assert _first_mode_in(result.transitions, k) == "REACQUISITION"
                 assert result.handover_success[k]
-        for gap, path in zip(report.gaps, paths):
-            if path == COLD and gap.blockage_s > timing.t_max_s + sc.DT_S:
-                assert _first_mode_in(result.transitions, gap.index + 1) == "ACQUISITION"
+        if report.gap_path == COLD and blockage > timing.t_max_s + sc.DT_S:
+            # every coverage after a gap
+            for k in range(1, len(plan.centers_m)):
+                assert _first_mode_in(result.transitions, k) == "ACQUISITION"
 
     @given(
         receiver=st.sampled_from(["dedicated", "smartphone"]),
