@@ -28,8 +28,10 @@ picks the smartphone receiver, a static and a driving matrix past
 the matrix step bound, which exit 2, a driving run at 1 m a step, whose
 step ends fall on every corridor edge, a crossing one step past the
 timeline step cap, which exits 2, a static handover whose 0.45 s
-simulator window is an exact half step, and a static and a driving
-matrix whose trial makes no in-coverage fix, which exit 1), and prints every
+simulator window is an exact half step, a static and a driving
+matrix whose trial makes no in-coverage fix, which exit 1, and a static
+matrix and a single static run under 1,000 km of pseudorange noise, whose
+every simulator fix falls back from the linear map to Gauss-Newton), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -144,6 +146,10 @@ COMMANDS = (
     # the simulator window, and coverages of 1 m radius
     ("simulate", "--scenario", "static", "--trials", "1", {"handover": {"blocked_s": 140.0}}),
     ("simulate", "--scenario", "driving", "--trials", "1", {"deployment": {"radius_m": 1.0}}),
+    # 1,000 km of pseudorange noise: every simulator fix leaves the linear path and is solved
+    # by Gauss-Newton from its coverage center, as a matrix and as a single run
+    ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"pr_noise_m": 1e6}}),
+    ("simulate", "--scenario", "static", "--clock", "private/calibrated", {"handover": {"pr_noise_m": 1e6}}),
 )
 
 

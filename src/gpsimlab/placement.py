@@ -180,8 +180,12 @@ def gap_path(
 
 
 def crossing_fits(radius_m: float, speed_ms: float, timing: ReceiverProfile) -> bool:
-    """Whether a warm reacquisition fits one crossing: t_reacq <= t_rcp, boundary inclusive."""
-    return timing.t_reacq_s <= reception_time(radius_m, speed_ms)
+    """Whether a warm reacquisition fits one crossing: t_reacq <= t_rcp, boundary inclusive.
+
+    Judged as min_coverage_radius <= r, so the radius plan derives fits itself:
+    at 110 km/h, 2r/v of that radius rounds to 4.999999999999999 s.
+    """
+    return min_coverage_radius(speed_ms, timing.t_reacq_s) <= radius_m
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ runs the static handover, the traversal and the outdoor comparison:
 ``draw_clock`` realizes every configuration of one host in one call,
 ``draw_sky`` draws the sky and noise once for all of them, and
 ``_handover`` runs each configuration's timeline and solves the simulator
-fixes of all of them in one stacked call. The static and the traversal
+fixes of all of them together: one stacked ``solve_position`` of the
+noise-free row of each (configuration, coverage), then ``solve_about``,
+which maps every fix about its noise-free one. The static and the traversal
 matrix run their paired trials through one loop, ``_trial_stats``. The
 sweep calls ``draw_sky`` and ``_handover`` itself with one offset per
 call: its grid of up to MAX_TRIAL_RUNS runs would stack that many
@@ -53,7 +55,7 @@ from .config import DEFAULTS, MAX_MATRIX_STEPS, MAX_TIMELINE_STEPS, Config, Conf
 from .ntp import default_topology, run_disciplined_sync
 from .placement import ZeroSpeed, corridor_layout, kmh_to_ms
 from .rng import derive_seed, stream
-from .solver import SatGeometry, random_sky_geometry, solve_position
+from .solver import SatGeometry, random_sky_geometry, solve_about, solve_position
 from .timebase import NS_PER_MS, ns_from_millis, ns_from_seconds, within_budget
 
 DT_S = rcv.DT_S
@@ -432,10 +434,14 @@ def _handover(
     Under each of ``offset_maps``, coverage k transmits with that map's
     offset of k. Pseudorange noise rows are indexed by simulator step and
     live-sky rows by live step, both counted across the timeline, so one
-    coverage reads what its windows use under every map. The simulator
-    fixes of all maps are solved in one stacked call and split back; a row
-    solves to the same bits alone or in any stack. Returns one result per
-    map, carrying the matching entry of ``clock_draws``.
+    coverage reads what its windows use under every map. A simulator fix
+    is its (map, coverage)'s noise-free row plus its noise row. The
+    noise-free rows of every (map, coverage) that has fixes are solved from
+    their coverage centers in one stacked call, the fixes of
+    ``solver.position_error_from_clock_offset``; ``solve_about`` solves the
+    fixes of all maps about them in one call, and they are split back. A
+    row solves to the same bits alone or in any stack. Returns one result
+    per map, carrying the matching entry of ``clock_draws``.
     """
     sky = drawn.sky
     centers = np.array([[center, 0.0, 0.0] for center in plan.centers_m])
@@ -445,21 +451,18 @@ def _handover(
 
     timelines = (run_timeline(plan.segments, offsets_ns, plan.profile, start) for offsets_ns in offset_maps)
     runs = [(np.flatnonzero(tracking), transitions) for tracking, transitions in timelines]
-    # the simulator fixes of every map in one stacked solve, a map's rows after the previous map's
+    # the simulator fixes of every map in one stacked solve, a map's rows after the previous map's;
+    # group m·K + k, map m's coverage k, is a noise-free row that its fixes scatter about
     sim_fixes = [fix[simulated[fix]] for fix, _ in runs]
-    pr = np.empty((sum(steps.size for steps in sim_fixes), len(sky)))
-    guess = np.empty((pr.shape[0], 3))
-    end = 0
-    for offsets_ns, steps in zip(offset_maps, sim_fixes):
-        base_pr = np.array(
-            [np.linalg.norm(sky.advanced(offsets_ns[k]).positions - c, axis=1) for k, c in enumerate(centers)]
-        )
-        rows, hosts = slice(end, end + steps.size), step_coverage[steps]
-        np.take(base_pr, hosts, axis=0, out=pr[rows])
-        pr[rows] += drawn.pr_noise[noise_row[steps]]
-        guess[rows] = centers[hosts]
-        end = rows.stop
-    solved = solve_position(pr, sky, initial_guess=guess)
+    groups = np.concatenate([m * len(centers) + step_coverage[steps] for m, steps in enumerate(sim_fixes)])
+    used, groups = np.unique(groups, return_inverse=True)
+    maps, hosts = np.divmod(used, len(centers))
+    noise_free = np.empty((used.size, len(sky)))
+    for row, m, k in zip(noise_free, maps, hosts):
+        row[:] = np.linalg.norm(sky.advanced(offset_maps[m][k]).positions - centers[k], axis=1)
+    base = solve_position(noise_free, sky, initial_guess=centers[hosts])
+    pr = noise_free[groups] + drawn.pr_noise[np.concatenate([noise_row[steps] for steps in sim_fixes])]
+    solved = solve_about(pr, sky, base, groups, centers[hosts[groups]])
 
     results = []
     end = 0

@@ -25,6 +25,11 @@ CONVERGENCE_M = 1e-4
 # rows a solve iterates together; a longer stack is solved a block at a time,
 # which bounds the iterations' temporaries
 SOLVE_BLOCK_ROWS = 4096
+# solve_about's bounds on a linear fix: the contraction estimate κ(H̄ᵀH̄)·|x₁ − x̄|/(smallest
+# range) a row may reach, and the rank ratio κ·eps·N of its group, half the rank rule's limit;
+# on the step test alone, a 4-satellite sky at PDOP 540 kept a fix 2.5 cm from solve_position's
+LINEAR_CONTRACTION = 1e-3
+LINEAR_RANK_RATIO = 0.5
 
 # random_sky_geometry's constellation
 SAT_RANGE_M = 2.02e7
@@ -98,13 +103,14 @@ def _design_matrix(positions: np.ndarray, points: np.ndarray) -> tuple[np.ndarra
     return np.concatenate([-units, np.ones(ranges.shape + (1,))], axis=-1), ranges
 
 
-def _normal_inverse(h: np.ndarray) -> np.ndarray:
-    """(HᵀH)⁻¹ of sight-line matrices ``h``, (N, 4) or (F, N, 4): the step operator and DOP matrix.
+def _normal_inverse(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(HᵀH)⁻¹ of sight-line matrices ``h``, (N, 4) or (F, N, 4), and each system's rank ratio.
 
-    Raises SingularGeometry where a system is exactly singular or where
-    κ = ‖HᵀH‖_F·‖(HᵀH)⁻¹‖_F meets κ·eps·N ≥ 1, gelsd's rcond rule applied
-    to HᵀH. Since κ ≥ cond(H)², this refuses cond(H) above about 10⁷
-    (2.4e7 for N = 8); gelsd on H refused only above 1/(eps·N), 5.6e14.
+    The inverse is the step operator and DOP matrix. The rank ratio is
+    κ·eps·N, where κ = ‖HᵀH‖_F·‖(HᵀH)⁻¹‖_F. Raises SingularGeometry where a
+    system is exactly singular or its ratio reaches 1, gelsd's rcond rule
+    applied to HᵀH. Since κ ≥ cond(H)², this refuses cond(H) above about
+    10⁷ (2.4e7 for N = 8); gelsd on H refused only above 1/(eps·N), 5.6e14.
     """
     normal = h.swapaxes(-1, -2) @ h
     try:
@@ -112,10 +118,20 @@ def _normal_inverse(h: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise SingularGeometry("sight lines do not span the solution space") from None
     kappa = np.linalg.norm(normal, axis=(-2, -1)) * np.linalg.norm(q, axis=(-2, -1))
+    ratio = kappa * (np.finfo(float).eps * h.shape[-2])
     # written so that a NaN κ, from an inverse that overflowed, is refused too
-    if not np.all(kappa * (np.finfo(float).eps * h.shape[-2]) < 1.0):
+    if not np.all(ratio < 1.0):
         raise SingularGeometry(f"sight lines do not span the solution space (kappa {np.max(kappa):.3g})")
-    return q
+    return q, ratio
+
+
+def _whole_ns(bias_m: np.ndarray) -> np.ndarray:
+    """Clock biases of ``bias_m`` meters in seconds of whole nanoseconds.
+
+    Rounded half-even exactly as timebase.ns_from_seconds; adding 0.0 turns
+    the -0.0 that rint leaves for small negatives into 0.0.
+    """
+    return (np.rint(bias_m / SPEED_OF_LIGHT * NS_PER_S) + 0.0) / NS_PER_S
 
 
 def solve_position(
@@ -184,7 +200,7 @@ def solve_position(
             dy = prs[active] - (ranges + bias_m[active, None])
             if not (np.isfinite(h).all() and np.isfinite(dy).all()):
                 raise NoConvergence(f"iterate left the finite range at iteration {iteration}")
-            dx = (_normal_inverse(h) @ (h.swapaxes(-1, -2) @ dy[..., None]))[..., 0]
+            dx = (_normal_inverse(h)[0] @ (h.swapaxes(-1, -2) @ dy[..., None]))[..., 0]
             if not np.isfinite(dx).all():
                 raise NoConvergence(f"least-squares step failed at iteration {iteration}")
             x[active] += dx[:, :3]
@@ -197,12 +213,92 @@ def solve_position(
             active = active[~done]
         iterations = max(iterations, iteration)
 
-    # whole nanoseconds, rounded half-even exactly as timebase.ns_from_seconds;
-    # adding 0.0 turns the -0.0 that rint leaves for small negatives into 0.0
-    clock_bias_s = (np.rint(bias_m / SPEED_OF_LIGHT * NS_PER_S) + 0.0) / NS_PER_S
+    clock_bias_s = _whole_ns(bias_m)
     if stacked:
         return PvtSolution(x, clock_bias_s, residual, iterations)
     return PvtSolution(x[0], float(clock_bias_s[0]), float(residual[0]), iterations)
+
+
+def solve_about(
+    pseudoranges: np.ndarray, geometry: SatGeometry, base: PvtSolution, groups: np.ndarray, guess: np.ndarray
+) -> PvtSolution:
+    """Solve an (F, N) stack of noisy copies of known noise-free rows: one linear map and one checked step a row.
+
+    Row f copies the noise-free row that ``base``, a stacked
+    ``solve_position``, solved to its row ``groups[f]``, and ``guess[f]``
+    is its own start. At each base fix x̄, H̄ and Q = (H̄ᵀH̄)⁻¹, under the
+    rank rule, map a row to x₁ = x̄ + Q·H̄ᵀ(pr − ρ̄ − b̄), the Gauss-Newton
+    linearisation about a nominal fix; a whole-ns b̄ moves only x₁'s bias,
+    since H̄'s column of ones gives Q·H̄ᵀ·1 = e₄. One step at the row's own
+    sight lines, s = Q·H(x₁)ᵀ(pr − ρ(x₁) − b₁), aims at its own
+    least-squares fix. A row keeps x₁ + s if |s| < CONVERGENCE_M, its
+    κ(H̄ᵀH̄)·|x₁ − x̄|/(smallest range) is at most LINEAR_CONTRACTION and its
+    group's rank ratio at most LINEAR_RANK_RATIO, so that its own κ cannot
+    reach the rank rule's limit; ``solve_position`` solves every other row
+    from its guess. Rows go SOLVE_BLOCK_ROWS at a time, and a row's fix
+    does not depend on the rows stacked with it.
+
+    Returns a stacked PvtSolution whose ``iterations`` is the base solve's
+    plus the checked step, or a fallback row's if more. Raises as
+    ``solve_position`` does, and SingularGeometry where a base fix fails
+    the rank rule.
+    """
+    prs = np.asarray(pseudoranges, dtype=float)
+    rows = prs.shape[0]
+    if rows == 0:
+        return PvtSolution(np.empty((0, 3)), np.empty(0), np.empty(0), 0)
+    h_bar, ranges_bar = _design_matrix(geometry.positions, base.position)
+    q, ratio = _normal_inverse(h_bar)
+    gain = q @ h_bar.swapaxes(-1, -2)
+    # rows are columns from here on: (4, F) fixes and (3, F, N) satellite-minus-fix offsets,
+    # so that every reduction below runs along a contiguous axis
+    fix_bar = np.vstack([base.position.T, base.clock_bias_s * SPEED_OF_LIGHT])
+    expected_bar = ranges_bar + fix_bar[3][:, None]
+    # how far a row's x₁ may land from x̄: LINEAR_CONTRACTION of the smallest range over κ(H̄ᵀH̄),
+    # and NaN, which no distance is within, past LINEAR_RANK_RATIO
+    kappa = ratio / (np.finfo(float).eps * len(geometry))
+    reach_m = np.where(ratio <= LINEAR_RANK_RATIO, LINEAR_CONTRACTION * ranges_bar.min(axis=1) / kappa, np.nan)
+    sats = np.ascontiguousarray(geometry.positions.T)[:, None, :]
+
+    x = np.empty((4, rows))
+    residual = np.empty(rows)
+    linear = np.zeros(rows, dtype=bool)
+    # a row that overflows here falls back, and there warns or fails as solve_position does
+    with np.errstate(all="ignore"):
+        for start in range(0, rows, SOLVE_BLOCK_ROWS):
+            block = slice(start, start + SOLVE_BLOCK_ROWS)
+            mine = groups[block]
+            residual_bar = prs[block] - np.take(expected_bar, mine, axis=0)
+            moved = np.einsum("fij,fj->if", np.take(gain, mine, axis=0), residual_bar)
+            x1 = np.take(fix_bar, mine, axis=1) + moved
+            d = sats - x1[:3, :, None]
+            ranges = np.sqrt(np.einsum("kfn,kfn->fn", d, d))
+            dy = prs[block] - (ranges + x1[3][:, None])
+            # Hᵀdy, H's rows being the sight lines -d/ρ and a one
+            hty = np.vstack([-np.einsum("kfn,fn->kf", d, dy / ranges), np.einsum("fn->f", dy)])
+            step = np.einsum("fij,jf->if", np.take(q, mine, axis=0), hty)
+            x[:, block] = x1 + step
+            # written so that a NaN step or distance sends its row to the fallback
+            linear[block] = (np.einsum("kf,kf->f", step[:3], step[:3]) < CONVERGENCE_M**2) & (
+                np.einsum("kf,kf->f", moved[:3], moved[:3]) <= reach_m[mine] ** 2
+            )
+            # the residual at x₁ + s, whose ranges moved by -d·s/ρ: for a kept row, with
+            # |s| < CONVERGENCE_M, that is exact to |s|²/ρ, far below rounding
+            dy += np.einsum("kfn,kf->fn", d, step[:3]) / ranges - step[3][:, None]
+            residual[block] = np.sqrt(np.einsum("fn,fn->f", dy, dy))
+
+    position, clock_bias_s = x[:3].T, _whole_ns(x[3])
+    iterations = base.iterations + 1
+    others = np.flatnonzero(~linear)
+    if others.size:
+        fallback = solve_position(prs[others], geometry, initial_guess=guess[others])
+        position[others], clock_bias_s[others], residual[others] = (
+            fallback.position,
+            fallback.clock_bias_s,
+            fallback.residual_norm,
+        )
+        iterations = max(iterations, fallback.iterations)
+    return PvtSolution(position, clock_bias_s, residual, iterations)
 
 
 def dilution_of_precision(geometry: SatGeometry, position: np.ndarray) -> DopValues:
@@ -210,7 +306,7 @@ def dilution_of_precision(geometry: SatGeometry, position: np.ndarray) -> DopVal
     if len(geometry) < 4:
         raise SingularGeometry(f"need at least 4 satellites, got {len(geometry)}")
     h, _ = _design_matrix(geometry.positions, np.asarray(position, dtype=float))
-    diag = np.diag(_normal_inverse(h))
+    diag = np.diag(_normal_inverse(h)[0])
     return DopValues(
         gdop=float(np.sqrt(diag.sum())),
         pdop=float(np.sqrt(diag[:3].sum())),

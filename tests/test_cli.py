@@ -81,6 +81,19 @@ class TestPlan:
         cfg.write_text(json.dumps({"deployment": {"radius_m": 12.0, "separation_m": 400.0, "max_speed_kmh": 200.0}}))
         assert run("plan", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_INFEASIBLE
 
+    def test_its_own_min_coverage_radius_is_feasible(self, tmp_path):
+        # 2r/v of the printed radius rounds to 4.999999999999999 s at 110 km/h, just under t_reacq
+        derived = tmp_path / "derived"
+        assert run("plan", "--out", str(derived)) == EXIT_OK
+        radius_m = json.loads((derived / "plan.json").read_text())["derived"]["min_coverage_radius_m"]
+        assert radius_m == 76.38888888888889
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"deployment": {"radius_m": radius_m}}))
+        out = tmp_path / "out"
+        assert run("plan", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        report = json.loads((out / "plan.json").read_text())["layout_report"]
+        assert (report["ok"], report["crossing_ok"]) == (True, True)
+
     @pytest.mark.parametrize(
         "key, value",
         [

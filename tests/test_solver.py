@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpsimlab import solver
 from gpsimlab.rng import stream
@@ -18,6 +18,7 @@ from gpsimlab.solver import (
     dilution_of_precision,
     position_error_from_clock_offset,
     random_sky_geometry,
+    solve_about,
     solve_position,
 )
 from gpsimlab.timebase import NS_PER_S, ns_from_millis, ns_from_seconds
@@ -290,25 +291,159 @@ class TestStackedSolve:
             solve_position(prs, geometry)
 
 
+# five sight lines squeezed toward the zenith: the tilt sets cond(H),
+# about 1/tilt², and the rule refuses where κ = ‖HᵀH‖_F·‖(HᵀH)⁻¹‖_F,
+# at least cond(H)², reaches 1/(eps·5)
+SPREAD = np.array([[0.3, 0.1, 0.9], [-0.5, 0.4, 0.7], [0.2, -0.8, 0.5], [-0.1, -0.3, 0.95], [0.7, 0.6, 0.4]])
+
+
+def squeezed(tilt):
+    units = np.array([0.0, 0.0, 1.0]) + tilt * SPREAD
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    # transmitters 10 km away: a range rounds to 2e-12 m, so a fix this
+    # ill-conditioned still settles below CONVERGENCE_M
+    return SatGeometry(units * 1e4, np.zeros((5, 3)))
+
+
+def scattered_stack(seed, n_sats, noise_m, offsets_ms, rows):
+    """``rows`` noisy copies of each offset's noise-free row, as ``_handover`` stacks them.
+
+    Group g's noise-free ranges run from a center to the sky advanced by
+    ``offsets_ms[g]``; its base fix is solved from that center, which is
+    every row's guess. Returns the sky, the stack, the base solve, the
+    groups and the guesses.
+    """
+    rng = np.random.default_rng(seed)
+    geometry = random_sky_geometry(rng, n_sats=n_sats)
+    centers = rng.uniform(-100.0, 100.0, (len(offsets_ms), 3))
+    noise_free = np.array(
+        [
+            np.linalg.norm(geometry.advanced(ns_from_millis(ms)).positions - c, axis=1)
+            for ms, c in zip(offsets_ms, centers)
+        ]
+    )
+    base = solve_position(noise_free, geometry, initial_guess=centers)
+    groups = rng.integers(0, len(offsets_ms), rows)
+    prs = noise_free[groups] + rng.normal(0.0, noise_m, (rows, n_sats))
+    return geometry, prs, base, groups, centers[groups]
+
+
+def assert_same_fixes(a, b):
+    assert np.array_equal(a.position, b.position)
+    assert np.array_equal(a.clock_bias_s, b.clock_bias_s)
+    assert np.array_equal(a.residual_norm, b.residual_norm)
+
+
+class TestSolveAbout:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_sats=st.sampled_from([4, 5, 8, 32]),
+        noise_m=st.floats(min_value=0.5, max_value=50.0),
+        offsets_ms=st.lists(st.floats(min_value=-250.0, max_value=250.0), min_size=1, max_size=3),
+        rows=st.integers(min_value=1, max_value=40),
+    )
+    # a 4-satellite sky at PDOP 540, whose linear fixes pass the step test 2.5 cm from solve_position's
+    @example(seed=1312, n_sats=4, noise_m=2.0, offsets_ms=[0.0], rows=20)
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    def test_every_row_matches_solve_position(self, seed, n_sats, noise_m, offsets_ms, rows):
+        geometry, prs, base, groups, guess = scattered_stack(seed, n_sats, noise_m, offsets_ms, rows)
+        about = solve_about(prs, geometry, base, groups, guess)
+        one_by_one = solve_position(prs, geometry, initial_guess=guess)
+        assert np.max(np.linalg.norm(about.position - one_by_one.position, axis=1)) < 1e-6
+        assert np.array_equal(about.clock_bias_s, one_by_one.clock_bias_s)
+        assert about.residual_norm == pytest.approx(one_by_one.residual_norm, abs=1e-6)
+        # a row's fix does not depend on the rows stacked with it
+        for i in range(0, rows, 7):
+            one = solve_about(prs[i : i + 1], geometry, base, groups[i : i + 1], guess[i : i + 1])
+            assert np.array_equal(one.position[0], about.position[i])
+            assert one.clock_bias_s[0] == about.clock_bias_s[i]
+
+    def test_rows_off_the_linear_path_fall_back_bit_for_bit(self):
+        geometry, prs, base, groups, guess = scattered_stack(1, 8, 2.0, [0.0, 40.0], 60)
+        # rows 1 km and 150 m off: their checked step is too long, or x₁ too far from the base fix
+        far, off = [5, 33], [12, 40]
+        prs[far] += stream(1, "solver", "far").normal(0.0, 1e3, (2, len(geometry)))
+        prs[off] += stream(1, "solver", "off").normal(0.0, 150.0, (2, len(geometry)))
+        about = solve_about(prs, geometry, base, groups, guess)
+        fallback = solve_position(prs[far + off], geometry, initial_guess=guess[far + off])
+        assert np.array_equal(about.position[far + off], fallback.position)
+        assert np.array_equal(about.clock_bias_s[far + off], fallback.clock_bias_s)
+        assert np.array_equal(about.residual_norm[far + off], fallback.residual_norm)
+        # the other rows kept their linear fix
+        linear = np.delete(np.arange(60), far + off)
+        assert not np.array_equal(about.position[linear], solve_position(prs[linear], geometry, guess[linear]).position)
+
+    @pytest.mark.parametrize("noise_m", [1e6, 3.0])
+    def test_a_stack_that_all_falls_back_is_solve_position(self, noise_m):
+        geometry, prs, base, groups, guess = scattered_stack(2, 8, noise_m, [10.0, -30.0, 250.0], 50)
+        expected = solve_position(prs, geometry, initial_guess=guess)
+        if noise_m == 1e6:
+            assert_same_fixes(solve_about(prs, geometry, base, groups, guess), expected)
+        # no group passes the rank ratio bound, so every row falls back
+        with mock.patch.object(solver, "LINEAR_RANK_RATIO", 0.0):
+            assert_same_fixes(solve_about(prs, geometry, base, groups, guess), expected)
+
+    def test_just_inside_the_rank_rule_falls_back(self):
+        geometry = squeezed(8e-4)
+        truth = np.zeros(3)
+        guess = np.array([0.1, 0.1, 0.0])
+        base = solve_position(np.linalg.norm(geometry.positions - truth, axis=1)[None], geometry, guess[None])
+        q_ratio = solver._normal_inverse(solver._design_matrix(geometry.positions, base.position)[0])[1]
+        assert solver.LINEAR_RANK_RATIO < q_ratio[0] < 1.0
+        prs = np.linalg.norm(geometry.positions, axis=1) + np.array([[0.0] * 5, [1e-7, 0.0, -1e-7, 0.0, 0.0]])
+        guesses = np.tile(guess, (2, 1))
+        about = solve_about(prs, geometry, base, np.zeros(2, dtype=int), guesses)
+        assert_same_fixes(about, solve_position(prs, geometry, initial_guess=guesses))
+
+    def test_past_the_rank_rule_raises_as_solve_position_does(self):
+        geometry = squeezed(6.5e-4)
+        prs = np.linalg.norm(geometry.positions, axis=1)[None]
+        guess = np.array([[0.1, 0.1, 0.0]])
+        with pytest.raises(SingularGeometry):
+            solve_position(prs, geometry, initial_guess=guess)
+        # a base fix at the truth, which solve_position could not reach: its sight lines fail the rule
+        base = solver.PvtSolution(np.zeros((1, 3)), np.zeros(1), np.zeros(1), 1)
+        with pytest.raises(SingularGeometry):
+            solve_about(prs, geometry, base, np.zeros(1, dtype=int), guess)
+
+    def test_empty_stack(self):
+        geometry, prs, base, groups, guess = scattered_stack(3, 8, 2.0, [0.0], 4)
+        solution = solve_about(prs[:0], geometry, base, groups[:0], guess[:0])
+        assert solution.position.shape == (0, 3)
+        assert solution.clock_bias_s.shape == solution.residual_norm.shape == (0,)
+        assert solution.iterations == 0
+
+    def test_a_group_without_rows(self):
+        geometry, prs, base, groups, guess = scattered_stack(4, 8, 2.0, [0.0, 20.0, -20.0], 30)
+        mine = groups != 1
+        about = solve_about(prs[mine], geometry, base, groups[mine], guess[mine])
+        whole = solve_about(prs, geometry, base, groups, guess)
+        assert np.array_equal(about.position, whole.position[mine])
+        assert np.array_equal(about.clock_bias_s, whole.clock_bias_s[mine])
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # as solve_position's: a row costs its own outputs, and a block's
+        # working set stays the same whatever the row count
+        rows = 100_000
+        assert rows >= 4 * SOLVE_BLOCK_ROWS
+        geometry, prs, base, groups, guess = scattered_stack(5, 8, 3.0, [0.0, 45.0], rows)
+        tracemalloc.start()
+        try:
+            solve_about(prs, geometry, base, groups, guess)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = rows * 8 * 8 + SOLVE_BLOCK_ROWS * len(geometry) * 24 * 8
+        assert peak < bound
+
+
 class TestRankRule:
-    # five sight lines squeezed toward the zenith: the tilt sets cond(H),
-    # about 1/tilt², and the rule refuses where κ = ‖HᵀH‖_F·‖(HᵀH)⁻¹‖_F,
-    # at least cond(H)², reaches 1/(eps·5)
-    SPREAD = np.array([[0.3, 0.1, 0.9], [-0.5, 0.4, 0.7], [0.2, -0.8, 0.5], [-0.1, -0.3, 0.95], [0.7, 0.6, 0.4]])
-
-    def squeezed(self, tilt):
-        units = np.array([0.0, 0.0, 1.0]) + tilt * self.SPREAD
-        units /= np.linalg.norm(units, axis=1)[:, None]
-        # transmitters 10 km away: a range rounds to 2e-12 m, so a fix this
-        # ill-conditioned still settles below CONVERGENCE_M
-        return SatGeometry(units * 1e4, np.zeros((5, 3)))
-
     def cond_squared_eps_n(self, geometry):
         h = np.hstack([-geometry.positions / 1e4, np.ones((5, 1))])
         return np.linalg.cond(h) ** 2 * np.finfo(float).eps * 5
 
     def test_refused_just_past_the_rule(self):
-        geometry = self.squeezed(6.5e-4)
+        geometry = squeezed(6.5e-4)
         assert 1.0 < self.cond_squared_eps_n(geometry) < 2.0
         pr = np.linalg.norm(geometry.positions, axis=1)
         with pytest.raises(SingularGeometry):
@@ -317,7 +452,7 @@ class TestRankRule:
             dilution_of_precision(geometry, np.zeros(3))
 
     def test_solved_just_inside_the_rule(self):
-        geometry = self.squeezed(8e-4)
+        geometry = squeezed(8e-4)
         assert 0.5 < self.cond_squared_eps_n(geometry) < 1.0
         pr = np.linalg.norm(geometry.positions, axis=1)
         fix = solve_position(pr, geometry, initial_guess=np.array([0.1, 0.1, 0.0]))
