@@ -31,7 +31,9 @@ timeline step cap, which exits 2, a static handover whose 0.45 s
 simulator window is an exact half step, a static and a driving
 matrix whose trial makes no in-coverage fix, which exit 1, and a static
 matrix and a single static run under 1,000 km of pseudorange noise, whose
-every simulator fix falls back from the linear map to Gauss-Newton), and prints every
+every simulator fix falls back from the linear map to Gauss-Newton, a static
+matrix whose 40,000 s of live sky spread its three trials over two batches
+of the engine's first pass, and a driving matrix of three trials), and prints every
 artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
@@ -150,6 +152,11 @@ COMMANDS = (
     # by Gauss-Newton from its coverage center, as a matrix and as a single run
     ("simulate", "--scenario", "static", "--trials", "2", {"handover": {"pr_noise_m": 1e6}}),
     ("simulate", "--scenario", "static", "--clock", "private/calibrated", {"handover": {"pr_noise_m": 1e6}}),
+    # 40,000 s of live sky, whose fixes never reach the solver: 400,500 steps a trial, so two trials
+    # fit in one batch of MAX_TIMELINE_STEPS and the third is solved in a second batch
+    ("simulate", "--scenario", "static", "--trials", "3", {"handover": {"live_s": 40000.0}}),
+    # a driving matrix of several trials in one batch
+    ("simulate", "--scenario", "driving", "--trials", "3"),
 )
 
 

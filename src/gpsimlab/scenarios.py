@@ -19,21 +19,26 @@ result: step k, counted from 0, ends at (k + 1) / STEPS_PER_S s.
 Comparisons between clock configurations are paired: random draws that do
 not depend on the configuration (sky plot, pseudorange noise, the delay
 process, the sync run of a given server type) come from streams keyed
-only by seed, scope and role. ``_paired_runs(plan, configs, seed, cfg)``
-runs the static handover, the traversal and the outdoor comparison:
-``draw_clock`` realizes every configuration of one host in one call,
-``draw_sky`` draws the sky and noise once for all of them, and
-``_handover`` runs each configuration's timeline and solves the simulator
-fixes of all of them together: one stacked ``solve_position`` of the
-noise-free row of each (configuration, coverage), then ``solve_about``,
-which maps every fix about its noise-free one. The static and the traversal
-matrix run their paired trials through one loop, ``_trial_stats``. The
-sweep calls ``draw_sky`` and ``_handover`` itself with one offset per
-call: its grid of up to MAX_TRIAL_RUNS runs would stack that many
-timelines of fixes. Pseudorange noise is indexed by simulator step, not
-by fix count, which keeps the pairing aligned even when reacquisition
-delays the first fix. MAX_TIMELINE_STEPS caps a plan's steps, and
-MAX_MATRIX_STEPS trials times them, before anything is drawn.
+only by seed, scope and role. Paired trials run in two passes over a
+batch of trials. In the first, ``_paired_trial`` realizes every
+configuration of one host in one ``draw_clock`` call, draws the sky once
+for all of them and runs each configuration's timeline; ``_handover``
+then solves the noise-free row of each (trial, configuration, coverage)
+that has fixes in one stacked ``solve_position``, each row under its own
+trial's sky. In the second, a trial at a time, it draws the trial's
+pseudorange noise and ``solve_about`` maps every fix about its noise-free
+one. A batch holds as many trials as fit in MAX_TIMELINE_STEPS steps, and
+the first pass holds only skies, offsets and tracking flags, so memory
+does not grow with the trial count. ``_paired_runs`` runs the static
+handover, the traversal and the outdoor comparison as a one-trial batch
+and builds their full results; the static and the traversal matrix run
+their trials through ``_trial_stats``, which keeps only each trial's
+statistics. The sweep feeds every (trial, offset) run through the same
+batches, a trial's runs sharing its sky and noise. Pseudorange noise is
+indexed by simulator step, not by fix count, which keeps the pairing
+aligned even when reacquisition delays the first fix. MAX_TIMELINE_STEPS
+caps a plan's steps, and MAX_MATRIX_STEPS trials times them, before
+anything is drawn.
 
 Default parameters come from ``config.DEFAULTS``. A runner takes a seed
 and the whole ``Config`` and nothing that overrides it: trial counts and
@@ -43,9 +48,10 @@ flags. Everything is deterministic given (scenario, seed, config).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +61,7 @@ from .config import DEFAULTS, MAX_MATRIX_STEPS, MAX_TIMELINE_STEPS, Config, Conf
 from .ntp import default_topology, run_disciplined_sync
 from .placement import ZeroSpeed, corridor_layout, kmh_to_ms
 from .rng import derive_seed, stream
-from .solver import SatGeometry, random_sky_geometry, solve_about, solve_position
+from .solver import PvtSolution, SatGeometry, random_sky_geometry, solve_about, solve_position
 from .timebase import NS_PER_MS, ns_from_millis, ns_from_seconds, within_budget
 
 DT_S = rcv.DT_S
@@ -111,13 +117,13 @@ class ErrorStats:
     max_m: float
 
 
-def nearest_rank_p95(errors: Sequence[float]) -> float:
+def nearest_rank_p95(errors: Sequence[float] | np.ndarray) -> float:
     """95th percentile by nearest rank: the ceil(0.95 n)-th smallest value."""
-    if len(errors) == 0:
+    errors = np.asarray(errors, dtype=float)
+    if errors.size == 0:
         raise EmptyFixSet("p95 of an empty error set")
-    ordered = sorted(errors)
-    rank = math.ceil(0.95 * len(ordered))
-    return float(ordered[rank - 1])
+    rank = math.ceil(0.95 * errors.size)
+    return float(np.partition(errors, rank - 1)[rank - 1])
 
 
 def compute_error_stats(errors: Sequence[float] | np.ndarray) -> ErrorStats:
@@ -136,18 +142,18 @@ def compute_error_stats(errors: Sequence[float] | np.ndarray) -> ErrorStats:
         stddev_m=std_pop,
         stddev_sample_m=std_sample,
         rms_m=math.sqrt(mean_sq),
-        p95_m=nearest_rank_p95(errors.tolist()),
+        p95_m=nearest_rank_p95(errors),
         max_m=float(errors.max()),
     )
 
 
 def horizontal_distances(positions: np.ndarray, intended: np.ndarray) -> np.ndarray:
-    """Per row of ``positions``, the x-y distance from ``intended``.
+    """Per row of ``positions``, the x-y distance from ``intended``, one point (3,) or one per row (F, 3).
 
     One dot product per row rounds as ``np.linalg.norm`` of the row does (BLAS
     ``ddot``); ``np.linalg.norm(d, axis=1)`` differs in ~8% of a matrix's fixes.
     """
-    d = positions[:, :2] - intended[:2]
+    d = positions[:, :2] - intended[..., :2]
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
@@ -393,117 +399,141 @@ class Plan:
         return sum(seg.steps for seg in self.segments)
 
 
+def draw_sky(plan: Plan, seed: int, cfg: Config) -> SatGeometry:
+    """The sky of ``plan``'s trial at ``seed``: ``cfg.handover.n_sats`` satellites drawn under (seed, plan.scope)."""
+    return random_sky_geometry(stream(seed, plan.scope, "sky"), n_sats=cfg.handover.n_sats)
+
+
 @dataclass(frozen=True)
-class SkyDraw:
-    """The sky and noise of one trial, which every clock configuration shares.
+class Trial:
+    """A trial whose timelines have run: its sky, its offset maps and, per map, which simulator steps end in a fix.
 
-    ``pr_noise`` holds one row per simulator step of the timeline and
-    ``live_noise`` one per live-sky step, in time order.
+    ``seed`` keys its pseudorange noise under the plan's scope. It holds no
+    noise row and no fix, which ``_handover`` draws and solves a trial at a
+    time.
     """
 
+    seed: int
     sky: SatGeometry
-    pr_noise: np.ndarray
-    live_noise: np.ndarray
+    offset_maps: tuple[Mapping[int, int], ...]
+    tracking: np.ndarray
 
 
-def draw_sky(plan: Plan, seed: int, cfg: Config) -> SkyDraw:
-    """Draw the sky plot and noise rows of ``plan`` under (seed, plan.scope).
+@dataclass(frozen=True)
+class TrialFixes:
+    """A trial's simulator fixes under each of its offset maps, in time order within a map.
 
-    Only the segments' lengths and kinds are read, so one draw serves
-    every clock configuration of a trial. The satellite count comes from
-    ``cfg.handover``.
+    Map m's fixes are rows ``bounds[m]`` to ``bounds[m + 1]``; ``errors`` are
+    their horizontal distances from their coverage centers.
+    ``first_fix_steps[m, k]`` counts coverage k's steps from its entry
+    through its first fix under map m, -1 where it made none.
     """
-    n_sats = cfg.handover.n_sats
-    _, simulated, live = _step_kinds(plan.segments)
-    return SkyDraw(
-        random_sky_geometry(stream(seed, plan.scope, "sky"), n_sats=n_sats),
-        stream(seed, plan.scope, "prnoise").normal(0.0, plan.pr_noise_m, (simulated.sum(), n_sats)),
-        stream(seed, plan.scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live.sum(), 2)),
-    )
+
+    bounds: np.ndarray
+    position: np.ndarray
+    clock_bias_s: np.ndarray
+    errors: np.ndarray
+    first_fix_steps: np.ndarray
+
+    def map_rows(self, m: int) -> slice:
+        """The rows of map ``m``."""
+        return slice(self.bounds[m], self.bounds[m + 1])
+
+    def overall(self, m: int) -> ErrorStats | None:
+        """Statistics over every fix of map ``m`` in time order, which is coverage order, None if it made none."""
+        errors = self.errors[self.map_rows(m)]
+        return compute_error_stats(errors) if errors.size else None
+
+    def handed_over(self, m: int) -> bool:
+        """Whether map ``m`` made a fix in every coverage."""
+        return bool((self.first_fix_steps[m] >= 0).all())
 
 
-def _handover(
-    plan: Plan,
-    offset_maps: Sequence[Mapping[int, int]],
-    start: rcv.ReceiverState,
-    drawn: SkyDraw,
-    clock_draws: Sequence[dict[int, ClockDraw]],
-) -> list[ScenarioResult]:
-    """Advance the receiver through ``plan`` once per offset map and solve every fix against ``drawn``.
+def _handover(plan: Plan, trials: Iterable[Trial]) -> Iterator[TrialFixes]:
+    """Solve the simulator fixes of ``trials``, each of them a ``Trial`` of ``plan``, in order.
 
-    Under each of ``offset_maps``, coverage k transmits with that map's
-    offset of k. Pseudorange noise rows are indexed by simulator step and
-    live-sky rows by live step, both counted across the timeline, so one
-    coverage reads what its windows use under every map. A simulator fix
-    is its (map, coverage)'s noise-free row plus its noise row. The
-    noise-free rows of every (map, coverage) that has fixes are solved from
-    their coverage centers in one stacked call, the fixes of
-    ``solver.position_error_from_clock_offset``; ``solve_about`` solves the
-    fixes of all maps about them in one call, and they are split back. A
-    row solves to the same bits alone or in any stack. Returns one result
-    per map, carrying the matching entry of ``clock_draws``.
+    Under a trial's map m, coverage k transmits with that map's offset of k,
+    and a simulator fix is its (map, coverage)'s noise-free row plus the
+    noise row of its step. Noise rows are indexed by simulator step, counted
+    across the timeline, so one coverage reads what its windows use under
+    every map. Trials are taken a batch at a time, as many as fit in
+    MAX_TIMELINE_STEPS steps, in two passes:
+
+    1. per trial, the noise-free row of each (map, coverage) that has fixes,
+       ranges from its coverage center to the sky advanced by the offset;
+       then one stacked ``solve_position`` of every trial's rows, each
+       under its trial's sky: the fixes of
+       ``solver.position_error_from_clock_offset``;
+    2. per trial, its noise rows, drawn under (seed, plan.scope), and one
+       ``solve_about`` of its fixes under every map about its base fixes.
+
+    A row solves to the same bits alone or in any stack, so batching shows
+    in no fix. The first pass holds a trial's sky, offsets and tracking, no
+    noise row and no fix; trials that share a seed, as the sweep's offsets
+    do, share their noise rows.
     """
-    sky = drawn.sky
+    n_cov = len(plan.centers_m)
     centers = np.array([[center, 0.0, 0.0] for center in plan.centers_m])
-    step_coverage, simulated, live = _step_kinds(plan.segments)
-    # a step's noise row counts the steps of its kind before it
-    noise_row = np.where(simulated, np.cumsum(simulated), np.cumsum(live)) - 1
+    step_coverage, simulated, _ = _step_kinds(plan.segments)
+    # simulator step i, counted across the timeline, reads noise row i
+    sim_steps = np.flatnonzero(simulated)
+    sim_coverage = step_coverage[sim_steps]
+    # coverage k is entered when the step before its first step ends
+    entry = np.array([np.argmax(step_coverage == k) for k in range(n_cov)])
 
-    timelines = (run_timeline(plan.segments, offsets_ns, plan.profile, start) for offsets_ns in offset_maps)
-    runs = [(np.flatnonzero(tracking), transitions) for tracking, transitions in timelines]
-    # the simulator fixes of every map in one stacked solve, a map's rows after the previous map's;
-    # group m·K + k, map m's coverage k, is a noise-free row that its fixes scatter about
-    sim_fixes = [fix[simulated[fix]] for fix, _ in runs]
-    groups = np.concatenate([m * len(centers) + step_coverage[steps] for m, steps in enumerate(sim_fixes)])
-    used, groups = np.unique(groups, return_inverse=True)
-    maps, hosts = np.divmod(used, len(centers))
-    noise_free = np.empty((used.size, len(sky)))
-    for row, m, k in zip(noise_free, maps, hosts):
-        row[:] = np.linalg.norm(sky.advanced(offset_maps[m][k]).positions - centers[k], axis=1)
-    base = solve_position(noise_free, sky, initial_guess=centers[hosts])
-    pr = noise_free[groups] + drawn.pr_noise[np.concatenate([noise_row[steps] for steps in sim_fixes])]
-    solved = solve_about(pr, sky, base, groups, centers[hosts[groups]])
+    def sim_fixes(tracking: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(map, simulator step) of every fix, map-major in time order, and its group m·K + k."""
+        maps, steps = np.nonzero(tracking)
+        return maps, steps, maps * n_cov + sim_coverage[steps]
 
-    results = []
-    end = 0
-    for (fix, transitions), draws in zip(runs, clock_draws):
-        t_s, coverage, row = (fix + 1) / rcv.STEPS_PER_S, step_coverage[fix], noise_row[fix]
-        sim = coverage >= 0
-        rows = slice(end, end + np.count_nonzero(sim))
-        end = rows.stop
-        positions, clock_bias_s = np.zeros((fix.size, 3)), np.zeros(fix.size)
-        positions[sim], clock_bias_s[sim] = solved.position[rows], solved.clock_bias_s[rows]
-        positions[~sim, :2] = drawn.live_noise[row[~sim]]
-        positions[~sim, 0] += plan.speed_ms * t_s[~sim]
-        stats: dict[int, ErrorStats] = {}
-        latency: dict[int, int | None] = dict.fromkeys(range(len(centers)))
-        errors = []
-        for k, center in enumerate(centers):
-            mine = coverage == k
-            if mine.any():
-                errors.append(horizontal_distances(positions[mine], center))
-                stats[k] = compute_error_stats(errors[-1])
-                # a coverage is entered when the step before its first step ends
-                latency[k] = int(fix[mine][0] + 1 - np.argmax(step_coverage == k))
-        if len(errors) > 1:
-            overall = compute_error_stats(np.concatenate(errors))
-        else:
-            # one coverage's errors are all the errors, so its stats are the overall stats
-            overall = next(iter(stats.values()), None)
-        results.append(
-            ScenarioResult(
-                t_s=t_s,
-                positions=positions,
-                clock_bias_s=clock_bias_s,
-                coverage=coverage,
-                coverage_stats=stats,
-                first_fix_steps=latency,
-                overall=overall,
-                clock_draws=draws,
-                transitions=tuple(transitions),
-            )
+    def first_pass(trial: Trial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``trial``'s groups with fixes, first-fix counts per (map, coverage) and noise-free rows of its groups."""
+        _, steps, groups = sim_fixes(trial.tracking)
+        used, first = np.unique(groups, return_index=True)
+        first_fix = np.full(len(trial.offset_maps) * n_cov, -1)
+        first_fix[used] = sim_steps[steps[first]] + 1 - entry[used % n_cov]
+        noise_free = np.empty((used.size, len(trial.sky)))
+        for row, m, k in zip(noise_free, *np.divmod(used, n_cov)):
+            row[:] = np.linalg.norm(trial.sky.advanced(trial.offset_maps[m][k]).positions - centers[k], axis=1)
+        return used, first_fix.reshape(-1, n_cov), noise_free
+
+    def second_pass(trial: Trial, first: tuple[np.ndarray, ...], own: PvtSolution, noise: np.ndarray) -> TrialFixes:
+        """The fixes of ``trial``, whose ``first_pass`` is ``first``, solved about ``own``, its groups' base fixes."""
+        used, first_fix, noise_free = first
+        maps, steps, groups = sim_fixes(trial.tracking)
+        groups = np.searchsorted(used, groups)
+        guess = centers[sim_coverage[steps]]
+        solved = solve_about(noise_free[groups] + noise[steps], trial.sky, own, groups, guess)
+        errors = horizontal_distances(solved.position, guess)
+        bounds = np.searchsorted(maps, np.arange(len(trial.offset_maps) + 1))
+        return TrialFixes(bounds, solved.position, solved.clock_bias_s, errors, first_fix)
+
+    def solve_batch(batch: list[Trial]) -> Iterator[TrialFixes]:
+        """Each trial's first pass, one stacked solve of every noise-free row, then each trial's fixes."""
+        firsts = [first_pass(trial) for trial in batch]
+        used = [first[0] for first in firsts]
+        base = solve_position(
+            np.concatenate([first[2] for first in firsts]),
+            np.repeat([trial.sky.positions for trial in batch], [u.size for u in used], axis=0),
+            initial_guess=centers[np.concatenate(used) % n_cov],
         )
-    return results
+        end, noise_seed, noise = 0, None, None
+        for trial, first in zip(batch, firsts):
+            mine = slice(end, end + first[0].size)
+            end = mine.stop
+            if trial.seed != noise_seed:
+                noise_seed = trial.seed
+                noise = stream(trial.seed, plan.scope, "prnoise").normal(
+                    0.0, plan.pr_noise_m, (sim_steps.size, len(trial.sky))
+                )
+            own = PvtSolution(base.position[mine], base.clock_bias_s[mine], base.residual_norm[mine], base.iterations)
+            yield second_pass(trial, first, own, noise)
+
+    trials = iter(trials)
+    while batch := list(itertools.islice(trials, max(1, MAX_TIMELINE_STEPS // max(plan.steps, 1)))):
+        yield from solve_batch(batch)
+        # let go of this batch's trials before the next batch's first pass
+        del batch
 
 
 def _one_simulator_plan(
@@ -529,22 +559,65 @@ def _check_timeline_steps(steps: float, what: str) -> None:
         raise ConfigError(f"{what} takes more than {MAX_TIMELINE_STEPS} steps of {DT_S} s")
 
 
-def _paired_runs(plan: Plan, configs: Sequence[ClockConfig], seed: int, cfg: Config) -> list[ScenarioResult]:
-    """``plan`` under each of ``configs``, starting from tracking.
+def _paired_trial(
+    plan: Plan, configs: Sequence[ClockConfig], seed: int, cfg: Config
+) -> tuple[Trial, list[dict[int, ClockDraw]], list[tuple[np.ndarray, list[TransitionRow]]]]:
+    """The first pass of ``plan`` under each of ``configs`` at ``seed``, starting from tracking.
 
     Host k, the simulator at ``plan.centers_m[k]``, draws its clock chain
-    once for all configurations under (seed, plan.scope, k); the sky and
-    noise are drawn once under (seed, plan.scope). A configuration's run
-    reads only its draws' offsets, and one ``_handover`` call solves the
-    fixes of every configuration in one stack, so a matrix holds one
-    trial's fixes of all its configurations at a time. Returns one result
-    per configuration.
+    once for all configurations under (seed, plan.scope, k), and the sky is
+    drawn once under (seed, plan.scope). A configuration's timeline reads
+    only its draws' offsets. Returns the trial, and per configuration its
+    clock draws and ``run_timeline``'s result.
     """
     host_draws = [draw_clock(seed, plan.scope, k, configs, cfg) for k in range(len(plan.centers_m))]
-    drawn = draw_sky(plan, seed, cfg)
     clock_draws = [dict(enumerate(draws)) for draws in zip(*host_draws)]
-    offset_maps = [{k: draw.error_ns for k, draw in draws.items()} for draws in clock_draws]
-    return _handover(plan, offset_maps, rcv.ReceiverState.tracking(), drawn, clock_draws)
+    offset_maps = tuple({k: draw.error_ns for k, draw in draws.items()} for draws in clock_draws)
+    runs = [run_timeline(plan.segments, m, plan.profile, rcv.ReceiverState.tracking()) for m in offset_maps]
+    simulated = _step_kinds(plan.segments)[1]
+    trial = Trial(seed, draw_sky(plan, seed, cfg), offset_maps, np.array([tracking[simulated] for tracking, _ in runs]))
+    return trial, clock_draws, runs
+
+
+def _paired_runs(plan: Plan, configs: Sequence[ClockConfig], seed: int, cfg: Config) -> list[ScenarioResult]:
+    """``plan`` under each of ``configs``, starting from tracking: a one-trial batch of ``_handover``.
+
+    Live-sky fixes scatter around the receiver by noise rows drawn under
+    (seed, plan.scope), one per live step. Returns one result per
+    configuration.
+    """
+    trial, clock_draws, runs = _paired_trial(plan, configs, seed, cfg)
+    (fixes,) = _handover(plan, (trial,))
+    step_coverage, _, live = _step_kinds(plan.segments)
+    live_noise = stream(seed, plan.scope, "live").normal(0.0, LIVE_SKY_SIGMA_M, (live.sum(), 2))
+    live_row = np.cumsum(live) - 1
+    results = []
+    for m, (draws, (tracking, rows)) in enumerate(zip(clock_draws, runs)):
+        fix = np.flatnonzero(tracking)
+        t_s, coverage = (fix + 1) / rcv.STEPS_PER_S, step_coverage[fix]
+        sim, mine = coverage >= 0, fixes.map_rows(m)
+        positions, clock_bias_s = np.zeros((fix.size, 3)), np.zeros(fix.size)
+        positions[sim], clock_bias_s[sim] = fixes.position[mine], fixes.clock_bias_s[mine]
+        positions[~sim, :2] = live_noise[live_row[fix[~sim]]]
+        positions[~sim, 0] += plan.speed_ms * t_s[~sim]
+        errors, first_fix = fixes.errors[mine], fixes.first_fix_steps[m]
+        stats = {k: compute_error_stats(errors[coverage[sim] == k]) for k in np.flatnonzero(first_fix >= 0).tolist()}
+        # one coverage's errors are all the errors, so its stats are the overall stats
+        overall = fixes.overall(m) if len(stats) > 1 else next(iter(stats.values()), None)
+        results.append(
+            ScenarioResult(
+                t_s=t_s,
+                positions=positions,
+                clock_bias_s=clock_bias_s,
+                coverage=coverage,
+                coverage_stats=stats,
+                first_fix_steps={k: None if n < 0 else n for k, n in enumerate(first_fix.tolist())},
+                overall=overall,
+                clock_draws=draws,
+                transitions=tuple(rows),
+            )
+        )
+    return results
 
 
 # ------------------------------------------------------------ static handover
@@ -589,12 +662,17 @@ def _trial_stats(
             f"{MAX_MATRIX_STEPS} steps"
         )
     stats: dict[str, list[tuple[ErrorStats, bool]]] = {c.label: [] for c in configs}
-    for trial in range(trials):
-        # only the statistics outlive the trial, not its fixes
-        for config, r in zip(configs, _paired_runs(plan, configs, derive_seed(seed, scope, trial), cfg)):
-            if r.overall is None:
+    first_passes = (_paired_trial(plan, configs, derive_seed(seed, scope, trial), cfg)[0] for trial in range(trials))
+    # only the statistics outlive a trial: map lets go of its fixes before the next trial is solved
+    per_trial = map(
+        lambda fixes: [(fixes.overall(m), fixes.handed_over(m)) for m in range(len(configs))],
+        _handover(plan, first_passes),
+    )
+    for trial, per_config in enumerate(per_trial):
+        for config, (overall, handed_over) in zip(configs, per_config):
+            if overall is None:
                 raise EmptyFixSet(f"no in-coverage fixes for {config.label} in trial {trial}")
-            stats[config.label].append((r.overall, all(r.handover_success.values())))
+            stats[config.label].append((overall, handed_over))
     return stats
 
 
@@ -680,15 +758,25 @@ def run_offset_sweep(seed: int = 0, cfg: Config = DEFAULTS) -> SweepResult:
     plan = _one_simulator_plan("sweep", (SWEEP_WINDOW_S,) * 3, profile, cfg.handover.pr_noise_m)
     reacq: list[list[int]] = [[] for _ in offsets_ns]
     errors: list[list[float]] = [[] for _ in offsets_ns]
-    # trials outside offsets: one trial's sky and noise serve its whole grid
-    for trial in range(trials):
-        drawn = draw_sky(plan, derive_seed(seed, "sweep", trial), cfg)
-        for offset_ns, offset_reacq, offset_errors in zip(offsets_ns, reacq, errors):
-            (result,) = _handover(plan, ({0: offset_ns},), cold, drawn, ({},))
-            if 0 not in result.coverage_stats:
-                raise EmptyFixSet(f"no reacquisition at offset {offset_ns / NS_PER_MS} ms")
-            offset_reacq.append(result.first_fix_steps[0])
-            offset_errors.append(result.coverage_stats[0].avg_m)
+    simulated = _step_kinds(plan.segments)[1]
+
+    def runs() -> Iterator[Trial]:
+        # trials outside offsets: one trial's sky and noise serve its whole grid
+        for trial in range(trials):
+            trial_seed = derive_seed(seed, "sweep", trial)
+            sky = draw_sky(plan, trial_seed, cfg)
+            for offset_ns in offsets_ns:
+                offset_map = {0: offset_ns}
+                tracking, _ = run_timeline(plan.segments, offset_map, profile, cold)
+                yield Trial(trial_seed, sky, (offset_map,), tracking[None, simulated])
+
+    per_run = map(lambda fixes: (fixes.overall(0), int(fixes.first_fix_steps[0, 0])), _handover(plan, runs()))
+    for run, (stats, first_fix_steps) in enumerate(per_run):
+        i = run % len(offsets_ns)
+        if stats is None:
+            raise EmptyFixSet(f"no reacquisition at offset {offsets_ns[i] / NS_PER_MS} ms")
+        reacq[i].append(first_fix_steps)
+        errors[i].append(stats.avg_m)
     rows = [
         SweepRow(
             offset_ms=offset_ns / NS_PER_MS,

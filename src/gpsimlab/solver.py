@@ -136,7 +136,7 @@ def _whole_ns(bias_m: np.ndarray) -> np.ndarray:
 
 def solve_position(
     pseudoranges: np.ndarray,
-    geometry: SatGeometry,
+    geometry: SatGeometry | np.ndarray,
     initial_guess: np.ndarray | None = None,
     max_iterations: int = MAX_ITERATIONS,
 ) -> PvtSolution:
@@ -147,16 +147,19 @@ def solve_position(
     moving from its 4×4 normal equations, dx = (HᵀH)⁻¹·Hᵀdy, batched over
     the rows, and a row leaves the active set once its position step
     falls below CONVERGENCE_M. Where every row of a block starts from one
-    point, its first iteration forms that point's H and (HᵀH)⁻¹ once for
-    all of them. Every row takes the steps, and so reaches the fix, bit
-    for bit, that a one-row solve takes, whatever stack or block it comes
-    in. The normal equations lose accuracy as cond(H)², not cond(H); the
-    rank rule of ``_normal_inverse`` bounds that loss.
+    point under one sky, its first iteration forms that point's H and
+    (HᵀH)⁻¹ once for all of them. Every row takes the steps, and so
+    reaches the fix, bit for bit, that a one-row solve under its own sky
+    takes, whatever stack or block it comes in. The normal equations lose
+    accuracy as cond(H)², not cond(H); the rank rule of
+    ``_normal_inverse`` bounds that loss.
 
     Args:
         pseudoranges: Measured ranges in meters, (N,) for one fix or
-            (F, N) for F fixes against the same satellites.
-        geometry: Satellite states; at least four independent sight lines.
+            (F, N) for F fixes.
+        geometry: Satellite states that every row sees, or an (F, N, 3)
+            array of satellite positions, one sky per row of a stack; at
+            least four independent sight lines.
         initial_guess: Starting position, (3,) for every row or (F, 3) one
             per row; defaults to the frame origin.
         max_iterations: Iteration cap before giving up.
@@ -175,10 +178,16 @@ def solve_position(
     pr = np.asarray(pseudoranges, dtype=float)
     stacked = pr.ndim == 2
     prs = pr if stacked else pr[None, :]
-    if prs.ndim != 2 or prs.shape[1] != len(geometry):
-        raise ValueError(f"expected {len(geometry)} pseudoranges per row, got shape {pr.shape}")
-    if len(geometry) < 4:
-        raise SingularGeometry(f"need at least 4 satellites, got {len(geometry)}")
+    sats = geometry.positions if isinstance(geometry, SatGeometry) else np.asarray(geometry, dtype=float)
+    # one sky per row: a row's satellites are sats[row], gathered with the rows they serve
+    per_row = sats.ndim == 3
+    n_sats = sats.shape[-2]
+    if prs.ndim != 2 or prs.shape[1] != n_sats:
+        raise ValueError(f"expected {n_sats} pseudoranges per row, got shape {pr.shape}")
+    if per_row and (not stacked or sats.shape != (prs.shape[0], n_sats, 3)):
+        raise ValueError(f"expected one (N, 3) sky per pseudorange row, got skies {sats.shape} for {pr.shape}")
+    if n_sats < 4:
+        raise SingularGeometry(f"need at least 4 satellites, got {n_sats}")
 
     rows = prs.shape[0]
     guess = np.zeros(3) if initial_guess is None else np.asarray(initial_guess, dtype=float)
@@ -188,14 +197,14 @@ def solve_position(
     iterations = 0
     for start in range(0, rows, SOLVE_BLOCK_ROWS):
         active = np.arange(start, min(start + SOLVE_BLOCK_ROWS, rows))
-        # every row from one point: the first step's H and (HᵀH)⁻¹ are that point's, formed once
-        shared = bool((x[active] == x[start]).all())
+        # every row from one point under one sky: the first step's H and (HᵀH)⁻¹ are that point's, formed once
+        shared = not per_row and bool((x[active] == x[start]).all())
         iteration = 0
         while active.size:
             if iteration == max_iterations:
                 raise NoConvergence(f"no convergence after {max_iterations} iterations")
             iteration += 1
-            h, ranges = _design_matrix(geometry.positions, x[start] if shared else x[active])
+            h, ranges = _design_matrix(sats[active] if per_row else sats, x[start] if shared else x[active])
             shared = False
             dy = prs[active] - (ranges + bias_m[active, None])
             if not (np.isfinite(h).all() and np.isfinite(dy).all()):
@@ -208,7 +217,7 @@ def solve_position(
             done = np.linalg.norm(dx[:, :3], axis=1) < CONVERGENCE_M
             settled = active[done]
             # a settled row's residual needs its ranges only, not its sight lines
-            ranges = np.linalg.norm(geometry.positions - x[settled, None, :], axis=-1)
+            ranges = np.linalg.norm((sats[settled] if per_row else sats) - x[settled, None, :], axis=-1)
             residual[settled] = np.linalg.norm(prs[settled] - (ranges + bias_m[settled, None]), axis=1)
             active = active[~done]
         iterations = max(iterations, iteration)

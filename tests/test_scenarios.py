@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -828,19 +829,29 @@ class TestSeedDerivation:
         assert raw.t_s[live_raw].tolist() == cal.t_s[live_cal].tolist()
         np.testing.assert_array_equal(raw.positions[live_raw], cal.positions[live_cal])
 
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_static_matrix_trials_are_single_runs_at_the_trial_seeds(self, seed):
-        cfg = Config(handover=HandoverConfig(trials=3))
+    @staticmethod
+    def assert_static_cells_are_single_runs(seed, cfg):
         matrix = sc.run_static_handover_matrix(seed, cfg)
         for config, cell in zip(sc.ALL_CLOCK_CONFIGS, matrix.cells, strict=True):
             assert cell.label == config.label
             singles = [
                 sc.run_static_handover(config, derive_seed(seed, "handover_matrix", i), cfg).coverage_stats[0]
-                for i in range(3)
+                for i in range(cfg.handover.trials)
             ]
             assert cell.per_trial_p95_m == tuple(stats.p95_m for stats in singles)
             assert cell.median_avg_m == float(np.median([stats.avg_m for stats in singles]))
             assert cell.max_m == max(stats.max_m for stats in singles)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_static_matrix_trials_are_single_runs_at_the_trial_seeds(self, seed):
+        self.assert_static_cells_are_single_runs(seed, Config(handover=HandoverConfig(trials=3)))
+
+    def test_static_matrix_over_two_batches_is_single_runs_at_the_trial_seeds(self):
+        # 40,000 s of live sky, whose fixes never reach the solver, make 400,500 steps a trial:
+        # trials 0 and 1 are solved in one batch, trial 2 in the next
+        cfg = Config(handover=HandoverConfig(live_s=40_000.0, trials=3))
+        assert MAX_TIMELINE_STEPS // sc._static_plan(cfg).steps == 2
+        self.assert_static_cells_are_single_runs(7, cfg)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_traversal_matrix_trials_are_single_runs_at_the_trial_seeds(self, seed):
@@ -855,3 +866,41 @@ class TestSeedDerivation:
             assert cell.per_trial_avg_m == tuple(result.overall.avg_m for result in singles)
             assert cell.median_avg_m == float(np.median(cell.per_trial_avg_m))
             assert cell.handover_success_all == all(all(r.handover_success.values()) for r in singles)
+
+    def test_traversal_matrix_reports_a_coverage_without_a_fix_as_its_single_runs_do(self):
+        # gaps of 4,840 m take 158 s at 110 km/h, past t_max: coverages 1 and 2 are entered cold and
+        # crossed in 5.2 s, before acquisition, while coverage 0, half a gap in, reacquires warm
+        deployment = DeploymentConfig(separation_m=5000.0)
+        plan = sc.traversal_plan(deployment, sc.DRIVING_PR_NOISE_M)
+        cfg = Config(deployment=deployment, handover=HandoverConfig(trials=2))
+        matrix = sc.run_traversal_matrix(plan, 0, cfg)
+        for config, cell in zip(sc.TRAVERSAL_CLOCK_CONFIGS, matrix.cells, strict=True):
+            singles = [
+                sc.run_dynamic_traversal(plan, config, derive_seed(0, "traversal_matrix", i), cfg) for i in range(2)
+            ]
+            assert [r.handover_success for r in singles] == [{0: True, 1: False, 2: False}] * 2
+            assert cell.handover_success_all is False
+            assert cell.per_trial_avg_m == tuple(result.overall.avg_m for result in singles)
+
+
+class TestMatrixMemory:
+    def test_traced_peak_does_not_grow_with_trials(self):
+        # 40,000 s of live sky and 1,000 s of simulator make 410,300 steps a trial: a batch holds
+        # two trials, so 16 trials take eight batches
+        handover = HandoverConfig(live_s=40_000.0, sim_s=1000.0)
+        assert MAX_TIMELINE_STEPS // sc._static_plan(Config(handover=handover)).steps == 2
+        # a first run's one-time allocations, about 0.7 MB, would mask the growth
+        sc.run_static_handover_matrix(0, Config(handover=dataclasses.replace(handover, trials=1)))
+        peaks = {}
+        for trials in (2, 16):
+            cfg = Config(handover=dataclasses.replace(handover, trials=trials))
+            tracemalloc.start()
+            try:
+                sc.run_static_handover_matrix(0, cfg)
+                _, peaks[trials] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # a trial's first pass holds 4 x 10,000 tracking flags and no noise row or fix: holding
+        # every trial's flags (40 kB each), noise rows (640 kB) or fix indices (about 640 kB)
+        # would exceed this
+        assert peaks[16] < peaks[2] + 256 * 1024

@@ -437,6 +437,95 @@ class TestSolveAbout:
         assert peak < bound
 
 
+def per_row_sky_stack(seed, n_sats, n_skies, rows, shared_start):
+    """``rows`` noisy rows, each under one of ``n_skies`` random skies, and their guesses.
+
+    Returns the skies, each row's sky index, the stack and the guesses: the
+    origin for every row where ``shared_start``, else a point per row.
+    """
+    rng = np.random.default_rng(seed)
+    skies = [random_sky_geometry(rng, n_sats=n_sats) for _ in range(n_skies)]
+    sky_of = rng.integers(0, n_skies, rows)
+    positions = np.array([sky.positions for sky in skies])[sky_of]
+    truth = rng.uniform(-100.0, 100.0, (rows, 3))
+    prs = np.linalg.norm(positions - truth[:, None, :], axis=-1) + rng.uniform(-1e5, 1e5, (rows, 1))
+    prs += rng.normal(0.0, 3.0, prs.shape)
+    guess = np.zeros((rows, 3)) if shared_start else rng.uniform(-50.0, 50.0, (rows, 3))
+    return skies, sky_of, prs, guess
+
+
+def _rows(solution, mine):
+    return solver.PvtSolution(solution.position[mine], solution.clock_bias_s[mine], solution.residual_norm[mine], 0)
+
+
+class TestPerRowSkies:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_sats=st.sampled_from([4, 5, 8, 32]),
+        n_skies=st.integers(min_value=1, max_value=3),
+        rows=st.integers(min_value=1, max_value=12),
+        shared_start=st.booleans(),
+    )
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    def test_every_row_is_its_solve_under_its_own_sky(self, seed, n_sats, n_skies, rows, shared_start):
+        skies, sky_of, prs, guess = per_row_sky_stack(seed, n_sats, n_skies, rows, shared_start)
+        stacked = solve_position(prs, np.array([sky.positions for sky in skies])[sky_of], initial_guess=guess)
+        alone = [solve_position(prs[i], skies[sky_of[i]], initial_guess=guess[i]) for i in range(rows)]
+        for i, one in enumerate(alone):
+            assert np.array_equal(stacked.position[i], one.position)
+            assert stacked.clock_bias_s[i] == one.clock_bias_s
+            assert stacked.residual_norm[i] == one.residual_norm
+        assert stacked.iterations == max(one.iterations for one in alone)
+        # a one-sky stack of the same rows, which takes the shared first step where they share a start
+        for k, sky in enumerate(skies):
+            mine = sky_of == k
+            if mine.any():
+                assert_same_fixes(solve_position(prs[mine], sky, initial_guess=guess[mine]), _rows(stacked, mine))
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_a_singular_sky_anywhere_raises_as_alone(self, row):
+        rng = np.random.default_rng(6)
+        good = [random_sky_geometry(rng, n_sats=5) for _ in range(2)]
+        bad = squeezed(6.5e-4)
+        guess = np.array([0.1, 0.1, 0.0])
+        with pytest.raises(SingularGeometry):
+            solve_position(np.linalg.norm(bad.positions, axis=1), bad, initial_guess=guess)
+        skies = np.array([sky.positions for sky in good])
+        skies = np.insert(skies, row, bad.positions, axis=0)
+        prs = np.linalg.norm(skies, axis=-1)
+        for sky in good:
+            solve_position(np.linalg.norm(sky.positions, axis=1), sky, initial_guess=guess)
+        with pytest.raises(SingularGeometry):
+            solve_position(prs, skies, initial_guess=guess)
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("failure", ["non-finite", "iteration cap"])
+    def test_a_row_that_does_not_converge_raises_as_alone(self, row, failure):
+        skies, sky_of, prs, guess = per_row_sky_stack(7, 5, 3, 5, False)
+        if failure == "non-finite":
+            prs[row, 2] = np.nan
+        else:
+            # a row started 1,000 km off needs five iterations, every other row two or three
+            guess[row] += 1e6
+        alone = [(prs[i], skies[sky_of[i]], guess[i]) for i in range(5)]
+        for i, (pr, sky, start) in enumerate(alone):
+            if i == row:
+                with pytest.raises(NoConvergence):
+                    solve_position(pr, sky, initial_guess=start, max_iterations=4)
+            else:
+                solve_position(pr, sky, initial_guess=start, max_iterations=4)
+        with pytest.raises(NoConvergence):
+            solve_position(prs, np.array([sky.positions for sky in skies])[sky_of], guess, max_iterations=4)
+
+    def test_one_sky_per_row_is_required(self):
+        skies, sky_of, prs, guess = per_row_sky_stack(8, 8, 2, 4, True)
+        positions = np.array([sky.positions for sky in skies])[sky_of]
+        with pytest.raises(ValueError, match=r"one \(N, 3\) sky per pseudorange row"):
+            solve_position(prs[:3], positions, initial_guess=guess[:3])
+        with pytest.raises(ValueError, match=r"one \(N, 3\) sky per pseudorange row"):
+            solve_position(prs[0], positions[:1], initial_guess=guess[0])
+
+
 class TestRankRule:
     def cond_squared_eps_n(self, geometry):
         h = np.hstack([-geometry.positions / 1e4, np.ones((5, 1))])
