@@ -38,11 +38,12 @@ artifact file that differs, exists on one side only, or comes with a
 different exit code. A differing JSON or CSV artifact is printed with
 its largest relative drift from the base, measured by the benchmark's
 own comparator, or as "structure differs" when its keys, labels, flags
-or row count changed. A run that prints to standard error keeps it as
-``stderr.txt`` in its run directory, so a changed message shows as a
-differing file. Exits 1 if anything differs, 0 otherwise. The
-runs ignore GPSIMLAB_CONFIG, so both trees read built-in defaults or
-the command's own config.
+or row count changed. A run keeps what it prints to standard output as
+``stdout.txt`` and to standard error as ``stderr.txt`` in its run
+directory, with that directory's path written ``{out}``, so a changed
+``wrote`` line, summary or message shows as a differing file. Exits 1
+if anything differs, 0 otherwise. The runs ignore GPSIMLAB_CONFIG, so
+both trees read built-in defaults or the command's own config.
 """
 
 import argparse
@@ -182,9 +183,11 @@ def run_commands(tree: Path, out: Path, samples: Path) -> dict[str, int]:
                 argv + ["--out", str(out / name)], env=env, cwd=tree, capture_output=True
             )
             codes[name] = proc.returncode
-            if proc.stderr:
-                (out / name).mkdir(parents=True, exist_ok=True)
-                (out / name / "stderr.txt").write_bytes(proc.stderr)
+            # each tree runs in its own directory, so a path into it is kept as "{out}"
+            for kept, text in (("stdout.txt", proc.stdout), ("stderr.txt", proc.stderr)):
+                if text:
+                    (out / name).mkdir(parents=True, exist_ok=True)
+                    (out / name / kept).write_bytes(text.replace(os.fsencode(out / name), b"{out}"))
     return codes
 
 

@@ -29,7 +29,8 @@ SAMPLE_INTERVAL_S = 1.0
 CSV_HEADER = ("timestamp_s", "delay_ms")
 
 # the export writes a sample of +0 or of whole ns within [DIGIT_MIN_NS, DIGIT_END_NS) from its
-# digits; it writes EXPORT_BLOCK_ROWS rows at a time, so one block's digit matrix stays under a MiB
+# digits; it writes EXPORT_BLOCK_ROWS rows at a time, so one block's digit matrix stays under a MiB,
+# and calibrate takes its deviations from the mean in blocks of the same size
 DIGIT_MIN_NS = 100
 DIGIT_END_NS = 10**15
 EXPORT_BLOCK_ROWS = 16384
@@ -100,8 +101,13 @@ def calibrate(ns: np.ndarray) -> DelayCalibration:
     correction_ns = (2 * total + n) // (2 * n)
     if n > 1:
         # squared with libm's pow, as ``(v - mean) ** 2`` squares, which is not always the
-        # correctly rounded ``d * d``, and summed by ``sum`` in sample order
-        squares = map(math.pow, (ns - total / n).tolist(), itertools.repeat(2.0))
+        # correctly rounded ``d * d``, and summed by ``sum`` in sample order; the deviations
+        # are made EXPORT_BLOCK_ROWS at a time, so no list of every sample is held
+        mean = total / n
+        deviations = itertools.chain.from_iterable(
+            (ns[i : i + EXPORT_BLOCK_ROWS] - mean).tolist() for i in range(0, n, EXPORT_BLOCK_ROWS)
+        )
+        squares = map(math.pow, deviations, itertools.repeat(2.0))
         stddev_ns = round(float(np.sqrt(sum(squares) / (n - 1))))
     else:
         stddev_ns = 0

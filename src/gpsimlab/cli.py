@@ -9,10 +9,12 @@ Subcommands map one-to-one onto the library's entry points:
   sync-compare  worst-case sync error across connection and server types
 
 Every command reads the JSON config (``--config`` flag, else the
-GPSIMLAB_CONFIG environment variable, else built-in defaults), writes
-its artifacts under ``--out`` and prints a short summary. Runs are
-deterministic for a given config and seed; repeating one rewrites
-byte-identical artifacts.
+GPSIMLAB_CONFIG environment variable, else built-in defaults) and
+returns an ``Outcome``: its exit code, its artifacts by file name and
+its summary. ``main`` alone makes ``--out``, writes each artifact there
+by its suffix, prints one ``wrote <path>`` line per file in a fixed
+order, then the summary. Runs are deterministic for a given config and
+seed; repeating one rewrites byte-identical artifacts.
 
 Exit codes: 0 success, 1 the deployment or scenario failed its own
 feasibility or success checks, 2 bad configuration or arguments or an
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Any, NamedTuple
 
 from . import __version__
 from . import receiver as rcv
@@ -65,6 +68,19 @@ BLOCKAGE_CURVE_END_M = 1000.0
 SCENARIOS = ("static", "driving", "pedestrian", "outdoor")
 
 
+class Outcome(NamedTuple):
+    """What a command hands to ``main``: its exit code, its artifacts and its summary.
+
+    ``artifacts`` maps a file name under ``--out`` to its contents, in announce order: a
+    ``.json`` name takes a payload, a ``.txt`` name text, and a ``.csv`` name either
+    ``(header, rows)`` or a whole-nanosecond delay-sample array. ``summary`` is printed as is.
+    """
+
+    code: int
+    artifacts: dict[str, Any]
+    summary: str = ""
+
+
 def _load(args: argparse.Namespace) -> Config:
     """The run's whole config, checked: the file's or the defaults, with ``--receiver`` and ``--trials`` folded in."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
@@ -74,34 +90,6 @@ def _load(args: argparse.Namespace) -> Config:
     if getattr(args, "trials", None) is not None:
         data["sweep" if args.command == "sweep" else "handover"]["trials"] = args.trials
     return config_from_dict(data)
-
-
-def _write_run_artifacts(out: Path, name: str, result: sc.ScenarioResult) -> list[Path]:
-    paths = [out / f"{name}.json", out / f"{name}_fixes.csv", out / f"{name}_transitions.csv"]
-    write_json(paths[0], result)
-    columns = (result.t_s, result.positions, result.clock_bias_s, result.coverage)
-    write_csv(
-        paths[1],
-        ("t_s", "x_m", "y_m", "z_m", "clock_bias_s", "source", "coverage"),
-        (
-            (t, *xyz, bias, "live_sky" if k < 0 else "simulator", "" if k < 0 else k)
-            for t, xyz, bias, k in zip(*(c.tolist() for c in columns))
-        ),
-    )
-    write_csv(
-        paths[2],
-        ("t_s", "mode", "signal", "offset_ms", "coverage"),
-        (
-            (r.t_s, r.mode, r.signal, r.offset_ms, "" if r.coverage is None else r.coverage)
-            for r in result.transitions
-        ),
-    )
-    return paths
-
-
-def _announce(paths) -> None:
-    for p in paths:
-        print(f"wrote {p}")
 
 
 # ------------------------------------------------------------------- plan
@@ -116,7 +104,7 @@ def _check_plan_range(dep: DeploymentConfig, v: float, t_max_s: float) -> None:
         raise ConfigError(f"deployment.max_speed_kmh: {dep.max_speed_kmh} leaves float range in plan")
 
 
-def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_plan(cfg: Config, args: argparse.Namespace) -> Outcome:
     dep = cfg.deployment
     timing = rcv.PROFILES[dep.receiver]
     v = kmh_to_ms(dep.max_speed_kmh)
@@ -137,7 +125,6 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
     }
     report = validate_deployment(dep.radius_m, dep.separation_m, v, timing)
 
-    out = Path(args.out)
     payload = {
         "inputs": {
             "radius_m": dep.radius_m,
@@ -151,32 +138,28 @@ def cmd_plan(cfg: Config, args: argparse.Namespace) -> int:
         "derived": derived,
         "layout_report": report,
     }
-    write_json(out / "plan.json", payload)
-
     rows = [(k, f"{v_:.3f}" if isinstance(v_, float) else v_) for k, v_ in sorted(derived.items())]
     rows.append(("layout_ok", report.ok))
     table = format_table(("quantity", "value"), rows)
-    (out / "plan.txt").write_text(table)
 
     radii = [10.0 + 5.0 * i for i in range(39)]
-    write_csv(
-        out / "reception_curve.csv",
-        ("radius_m", "reception_time_s", "reacq_fits"),
-        ((r, reception_time(r, v), crossing_fits(r, v, timing)) for r in radii),
-    )
     d0 = 2.0 * dep.radius_m
     seps = [d0 + 20.0 * i for i in range(int((BLOCKAGE_CURVE_END_M - d0) // 20.0) + 1)]
     blockages = [blockage_time(d, dep.radius_m, v) for d in seps]
-    write_csv(
-        out / "blockage_curve.csv",
-        ("separation_m", "blockage_time_s", "within_t_max"),
-        ((d, t, gap_path(v, dep.radius_m, t, timing) == WARM) for d, t in zip(seps, blockages)),
-    )
-    _announce([out / "plan.json", out / "plan.txt", out / "reception_curve.csv", out / "blockage_curve.csv"])
-    print(table, end="")
-
+    artifacts = {
+        "plan.json": payload,
+        "plan.txt": table,
+        "reception_curve.csv": (
+            ("radius_m", "reception_time_s", "reacq_fits"),
+            ((r, reception_time(r, v), crossing_fits(r, v, timing)) for r in radii),
+        ),
+        "blockage_curve.csv": (
+            ("separation_m", "blockage_time_s", "within_t_max"),
+            ((d, t, gap_path(v, dep.radius_m, t, timing) == WARM) for d, t in zip(seps, blockages)),
+        ),
+    }
     ok = report.ok and (not args.strict or report.gap_path == WARM)
-    return EXIT_OK if ok else EXIT_INFEASIBLE
+    return Outcome(EXIT_OK if ok else EXIT_INFEASIBLE, artifacts, table)
 
 
 # --------------------------------------------------------------- simulate
@@ -194,40 +177,51 @@ def _ignored_simulate_flag(args: argparse.Namespace) -> str | None:
     return None
 
 
-def _write_matrix(out: Path, name: str, matrix, columns: tuple[str, ...]) -> None:
+def _matrix_artifacts(name: str, matrix, columns: tuple[str, ...]) -> dict[str, Any]:
     """A ``--clock all`` matrix as JSON and as a CSV of ``clock`` and the named cell columns."""
-    paths = [out / f"{name}.json", out / f"{name}.csv"]
-    write_json(paths[0], matrix)
-    write_csv(paths[1], ("clock", *columns), ((c.label, *(getattr(c, k) for k in columns)) for c in matrix.cells))
-    _announce(paths)
+    rows = ((c.label, *(getattr(c, k) for k in columns)) for c in matrix.cells)
+    return {f"{name}.json": matrix, f"{name}.csv": (("clock", *columns), rows)}
 
 
-def _check_draws(result: sc.ScenarioResult, strict: bool) -> int:
+def _run_outcome(name: str, result: sc.ScenarioResult, strict: bool) -> Outcome:
+    """A single run's exit code and its JSON, fixes CSV and transitions CSV."""
     ok = all(result.handover_success.values())
     if strict:
         ok = ok and all(d.within_budget for d in result.clock_draws.values())
-    return EXIT_OK if ok else EXIT_INFEASIBLE
+    columns = (result.t_s, result.positions, result.clock_bias_s, result.coverage)
+    fixes = (
+        (t, *xyz, bias, "live_sky" if k < 0 else "simulator", "" if k < 0 else k)
+        for t, xyz, bias, k in zip(*(c.tolist() for c in columns))
+    )
+    transitions = (
+        (r.t_s, r.mode, r.signal, r.offset_ms, "" if r.coverage is None else r.coverage)
+        for r in result.transitions
+    )
+    artifacts = {
+        f"{name}.json": result,
+        f"{name}_fixes.csv": (("t_s", "x_m", "y_m", "z_m", "clock_bias_s", "source", "coverage"), fixes),
+        f"{name}_transitions.csv": (("t_s", "mode", "signal", "offset_ms", "coverage"), transitions),
+    }
+    return Outcome(EXIT_OK if ok else EXIT_INFEASIBLE, artifacts)
 
 
-def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
-    out = Path(args.out)
+def cmd_simulate(cfg: Config, args: argparse.Namespace) -> Outcome:
     seed = args.seed
 
     if args.scenario == "static":
         if args.clock == "all":
             matrix = sc.run_static_handover_matrix(seed=seed, cfg=cfg)
-            _write_matrix(out, "handover_matrix", matrix, ("median_p95_m", "median_avg_m", "max_m"))
-            print(
-                format_table(
-                    ("clock", "median p95 [m]", "median avg [m]"),
-                    [(c.label, f"{c.median_p95_m:.3f}", f"{c.median_avg_m:.3f}") for c in matrix.cells],
-                ),
-                end="",
+            table = format_table(
+                ("clock", "median p95 [m]", "median avg [m]"),
+                [(c.label, f"{c.median_p95_m:.3f}", f"{c.median_avg_m:.3f}") for c in matrix.cells],
             )
-            return EXIT_OK if matrix.ordering_ok_every_trial else EXIT_INFEASIBLE
+            return Outcome(
+                EXIT_OK if matrix.ordering_ok_every_trial else EXIT_INFEASIBLE,
+                _matrix_artifacts("handover_matrix", matrix, ("median_p95_m", "median_avg_m", "max_m")),
+                table,
+            )
         result = sc.run_static_handover(sc.CLOCK_CONFIGS_BY_LABEL[args.clock], seed, cfg)
-        _announce(_write_run_artifacts(out, "handover", result))
-        return _check_draws(result, args.strict)
+        return _run_outcome("handover", result, args.strict)
 
     if args.scenario in ("driving", "pedestrian"):
         if args.scenario == "driving":
@@ -236,68 +230,53 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
             plan = sc.traversal_plan(sc.PEDESTRIAN_DEPLOYMENT, sc.PEDESTRIAN_PR_NOISE_M)
         if args.clock == "all" and args.scenario == "driving":
             matrix = sc.run_traversal_matrix(plan, seed=seed, cfg=cfg)
-            _write_matrix(out, "traversal_matrix", matrix, ("median_avg_m", "handover_success_all"))
             ok = matrix.ordering_ok_every_trial and all(c.handover_success_all for c in matrix.cells)
-            return EXIT_OK if ok else EXIT_INFEASIBLE
+            artifacts = _matrix_artifacts("traversal_matrix", matrix, ("median_avg_m", "handover_success_all"))
+            return Outcome(EXIT_OK if ok else EXIT_INFEASIBLE, artifacts)
         # the pedestrian run of --clock all crosses on the best clock
         clock = sc.PRIVATE_CALIBRATED if args.clock == "all" else sc.CLOCK_CONFIGS_BY_LABEL[args.clock]
         result = sc.run_dynamic_traversal(plan, clock, seed, cfg)
-        _announce(_write_run_artifacts(out, args.scenario, result))
-        return _check_draws(result, args.strict)
+        return _run_outcome(args.scenario, result, args.strict)
 
     comparison = sc.run_outdoor_comparison(seed=seed, cfg=cfg)
-    write_json(out / "outdoor.json", comparison)
-    _announce([out / "outdoor.json"])
-    print(
+    return Outcome(
+        EXIT_OK if comparison.fit_for_outdoor_use else EXIT_INFEASIBLE,
+        {"outdoor.json": comparison},
         f"live avg {comparison.live.avg_m:.3f} m, simulated avg "
-        f"{comparison.simulated.avg_m:.3f} m, fit_for_outdoor_use={comparison.fit_for_outdoor_use}"
+        f"{comparison.simulated.avg_m:.3f} m, fit_for_outdoor_use={comparison.fit_for_outdoor_use}\n",
     )
-    return EXIT_OK if comparison.fit_for_outdoor_use else EXIT_INFEASIBLE
 
 
 # ------------------------------------------------------------------ sweep
 
 
-def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_sweep(cfg: Config, args: argparse.Namespace) -> Outcome:
     result = sc.run_offset_sweep(seed=args.seed, cfg=cfg)
-    out = Path(args.out)
-    write_json(out / "sweep.json", result)
-    write_csv(
-        out / "sweep.csv",
-        ("offset_ms", "mean_reacq_s", "std_reacq_s", "mean_error_m", "std_error_m"),
-        (
-            (r.offset_ms, r.mean_reacq_s, r.std_reacq_s, r.mean_error_m, r.std_error_m)
-            for r in result.rows
-        ),
+    rows = ((r.offset_ms, r.mean_reacq_s, r.std_reacq_s, r.mean_error_m, r.std_error_m) for r in result.rows)
+    artifacts = {
+        "sweep.json": result,
+        "sweep.csv": (("offset_ms", "mean_reacq_s", "std_reacq_s", "mean_error_m", "std_error_m"), rows),
+    }
+    table = format_table(
+        ("offset [ms]", "reacq [s]", "pos err [m]"),
+        [(f"{r.offset_ms:+.0f}", f"{r.mean_reacq_s:.2f}", f"{r.mean_error_m:.2f}") for r in result.rows],
     )
-    _announce([out / "sweep.json", out / "sweep.csv"])
-    print(
-        format_table(
-            ("offset [ms]", "reacq [s]", "pos err [m]"),
-            [(f"{r.offset_ms:+.0f}", f"{r.mean_reacq_s:.2f}", f"{r.mean_error_m:.2f}") for r in result.rows],
-        ),
-        end="",
-    )
-    return EXIT_OK
+    return Outcome(EXIT_OK, artifacts, table)
 
 
 # -------------------------------------------------------------- calibrate
 
 
-def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
-    out = Path(args.out)
+def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> Outcome:
     if args.samples_csv:
-        # read before anything is written: a refused file leaves no --out directory behind
         try:
             samples = import_samples_csv(args.samples_csv)
         except (OSError, ValueError) as exc:
             print(f"samples error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return Outcome(EXIT_CONFIG, {})
     else:
-        out.mkdir(parents=True, exist_ok=True)
         model = cfg.delay_model
         samples = measured_delays_ns(model, model.sample_count, stream(args.seed, "cli", "calibrate"))
-        export_samples_csv(out / "delay_samples.csv", samples)
     result = calibrate(samples)
     payload = {
         "correction_ms": result.correction_ns / NS_PER_MS,
@@ -305,44 +284,32 @@ def cmd_calibrate(cfg: Config, args: argparse.Namespace) -> int:
         "residual_bound_ms": result.residual_bound_ns / NS_PER_MS,
         "sample_count": result.sample_count,
     }
-    write_json(out / "calibration.json", payload)
-    paths = [out / "calibration.json"]
+    artifacts = {"calibration.json": payload}
     if not args.samples_csv:
-        paths.append(out / "delay_samples.csv")
-    _announce(paths)
-    print(
+        artifacts["delay_samples.csv"] = samples
+    summary = (
         f"correction {payload['correction_ms']:.3f} ms over {result.sample_count} samples, "
-        f"residual bound {payload['residual_bound_ms']:.3f} ms"
+        f"residual bound {payload['residual_bound_ms']:.3f} ms\n"
     )
-    return EXIT_OK
+    return Outcome(EXIT_OK, artifacts, summary)
 
 
 # ----------------------------------------------------------- sync-compare
 
 
-def cmd_sync_compare(cfg: Config, args: argparse.Namespace) -> int:
+def cmd_sync_compare(cfg: Config, args: argparse.Namespace) -> Outcome:
     cells = run_sync_comparison(duration_s=cfg.sync.duration_s, seed=args.seed)
-    out = Path(args.out)
-    write_json(out / "sync_compare.json", cells)
-    write_csv(
-        out / "sync_compare.csv",
-        ("connection_type", "server_type", "est_max_ntp_error_ms"),
-        ((c.connection_type, c.server_type, c.est_max_ntp_error_ms) for c in cells),
+    rows = ((c.connection_type, c.server_type, c.est_max_ntp_error_ms) for c in cells)
+    artifacts = {
+        "sync_compare.json": cells,
+        "sync_compare.csv": (("connection_type", "server_type", "est_max_ntp_error_ms"), rows),
+    }
+    table = format_table(
+        ("connection", "server", "est max err [ms]", "bound held"),
+        [(c.connection_type, c.server_type, f"{c.est_max_ntp_error_ms:.3f}", c.bound_held) for c in cells],
     )
-    _announce([out / "sync_compare.json", out / "sync_compare.csv"])
-    print(
-        format_table(
-            ("connection", "server", "est max err [ms]", "bound held"),
-            [
-                (c.connection_type, c.server_type, f"{c.est_max_ntp_error_ms:.3f}", c.bound_held)
-                for c in cells
-            ],
-        ),
-        end="",
-    )
-    if args.strict and not all(c.bound_held for c in cells):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    ok = not args.strict or all(c.bound_held for c in cells)
+    return Outcome(EXIT_OK if ok else EXIT_INFEASIBLE, artifacts, table)
 
 
 # ------------------------------------------------------------------- main
@@ -417,13 +384,34 @@ _COMMANDS = {
 }
 
 
+def _write(path: Path, contents: Any) -> None:
+    """One artifact by its suffix, through the writers bound in this module when it is called."""
+    if path.suffix == ".json":
+        write_json(path, contents)
+    elif path.suffix == ".txt":
+        path.write_text(contents)
+    elif isinstance(contents, tuple):
+        write_csv(path, *contents)
+    else:
+        export_samples_csv(path, contents)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "simulate" and (problem := _ignored_simulate_flag(args)):
         parser.error(problem)
     try:
-        return _COMMANDS[args.command](_load(args), args)
+        outcome = _COMMANDS[args.command](_load(args), args)
+        # made only once the command has returned, so a refused one leaves no --out behind
+        out = Path(args.out)
+        if outcome.artifacts:
+            out.mkdir(parents=True, exist_ok=True)
+        for name, contents in outcome.artifacts.items():
+            _write(out / name, contents)
+            print(f"wrote {out / name}")
+        print(outcome.summary, end="")
+        return outcome.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -431,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"scenario failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except OSError as exc:
-        # mapped here rather than by creating --out up front, so a command
-        # refused before it writes still leaves no --out directory behind
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive

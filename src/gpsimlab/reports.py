@@ -3,6 +3,7 @@
 Identical inputs must produce byte-identical files, so everything here
 avoids wall-clock stamps, unordered containers, and locale-dependent
 formatting. Floats are written with repr, which round-trips exactly.
+The writers make no directory: the caller hands them one that exists.
 """
 
 from __future__ import annotations
@@ -30,15 +31,11 @@ def _canonical(value: Any) -> Any:
 def write_json(path: str | Path, payload: Any) -> None:
     """Write strict JSON; a NaN or infinity raises before the file is touched."""
     text = json.dumps(_canonical(payload), indent=2, sort_keys=True, allow_nan=False)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

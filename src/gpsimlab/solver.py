@@ -344,6 +344,14 @@ def position_error_from_clock_offset(
     return solution.position - true_position
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a × b`` of (N, 3) arrays: the products and differences ``np.cross`` forms,
+    without its generic axis handling."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.column_stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def random_sky_geometry(rng: np.random.Generator, n_sats: int = DEFAULTS.handover.n_sats) -> SatGeometry:
     """Synthetic mid-latitude sky plot around the frame origin.
 
@@ -363,10 +371,10 @@ def random_sky_geometry(rng: np.random.Generator, n_sats: int = DEFAULTS.handove
     los_rate = rng.uniform(-MAX_LOS_RATE_MS, MAX_LOS_RATE_MS, n_sats)
     # a tangent direction in the plane orthogonal to each sight line
     probes = np.where((np.abs(units[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    t1 = np.cross(units, probes)
+    t1 = _cross(units, probes)
     # one dot product per row, rounding as np.linalg.norm of that row does
     t1 /= np.sqrt((t1[:, None, :] @ t1[:, :, None])[:, 0])
-    t2 = np.cross(units, t1)
+    t2 = _cross(units, t1)
     phase = rng.uniform(0.0, 2.0 * np.pi, n_sats)
     tangents = np.cos(phase)[:, None] * t1 + np.sin(phase)[:, None] * t2
     # squared per satellite: the whole array squared rounds differently in rare skies

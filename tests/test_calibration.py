@@ -107,6 +107,14 @@ class TestCalibrate:
         assert result.sample_count == len(ints)
         assert all(type(v) is int for v in dataclasses.astuple(result))
 
+    @pytest.mark.parametrize(
+        "n", [EXPORT_BLOCK_ROWS - 1, EXPORT_BLOCK_ROWS, EXPORT_BLOCK_ROWS + 1, 2 * EXPORT_BLOCK_ROWS + 7]
+    )
+    def test_stddev_exact_across_deviation_blocks(self, n):
+        # the squared deviations are made EXPORT_BLOCK_ROWS samples at a time
+        ns = np.rint(np.random.default_rng(n).normal(3e7, 2e6, n))
+        assert calibrate(ns).sample_stddev_ns == _reference_stddev_ns([int(v) for v in ns.tolist()])
+
     def test_single_sample(self):
         result = calibrate(np.array([ns_from_millis(31)], dtype=float))
         assert result.correction_ns == ns_from_millis(31)

@@ -305,6 +305,7 @@ class TestSimulate:
         argv = ("simulate", "--scenario", scenario, "--trials", "1", "--config", str(cfg))
         assert run(*argv, "--out", str(tmp_path / "o")) == EXIT_INFEASIBLE
         assert capsys.readouterr().err == "scenario failed: no in-coverage fixes for public/raw in trial 0\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -831,17 +832,76 @@ class TestCounts:
             assert not out.exists()
 
 
+# every command and scenario, with the files it leaves under --out in the order it announces them;
+# "{samples}" names a two-sample CSV
+ANNOUNCED = {
+    "plan": (["plan"], ["plan.json", "plan.txt", "reception_curve.csv", "blockage_curve.csv"]),
+    "static-matrix": (
+        ["simulate", "--scenario", "static", "--trials", "1"],
+        ["handover_matrix.json", "handover_matrix.csv"],
+    ),
+    "static-single": (
+        ["simulate", "--scenario", "static", "--clock", "private/calibrated"],
+        ["handover.json", "handover_fixes.csv", "handover_transitions.csv"],
+    ),
+    "driving-matrix": (
+        ["simulate", "--scenario", "driving", "--trials", "1"],
+        ["traversal_matrix.json", "traversal_matrix.csv"],
+    ),
+    "driving-single": (
+        ["simulate", "--scenario", "driving", "--clock", "private/calibrated"],
+        ["driving.json", "driving_fixes.csv", "driving_transitions.csv"],
+    ),
+    "pedestrian": (
+        ["simulate", "--scenario", "pedestrian"],
+        ["pedestrian.json", "pedestrian_fixes.csv", "pedestrian_transitions.csv"],
+    ),
+    "outdoor": (["simulate", "--scenario", "outdoor"], ["outdoor.json"]),
+    "sweep": (["sweep", "--trials", "1"], ["sweep.json", "sweep.csv"]),
+    "calibrate": (["calibrate"], ["calibration.json", "delay_samples.csv"]),
+    "calibrate-samples-csv": (["calibrate", "--samples-csv", "{samples}"], ["calibration.json"]),
+    "sync-compare": (["sync-compare"], ["sync_compare.json", "sync_compare.csv"]),
+}
+
+
+def announced_argv(tmp_path, argv):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("timestamp_s,delay_ms\n0.0,30.5\n1.0,29.75\n")
+    return [a.format(samples=samples) for a in argv]
+
+
+class TestAnnounce:
+    @pytest.mark.parametrize("argv, names", ANNOUNCED.values(), ids=ANNOUNCED.keys())
+    def test_every_file_is_announced_once_in_order_before_the_summary(self, tmp_path, capsys, argv, names):
+        out = tmp_path / "out"
+        assert run(*announced_argv(tmp_path, argv), "--out", str(out)) in (EXIT_OK, EXIT_INFEASIBLE)
+        stdout = capsys.readouterr().out
+        announced = "".join(f"wrote {out / name}\n" for name in names)
+        assert stdout.startswith(announced)
+        assert "wrote " not in stdout[len(announced) :]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        if argv == ["plan"]:
+            assert stdout[len(announced) :] == (out / "plan.txt").read_text()
+
+    @pytest.mark.parametrize("argv, names", ANNOUNCED.values(), ids=ANNOUNCED.keys())
+    def test_commands_hand_their_artifacts_to_main_unwritten(self, tmp_path, capsys, argv, names):
+        out = tmp_path / "out"
+        args = build_parser().parse_args([*announced_argv(tmp_path, argv), "--out", str(out)])
+        outcome = cli._COMMANDS[args.command](_load(args), args)
+        assert list(outcome.artifacts) == names
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
+
+
 class TestUnwritableOut:
-    @pytest.mark.parametrize(
-        "argv",
-        [["plan"], ["sync-compare"], ["calibrate"], ["simulate", "--scenario", "outdoor"]],
-        ids=["plan", "sync-compare", "calibrate", "outdoor"],
-    )
+    @pytest.mark.parametrize("argv", [argv for argv, _ in ANNOUNCED.values()], ids=ANNOUNCED.keys())
     def test_out_naming_a_file_exits_two(self, tmp_path, capsys, argv):
         out = tmp_path / "taken"
         out.write_text("not a directory\n")
-        assert run(*argv, "--out", str(out)) == EXIT_CONFIG
-        assert str(out) in capsys.readouterr().err
+        assert run(*announced_argv(tmp_path, argv), "--out", str(out)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert str(out) in captured.err
+        assert captured.out == ""
         assert out.read_text() == "not a directory\n"
 
 

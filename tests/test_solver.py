@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gpsimlab import solver
 from gpsimlab.rng import stream
@@ -622,6 +623,31 @@ def per_satellite_sky(rng, n_sats):
         cross_speed = np.sqrt(max(3900.0**2 - los_rate[i] ** 2, 0.0))
         velocities[i] = los_rate[i] * u + cross_speed * tangent
     return units * RANGE_M, velocities
+
+
+def row_vectors(n):
+    return arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestCross:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(row_vectors(n), row_vectors(n))))
+    def test_equals_np_cross_bitwise(self, pair):
+        a, b = pair
+        # products past float range overflow alike on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert solver._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_np_cross_on_sight_lines_and_probes(self, seed):
+        # the rows random_sky_geometry crosses: unit sight lines against axis probes, then against t1
+        rng = np.random.default_rng(seed)
+        units = rng.normal(size=(64, 3))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        probes = np.where((np.abs(units[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        t1 = np.cross(units, probes)
+        assert solver._cross(units, probes).tobytes() == t1.tobytes()
+        assert solver._cross(units, t1).tobytes() == np.cross(units, t1).tobytes()
 
 
 class TestRandomSky:
